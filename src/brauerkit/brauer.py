@@ -22,8 +22,6 @@ result is canonical and runs are deterministic.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import product
-from math import gcd
 
 import numpy as np
 
@@ -35,7 +33,13 @@ from .finab import (
     subgroup_from_generators,
 )
 from .sympl import AltForm, SymplecticSpace, upper_index_pairs, weil_form
-from .zmodlinalg import howell_form, howell_reduce, solve_mod
+from .zmodlinalg import (
+    howell_form,
+    howell_reduce,
+    howell_span,
+    howell_span_order,
+    solve_mod,
+)
 
 __all__ = [
     "MODE_ALL_PAIRS",
@@ -89,11 +93,7 @@ class FormSubmodule:
         m = space.form_rank
         arr = np.asarray(rows, dtype=np.int64).reshape(-1, m)
         H = howell_form(arr, r)
-        order = 1
-        for row in H:
-            p = int(row[np.flatnonzero(row)[0]])
-            order *= r // p
-        return cls(space, tuple(map(tuple, H.tolist())), order)
+        return cls(space, tuple(map(tuple, H.tolist())), howell_span_order(H, r))
 
     @classmethod
     def from_forms(cls, space: SymplecticSpace, forms) -> FormSubmodule:
@@ -135,18 +135,8 @@ class FormSubmodule:
         """Every coefficient vector in the span, sorted."""
         if self.order > cap:
             raise ValueError(f"span of {self.order} forms exceeds cap {cap}")
-        r = self.space.r
-        m = self.space.form_rank
-        rows = [np.array(rw, dtype=np.int64) for rw in self.generators]
-        pivots = [int(rw[np.flatnonzero(rw)[0]]) for rw in rows]
-        span: set[tuple[int, ...]] = set()
-        for combo in product(*(range(r // p) for p in pivots)):
-            v = np.zeros(m, dtype=np.int64)
-            for c, rw in zip(combo, rows):
-                v = (v + c * rw) % r
-            span.add(tuple(v.tolist()))
-        assert len(span) == self.order
-        return sorted(span)
+        H = np.array(self.generators, dtype=np.int64).reshape(-1, self.space.form_rank)
+        return howell_span(H, self.space.r)
 
     def forms(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[AltForm]:
         return [AltForm.from_vector(self.space, v) for v in self.vectors(cap)]
@@ -157,11 +147,8 @@ class FormSubmodule:
 
 
 def _pair_indices(space: SymplecticSpace) -> tuple[np.ndarray, np.ndarray]:
-    pairs = upper_index_pairs(space.dim)
-    return (
-        np.array([i for i, _ in pairs], dtype=np.int64),
-        np.array([j for _, j in pairs], dtype=np.int64),
-    )
+    I, J = np.array(upper_index_pairs(space.dim), dtype=np.int64).T
+    return I, J
 
 
 def _minor_rows(
@@ -169,6 +156,19 @@ def _minor_rows(
 ) -> np.ndarray:
     """Constraint rows of the pairs (x, y), y running over the rows of Y."""
     return (x[I] * Y[:, J] - x[J] * Y[:, I]) % r
+
+
+def _generator_rows(
+    space: SymplecticSpace, subgroup: Subgroup, I: np.ndarray, J: np.ndarray
+) -> np.ndarray:
+    """Constraint rows of the pairs of canonical generators of ``subgroup``."""
+    gens = np.array(
+        [g.coords for g in subgroup.generators()], dtype=np.int64
+    ).reshape(-1, space.dim)
+    rows = [
+        _minor_rows(gens[i], gens[i + 1 :], I, J, space.r) for i in range(len(gens))
+    ]
+    return np.vstack([np.zeros((0, space.form_rank), dtype=np.int64), *rows])
 
 
 def _kernel_submodule(space: SymplecticSpace, constraint_rows) -> FormSubmodule:
@@ -180,54 +180,63 @@ def _kernel_submodule(space: SymplecticSpace, constraint_rows) -> FormSubmodule:
     return FormSubmodule.from_rows(space, kernel)
 
 
-def _streamed_constraint_kernel(
-    space: SymplecticSpace,
-    *,
-    require_isotropic: bool,
-    require_bicyclic: bool,
-    cap: int,
-    lower: FormSubmodule | None,
-) -> FormSubmodule:
-    """Kernel of the constraints of all selected element pairs.
+def _pair_stream(
+    space: SymplecticSpace, *, isotropic: bool, bicyclic: bool, cap: int
+):
+    """The selected element pairs, grouped by their first element.
 
-    Pairs are scanned once in a fixed order.  The kernel only shrinks as
-    constraints accumulate, and when ``lower`` is a submodule known to
-    satisfy every selected constraint the scan may stop exactly when the
-    running kernel reaches it.
+    For each x in coordinate-table order, yields ``(x, Y, rows)``: the later
+    elements y, in the same order, such that e(x, y) = 0 (when ``isotropic``)
+    and x, y span (Z/r)^2 (when ``bicyclic``), together with the constraint
+    rows of those pairs.  A pair spans (Z/r)^2 exactly when its 2x2 minors
+    do not all vanish modulo any prime divisor of r.  An x with no selected
+    partner is skipped.
     """
     r = space.r
     X = space.group.coordinate_table(cap)
     I, J = _pair_indices(space)
     Cfull = weil_form(space).full_matrix()
     primes = _prime_factors(r)
-    m = space.form_rank
-    acc = np.zeros((0, m), dtype=np.int64)
-    for i in range(X.shape[0]):
+    for i in range(X.shape[0] - 1):
         x = X[i]
-        rest = X[i + 1 :]
-        if rest.shape[0] == 0:
-            break
-        if require_isotropic:
-            evals = (rest @ ((x @ Cfull) % r)) % r
-            rest = rest[evals == 0]
-            if rest.shape[0] == 0:
-                continue
-        rows = _minor_rows(x, rest, I, J, r)
-        if require_bicyclic:
+        Y = X[i + 1 :]
+        if isotropic:
+            Y = Y[(Y @ ((x @ Cfull) % r)) % r == 0]
+        rows = _minor_rows(x, Y, I, J, r)
+        if bicyclic:
             mask = np.ones(rows.shape[0], dtype=bool)
             for p in primes:
                 mask &= (rows % p).any(axis=1)
-            rows = rows[mask]
+            Y, rows = Y[mask], rows[mask]
+        if Y.shape[0]:
+            yield x, Y, rows
+
+
+def _streamed_constraint_kernel(
+    space: SymplecticSpace, *, require_bicyclic: bool, cap: int
+) -> FormSubmodule:
+    """Kernel of the constraints of all selected isotropic pairs.
+
+    Pairs are scanned once in a fixed order, their rows accumulated in Howell
+    form.  Every selected pair is isotropic, so span(e), of order r, lies in
+    the kernel throughout; and over Z/r the kernel has r^m / |row span|
+    elements.  The kernel has therefore shrunk to span(e) exactly when the
+    row span reaches order r^(m-1), and the scan stops there.  The kernel is
+    solved for once, at the end.
+    """
+    r = space.r
+    m = space.form_rank
+    acc = np.zeros((0, m), dtype=np.int64)
+    for _, _, rows in _pair_stream(
+        space, isotropic=True, bicyclic=require_bicyclic, cap=cap
+    ):
         # rows already in the span of acc change neither acc nor the kernel
         rows = rows[howell_reduce(acc, rows, r).any(axis=1)]
         if rows.shape[0] == 0:
             continue
-        rows = np.unique(rows, axis=0)
-        acc = howell_form(np.vstack([acc, rows]), r)
-        if lower is not None:
-            kern = _kernel_submodule(space, acc)
-            if kern == lower:
-                return kern
+        acc = howell_form(np.vstack([acc, np.unique(rows, axis=0)]), r)
+        if howell_span_order(acc, r) == r ** (m - 1):
+            break
     return _kernel_submodule(space, acc)
 
 
@@ -240,17 +249,13 @@ def compute_G(
 
     ``all-pairs`` constrains by every pair (x, y) with e(x, y) = 0;
     ``primitive-pairs`` only by those pairs whose span is (Z/r)^2.  The
-    standard pairing itself always satisfies the constraints, so its span is
-    a valid early-termination bound for the shrinking kernel.
+    standard pairing itself always satisfies the constraints, so the scan
+    ends as soon as the kernel has shrunk to its span.
     """
     if mode not in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
         raise ValueError(f"unknown mode {mode!r}")
     return _streamed_constraint_kernel(
-        space,
-        require_isotropic=True,
-        require_bicyclic=(mode == MODE_PRIMITIVE_PAIRS),
-        cap=cap,
-        lower=FormSubmodule.weil_span(space),
+        space, require_bicyclic=(mode == MODE_PRIMITIVE_PAIRS), cap=cap
     )
 
 
@@ -262,17 +267,8 @@ def restriction_kernel(space: SymplecticSpace, subgroup: Subgroup) -> FormSubmod
     """
     if subgroup.parent != space.group:
         raise ValueError("subgroup does not sit in the space's module")
-    gens = np.array(
-        [g.coords for g in subgroup.generators()], dtype=np.int64
-    ).reshape(-1, space.dim)
-    I, J = _pair_indices(space)
-    rows = []
-    for i in range(gens.shape[0]):
-        rows.append(_minor_rows(gens[i], gens[i + 1 :], I, J, space.r))
-    stacked = (
-        np.vstack(rows) if rows else np.zeros((0, space.form_rank), dtype=np.int64)
-    )
-    return _kernel_submodule(space, stacked)
+    rows = _generator_rows(space, subgroup, *_pair_indices(space))
+    return _kernel_submodule(space, rows)
 
 
 @dataclass(frozen=True)
@@ -312,37 +308,20 @@ class BicyclicFamily:
 def _enumerate_bicyclics(
     space: SymplecticSpace, isotropic_only: bool, cap: int
 ) -> BicyclicFamily:
-    r = space.r
-    X = space.group.coordinate_table(cap)
-    I, J = _pair_indices(space)
-    Cfull = weil_form(space).full_matrix()
-    primes = _prime_factors(r)
     group = space.group
     tag = "isotropic-pair" if isotropic_only else "bicyclic-pair"
     seen: set[tuple[tuple[int, ...], ...]] = set()
     members: list[Subgroup] = []
-    prov: list[str] = []
-    for i in range(X.shape[0]):
-        x = X[i]
-        rest = X[i + 1 :]
-        if rest.shape[0] == 0:
-            break
-        rows = _minor_rows(x, rest, I, J, r)
-        mask = np.ones(rows.shape[0], dtype=bool)
-        for p in primes:
-            mask &= (rows % p).any(axis=1)
-        if isotropic_only:
-            evals = (rest @ ((x @ Cfull) % r)) % r
-            mask &= evals == 0
-        for idx in np.flatnonzero(mask):
-            sub = subgroup_from_generators(
-                group, [group.element(x), group.element(rest[idx])]
-            )
+    for x, Y, _ in _pair_stream(
+        space, isotropic=isotropic_only, bicyclic=True, cap=cap
+    ):
+        gx = group.element(x)
+        for y in Y:
+            sub = subgroup_from_generators(group, [gx, group.element(y)])
             if sub.canonical_generators not in seen:
                 seen.add(sub.canonical_generators)
                 members.append(sub)
-                prov.append(tag)
-    return BicyclicFamily(space, tuple(members), tuple(prov))
+    return BicyclicFamily(space, tuple(members), (tag,) * len(members))
 
 
 def isotropic_bicyclics(
@@ -373,36 +352,25 @@ def bogomolov_intersection(
     form module).  With ``family=None`` the isotropic bicyclic family is
     streamed without being materialized; a member contributes exactly the
     constraint of one generating pair, since on a bicyclic subgroup a form
-    is determined by its value on any generating pair up to units.  The
-    standard pairing lies in every isotropic restriction kernel, so its span
-    again bounds the shrinking kernel from below and ends the scan early.
+    is determined by its value on any generating pair up to units.  That
+    streamed scan is the one of ``compute_G`` in primitive-pairs mode, so
+    the streamed G' is the primitive-pairs G and is computed as such.
     """
     if family is None:
-        return _streamed_constraint_kernel(
-            space,
-            require_isotropic=True,
-            require_bicyclic=True,
-            cap=cap,
-            lower=FormSubmodule.weil_span(space),
-        )
+        return compute_G(space, MODE_PRIMITIVE_PAIRS, cap)
     if family.space != space:
         raise ValueError("family belongs to a different space")
     r = space.r
-    m = space.form_rank
     I, J = _pair_indices(space)
-    acc = np.zeros((0, m), dtype=np.int64)
+    acc = np.zeros((0, space.form_rank), dtype=np.int64)
     pending: list[np.ndarray] = []
     pending_rows = 0
     for member in family.members:
-        gens = np.array(
-            [g.coords for g in member.generators()], dtype=np.int64
-        ).reshape(-1, space.dim)
-        for i in range(gens.shape[0]):
-            rows = _minor_rows(gens[i], gens[i + 1 :], I, J, r)
-            rows = rows[rows.any(axis=1)]
-            if rows.shape[0]:
-                pending.append(rows)
-                pending_rows += rows.shape[0]
+        rows = _generator_rows(space, member, I, J)
+        rows = rows[rows.any(axis=1)]
+        if rows.shape[0]:
+            pending.append(rows)
+            pending_rows += rows.shape[0]
         if pending_rows >= 1024:
             acc = howell_form(np.vstack([acc, *pending]), r)
             pending, pending_rows = [], 0
@@ -417,7 +385,10 @@ class InclusionReport:
 
     G refers to compute_G (per mode), G' to the streamed intersection of
     isotropic bicyclic restriction kernels, and the span of the standard
-    pairing e is the expected value of both.
+    pairing e is the expected value of both.  The streamed G' is the
+    primitive-pairs G, computed once and reported under both names, so
+    ``gprime_subset_g_primitive`` holds by construction; the explicit family
+    route of ``bogomolov_intersection`` is the independent check of G'.
     """
 
     g: int
@@ -461,18 +432,15 @@ def verify_main_inclusions(
     if mode not in ("both", MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
         raise ValueError(f"unknown mode {mode!r}")
     e_span = FormSubmodule.weil_span(space)
-    gprime = bogomolov_intersection(space, None, cap)
+    # the streamed G' is the primitive-pairs G; one scan serves both
+    gprime = compute_G(space, MODE_PRIMITIVE_PAIRS, cap)
     e_vec = weil_form(space).vector()
     g_all = (
         compute_G(space, MODE_ALL_PAIRS, cap)
         if mode in ("both", MODE_ALL_PAIRS)
         else None
     )
-    g_prim = (
-        compute_G(space, MODE_PRIMITIVE_PAIRS, cap)
-        if mode in ("both", MODE_PRIMITIVE_PAIRS)
-        else None
-    )
+    g_prim = gprime if mode in ("both", MODE_PRIMITIVE_PAIRS) else None
     return InclusionReport(
         g=space.g,
         r=space.r,

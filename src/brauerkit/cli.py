@@ -153,12 +153,15 @@ class RunConfig:
 
 
 def _verify_pair(args: tuple[int, int, int, str]):
+    """Verify one (g, r) point; returns (g, r, payload, elapsed ms)."""
     g, r, cap, mode = args
+    t0 = time.perf_counter()
     try:
         report = verify_main_inclusions(SymplecticSpace(g=g, r=r), cap=cap, mode=mode)
-        return g, r, report.as_dict()
+        payload = report.as_dict()
     except CapExceededError as exc:
-        return g, r, {"cap_exceeded": str(exc)}
+        payload = {"cap_exceeded": str(exc)}
+    return g, r, payload, (time.perf_counter() - t0) * 1000.0
 
 
 def _cover_fields(g: int, r: int, d: int) -> dict:
@@ -177,18 +180,13 @@ def _build_records(cfg: RunConfig) -> tuple[list[dict], int]:
         (g, r, cfg.cap, cfg.mode)
         for g, r in sorted(set(product(cfg.g_values, cfg.r_values)))
     ]
-    timings: dict[tuple[int, int], float] = {}
-    results: dict[tuple[int, int], dict] = {}
     if cfg.jobs > 1 and len(pair_args) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for g, r, payload in pool.map(_verify_pair, pair_args):
-                results[(g, r)] = payload
+            outcomes = list(pool.map(_verify_pair, pair_args))
     else:
-        for args in pair_args:
-            t0 = time.perf_counter()
-            g, r, payload = _verify_pair(args)
-            timings[(g, r)] = (time.perf_counter() - t0) * 1000.0
-            results[(g, r)] = payload
+        outcomes = [_verify_pair(args) for args in pair_args]
+    results = {(g, r): payload for g, r, payload, _ in outcomes}
+    timings = {(g, r): ms for g, r, _, ms in outcomes}
 
     verify_keys = [
         "form_rank",
@@ -221,11 +219,7 @@ def _build_records(cfg: RunConfig) -> tuple[list[dict], int]:
                 if record.get(flag) is False and first_violation is None:
                     first_violation = f"{flag} at g={g} r={r} d={d}"
         record.update(_cover_fields(g, r, d))
-        record["timing_ms"] = (
-            round(timings.get((g, r)), 3)
-            if cfg.timings and (g, r) in timings
-            else None
-        )
+        record["timing_ms"] = round(timings[(g, r)], 3) if cfg.timings else None
         records.append(record)
     if first_violation is not None:
         print(f"violation: {first_violation}", file=sys.stderr)
@@ -325,18 +319,19 @@ def cmd_bogomolov(g_values, r_values, family: str, explicit: bool, cap: int) -> 
                     f"|G'|={gprime.order} rank={gprime.rank}"
                 )
                 continue
+            g_prim = compute_G(space, MODE_PRIMITIVE_PAIRS, cap)
             if explicit:
                 fam = isotropic_bicyclics(space, cap)
                 gprime = bogomolov_intersection(space, fam, cap)
                 members = str(len(fam))
             else:
-                gprime = bogomolov_intersection(space, None, cap)
+                # the streamed G' is the primitive-pairs G
+                gprime = g_prim
                 members = "streamed"
         except CapExceededError as exc:
             print(f"g={g} r={r} skipped: {exc}")
             return EXIT_CAP
         e_vec = weil_form(space).vector()
-        g_prim = compute_G(space, MODE_PRIMITIVE_PAIRS, cap)
         e_in = gprime.contains_vector(e_vec)
         subset = gprime.is_submodule_of(g_prim)
         ok &= e_in and subset

@@ -20,7 +20,14 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .zmodlinalg import howell_form, integer_kernel, smith_normal_form
+from .zmodlinalg import (
+    howell_form,
+    howell_reduce,
+    howell_span,
+    howell_span_order,
+    integer_kernel,
+    smith_normal_form,
+)
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -210,10 +217,9 @@ class Subgroup:
             raise ValueError("element belongs to a different group")
         if not self.canonical_generators:
             return x.is_zero()
+        H = np.array(self.canonical_generators, dtype=np.int64)
         row = _embed_rows(self.parent, [x])
-        stacked = np.vstack([np.array(self.canonical_generators, dtype=np.int64), row])
-        H = howell_form(stacked, self._modulus())
-        return tuple(map(tuple, H.tolist())) == self.canonical_generators
+        return not howell_reduce(H, row, self._modulus()).any()
 
     def generators(self) -> list[GroupElement]:
         """Canonical generators pulled back to group coordinates."""
@@ -227,25 +233,16 @@ class Subgroup:
     def elements(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[GroupElement]:
         if self.order > cap:
             raise CapExceededError(f"subgroup order {self.order} exceeds cap {cap}")
-        N = self._modulus()
-        rows = [np.array(rw, dtype=np.int64) for rw in self.canonical_generators]
-        pivots = [int(rw[np.flatnonzero(rw)[0]]) for rw in rows]
-        span: set[tuple[int, ...]] = set()
-        k = self.parent.rank
-        for combo in product(*(range(N // p) for p in pivots)):
-            v = np.zeros(k, dtype=np.int64)
-            for c, rw in zip(combo, rows):
-                v = (v + c * rw) % N
-            span.add(tuple(v.tolist()))
-        assert len(span) == self.order
+        gens = self.canonical_generators
+        H = np.array(gens, dtype=np.int64).reshape(len(gens), self.parent.rank)
+        span = howell_span(H, self._modulus())
         scales = _scales(self.parent)
-        elems = [
+        return [
             GroupElement(
                 self.parent, tuple(v // s if s else 0 for v, s in zip(vec, scales))
             )
-            for vec in sorted(span)
+            for vec in span
         ]
-        return elems
 
     def invariant_factors(self) -> tuple[int, ...]:
         """Isomorphism type of the subgroup, as an invariant factor chain."""
@@ -264,9 +261,13 @@ class Subgroup:
         lam = ker[:, :k]
         _, D, _ = smith_normal_form(lam)
         diag = [int(D[i, i]) for i in range(min(D.shape))]
-        assert all(diag), "relation lattice must have full rank"
+        if not all(diag):
+            raise RuntimeError("relation lattice is not of full rank")
         facs = tuple(d for d in diag if d > 1)
-        assert prod(facs) == self.order
+        if prod(facs) != self.order:
+            raise RuntimeError(
+                f"invariant factors {facs} do not multiply to the order {self.order}"
+            )
         return facs
 
 
@@ -281,11 +282,7 @@ def subgroup_from_generators(parent: FinAbGroup, gens) -> Subgroup:
     N = max(parent.exponent, 2)
     rows = _embed_rows(parent, gens)
     H = howell_form(rows, N)
-    order = 1
-    for row in H:
-        p = int(row[np.flatnonzero(row)[0]])
-        order *= N // p
-    return Subgroup(parent, tuple(map(tuple, H.tolist())), order)
+    return Subgroup(parent, tuple(map(tuple, H.tolist())), howell_span_order(H, N))
 
 
 def is_bicyclic_rr(sigma: GroupElement, tau: GroupElement, r: int) -> bool:

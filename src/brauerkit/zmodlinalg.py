@@ -25,6 +25,8 @@ __all__ = [
     "integer_kernel",
     "howell_form",
     "howell_reduce",
+    "howell_span_order",
+    "howell_span",
     "enumerate_row_span",
     "solve_mod",
 ]
@@ -310,6 +312,35 @@ def howell_form(A, n: int) -> np.ndarray:
     if not H:
         return np.zeros((0, k), dtype=np.int64)
     return np.vstack(H)
+
+
+def howell_span_order(H, n: int) -> int:
+    """Number of vectors in the row span of a Howell form ``H`` over Z/n."""
+    order = 1
+    for row in np.asarray(H, dtype=np.int64):
+        order *= n // int(row[_leading(row)])
+    return order
+
+
+def howell_span(H, n: int) -> list[tuple[int, ...]]:
+    """Every vector in the row span of a Howell form ``H`` over Z/n, sorted.
+
+    The span is the set of sums c_i * h_i with 0 <= c_i < n / pivot(h_i);
+    ``ValueError`` if two of those sums coincide, as a repeated pivot makes.
+    """
+    H = np.asarray(H, dtype=np.int64)
+    if H.ndim != 2:
+        raise DimensionMismatchError(f"expected a 2-d matrix, got shape {H.shape}")
+    span = np.zeros((1, H.shape[1]), dtype=np.int64)
+    for row in H:
+        mults = np.arange(n // int(row[_leading(row)]), dtype=np.int64)
+        span = ((span[:, None, :] + mults[None, :, None] * row) % n).reshape(
+            -1, H.shape[1]
+        )
+    vectors = set(map(tuple, span.tolist()))
+    if len(vectors) != span.shape[0]:
+        raise ValueError(f"not a Howell form over Z/{n}: its combinations repeat")
+    return sorted(vectors)
 
 
 def howell_reduce(H, rows, n: int) -> np.ndarray:

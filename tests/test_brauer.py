@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from brute import minor_vector, span_closure, symplectic_value, vanishing_forms
+from brute import (
+    minor_vector,
+    pair_span_size,
+    span_closure,
+    symplectic_value,
+    vanishing_forms,
+)
 from brauerkit.brauer import (
     MODE_ALL_PAIRS,
     MODE_PRIMITIVE_PAIRS,
@@ -190,6 +196,26 @@ def test_family_members_are_distinct_and_bicyclic():
     assert all(tag == "isotropic-pair" for tag in fam.provenance)
 
 
+def test_family_member_order_matches_naive_pair_loop():
+    # members come in the order a plain double loop over the elements first
+    # meets them, isotropic or not
+    for r in (2, 3, 4):
+        sp = SymplecticSpace(g=2, r=r)
+        elems = list(sp.group.elements())
+        first_seen = {True: {}, False: {}}  # dicts keep insertion order
+        for i, x in enumerate(elems):
+            for y in elems[i + 1 :]:
+                if pair_span_size(x.coords, y.coords, r) != r * r:
+                    continue
+                sub = subgroup_from_generators(sp.group, [x, y])
+                isotropic = symplectic_value(x.coords, y.coords, r) == 0
+                for iso_only, seen in first_seen.items():
+                    if isotropic or not iso_only:
+                        seen.setdefault(sub)
+        assert list(isotropic_bicyclics(sp).members) == list(first_seen[True])
+        assert list(all_bicyclics(sp).members) == list(first_seen[False])
+
+
 def test_family_with_pair():
     sp = SymplecticSpace(g=2, r=3)
     fam = BicyclicFamily(space=sp, members=(), provenance=())
@@ -288,6 +314,8 @@ def test_verify_report_single_mode_leaves_other_fields_unset():
     assert rep.g_order_all_pairs == 2
     assert rep.g_order_primitive_pairs is None
     assert rep.gprime_subset_g_primitive is None
+    # G' is computed even when primitive-pairs mode is not requested
+    assert rep.gprime_order == 2
     flags = rep.inclusion_flags()
     assert "g_primitive_equals_weil_span" not in flags
     assert flags["g_all_equals_weil_span"] is True

@@ -129,6 +129,15 @@ def test_table_timings_flag(capsys):
     assert doc["records"][0]["timing_ms"] >= 0
 
 
+def test_table_timings_under_jobs(capsys):
+    args = ["table", "--g", "2", "--r", "2..3", "--d", "0", "--timings", "--jobs", "2"]
+    code = main(args)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert len(doc["records"]) == 2
+    assert all(rec["timing_ms"] >= 0 for rec in doc["records"])
+
+
 def test_load_report_roundtrip_preserves_unknown_fields(tmp_path, capsys):
     out = tmp_path / "rep.json"
     assert main(["table", "--g", "2", "--r", "2", "--d", "0", "--out", str(out)]) == EXIT_OK

@@ -184,6 +184,21 @@ def test_subgroup_in_non_homocyclic_group():
     assert not S.contains(G.element([0, 3]))
 
 
+def test_subgroup_contains_matches_elements():
+    rng = np.random.default_rng(12)
+    for factors in [(4, 4), (2, 6), (2, 4, 4)]:
+        G = FinAbGroup(factors)
+        for _ in range(6):
+            gens = [
+                G.element([int(rng.integers(0, d)) for d in factors])
+                for _ in range(int(rng.integers(0, 3)))
+            ]
+            S = subgroup_from_generators(G, gens)
+            inside = group_closure(G, gens)
+            for x in G.elements():
+                assert S.contains(x) == (x.coords in inside)
+
+
 def test_subgroup_generators_roundtrip():
     G = FinAbGroup((4, 4, 4))
     S = subgroup_from_generators(G, [G.element([1, 1, 0]), G.element([0, 2, 2])])

@@ -1,0 +1,22 @@
+"""The library signals broken invariants with exceptions, never ``assert``.
+
+An ``assert`` statement disappears under ``python -O``, so a check the
+library relies on must raise instead.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "brauerkit"
+
+
+def test_library_has_no_assert_statements():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert not found, f"assert statements in the library: {found}"

@@ -7,6 +7,8 @@ from brauerkit.zmodlinalg import (
     det_int,
     enumerate_row_span,
     howell_form,
+    howell_span,
+    howell_span_order,
     integer_kernel,
     smith_normal_form,
     solve_mod,
@@ -178,6 +180,25 @@ def test_howell_distinct_spans_distinct_forms():
     forms = {}
     for key, form in seen.items():
         assert forms.setdefault(form, key) == key
+
+
+def test_howell_span_matches_closure():
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 4, 6, 8):
+        for _ in range(20):
+            M = rng.integers(0, n, size=(int(rng.integers(0, 4)), 4))
+            H = howell_form(M, n)
+            span = howell_span(H, n)
+            assert span == sorted(span_closure(H, n))
+            assert len(span) == howell_span_order(H, n)
+
+
+def test_howell_span_rejects_repeated_pivot_column():
+    # both rows lead in column 0, so the pivot combinations repeat vectors
+    with pytest.raises(ValueError):
+        howell_span(np.array([[1, 0], [1, 0]]), 2)
+    with pytest.raises(ValueError):
+        howell_span(np.array([[2, 1], [2, 3]]), 4)
 
 
 def test_enumerate_row_span_cap():
