@@ -53,6 +53,7 @@ from .sympl import (
 )
 from .zmodlinalg import (
     DimensionMismatchError,
+    ModulusTooLargeError,
     det_int,
     howell_form,
     integer_kernel,
@@ -75,6 +76,7 @@ __all__ = [
     "InclusionReport",
     "MODE_ALL_PAIRS",
     "MODE_PRIMITIVE_PAIRS",
+    "ModulusTooLargeError",
     "NonHomocyclicError",
     "Subgroup",
     "SymplecticSpace",

@@ -360,23 +360,10 @@ def bogomolov_intersection(
         return compute_G(space, MODE_PRIMITIVE_PAIRS, cap)
     if family.space != space:
         raise ValueError("family belongs to a different space")
-    r = space.r
     I, J = _pair_indices(space)
-    acc = np.zeros((0, space.form_rank), dtype=np.int64)
-    pending: list[np.ndarray] = []
-    pending_rows = 0
-    for member in family.members:
-        rows = _generator_rows(space, member, I, J)
-        rows = rows[rows.any(axis=1)]
-        if rows.shape[0]:
-            pending.append(rows)
-            pending_rows += rows.shape[0]
-        if pending_rows >= 1024:
-            acc = howell_form(np.vstack([acc, *pending]), r)
-            pending, pending_rows = [], 0
-    if pending:
-        acc = howell_form(np.vstack([acc, *pending]), r)
-    return _kernel_submodule(space, acc)
+    rows = [_generator_rows(space, member, I, J) for member in family.members]
+    stacked = np.vstack([np.zeros((0, space.form_rank), dtype=np.int64), *rows])
+    return _kernel_submodule(space, howell_form(stacked, space.r))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ components  covering-side component counts and exponents
 selftest    deterministic property suites, seeded
 
 Exit codes: 0 every checked flag holds, 1 some inclusion flag failed,
-2 unusable configuration, 3 the enumeration cap cut off at least one
-record (such records are marked skipped).
+2 unusable configuration (a modulus beyond the int64 limit of the Howell
+routines included), 3 the enumeration cap cut off at least one record
+(such records are marked skipped).
 
 The enumeration cap can also be set through the environment variable
 BRAUERKIT_CAP; an explicit --cap wins.
@@ -26,7 +27,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from math import gcd
 
@@ -36,6 +37,7 @@ from .brauer import (
     MODE_ALL_PAIRS,
     MODE_PRIMITIVE_PAIRS,
     FormSubmodule,
+    InclusionReport,
     all_bicyclics,
     bogomolov_intersection,
     compute_G,
@@ -59,6 +61,7 @@ from .finab import (
 )
 from .sympl import AltForm, SymplecticSpace, eval_form, radical, upper_index_pairs, weil_form
 from .zmodlinalg import (
+    ModulusTooLargeError,
     det_int,
     enumerate_row_span,
     howell_form,
@@ -99,15 +102,6 @@ CSV_COLUMNS = [
     "cfg_seed",
     "timing_ms",
 ]
-
-GATING_FLAGS = [
-    "e_in_gprime",
-    "gprime_subset_g_all",
-    "gprime_subset_g_primitive",
-    "g_all_equals_weil_span",
-    "g_primitive_equals_weil_span",
-]
-
 
 def parse_range(text: str) -> tuple[int, ...]:
     """Inclusive integer range: "a" or "a..b"."""
@@ -188,19 +182,7 @@ def _build_records(cfg: RunConfig) -> tuple[list[dict], int]:
     results = {(g, r): payload for g, r, payload, _ in outcomes}
     timings = {(g, r): ms for g, r, _, ms in outcomes}
 
-    verify_keys = [
-        "form_rank",
-        "weil_span_order",
-        "g_order_all_pairs",
-        "g_order_primitive_pairs",
-        "gprime_order",
-        "e_in_gprime",
-        "gprime_subset_g_all",
-        "gprime_subset_g_primitive",
-        "g_all_equals_weil_span",
-        "g_primitive_equals_weil_span",
-        "gprime_equals_weil_span",
-    ]
+    verify_keys = [f.name for f in fields(InclusionReport) if f.name not in ("g", "r")]
     records = []
     exit_code = EXIT_OK
     first_violation: str | None = None
@@ -215,8 +197,8 @@ def _build_records(cfg: RunConfig) -> tuple[list[dict], int]:
         else:
             record["status"] = "ok"
             record.update({key: payload[key] for key in verify_keys})
-            for flag in GATING_FLAGS:
-                if record.get(flag) is False and first_violation is None:
+            for flag, value in InclusionReport(**payload).inclusion_flags().items():
+                if not value and first_violation is None:
                     first_violation = f"{flag} at g={g} r={r} d={d}"
         record.update(_cover_fields(g, r, d))
         record["timing_ms"] = round(timings[(g, r)], 3) if cfg.timings else None
@@ -348,14 +330,10 @@ def cmd_components(r_values, d_values) -> int:
     ok = True
     print("r d prym quotient l twist")
     for r, d in sorted(product(r_values, d_values)):
-        tau = FinAbGroup((r, r)).element([1, 0])
-        model = CoverModel.from_tau(tau, d)
-        prym = prym_component_count(model)
-        quot = quotient_component_count(model)
-        pic = picard_quotient_order(r, d)
-        twist = twisted_norm_exponent(r)
+        cover = _cover_fields(1, r, d)
+        prym, quot, pic = cover["prym_components"], cover["quotient_components"], cover["l"]
         ok &= quot == pic == gcd(r, d) and prym == r
-        print(f"{r} {d} {prym} {quot} {pic} {twist}")
+        print(f"{r} {d} {prym} {quot} {pic} {cover['twist_exponent']}")
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -635,7 +613,14 @@ def main(argv=None) -> int:
     if cap < 1:
         print(f"brauerkit: cap must be positive, got {cap}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        return _run_command(args, cap)
+    except ModulusTooLargeError as exc:
+        print(f"brauerkit: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
+
+def _run_command(args, cap: int) -> int:
     if args.command == "table":
         if args.jobs < 1:
             print(f"brauerkit: jobs must be positive, got {args.jobs}", file=sys.stderr)

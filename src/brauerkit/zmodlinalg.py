@@ -7,6 +7,11 @@ reduced into ``[0, n)``; the modulus is passed alongside the matrix.  n need
 not be prime, which is why row spans are canonicalized with the Howell form
 instead of Gaussian elimination.
 
+The Howell routines multiply int64 entries, with intermediates as large as
+2(n-1)^2.  They stay exact only while that is below 2^63, that is for
+n <= 2^31; ``howell_form`` and ``howell_reduce`` raise
+``ModulusTooLargeError`` for any larger n rather than wrap around.
+
 Everything here is written for small dense matrices (a few dozen rows and
 columns at most); no attempt is made at asymptotic cleverness.
 """
@@ -20,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "DimensionMismatchError",
+    "ModulusTooLargeError",
     "smith_normal_form",
     "det_int",
     "integer_kernel",
@@ -34,6 +40,10 @@ __all__ = [
 
 class DimensionMismatchError(ValueError):
     """Operand shapes do not line up."""
+
+
+class ModulusTooLargeError(ValueError):
+    """The modulus is too large for exact int64 arithmetic: 2(n-1)^2 >= 2^63."""
 
 
 def as_int_matrix(M) -> np.ndarray:
@@ -215,35 +225,47 @@ def _leading(row: np.ndarray) -> int:
     return int(nz[0])
 
 
-def _echelon(rows, n: int) -> dict[int, np.ndarray]:
-    """Gcd-based row echelon over Z/n, keyed by pivot column.
+def _check_modulus(n: int):
+    """Reject moduli the int64 Howell routines cannot handle exactly."""
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
+    if 2 * (n - 1) ** 2 >= 2**63:
+        raise ModulusTooLargeError(
+            f"modulus {n} is too large for exact int64 arithmetic (n <= 2^31)"
+        )
 
-    Only leading entries are eliminated; entries above pivots are cleaned up
-    later.  Span is preserved: every update is a unimodular 2x2 transform.
+
+def _echelon(rows, n: int) -> dict[int, np.ndarray]:
+    """Gcd-based row echelon over Z/n, keyed by pivot column, in one pass.
+
+    Every row that becomes a pivot row queues its annihilator multiple
+    (n / gcd(pivot, n)) * row; once the queue drains, each pivot row's
+    multiple lies in the span of the pivot rows to its right.  Span is
+    preserved: every update is a unimodular 2x2 transform.  A pivot row is
+    replaced only when the gcd step shrinks its pivot to a proper divisor, so
+    the queue always drains.  Entries above pivots are cleaned up later.
     """
     piv: dict[int, np.ndarray] = {}
     queue = deque(np.asarray(r, dtype=np.int64) % n for r in rows)
     while queue:
         r = queue.popleft()
-        while True:
-            nz = np.flatnonzero(r)
-            if nz.size == 0:
-                break
-            c = int(nz[0])
+        while r.any():
+            c = _leading(r)
+            b = int(r[c])
             if c not in piv:
                 piv[c] = r
+                queue.append((n // gcd(b, n)) * r % n)
                 break
             p = piv[c]
-            a, b = int(p[c]), int(r[c])
+            a = int(p[c])
+            if b % a == 0:
+                r = (r - (b // a) * p) % n
+                continue
             g, s, u = _xgcd(a, b)
-            new_p = (s * p + u * r) % n
+            piv[c] = (s * p + u * r) % n
             r = ((a // g) * r - (b // g) * p) % n
-            piv[c] = new_p
+            queue.append((n // gcd(g, n)) * piv[c] % n)
     return piv
-
-
-def _piv_equal(x: dict[int, np.ndarray], y: dict[int, np.ndarray]) -> bool:
-    return x.keys() == y.keys() and all(np.array_equal(x[c], y[c]) for c in x)
 
 
 def _unit_multiplier(a: int, n: int) -> int:
@@ -269,35 +291,13 @@ def howell_form(A, n: int) -> np.ndarray:
     reduced modulo it.  A span of size s in (Z/n)^k comes out with pivots
     p_i such that s = prod(n // p_i).
     """
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
+    _check_modulus(n)
     A = np.asarray(A, dtype=np.int64)
     if A.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d matrix, got shape {A.shape}")
-    A = A % n
-    m, k = A.shape
-    piv = _echelon([A[i] for i in range(m)], n)
-    guard = 0
-    while True:
-        rows = [piv[c] for c in sorted(piv)]
-        extra = []
-        for row in rows:
-            c = _leading(row)
-            q = n // gcd(int(row[c]), n)
-            w = (q * row) % n
-            if w.any():
-                extra.append(w)
-        if not extra:
-            break
-        new = _echelon(rows + extra, n)
-        if _piv_equal(new, piv):
-            break
-        piv = new
-        guard += 1
-        if guard > 4 * (k + 2) * n.bit_length():
-            raise RuntimeError("howell reduction failed to stabilize")
+    piv = _echelon(A, n)
     cols = sorted(piv)
-    H = [piv[c].copy() for c in cols]
+    H = [piv[c] for c in cols]
     for idx, c in enumerate(cols):
         p = int(H[idx][c])
         g = gcd(p, n)
@@ -310,12 +310,16 @@ def howell_form(A, n: int) -> np.ndarray:
             if f:
                 H[above] = (H[above] - f * H[idx]) % n
     if not H:
-        return np.zeros((0, k), dtype=np.int64)
+        return np.zeros((0, A.shape[1]), dtype=np.int64)
     return np.vstack(H)
 
 
 def howell_span_order(H, n: int) -> int:
-    """Number of vectors in the row span of a Howell form ``H`` over Z/n."""
+    """Number of vectors in the row span of a Howell form ``H`` over Z/n.
+
+    Assumes ``H`` is ``howell_form`` output and does not check it, because
+    the pair scan calls this after every accumulation.
+    """
     order = 1
     for row in np.asarray(H, dtype=np.int64):
         order *= n // int(row[_leading(row)])
@@ -325,22 +329,34 @@ def howell_span_order(H, n: int) -> int:
 def howell_span(H, n: int) -> list[tuple[int, ...]]:
     """Every vector in the row span of a Howell form ``H`` over Z/n, sorted.
 
-    The span is the set of sums c_i * h_i with 0 <= c_i < n / pivot(h_i);
-    ``ValueError`` if two of those sums coincide, as a repeated pivot makes.
+    The span is the set of sums c_i * h_i with 0 <= c_i < n / pivot(h_i).
+    ``ValueError`` unless ``H`` is a Howell form: leading columns strictly
+    increase, each pivot divides n, and each row's annihilator multiple
+    (n / pivot) * h_i reduces to zero against the rows below it.
     """
-    H = np.asarray(H, dtype=np.int64)
+    H = np.asarray(H, dtype=np.int64) % n
     if H.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d matrix, got shape {H.shape}")
     span = np.zeros((1, H.shape[1]), dtype=np.int64)
-    for row in H:
-        mults = np.arange(n // int(row[_leading(row)]), dtype=np.int64)
+    below = H.shape[1]
+    # from the last row up, so each annihilator is reduced by checked rows
+    for i in reversed(range(H.shape[0])):
+        row = H[i]
+        nz = np.flatnonzero(row)
+        p = int(row[nz[0]]) if nz.size else 0
+        if (
+            not p
+            or nz[0] >= below
+            or n % p
+            or howell_reduce(H[i + 1 :], (n // p) * row[None], n).any()
+        ):
+            raise ValueError(f"not a Howell form over Z/{n}")
+        below = nz[0]
+        mults = np.arange(n // p, dtype=np.int64)
         span = ((span[:, None, :] + mults[None, :, None] * row) % n).reshape(
             -1, H.shape[1]
         )
-    vectors = set(map(tuple, span.tolist()))
-    if len(vectors) != span.shape[0]:
-        raise ValueError(f"not a Howell form over Z/{n}: its combinations repeat")
-    return sorted(vectors)
+    return sorted(map(tuple, span.tolist()))
 
 
 def howell_reduce(H, rows, n: int) -> np.ndarray:
@@ -351,6 +367,7 @@ def howell_reduce(H, rows, n: int) -> np.ndarray:
     zero exactly when it lies in the row span of ``H``, so
     ``howell_reduce(H, rows, n).any(axis=1)`` marks the rows outside it.
     """
+    _check_modulus(n)
     H = np.asarray(H, dtype=np.int64)
     R = np.asarray(rows, dtype=np.int64) % n
     if H.ndim != 2 or R.ndim != 2 or H.shape[1] != R.shape[1]:

@@ -38,6 +38,24 @@ def span_closure(rows, n: int) -> set[tuple[int, ...]]:
     return seen
 
 
+def rref_mod_prime(rows, p: int) -> list[list[int]]:
+    """Reduced row echelon form over the field Z/p, in Python ints, zero rows
+    dropped; over a prime modulus this is the Howell form."""
+    rows = [[int(v) % p for v in row] for row in rows]
+    out = []
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        inv = pow(pivot[col], -1, p)
+        pivot = [v * inv % p for v in pivot]
+        rows = [[(a - row[col] * b) % p for a, b in zip(row, pivot)] for row in rows]
+        out = [[(a - row[col] * b) % p for a, b in zip(row, pivot)] for row in out]
+        out.append(pivot)
+    return out
+
+
 def pair_span_size(x, y, r: int) -> int:
     """Number of distinct combinations a*x + b*y over Z/r."""
     return len(

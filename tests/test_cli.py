@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from brauerkit import cli
+from brauerkit.brauer import InclusionReport
 from brauerkit.cli import (
     CSV_COLUMNS,
     EXIT_CAP,
@@ -37,6 +39,17 @@ def test_bad_range_exits_with_config_code(capsys):
 def test_nonpositive_cap_is_config_error(capsys):
     assert main(["table", "--g", "2", "--r", "2", "--d", "0", "--cap", "0"]) == EXIT_CONFIG
     assert "cap" in capsys.readouterr().err
+
+
+def test_modulus_beyond_int64_limit_is_config_error(capsys):
+    for argv in (
+        ["table", "--g", "1", "--r", str(2**31 + 1), "--d", "0"],
+        ["verify-g", "--g", "1", "--r", str(2**31 + 1)],
+    ):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too large" in captured.err
 
 
 def test_bad_jobs_is_config_error(capsys):
@@ -84,6 +97,34 @@ def test_table_cap_exceeded_marks_skipped(capsys):
     assert rec["g_order_all_pairs"] is None
     # cover counts do not depend on the enumeration, so they are still filled
     assert rec["quotient_components"] == 2
+
+
+def test_table_failed_flag_names_first_violation(capsys, monkeypatch):
+    def one_flag_fails(space, cap, mode):
+        r = space.r
+        return InclusionReport(
+            g=space.g,
+            r=r,
+            form_rank=space.form_rank,
+            weil_span_order=r,
+            g_order_all_pairs=r,
+            g_order_primitive_pairs=r,
+            gprime_order=r,
+            e_in_gprime=True,
+            gprime_subset_g_all=True,
+            gprime_subset_g_primitive=True,
+            g_all_equals_weil_span=True,
+            g_primitive_equals_weil_span=False,
+            gprime_equals_weil_span=True,
+        )
+
+    monkeypatch.setattr(cli, "verify_main_inclusions", one_flag_fails)
+    code = main(["table", "--g", "2", "--r", "2..3", "--d", "0..1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VIOLATION
+    assert captured.err == "violation: g_primitive_equals_weil_span at g=2 r=2 d=0\n"
+    records = json.loads(captured.out)["records"]
+    assert [rec["g_primitive_equals_weil_span"] for rec in records] == [False] * 4
 
 
 def test_cap_env_var_and_cli_override(capsys, monkeypatch):

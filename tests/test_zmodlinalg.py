@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from brute import span_closure
+from brute import rref_mod_prime, span_closure
 from brauerkit.zmodlinalg import (
     DimensionMismatchError,
+    ModulusTooLargeError,
     det_int,
     enumerate_row_span,
     howell_form,
+    howell_reduce,
     howell_span,
     howell_span_order,
     integer_kernel,
@@ -149,12 +151,17 @@ def test_howell_empty_and_zero():
     assert howell_form(np.zeros((2, 3), dtype=int), 6).shape == (0, 3)
 
 
+def _max_cols(n: int) -> int:
+    """Widest row length, up to 4, whose full space has at most 10^4 vectors."""
+    return max(c for c in range(1, 5) if n**c <= 10**4)
+
+
 def test_howell_canonical_for_span():
     rng = np.random.default_rng(3)
-    for n in (2, 3, 4, 6, 8):
+    for n in (2, 3, 4, 6, 8, 9, 12, 16, 27):
         for _ in range(30):
             rows = int(rng.integers(1, 4))
-            cols = int(rng.integers(1, 5))
+            cols = int(rng.integers(1, _max_cols(n) + 1))
             M = rng.integers(0, n, size=(rows, cols))
             H = howell_form(M, n)
             base = span_closure(M, n)
@@ -184,9 +191,9 @@ def test_howell_distinct_spans_distinct_forms():
 
 def test_howell_span_matches_closure():
     rng = np.random.default_rng(17)
-    for n in (2, 3, 4, 6, 8):
+    for n in (2, 3, 4, 6, 8, 9, 12, 16, 27):
         for _ in range(20):
-            M = rng.integers(0, n, size=(int(rng.integers(0, 4)), 4))
+            M = rng.integers(0, n, size=(int(rng.integers(0, 4)), _max_cols(n)))
             H = howell_form(M, n)
             span = howell_span(H, n)
             assert span == sorted(span_closure(H, n))
@@ -199,6 +206,22 @@ def test_howell_span_rejects_repeated_pivot_column():
         howell_span(np.array([[1, 0], [1, 0]]), 2)
     with pytest.raises(ValueError):
         howell_span(np.array([[2, 1], [2, 3]]), 4)
+    # increasing pivots, but the annihilator row (0, 2) is missing
+    with pytest.raises(ValueError):
+        howell_span(np.array([[2, 1]]), 4)
+
+
+def test_howell_modulus_limit():
+    # 2^31 - 1 is prime and the largest such modulus with 2(n-1)^2 < 2^63
+    n = 2**31 - 1
+    M = np.random.default_rng(29).integers(0, n, size=(3, 4))
+    assert howell_form(M, n).tolist() == rref_mod_prime(M.tolist(), n)
+    assert howell_form([[3]], 2**31).tolist() == [[1]]
+    for big in (2**31 + 1, 10**12 + 39):
+        with pytest.raises(ModulusTooLargeError):
+            howell_form([[1, 2]], big)
+        with pytest.raises(ModulusTooLargeError):
+            howell_reduce([[1, 2]], [[3, 4]], big)
 
 
 def test_enumerate_row_span_cap():
