@@ -172,10 +172,7 @@ def _generator_rows(
 
 
 def _kernel_submodule(space: SymplecticSpace, constraint_rows) -> FormSubmodule:
-    m = space.form_rank
-    A = np.asarray(constraint_rows, dtype=np.int64).reshape(-1, m)
-    if A.shape[0] == 0:
-        return FormSubmodule.full(space)
+    A = np.asarray(constraint_rows, dtype=np.int64).reshape(-1, space.form_rank)
     _, kernel = solve_mod(A, np.zeros(A.shape[0], dtype=np.int64), space.r)
     return FormSubmodule.from_rows(space, kernel)
 

@@ -184,7 +184,6 @@ def _build_records(cfg: RunConfig) -> tuple[list[dict], int]:
 
     verify_keys = [f.name for f in fields(InclusionReport) if f.name not in ("g", "r")]
     records = []
-    exit_code = EXIT_OK
     first_violation: str | None = None
     any_skipped = False
     for g, r, d in sorted(product(cfg.g_values, cfg.r_values, cfg.d_values)):
@@ -205,10 +204,14 @@ def _build_records(cfg: RunConfig) -> tuple[list[dict], int]:
         records.append(record)
     if first_violation is not None:
         print(f"violation: {first_violation}", file=sys.stderr)
-        exit_code = EXIT_VIOLATION
-    elif any_skipped:
-        exit_code = EXIT_CAP
-    return records, exit_code
+    return records, _exit_code(first_violation is None, any_skipped)
+
+
+def _exit_code(ok: bool, skipped: bool) -> int:
+    """A failed check outranks a skipped point, which outranks success."""
+    if not ok:
+        return EXIT_VIOLATION
+    return EXIT_CAP if skipped else EXIT_OK
 
 
 def _render_json(cfg: RunConfig, records: list[dict]) -> str:
@@ -269,7 +272,7 @@ def cmd_table(cfg: RunConfig) -> int:
 
 def cmd_verify_g(g_values, r_values, mode: str, cap: int) -> int:
     modes = [MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS] if mode == "both" else [mode]
-    ok = True
+    ok, skipped = True, False
     for g, r in sorted(product(g_values, r_values)):
         space = SymplecticSpace(g=g, r=r)
         expected = FormSubmodule.weil_span(space)
@@ -278,18 +281,19 @@ def cmd_verify_g(g_values, r_values, mode: str, cap: int) -> int:
                 G = compute_G(space, m, cap)
             except CapExceededError as exc:
                 print(f"g={g} r={r} mode={m} skipped: {exc}")
-                return EXIT_CAP
+                skipped = True
+                continue
             equal = G == expected
             ok &= equal
             print(
                 f"g={g} r={r} mode={m} |G|={G.order} rank={G.rank} "
                 f"equals-pairing-span={'yes' if equal else 'no'}"
             )
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return _exit_code(ok, skipped)
 
 
 def cmd_bogomolov(g_values, r_values, family: str, explicit: bool, cap: int) -> int:
-    ok = True
+    ok, skipped = True, False
     for g, r in sorted(product(g_values, r_values)):
         space = SymplecticSpace(g=g, r=r)
         try:
@@ -312,7 +316,8 @@ def cmd_bogomolov(g_values, r_values, family: str, explicit: bool, cap: int) -> 
                 members = "streamed"
         except CapExceededError as exc:
             print(f"g={g} r={r} skipped: {exc}")
-            return EXIT_CAP
+            skipped = True
+            continue
         e_vec = weil_form(space).vector()
         e_in = gprime.contains_vector(e_vec)
         subset = gprime.is_submodule_of(g_prim)
@@ -323,7 +328,7 @@ def cmd_bogomolov(g_values, r_values, family: str, explicit: bool, cap: int) -> 
             f"G'-in-G={'yes' if subset else 'no'} "
             f"equals-pairing-span={'yes' if gprime.order == r and e_in else 'no'}"
         )
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return _exit_code(ok, skipped)
 
 
 def cmd_components(r_values, d_values) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -288,8 +288,10 @@ def subgroup_from_generators(parent: FinAbGroup, gens) -> Subgroup:
 def is_bicyclic_rr(sigma: GroupElement, tau: GroupElement, r: int) -> bool:
     """Whether sigma and tau generate a subgroup isomorphic to (Z/r)^2.
 
-    Requires a homocyclic parent of exponent r; equivalent to both elements
-    being primitive with their joint span of order r^2.
+    Requires a homocyclic parent of exponent r.  The span has order r^2
+    exactly when the gcd of the 2x2 minors of sigma, tau is prime to r: that
+    gcd is the product of the Smith invariant factors of the integer matrix
+    with rows sigma and tau.
     """
     if sigma.parent != tau.parent:
         raise ValueError("elements belong to different groups")
@@ -297,9 +299,9 @@ def is_bicyclic_rr(sigma: GroupElement, tau: GroupElement, r: int) -> bool:
         raise NonHomocyclicError(
             f"parent {sigma.parent} is not homocyclic of exponent {r}"
         )
-    if not (is_primitive(sigma, r) and is_primitive(tau, r)):
-        return False
-    return subgroup_from_generators(sigma.parent, [sigma, tau]).order == r * r
+    x, y = sigma.coords, tau.coords
+    minors = (x[i] * y[j] - x[j] * y[i] for i, j in combinations(range(len(x)), 2))
+    return gcd(r, *minors) == 1
 
 
 def cartier_dual(G: FinAbGroup | Subgroup) -> FinAbGroup:

@@ -2,14 +2,15 @@
 
 Integer matrices are numpy arrays with ``dtype=object`` holding Python ints,
 so the unimodular reductions never overflow no matter how the intermediate
-entries grow.  Matrices over Z/n are plain int64 arrays with every entry
-reduced into ``[0, n)``; the modulus is passed alongside the matrix.  n need
-not be prime, which is why row spans are canonicalized with the Howell form
-instead of Gaussian elimination.
+entries grow; the Smith form serves this work over Z only.  Matrices over
+Z/n are plain int64 arrays with every entry reduced into ``[0, n)``; the
+modulus is passed alongside the matrix.  n need not be prime, which is why
+row spans are canonicalized with the Howell form instead of Gaussian
+elimination, and every Z/n routine, ``solve_mod`` included, runs on it.
 
 The Howell routines multiply int64 entries, with intermediates as large as
 2(n-1)^2.  They stay exact only while that is below 2^63, that is for
-n <= 2^31; ``howell_form`` and ``howell_reduce`` raise
+n <= 2^31; ``howell_form``, ``howell_reduce`` and ``solve_mod`` raise
 ``ModulusTooLargeError`` for any larger n rather than wrap around.
 
 Everything here is written for small dense matrices (a few dozen rows and
@@ -406,41 +407,28 @@ def solve_mod(A, c, n: int):
 
     Returns ``(particular, kernel)`` where ``kernel`` rows generate the full
     homogeneous solution set {x : A @ x == 0 mod n}, or ``None`` when the
-    system has no solution.  Works for any n >= 2 via the integer Smith form
-    of A: with U A V = D the system splits into d_i z_i == (U c)_i mod n.
+    system has no solution.  A system with no equations has the identity
+    kernel.
+
+    The rows of [A^T | I_k] span the vectors ((A x)^T, x^T).  In their Howell
+    form, the rows that vanish on the first m columns span every such vector
+    with A x = 0 (the Howell property), so their last k columns are the
+    kernel.  Reducing (c^T, 0) by the form leaves a remainder that vanishes
+    on the first m columns exactly when A x = c is solvable, and then the
+    remainder is (0, -x^T) for a solution x.  Shares the int64 limit of
+    ``howell_form``: ``ModulusTooLargeError`` for n > 2^31.
     """
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
+    _check_modulus(n)
     A = np.asarray(A, dtype=np.int64)
     if A.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d matrix, got shape {A.shape}")
     m, k = A.shape
-    cvec = [int(v) for v in np.asarray(c).ravel()]
-    if len(cvec) != m:
-        raise DimensionMismatchError(f"rhs has length {len(cvec)}, matrix has {m} rows")
-    U, D, V = smith_normal_form(A % n)
-    r_diag = min(m, k)
-    b = [int(sum(U[i, j] * cvec[j] for j in range(m))) % n for i in range(m)]
-    z = [0] * k
-    for i in range(m):
-        d = int(D[i, i]) if i < r_diag else 0
-        g = gcd(d, n)
-        if b[i] % g:
-            return None
-        if i < k:
-            n1 = n // g
-            if n1 > 1:
-                z[i] = ((b[i] // g) * pow((d // g) % n1, -1, n1)) % n1
-    x = np.array(
-        [int(sum(V[i, j] * z[j] for j in range(k))) % n for i in range(k)],
-        dtype=np.int64,
-    )
-    kern = []
-    for j in range(k):
-        d = int(D[j, j]) if j < r_diag else 0
-        q = n // gcd(d, n)
-        w = np.array([(q * int(V[i, j])) % n for i in range(k)], dtype=np.int64)
-        if w.any():
-            kern.append(w)
-    kernel = np.vstack(kern) if kern else np.zeros((0, k), dtype=np.int64)
-    return x, kernel
+    cvec = np.asarray(c, dtype=np.int64).ravel()
+    if cvec.size != m:
+        raise DimensionMismatchError(f"rhs has length {cvec.size}, matrix has {m} rows")
+    H = howell_form(np.hstack([A.T % n, np.eye(k, dtype=np.int64)]), n)
+    rhs = np.concatenate([cvec, np.zeros(k, dtype=np.int64)])
+    rem = howell_reduce(H, rhs[None], n)[0]
+    if rem[:m].any():
+        return None
+    return -rem[m:] % n, H[~H[:, :m].any(axis=1), m:]

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from brauerkit import cli
-from brauerkit.brauer import InclusionReport
+from brauerkit.brauer import FormSubmodule, InclusionReport
 from brauerkit.cli import (
     CSV_COLUMNS,
     EXIT_CAP,
@@ -201,6 +201,32 @@ def test_verify_g_output(capsys):
     assert all("equals-pairing-span=yes" in line for line in lines)
 
 
+def test_verify_g_carries_on_past_a_capped_point(capsys):
+    # (2, 4) hits the cap, but (3, 2) has only 64 elements and is still checked
+    code = main(["verify-g", "--g", "2..3", "--r", "2..5", "--cap", "100"])
+    out = capsys.readouterr().out
+    assert code == EXIT_CAP
+    assert "g=2 r=4 mode=all-pairs skipped: group order 256 exceeds cap 100" in out
+    for mode in ("all-pairs", "primitive-pairs"):
+        assert f"g=3 r=2 mode={mode} |G|=2 rank=1 equals-pairing-span=yes" in out
+
+
+def test_verify_g_violation_outranks_a_later_capped_point(capsys, monkeypatch):
+    real_compute_G = cli.compute_G
+
+    def wrong_at_2_2(space, mode, cap):
+        if (space.g, space.r) == (2, 2):
+            return FormSubmodule.full(space)
+        return real_compute_G(space, mode, cap)
+
+    monkeypatch.setattr(cli, "compute_G", wrong_at_2_2)
+    code = main(["verify-g", "--g", "2..3", "--r", "2", "--cap", "50"])
+    out = capsys.readouterr().out
+    assert code == EXIT_VIOLATION
+    assert "g=2 r=2 mode=all-pairs |G|=64 rank=6 equals-pairing-span=no" in out
+    assert "g=3 r=2 mode=all-pairs skipped: group order 64 exceeds cap 50" in out
+
+
 def test_bogomolov_streamed_and_explicit(capsys):
     code = main(["bogomolov", "--g", "2", "--r", "2..3"])
     out = capsys.readouterr().out
@@ -211,6 +237,15 @@ def test_bogomolov_streamed_and_explicit(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "members=15" in out
+
+
+def test_bogomolov_carries_on_past_a_capped_point(capsys):
+    code = main(["bogomolov", "--g", "2..3", "--r", "2..3", "--cap", "70"])
+    out = capsys.readouterr().out.strip().split("\n")
+    assert code == EXIT_CAP
+    assert out[1] == "g=2 r=3 skipped: group order 81 exceeds cap 70"
+    assert out[2].startswith("g=3 r=2 family=isotropic members=streamed |G'|=2 ")
+    assert len(out) == 4
 
 
 def test_bogomolov_all_family(capsys):

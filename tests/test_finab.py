@@ -207,7 +207,7 @@ def test_subgroup_generators_roundtrip():
 
 
 def test_is_bicyclic_basic_pairs():
-    for r in (2, 3, 4, 6):
+    for r in (2, 3, 4, 6, 10**12 + 39):
         G = FinAbGroup((r,) * 4)
         a1 = G.element([1, 0, 0, 0])
         b1 = G.element([0, 1, 0, 0])

@@ -217,11 +217,20 @@ def test_howell_modulus_limit():
     M = np.random.default_rng(29).integers(0, n, size=(3, 4))
     assert howell_form(M, n).tolist() == rref_mod_prime(M.tolist(), n)
     assert howell_form([[3]], 2**31).tolist() == [[1]]
+    A = M.tolist()
+    x = [int(v) for v in np.random.default_rng(31).integers(0, n, size=4)]
+    c = [sum(a * v for a, v in zip(row, x)) % n for row in A]
+    x0, kernel = solve_mod(M, c, n)
+    assert [sum(a * int(v) for a, v in zip(row, x0)) % n for row in A] == c
+    assert kernel.shape == (1, 4)
+    assert all(sum(a * int(v) for a, v in zip(row, kernel[0])) % n == 0 for row in A)
     for big in (2**31 + 1, 10**12 + 39):
         with pytest.raises(ModulusTooLargeError):
             howell_form([[1, 2]], big)
         with pytest.raises(ModulusTooLargeError):
             howell_reduce([[1, 2]], [[3, 4]], big)
+        with pytest.raises(ModulusTooLargeError):
+            solve_mod([[1, 2]], [3], big)
 
 
 def test_enumerate_row_span_cap():
@@ -249,26 +258,28 @@ def test_solve_mod_dimension_mismatch():
 
 def test_solve_mod_exhaustive_z6():
     rng = np.random.default_rng(17)
-    n = 6
-    for _ in range(25):
-        m = int(rng.integers(1, 4))
-        k = int(rng.integers(1, 6))
-        A = rng.integers(0, n, size=(m, k))
-        c = rng.integers(0, n, size=m)
-        brute = set()
-        for x in np.ndindex(*([n] * k)):
-            xv = np.array(x, dtype=np.int64)
-            if not ((A @ xv - c) % n).any():
-                brute.add(x)
-        res = solve_mod(A, c, n)
-        if res is None:
-            assert not brute
-            continue
-        x0, kernel = res
-        assert tuple(int(v) for v in x0) in brute
-        coset = {
-            tuple((np.array(v) + x0) % n) for v in enumerate_row_span(kernel, n)
-        }
-        assert {tuple(int(c_) for c_ in v) for v in coset} == brute
-        # solution count equals kernel size
-        assert len(brute) == len(enumerate_row_span(kernel, n))
+    for n in (4, 6, 8, 9, 12):
+        # the widest k with n^k <= 2 * 10^4 keeps the brute force small
+        k_max = max(k for k in range(1, 8) if n**k <= 2 * 10**4)
+        for _ in range(25):
+            m = int(rng.integers(0, 4))
+            k = int(rng.integers(1, k_max + 1))
+            A = rng.integers(0, n, size=(m, k))
+            c = rng.integers(0, n, size=m)
+            brute = set()
+            for x in np.ndindex(*([n] * k)):
+                xv = np.array(x, dtype=np.int64)
+                if not ((A @ xv - c) % n).any():
+                    brute.add(x)
+            res = solve_mod(A, c, n)
+            if res is None:
+                assert not brute
+                continue
+            x0, kernel = res
+            assert tuple(int(v) for v in x0) in brute
+            coset = {
+                tuple((np.array(v) + x0) % n) for v in enumerate_row_span(kernel, n)
+            }
+            assert {tuple(int(c_) for c_ in v) for v in coset} == brute
+            # solution count equals kernel size
+            assert len(brute) == len(enumerate_row_span(kernel, n))
