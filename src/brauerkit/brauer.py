@@ -302,22 +302,62 @@ class BicyclicFamily:
         )
 
 
+def _unit_inverses(r: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """(p, q, inverse table mod q) for each prime power q = p^k exactly
+    dividing r; the table maps a unit mod q to its inverse, the rest to 0."""
+    out = []
+    for p in _prime_factors(r):
+        q = p
+        while r % (q * p) == 0:
+            q *= p
+        inverse = [pow(a, -1, q) if a % p else 0 for a in range(q)]
+        out.append((p, q, np.array(inverse, dtype=np.int64)))
+    return tuple(out)
+
+
+def _plucker_keys(rows: np.ndarray, inverses) -> list[bytes]:
+    """One bytes key per bicyclic pair, from its minor row: two pairs get
+    equal keys exactly when they generate the same subgroup.
+
+    A bicyclic pair spans a free rank-2 summand of (Z/r)^(2g), and its minor
+    row fixes that summand up to a unit.  Modulo each prime power q = p^k
+    exactly dividing r, some minor is nonzero mod p (the bicyclic mask), so
+    scaling the row mod q by the inverse of its first such entry removes the
+    unit.  The parts side by side are the CRT of the normalised row.
+    ``inverses`` is ``_unit_inverses(r)``.
+    """
+    parts = []
+    for p, q, inverse in inverses:
+        R = rows % q
+        lead = R[np.arange(R.shape[0]), (R % p != 0).argmax(axis=1)]
+        parts.append(R * inverse[lead][:, None] % q)
+    keys = np.hstack(parts)
+    return keys.view(f"V{keys.itemsize * keys.shape[1]}").ravel().tolist()
+
+
 def _enumerate_bicyclics(
     space: SymplecticSpace, isotropic_only: bool, cap: int
 ) -> BicyclicFamily:
+    """Members in the order the pair stream first meets them.
+
+    Only a pair whose Plücker key is new is canonicalized, so there is one
+    ``subgroup_from_generators`` call per member.
+    """
     group = space.group
     tag = "isotropic-pair" if isotropic_only else "bicyclic-pair"
-    seen: set[tuple[tuple[int, ...], ...]] = set()
+    seen: set[bytes] = set()
     members: list[Subgroup] = []
-    for x, Y, _ in _pair_stream(
+    inverses = ()
+    for x, Y, rows in _pair_stream(
         space, isotropic=isotropic_only, bicyclic=True, cap=cap
     ):
+        # built once the stream has passed its cap check: a table has r entries
+        inverses = inverses or _unit_inverses(space.r)
         gx = group.element(x)
-        for y in Y:
-            sub = subgroup_from_generators(group, [gx, group.element(y)])
-            if sub.canonical_generators not in seen:
-                seen.add(sub.canonical_generators)
-                members.append(sub)
+        for y, key in zip(Y, _plucker_keys(rows, inverses)):
+            if key not in seen:
+                seen.add(key)
+                members.append(subgroup_from_generators(group, [gx, group.element(y)]))
     return BicyclicFamily(space, tuple(members), (tag,) * len(members))
 
 
@@ -325,8 +365,11 @@ def isotropic_bicyclics(
     space: SymplecticSpace, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> BicyclicFamily:
     """All subgroups generated by a pair (x, y) with span (Z/r)^2 and
-    e(x, y) = 0, each listed once.  Cost grows like r^{4g}; intended for
-    small spaces."""
+    e(x, y) = 0, each listed once.  Every element pair is still scanned, in
+    numpy batches of one x each (about r^{4g}/2 pairs), but a pair reaches
+    Howell canonicalization only when its Plücker key is new: one
+    ``subgroup_from_generators`` call per member.  Intended for small
+    spaces."""
     return _enumerate_bicyclics(space, isotropic_only=True, cap=cap)
 
 

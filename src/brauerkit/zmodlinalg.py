@@ -367,6 +367,7 @@ def howell_reduce(H, rows, n: int) -> np.ndarray:
     a multiple of the pivot allows.  By the Howell property a row reduces to
     zero exactly when it lies in the row span of ``H``, so
     ``howell_reduce(H, rows, n).any(axis=1)`` marks the rows outside it.
+    An empty basis leaves the rows unchanged.
     """
     _check_modulus(n)
     H = np.asarray(H, dtype=np.int64)
@@ -375,6 +376,8 @@ def howell_reduce(H, rows, n: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"cannot reduce rows of shape {R.shape} by a basis of shape {H.shape}"
         )
+    if H.shape[0] == 0:
+        return R
     for h, c in zip(H, (H != 0).argmax(axis=1)):
         R = (R - (R[:, c] // h[c])[:, None] * h) % n
     return R

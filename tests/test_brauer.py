@@ -1,3 +1,6 @@
+from itertools import product
+from math import gcd
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from brute import (
     symplectic_value,
     vanishing_forms,
 )
+from brauerkit import brauer
 from brauerkit.brauer import (
     MODE_ALL_PAIRS,
     MODE_PRIMITIVE_PAIRS,
@@ -214,6 +218,93 @@ def test_family_member_order_matches_naive_pair_loop():
                         seen.setdefault(sub)
         assert list(isotropic_bicyclics(sp).members) == list(first_seen[True])
         assert list(all_bicyclics(sp).members) == list(first_seen[False])
+
+
+def _bicyclic_pairs(g: int, r: int):
+    """Every element pair of (Z/r)^(2g) whose minors have gcd prime to r."""
+    elems = list(product(range(r), repeat=2 * g))
+    return [
+        (x, y)
+        for i, x in enumerate(elems)
+        for y in elems[i + 1 :]
+        if gcd(r, *minor_vector(x, y, r)) == 1
+    ]
+
+
+def _plucker_keys_of(pairs, r: int) -> list[bytes]:
+    rows = np.array([minor_vector(x, y, r) for x, y in pairs], dtype=np.int64)
+    return brauer._plucker_keys(rows, brauer._unit_inverses(r))
+
+
+def _assert_keys_match_span_closure(pairs, r: int):
+    # equal keys exactly when the pairs span the same subgroup: the span of
+    # each pair lies in the closure of the first pair with its key (both have
+    # r^2 elements, so they are equal), and distinct keys have distinct spans
+    spans: dict[bytes, frozenset] = {}
+    for (x, y), key in zip(pairs, _plucker_keys_of(pairs, r)):
+        if key not in spans:
+            spans[key] = frozenset(span_closure([x, y], r))
+        assert x in spans[key] and y in spans[key], (x, y)
+    assert all(len(span) == r * r for span in spans.values())
+    assert len(set(spans.values())) == len(spans)
+
+
+@pytest.mark.parametrize(
+    "g, r", [(1, r) for r in range(2, 13)] + [(2, 2), (2, 3)]
+)
+def test_plucker_key_matches_span_closure(g, r):
+    _assert_keys_match_span_closure(_bicyclic_pairs(g, r), r)
+
+
+@pytest.mark.parametrize("r", [6, 12])
+def test_plucker_key_matches_span_closure_sampled(r):
+    # composite r at g = 2, where no single minor need be a unit mod r: random
+    # bicyclic pairs, each followed by three bases of its span (a x + b y,
+    # c x + d y) with ad - bc a unit
+    rng = np.random.default_rng(r)
+    pairs = []
+    while len(pairs) < 1200:
+        x, y = (tuple(int(v) for v in rng.integers(0, r, 4)) for _ in range(2))
+        if gcd(r, *minor_vector(x, y, r)) != 1:
+            continue
+        pairs.append((x, y))
+        while len(pairs) % 4:
+            a, b, c, d = (int(v) for v in rng.integers(0, r, 4))
+            if gcd(r, a * d - b * c) == 1:
+                pairs.append(
+                    tuple(
+                        tuple((s * xi + t * yi) % r for xi, yi in zip(x, y))
+                        for s, t in ((a, b), (c, d))
+                    )
+                )
+    _assert_keys_match_span_closure(pairs, r)
+
+
+@pytest.mark.parametrize("g, r", [(1, 12), (2, 4)])
+def test_plucker_key_matches_subgroup_equality(g, r):
+    group = SymplecticSpace(g=g, r=r).group
+    pairs = _bicyclic_pairs(g, r)
+    subs = [
+        subgroup_from_generators(group, [group.element(x), group.element(y)])
+        for x, y in pairs
+    ]
+    keys = _plucker_keys_of(pairs, r)
+    assert len(set(keys)) == len(set(subs)) == len(set(zip(keys, subs)))
+
+
+def test_family_canonicalizes_once_per_member(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return subgroup_from_generators(*args, **kwargs)
+
+    monkeypatch.setattr(brauer, "subgroup_from_generators", counted)
+    sp = SymplecticSpace(g=2, r=4)
+    for enumerate_family in (isotropic_bicyclics, all_bicyclics):
+        calls.clear()
+        fam = enumerate_family(sp)
+        assert len(calls) == len(fam)
 
 
 def test_family_with_pair():

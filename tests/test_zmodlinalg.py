@@ -251,6 +251,16 @@ def test_solve_mod_inconsistent_zero_row():
     assert len(enumerate_row_span(kernel, 6)) == 36
 
 
+def test_solve_mod_no_equations_no_unknowns():
+    for n in (2, 6, 97):
+        x, kernel = solve_mod(np.zeros((0, 0), dtype=np.int64), [], n)
+        assert x.shape == (0,)
+        assert kernel.shape == (0, 0)
+    # an empty basis leaves the rows as they are, with or without columns
+    assert howell_reduce(np.zeros((0, 0)), np.zeros((2, 0)), 6).shape == (2, 0)
+    assert howell_reduce(np.zeros((0, 2)), [[7, 3]], 6).tolist() == [[1, 3]]
+
+
 def test_solve_mod_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         solve_mod([[1, 2]], [1, 2], 4)
