@@ -9,12 +9,13 @@ components  covering-side component counts and exponents
 selftest    deterministic property suites, seeded
 
 Exit codes: 0 every checked flag holds, 1 some inclusion flag failed,
-2 unusable configuration (a modulus beyond the int64 limit of the Howell
-routines included), 3 the enumeration cap cut off at least one record
-(such records are marked skipped).
+2 unusable configuration (g < 1, r < 2, and a modulus beyond the int64
+limit of the Howell routines included), 3 the enumeration cap cut off at
+least one record (such records are marked skipped).
 
-The enumeration cap can also be set through the environment variable
-BRAUERKIT_CAP; an explicit --cap wins.
+table, verify-g and bogomolov take an enumeration cap, which can also be
+set through the environment variable BRAUERKIT_CAP; an explicit --cap
+wins.  The other commands do not read it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import fields
+from functools import partial
 from itertools import product
 from math import gcd
 
@@ -77,34 +79,16 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_CAP = 3
 
+VERIFY_KEYS = [f.name for f in fields(InclusionReport) if f.name not in ("g", "r")]
+COVER_KEYS = ("prym_components", "quotient_components", "l", "twist_exponent")
 CSV_COLUMNS = [
-    "g",
-    "r",
-    "d",
-    "status",
-    "form_rank",
-    "weil_span_order",
-    "g_order_all_pairs",
-    "g_order_primitive_pairs",
-    "gprime_order",
-    "e_in_gprime",
-    "gprime_subset_g_all",
-    "gprime_subset_g_primitive",
-    "g_all_equals_weil_span",
-    "g_primitive_equals_weil_span",
-    "gprime_equals_weil_span",
-    "prym_components",
-    "quotient_components",
-    "l",
-    "twist_exponent",
-    "cfg_mode",
-    "cfg_cap",
-    "cfg_seed",
-    "timing_ms",
+    "g", "r", "d", "status", *VERIFY_KEYS, *COVER_KEYS,
+    "cfg_mode", "cfg_cap", "cfg_seed", "timing_ms",
 ]
 
-def parse_range(text: str) -> tuple[int, ...]:
-    """Inclusive integer range: "a" or "a..b"."""
+
+def parse_range(text: str, least: int | None = None) -> tuple[int, ...]:
+    """Inclusive integer range: "a" or "a..b", starting at ``least`` or above."""
     text = text.strip()
     try:
         if ".." in text:
@@ -116,34 +100,13 @@ def parse_range(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad range {text!r}, want N or N..M") from exc
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    if least is not None and lo < least:
+        raise argparse.ArgumentTypeError(f"range {text!r} starts below {least}")
     return tuple(range(lo, hi + 1))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a table run depends on; echoed verbatim into the report."""
-
-    g_values: tuple[int, ...]
-    r_values: tuple[int, ...]
-    d_values: tuple[int, ...]
-    mode: str
-    cap: int
-    seed: int
-    fmt: str
-    out: str | None
-    jobs: int
-    timings: bool
-
-    def public_dict(self) -> dict:
-        return {
-            "g": list(self.g_values),
-            "r": list(self.r_values),
-            "d": list(self.d_values),
-            "mode": self.mode,
-            "cap": self.cap,
-            "seed": self.seed,
-            "format": self.fmt,
-        }
+_genus_range = partial(parse_range, least=1)
+_modulus_range = partial(parse_range, least=2)
 
 
 def _verify_pair(args: tuple[int, int, int, str]):
@@ -161,46 +124,43 @@ def _verify_pair(args: tuple[int, int, int, str]):
 def _cover_fields(g: int, r: int, d: int) -> dict:
     tau = FinAbGroup((r,) * (2 * g)).element([1] + [0] * (2 * g - 1))
     model = CoverModel.from_tau(tau, d)
-    return {
-        "prym_components": prym_component_count(model),
-        "quotient_components": quotient_component_count(model),
-        "l": picard_quotient_order(r, d),
-        "twist_exponent": twisted_norm_exponent(r),
-    }
+    values = (
+        prym_component_count(model),
+        quotient_component_count(model),
+        picard_quotient_order(r, d),
+        twisted_norm_exponent(r),
+    )
+    return dict(zip(COVER_KEYS, values))
 
 
-def _build_records(cfg: RunConfig) -> tuple[list[dict], int]:
-    pair_args = [
-        (g, r, cfg.cap, cfg.mode)
-        for g, r in sorted(set(product(cfg.g_values, cfg.r_values)))
-    ]
-    if cfg.jobs > 1 and len(pair_args) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+def _build_records(args, cap: int) -> tuple[list[dict], int]:
+    pair_args = [(g, r, cap, args.mode) for g, r in sorted(set(product(args.g, args.r)))]
+    if args.jobs > 1 and len(pair_args) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_verify_pair, pair_args))
     else:
-        outcomes = [_verify_pair(args) for args in pair_args]
+        outcomes = [_verify_pair(point) for point in pair_args]
     results = {(g, r): payload for g, r, payload, _ in outcomes}
     timings = {(g, r): ms for g, r, _, ms in outcomes}
 
-    verify_keys = [f.name for f in fields(InclusionReport) if f.name not in ("g", "r")]
     records = []
     first_violation: str | None = None
     any_skipped = False
-    for g, r, d in sorted(product(cfg.g_values, cfg.r_values, cfg.d_values)):
+    for g, r, d in sorted(product(args.g, args.r, args.d)):
         payload = results[(g, r)]
         record: dict = {"g": g, "r": r, "d": d}
         if "cap_exceeded" in payload:
             any_skipped = True
             record["status"] = "skipped-cap"
-            record.update({key: None for key in verify_keys})
+            record.update({key: None for key in VERIFY_KEYS})
         else:
             record["status"] = "ok"
-            record.update({key: payload[key] for key in verify_keys})
+            record.update({key: payload[key] for key in VERIFY_KEYS})
             for flag, value in InclusionReport(**payload).inclusion_flags().items():
                 if not value and first_violation is None:
                     first_violation = f"{flag} at g={g} r={r} d={d}"
         record.update(_cover_fields(g, r, d))
-        record["timing_ms"] = round(timings[(g, r)], 3) if cfg.timings else None
+        record["timing_ms"] = round(timings[(g, r)], 3) if args.timings else None
         records.append(record)
     if first_violation is not None:
         print(f"violation: {first_violation}", file=sys.stderr)
@@ -214,33 +174,35 @@ def _exit_code(ok: bool, skipped: bool) -> int:
     return EXIT_CAP if skipped else EXIT_OK
 
 
-def _render_json(cfg: RunConfig, records: list[dict]) -> str:
-    doc = {"schema": REPORT_SCHEMA, "config": cfg.public_dict(), "records": records}
+def _render_json(args, cap: int, records: list[dict]) -> str:
+    config = {
+        "g": list(args.g),
+        "r": list(args.r),
+        "d": list(args.d),
+        "mode": args.mode,
+        "cap": cap,
+        "seed": args.seed,
+        "format": args.format,
+    }
+    doc = {"schema": REPORT_SCHEMA, "config": config, "records": records}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _render_csv(cfg: RunConfig, records: list[dict]) -> str:
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value
+
+
+def _render_csv(args, cap: int, records: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for record in records:
-        row = []
-        for col in CSV_COLUMNS:
-            if col == "cfg_mode":
-                value = cfg.mode
-            elif col == "cfg_cap":
-                value = cfg.cap
-            elif col == "cfg_seed":
-                value = cfg.seed
-            else:
-                value = record.get(col)
-            if value is None:
-                row.append("")
-            elif isinstance(value, bool):
-                row.append("true" if value else "false")
-            else:
-                row.append(value)
-        writer.writerow(row)
+        row = {**record, "cfg_mode": args.mode, "cfg_cap": cap, "cfg_seed": args.seed}
+        writer.writerow([_csv_cell(row[col]) for col in CSV_COLUMNS])
     return buf.getvalue()
 
 
@@ -261,19 +223,20 @@ def load_report(path: str) -> dict:
     return doc
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    records, exit_code = _build_records(cfg)
-    text = (
-        _render_csv(cfg, records) if cfg.fmt == "csv" else _render_json(cfg, records)
-    )
-    _emit(text, cfg.out)
+def cmd_table(args, cap: int) -> int:
+    if args.jobs < 1:
+        print(f"brauerkit: jobs must be positive, got {args.jobs}", file=sys.stderr)
+        return EXIT_CONFIG
+    records, exit_code = _build_records(args, cap)
+    render = _render_csv if args.format == "csv" else _render_json
+    _emit(render(args, cap, records), args.out)
     return exit_code
 
 
-def cmd_verify_g(g_values, r_values, mode: str, cap: int) -> int:
-    modes = [MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS] if mode == "both" else [mode]
+def cmd_verify_g(args, cap: int) -> int:
+    modes = [MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS] if args.mode == "both" else [args.mode]
     ok, skipped = True, False
-    for g, r in sorted(product(g_values, r_values)):
+    for g, r in sorted(product(args.g, args.r)):
         space = SymplecticSpace(g=g, r=r)
         expected = FormSubmodule.weil_span(space)
         for m in modes:
@@ -292,12 +255,12 @@ def cmd_verify_g(g_values, r_values, mode: str, cap: int) -> int:
     return _exit_code(ok, skipped)
 
 
-def cmd_bogomolov(g_values, r_values, family: str, explicit: bool, cap: int) -> int:
+def cmd_bogomolov(args, cap: int) -> int:
     ok, skipped = True, False
-    for g, r in sorted(product(g_values, r_values)):
+    for g, r in sorted(product(args.g, args.r)):
         space = SymplecticSpace(g=g, r=r)
         try:
-            if family == "all":
+            if args.family == "all":
                 fam = all_bicyclics(space, cap)
                 gprime = bogomolov_intersection(space, fam, cap)
                 print(
@@ -306,7 +269,7 @@ def cmd_bogomolov(g_values, r_values, family: str, explicit: bool, cap: int) -> 
                 )
                 continue
             g_prim = compute_G(space, MODE_PRIMITIVE_PAIRS, cap)
-            if explicit:
+            if args.explicit:
                 fam = isotropic_bicyclics(space, cap)
                 gprime = bogomolov_intersection(space, fam, cap)
                 members = str(len(fam))
@@ -331,10 +294,10 @@ def cmd_bogomolov(g_values, r_values, family: str, explicit: bool, cap: int) -> 
     return _exit_code(ok, skipped)
 
 
-def cmd_components(r_values, d_values) -> int:
+def cmd_components(args, _cap) -> int:
     ok = True
     print("r d prym quotient l twist")
-    for r, d in sorted(product(r_values, d_values)):
+    for r, d in sorted(product(args.r, args.d)):
         cover = _cover_fields(1, r, d)
         prym, quot, pic = cover["prym_components"], cover["quotient_components"], cover["l"]
         ok &= quot == pic == gcd(r, d) and prym == r
@@ -397,11 +360,8 @@ def _suite_solve(rng: np.random.Generator):
         k = int(rng.integers(1, 5))
         A = rng.integers(0, n, size=(m, k))
         c = rng.integers(0, n, size=m)
-        brute = set()
-        for idx in range(n**k):
-            x = np.array([(idx // n**j) % n for j in range(k)], dtype=np.int64)
-            if not ((A @ x - c) % n).any():
-                brute.add(tuple(x.tolist()))
+        X = FinAbGroup((n,) * k).coordinate_table()
+        brute = set(map(tuple, X[~((X @ A.T - c) % n).any(axis=1)].tolist()))
         res = solve_mod(A, c, n)
         if res is None:
             if brute:
@@ -502,14 +462,14 @@ def _suite_submodules(_: np.random.Generator):
     return True, "r=2,3 at g=2"
 
 
-def cmd_selftest(seed: int, inject_fault: str | None) -> int:
-    rng = np.random.default_rng(seed)
+def cmd_selftest(args, _cap) -> int:
+    rng = np.random.default_rng(args.seed)
     suites = [
         ("smith-normal-form", lambda: _suite_smith(rng)),
         ("howell-span-oracle", lambda: _suite_howell(rng)),
         ("solve-mod-exhaustive", lambda: _suite_solve(rng)),
         ("form-bilinearity", lambda: _suite_bilinearity(rng)),
-        ("weil-nondegeneracy", lambda: _suite_nondegeneracy(rng, inject_fault)),
+        ("weil-nondegeneracy", lambda: _suite_nondegeneracy(rng, args.inject_fault)),
         ("brute-force-submodules", lambda: _suite_submodules(rng)),
     ]
     failed = []
@@ -529,14 +489,17 @@ def cmd_selftest(seed: int, inject_fault: str | None) -> int:
 # argument parsing
 
 
-def _default_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_ENUMERATION_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"bad {CAP_ENV_VAR}={raw!r}, want an integer") from None
+def _resolve_cap(cap: int | None) -> int:
+    """--cap, else BRAUERKIT_CAP, else the library default; must be positive."""
+    if cap is None:
+        raw = os.environ.get(CAP_ENV_VAR)
+        try:
+            cap = DEFAULT_ENUMERATION_CAP if raw is None else int(raw)
+        except ValueError:
+            raise ValueError(f"bad {CAP_ENV_VAR}={raw!r}, want an integer") from None
+    if cap < 1:
+        raise ValueError(f"cap must be positive, got {cap}")
+    return cap
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,9 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="inclusion checks over a (g, r, d) grid")
-    table.add_argument("--g", type=parse_range, default=parse_range("2..3"))
-    table.add_argument("--r", type=parse_range, default=parse_range("2..5"))
-    table.add_argument("--d", type=parse_range, default=parse_range("0..2"))
+    table.set_defaults(run=cmd_table)
+    table.add_argument("--g", type=_genus_range, default="2..3")
+    table.add_argument("--r", type=_modulus_range, default="2..5")
+    table.add_argument("--d", type=parse_range, default="0..2")
     table.add_argument(
         "--mode",
         choices=[MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS, "both"],
@@ -569,8 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     vg = sub.add_parser("verify-g", help="isotropic-vanishing submodule checks")
-    vg.add_argument("--g", type=parse_range, default=parse_range("2"))
-    vg.add_argument("--r", type=parse_range, default=parse_range("2..5"))
+    vg.set_defaults(run=cmd_verify_g)
+    vg.add_argument("--g", type=_genus_range, default="2")
+    vg.add_argument("--r", type=_modulus_range, default="2..5")
     vg.add_argument(
         "--mode",
         choices=[MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS, "both"],
@@ -579,8 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
     vg.add_argument("--cap", type=int, default=None)
 
     bg = sub.add_parser("bogomolov", help="intersected restriction kernels")
-    bg.add_argument("--g", type=parse_range, default=parse_range("2"))
-    bg.add_argument("--r", type=parse_range, default=parse_range("2..3"))
+    bg.set_defaults(run=cmd_bogomolov)
+    bg.add_argument("--g", type=_genus_range, default="2")
+    bg.add_argument("--r", type=_modulus_range, default="2..3")
     bg.add_argument("--family", choices=["isotropic", "all"], default="isotropic")
     bg.add_argument(
         "--explicit",
@@ -590,10 +556,12 @@ def build_parser() -> argparse.ArgumentParser:
     bg.add_argument("--cap", type=int, default=None)
 
     comp = sub.add_parser("components", help="covering-side component counts")
-    comp.add_argument("--r", type=parse_range, default=parse_range("2..12"))
-    comp.add_argument("--d", type=parse_range, default=parse_range("0..11"))
+    comp.set_defaults(run=cmd_components)
+    comp.add_argument("--r", type=_modulus_range, default="2..12")
+    comp.add_argument("--d", type=parse_range, default="0..11")
 
     st = sub.add_parser("selftest", help="deterministic property suites")
+    st.set_defaults(run=cmd_selftest)
     st.add_argument("--seed", type=int, default=0)
     st.add_argument(
         "--inject-fault",
@@ -608,50 +576,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cap = getattr(args, "cap", None)
-    if cap is None:
-        try:
-            cap = _default_cap()
-        except ValueError as exc:
-            print(f"brauerkit: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    if cap < 1:
-        print(f"brauerkit: cap must be positive, got {cap}", file=sys.stderr)
+    try:
+        cap = _resolve_cap(args.cap) if "cap" in args else None
+    except ValueError as exc:
+        print(f"brauerkit: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _run_command(args, cap)
+        return args.run(args, cap)
     except ModulusTooLargeError as exc:
         print(f"brauerkit: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-
-def _run_command(args, cap: int) -> int:
-    if args.command == "table":
-        if args.jobs < 1:
-            print(f"brauerkit: jobs must be positive, got {args.jobs}", file=sys.stderr)
-            return EXIT_CONFIG
-        cfg = RunConfig(
-            g_values=args.g,
-            r_values=args.r,
-            d_values=args.d,
-            mode=args.mode,
-            cap=cap,
-            seed=args.seed,
-            fmt=args.format,
-            out=args.out,
-            jobs=args.jobs,
-            timings=args.timings,
-        )
-        return cmd_table(cfg)
-    if args.command == "verify-g":
-        return cmd_verify_g(args.g, args.r, args.mode, cap)
-    if args.command == "bogomolov":
-        return cmd_bogomolov(args.g, args.r, args.family, args.explicit, cap)
-    if args.command == "components":
-        return cmd_components(args.r, args.d)
-    if args.command == "selftest":
-        return cmd_selftest(args.seed, args.inject_fault)
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

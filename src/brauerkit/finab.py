@@ -191,9 +191,7 @@ def _scales(parent: FinAbGroup) -> list[int]:
 def _embed_rows(parent: FinAbGroup, elems) -> np.ndarray:
     scales = _scales(parent)
     N = parent.exponent
-    rows = [
-        [(c * s) % N if N > 1 else 0 for c, s in zip(e.coords, scales)] for e in elems
-    ]
+    rows = [[(c * s) % N for c, s in zip(e.coords, scales)] for e in elems]
     return np.array(rows, dtype=np.int64).reshape(len(rows), parent.rank)
 
 
@@ -221,28 +219,24 @@ class Subgroup:
         row = _embed_rows(self.parent, [x])
         return not howell_reduce(H, row, self._modulus()).any()
 
+    def _pull_back(self, rows) -> list[GroupElement]:
+        """Embedded rows over Z/N back to group coordinates (divide by N/d_i)."""
+        scales = _scales(self.parent)
+        return [
+            GroupElement(self.parent, tuple(v // s for v, s in zip(row, scales)))
+            for row in rows
+        ]
+
     def generators(self) -> list[GroupElement]:
         """Canonical generators pulled back to group coordinates."""
-        scales = _scales(self.parent)
-        out = []
-        for row in self.canonical_generators:
-            coords = tuple(v // s if s else 0 for v, s in zip(row, scales))
-            out.append(GroupElement(self.parent, coords))
-        return out
+        return self._pull_back(self.canonical_generators)
 
     def elements(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[GroupElement]:
         if self.order > cap:
             raise CapExceededError(f"subgroup order {self.order} exceeds cap {cap}")
         gens = self.canonical_generators
         H = np.array(gens, dtype=np.int64).reshape(len(gens), self.parent.rank)
-        span = howell_span(H, self._modulus())
-        scales = _scales(self.parent)
-        return [
-            GroupElement(
-                self.parent, tuple(v // s if s else 0 for v, s in zip(vec, scales))
-            )
-            for vec in span
-        ]
+        return self._pull_back(howell_span(H, self._modulus()))
 
     def invariant_factors(self) -> tuple[int, ...]:
         """Isomorphism type of the subgroup, as an invariant factor chain."""

@@ -93,6 +93,29 @@ def _smallest_nonzero(A: np.ndarray, t: int):
     return best
 
 
+def _clear_pivot_column(A: np.ndarray, U: np.ndarray, t: int):
+    """Zero A[t+1:, t] by unimodular row operations on A, repeated on U."""
+    for i in range(t + 1, A.shape[0]):
+        b = int(A[i, t])
+        if not b:
+            continue
+        a = int(A[t, t])
+        if b % a == 0:
+            # plain elimination keeps the pivot row intact, so a clean pass
+            # stays clean and the loop of smith_normal_form can terminate
+            q = b // a
+            A[i, :] = A[i, :] - q * A[t, :]
+            U[i, :] = U[i, :] - q * U[t, :]
+            continue
+        g, s, u = _xgcd(a, b)
+        row_t = s * A[t, :] + u * A[i, :]
+        row_i = (-(b // g)) * A[t, :] + (a // g) * A[i, :]
+        A[t, :], A[i, :] = row_t, row_i
+        urow_t = s * U[t, :] + u * U[i, :]
+        urow_i = (-(b // g)) * U[t, :] + (a // g) * U[i, :]
+        U[t, :], U[i, :] = urow_t, urow_i
+
+
 def smith_normal_form(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Smith normal form over Z.
 
@@ -117,42 +140,10 @@ def smith_normal_form(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             A[:, [t, j]] = A[:, [j, t]]
             V[:, [t, j]] = V[:, [j, t]]
         while True:
-            for i in range(t + 1, m):
-                b = int(A[i, t])
-                if not b:
-                    continue
-                a = int(A[t, t])
-                if b % a == 0:
-                    # plain elimination keeps the pivot row intact, so a
-                    # clean pass stays clean and the loop can terminate
-                    q = b // a
-                    A[i, :] = A[i, :] - q * A[t, :]
-                    U[i, :] = U[i, :] - q * U[t, :]
-                    continue
-                g, s, u = _xgcd(a, b)
-                row_t = s * A[t, :] + u * A[i, :]
-                row_i = (-(b // g)) * A[t, :] + (a // g) * A[i, :]
-                A[t, :], A[i, :] = row_t, row_i
-                urow_t = s * U[t, :] + u * U[i, :]
-                urow_i = (-(b // g)) * U[t, :] + (a // g) * U[i, :]
-                U[t, :], U[i, :] = urow_t, urow_i
-            for j in range(t + 1, k):
-                b = int(A[t, j])
-                if not b:
-                    continue
-                a = int(A[t, t])
-                if b % a == 0:
-                    q = b // a
-                    A[:, j] = A[:, j] - q * A[:, t]
-                    V[:, j] = V[:, j] - q * V[:, t]
-                    continue
-                g, s, u = _xgcd(a, b)
-                col_t = s * A[:, t] + u * A[:, j]
-                col_j = (-(b // g)) * A[:, t] + (a // g) * A[:, j]
-                A[:, t], A[:, j] = col_t, col_j
-                vcol_t = s * V[:, t] + u * V[:, j]
-                vcol_j = (-(b // g)) * V[:, t] + (a // g) * V[:, j]
-                V[:, t], V[:, j] = vcol_t, vcol_j
+            _clear_pivot_column(A, U, t)
+            # transposes are views, so the row pass on (A.T, V.T) clears
+            # the pivot row of A with column operations recorded in V
+            _clear_pivot_column(A.T, V.T, t)
             if A[t + 1 :, t].any() or A[t, t + 1 :].any():
                 continue
             bad = _find_nondivisible(A, t)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -280,3 +281,56 @@ def test_selftest_fault_injection_names_suite(capsys):
     assert code == EXIT_VIOLATION
     assert "suite weil-nondegeneracy: FAIL" in out
     assert "selftest: FAIL (weil-nondegeneracy)" in out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "meta.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_output_matches_golden(name, capsys, monkeypatch):
+    """stdout, stderr and exit code of each stored argv, byte for byte."""
+    monkeypatch.delenv("BRAUERKIT_CAP", raising=False)
+    case = GOLDEN_CASES[name]
+    code = main(case["argv"])
+    captured = capsys.readouterr()
+    assert code == case["exit"]
+    assert captured.err == case["stderr"]
+    assert captured.out == (GOLDEN / f"{name}.stdout").read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--g", "0", "--r", "2", "--d", "0"],
+        ["table", "--g", "2", "--r", "1..3", "--d", "0"],
+        ["verify-g", "--g", "2", "--r", "1"],
+        ["bogomolov", "--g", "0..2", "--r", "2"],
+        ["components", "--r", "1", "--d", "0"],
+    ],
+)
+def test_g_below_one_or_r_below_two_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("raw", ["ten", "0"])
+def test_cap_env_var_read_only_by_commands_with_cap(raw, capsys, monkeypatch):
+    monkeypatch.setenv("BRAUERKIT_CAP", raw)
+    assert main(["components", "--r", "2", "--d", "0"]) == EXIT_OK
+    assert main(["selftest", "--seed", "0"]) == EXIT_OK
+    capsys.readouterr()
+    for argv in (
+        ["table", "--g", "2", "--r", "2", "--d", "0"],
+        ["verify-g", "--g", "2", "--r", "2"],
+        ["bogomolov", "--g", "2", "--r", "2"],
+    ):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cap" in captured.err.lower()
