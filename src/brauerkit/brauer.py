@@ -34,6 +34,7 @@ from .finab import (
 )
 from .sympl import AltForm, SymplecticSpace, upper_index_pairs, weil_form
 from .zmodlinalg import (
+    ModulusTooLargeError,
     howell_form,
     howell_reduce,
     howell_span,
@@ -178,7 +179,12 @@ def _kernel_submodule(space: SymplecticSpace, constraint_rows) -> FormSubmodule:
 
 
 def _pair_stream(
-    space: SymplecticSpace, *, isotropic: bool, bicyclic: bool, cap: int
+    space: SymplecticSpace,
+    *,
+    isotropic: bool,
+    bicyclic: bool,
+    cap: int,
+    by_weight: bool = False,
 ):
     """The selected element pairs, grouped by their first element.
 
@@ -188,9 +194,17 @@ def _pair_stream(
     rows of those pairs.  A pair spans (Z/r)^2 exactly when its 2x2 minors
     do not all vanish modulo any prime divisor of r.  An x with no selected
     partner is skipped.
+
+    ``by_weight`` (for the scan only) first sorts the table stably by the
+    number of nonzero coordinates, so basis vectors and their sums come
+    first.  Every unordered pair is still met once, but a pair may come as
+    (y, x), with its minor row negated.  The explicit families keep the
+    lexicographic order, which fixes the order of their members.
     """
     r = space.r
     X = space.group.coordinate_table(cap)
+    if by_weight:
+        X = X[np.argsort((X != 0).sum(axis=1), kind="stable")]
     I, J = _pair_indices(space)
     Cfull = weil_form(space).full_matrix()
     primes = _prime_factors(r)
@@ -214,27 +228,41 @@ def _streamed_constraint_kernel(
 ) -> FormSubmodule:
     """Kernel of the constraints of all selected isotropic pairs.
 
-    Pairs are scanned once in a fixed order, their rows accumulated in Howell
-    form.  Every selected pair is isotropic, so span(e), of order r, lies in
-    the kernel throughout; and over Z/r the kernel has r^m / |row span|
+    Pairs are scanned once, x by increasing weight, their rows accumulated in
+    Howell form.  Alongside it the scan keeps K, the generators of the
+    accumulator's kernel.  Z/r is quasi-Frobenius, so a row span is the
+    annihilator of its kernel: a row v lies in the span exactly when K v = 0.
+    One product ``rows @ K.T`` thus drops the rows already in the span, and K
+    is solved for again only when the accumulator grows.  That product sums
+    m terms of up to (r - 1)^2, and the isotropy test 2g of them, so a
+    modulus with max(m, 2g) (r - 1)^2 >= 2^63 raises ``ModulusTooLargeError``
+    before any element is listed.
+
+    Every selected pair is isotropic, so span(e), of order r, lies in the
+    kernel throughout; and over Z/r the kernel has r^m / |row span|
     elements.  The kernel has therefore shrunk to span(e) exactly when the
-    row span reaches order r^(m-1), and the scan stops there.  The kernel is
-    solved for once, at the end.
+    row span reaches order r^(m-1), and the scan stops there.
     """
     r = space.r
     m = space.form_rank
+    if max(m, space.dim) * (r - 1) ** 2 >= 2**63:
+        raise ModulusTooLargeError(
+            f"modulus {r} is too large for the exact int64 scan at g = {space.g}"
+        )
     acc = np.zeros((0, m), dtype=np.int64)
+    K = np.eye(m, dtype=np.int64)
     for _, _, rows in _pair_stream(
-        space, isotropic=True, bicyclic=require_bicyclic, cap=cap
+        space, isotropic=True, bicyclic=require_bicyclic, cap=cap, by_weight=True
     ):
         # rows already in the span of acc change neither acc nor the kernel
-        rows = rows[howell_reduce(acc, rows, r).any(axis=1)]
+        rows = rows[((rows @ K.T) % r).any(axis=1)]
         if rows.shape[0] == 0:
             continue
         acc = howell_form(np.vstack([acc, np.unique(rows, axis=0)]), r)
+        K = solve_mod(acc, np.zeros(acc.shape[0], dtype=np.int64), r)[1]
         if howell_span_order(acc, r) == r ** (m - 1):
             break
-    return _kernel_submodule(space, acc)
+    return FormSubmodule.from_rows(space, K)
 
 
 def compute_G(
@@ -247,7 +275,11 @@ def compute_G(
     ``all-pairs`` constrains by every pair (x, y) with e(x, y) = 0;
     ``primitive-pairs`` only by those pairs whose span is (Z/r)^2.  The
     standard pairing itself always satisfies the constraints, so the scan
-    ends as soon as the kernel has shrunk to its span.
+    ends as soon as the kernel has shrunk to its span; it meets x by
+    increasing weight, where that happens early.  A row already in the span
+    is dropped by one product with the accumulator's kernel, so the scan
+    raises ``ModulusTooLargeError`` when r is too large for that product to
+    stay exact in int64 (for g >= 2, below the 2^31 Howell limit).
     """
     if mode not in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
         raise ValueError(f"unknown mode {mode!r}")

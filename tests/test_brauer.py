@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 from math import gcd
 
@@ -24,9 +25,19 @@ from brauerkit.brauer import (
     restriction_kernel,
     verify_main_inclusions,
 )
-from brauerkit.finab import CapExceededError, is_bicyclic_rr, subgroup_from_generators
+from brauerkit.finab import (
+    CapExceededError,
+    FinAbGroup,
+    is_bicyclic_rr,
+    subgroup_from_generators,
+)
 from brauerkit.sympl import AltForm, SymplecticSpace, eval_form, weil_form
-from brauerkit.zmodlinalg import howell_form, howell_reduce
+from brauerkit.zmodlinalg import (
+    ModulusTooLargeError,
+    howell_form,
+    howell_reduce,
+    solve_mod,
+)
 
 
 def test_form_submodule_constructors():
@@ -109,19 +120,98 @@ def test_compute_g_cap():
 
 
 def test_span_filter_drops_exactly_rows_in_span():
-    # the streamed scan offers a batch of constraint rows to its Howell
-    # accumulator and drops the rows that reduce to zero against it
+    # two membership tests for a Howell basis: reduction against it
+    # (FormSubmodule.contains_vector), and K v = 0 for its kernel K (the
+    # streamed scan; over Z/n a row span is the annihilator of its kernel)
     rng = np.random.default_rng(33)
-    for n in (2, 3, 4, 6, 8):
+    for n in (2, 3, 4, 6, 8, 9, 12):
         cols = 4 if n >= 6 else 5
         for _ in range(30):
             gens = rng.integers(0, n, size=(int(rng.integers(0, 5)), cols))
             basis = howell_form(gens, n)
+            _, K = solve_mod(basis, np.zeros(basis.shape[0], dtype=np.int64), n)
             span = span_closure(basis, n)
             inside = rng.integers(0, n, size=(6, basis.shape[0])) @ basis
             rows = np.vstack([inside, rng.integers(0, n, size=(10, cols))]) % n
-            dropped = ~howell_reduce(basis, rows, n).any(axis=1)
-            assert dropped.tolist() == [tuple(row) in span for row in rows.tolist()]
+            want = [tuple(row) in span for row in rows.tolist()]
+            assert (~howell_reduce(basis, rows, n).any(axis=1)).tolist() == want
+            assert (~((rows @ K.T) % n).any(axis=1)).tolist() == want
+
+
+def _stream_pairs(space, by_weight: bool, **masks):
+    """Each unordered pair the stream yields, with its minor row as seen
+    from the smaller element, counted with multiplicity."""
+    r = space.r
+    met = Counter()
+    for x, Y, rows in brauer._pair_stream(
+        space, cap=10**6, by_weight=by_weight, **masks
+    ):
+        x = tuple(x.tolist())
+        for y, row in zip(Y.tolist(), rows.tolist()):
+            y = tuple(y)
+            if y < x:
+                met[(y, x, tuple(-v % r for v in row))] += 1
+            else:
+                met[(x, y, tuple(row))] += 1
+    return met
+
+
+@pytest.mark.parametrize("g, r", [(1, 6), (2, 2), (2, 3), (2, 4)])
+@pytest.mark.parametrize("isotropic", [True, False])
+@pytest.mark.parametrize("bicyclic", [True, False])
+def test_weight_order_meets_the_same_pairs(g, r, isotropic, bicyclic):
+    sp = SymplecticSpace(g=g, r=r)
+    masks = {"isotropic": isotropic, "bicyclic": bicyclic}
+    lexicographic = _stream_pairs(sp, False, **masks)
+    # a plane in (Z/r)^2 is never isotropic; every other case selects pairs
+    assert bool(lexicographic) != (g == 1 and isotropic and bicyclic)
+    assert all(row == minor_vector(x, y, r) for x, y, row in lexicographic)
+    assert _stream_pairs(sp, True, **masks) == lexicographic
+
+
+@pytest.mark.parametrize(
+    "g, r, mode, batches",
+    [
+        (3, 4, MODE_ALL_PAIRS, 74),
+        (3, 4, MODE_PRIMITIVE_PAIRS, 61),
+        (4, 2, MODE_ALL_PAIRS, 25),
+        (4, 2, MODE_PRIMITIVE_PAIRS, 24),
+    ],
+)
+def test_scan_stops_early_in_weight_order(monkeypatch, g, r, mode, batches):
+    # in lexicographic order the scan consumes 258, 242, 66 and 65 batches
+    consumed = []
+    stream = brauer._pair_stream
+
+    def counted(*args, **kwargs):
+        for item in stream(*args, **kwargs):
+            consumed.append(1)
+            yield item
+
+    monkeypatch.setattr(brauer, "_pair_stream", counted)
+    sp = SymplecticSpace(g=g, r=r)
+    assert compute_G(sp, mode) == FormSubmodule.weil_span(sp)
+    assert len(consumed) == batches
+
+
+@pytest.mark.parametrize("g, r", [(3, 5), (4, 2), (4, 3)])
+@pytest.mark.parametrize("mode", [MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS])
+def test_compute_g_is_pairing_span_beyond_acceptance_grid(g, r, mode):
+    sp = SymplecticSpace(g=g, r=r)
+    assert compute_G(sp, mode) == FormSubmodule.weil_span(sp)
+
+
+def test_compute_g_rejects_modulus_past_scan_limit_before_listing(monkeypatch):
+    # the kernel filter sums m = 6 products of up to (r - 1)^2 > 2^63 / 6
+    listed = []
+    monkeypatch.setattr(
+        FinAbGroup, "coordinate_table", lambda *args: listed.append(args)
+    )
+    sp = SymplecticSpace(g=2, r=2**31 - 1)
+    for mode in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
+        with pytest.raises(ModulusTooLargeError):
+            compute_G(sp, mode, cap=10**40)
+    assert listed == []
 
 
 def test_restriction_kernel_trivial_subgroup():
