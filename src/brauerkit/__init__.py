@@ -36,6 +36,7 @@ from .finab import (
     GroupElement,
     NonHomocyclicError,
     Subgroup,
+    TableTooLargeError,
     cartier_dual,
     count_solutions,
     element_order,
@@ -80,6 +81,7 @@ __all__ = [
     "NonHomocyclicError",
     "Subgroup",
     "SymplecticSpace",
+    "TableTooLargeError",
     "all_bicyclics",
     "bogomolov_intersection",
     "cartier_dual",

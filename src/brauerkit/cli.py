@@ -58,6 +58,7 @@ from .finab import (
     CapExceededError,
     DEFAULT_ENUMERATION_CAP,
     FinAbGroup,
+    TableTooLargeError,
     is_bicyclic_rr,
     subgroup_from_generators,
 )
@@ -583,7 +584,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.run(args, cap)
-    except ModulusTooLargeError as exc:
+    except (ModulusTooLargeError, TableTooLargeError) as exc:
         print(f"brauerkit: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -33,6 +33,7 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "CapExceededError",
     "NonHomocyclicError",
+    "TableTooLargeError",
     "FinAbGroup",
     "GroupElement",
     "Subgroup",
@@ -53,6 +54,10 @@ class CapExceededError(RuntimeError):
 
 class NonHomocyclicError(ValueError):
     """The operation only makes sense for groups (Z/r)^k."""
+
+
+class TableTooLargeError(ValueError):
+    """A coordinate table has more bytes than a numpy array can index."""
 
 
 @dataclass(frozen=True)
@@ -110,6 +115,11 @@ class FinAbGroup:
             raise CapExceededError(f"group order {self.order} exceeds cap {cap}")
         n = self.order
         k = self.rank
+        if n * k * 8 > np.iinfo(np.intp).max:
+            raise TableTooLargeError(
+                f"a {n} x {k} int64 coordinate table of {self} is beyond "
+                "numpy's array size limit"
+            )
         out = np.zeros((n, k), dtype=np.int64)
         idx = np.arange(n)
         stride = n

@@ -8,18 +8,18 @@ modulus is passed alongside the matrix.  n need not be prime, which is why
 row spans are canonicalized with the Howell form instead of Gaussian
 elimination, and every Z/n routine, ``solve_mod`` included, runs on it.
 
-The Howell routines multiply int64 entries, with intermediates as large as
-2(n-1)^2.  They stay exact only while that is below 2^63, that is for
-n <= 2^31; ``howell_form``, ``howell_reduce`` and ``solve_mod`` raise
-``ModulusTooLargeError`` for any larger n rather than wrap around.
-
-Everything here is written for small dense matrices (a few dozen rows and
-columns at most); no attempt is made at asymptotic cleverness.
+The Howell form is built column by column (Howell 1986; Storjohann and
+Mulders, ESA 1998): a pivot row clears its column in every other row in one
+vectorized update, so the Python-level steps number the pivot columns.
+Entries stay in [0, n) between steps, so a product is below (n-1)^2 and a
+sum of two (a row combination) below 2(n-1)^2: exact in int64 while that is
+below 2^63, that is for n <= 2^31.  ``howell_form``, ``howell_reduce`` and
+``solve_mod`` raise ``ModulusTooLargeError`` for any larger n rather than
+wrap around.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from math import gcd
 
 import numpy as np
@@ -227,39 +227,6 @@ def _check_modulus(n: int):
         )
 
 
-def _echelon(rows, n: int) -> dict[int, np.ndarray]:
-    """Gcd-based row echelon over Z/n, keyed by pivot column, in one pass.
-
-    Every row that becomes a pivot row queues its annihilator multiple
-    (n / gcd(pivot, n)) * row; once the queue drains, each pivot row's
-    multiple lies in the span of the pivot rows to its right.  Span is
-    preserved: every update is a unimodular 2x2 transform.  A pivot row is
-    replaced only when the gcd step shrinks its pivot to a proper divisor, so
-    the queue always drains.  Entries above pivots are cleaned up later.
-    """
-    piv: dict[int, np.ndarray] = {}
-    queue = deque(np.asarray(r, dtype=np.int64) % n for r in rows)
-    while queue:
-        r = queue.popleft()
-        while r.any():
-            c = _leading(r)
-            b = int(r[c])
-            if c not in piv:
-                piv[c] = r
-                queue.append((n // gcd(b, n)) * r % n)
-                break
-            p = piv[c]
-            a = int(p[c])
-            if b % a == 0:
-                r = (r - (b // a) * p) % n
-                continue
-            g, s, u = _xgcd(a, b)
-            piv[c] = (s * p + u * r) % n
-            r = ((a // g) * r - (b // g) * p) % n
-            queue.append((n // gcd(g, n)) * piv[c] % n)
-    return piv
-
-
 def _unit_multiplier(a: int, n: int) -> int:
     """A unit u mod n with u*a == gcd(a, n) (mod n).
 
@@ -282,28 +249,61 @@ def howell_form(A, n: int) -> np.ndarray:
     pivot columns, every pivot divides n, and entries above a pivot are
     reduced modulo it.  A span of size s in (Z/n)^k comes out with pivots
     p_i such that s = prod(n // p_i).
+
+    Columns go in increasing order, skipping those zero in every remaining
+    row.  The pivot of column c has entry g = gcd(n, column): a unit times
+    the first row with gcd(entry, n) = g, else a combination of rows by
+    extended gcds.  One update clears column c below it and reduces it
+    above; its annihilator (n/g) * pivot joins the remaining rows, and rows
+    that become zero are dropped.
     """
     _check_modulus(n)
-    A = np.asarray(A, dtype=np.int64)
-    if A.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-d matrix, got shape {A.shape}")
-    piv = _echelon(A, n)
-    cols = sorted(piv)
-    H = [piv[c] for c in cols]
-    for idx, c in enumerate(cols):
-        p = int(H[idx][c])
-        g = gcd(p, n)
-        if p != g:
-            H[idx] = (_unit_multiplier(p, n) * H[idx]) % n
-    for idx, c in enumerate(cols):
-        p = int(H[idx][c])
-        for above in range(idx):
-            f = int(H[above][c]) // p
-            if f:
-                H[above] = (H[above] - f * H[idx]) % n
-    if not H:
-        return np.zeros((0, A.shape[1]), dtype=np.int64)
-    return np.vstack(H)
+    M = np.asarray(A, dtype=np.int64)
+    if M.ndim != 2:
+        raise DimensionMismatchError(f"expected a 2-d matrix, got shape {M.shape}")
+    M = M % n
+    # M[:t] holds the pivot rows found so far; M[t:] the remaining rows,
+    # which are zero in every column before c
+    t = c = 0
+    while t < M.shape[0]:
+        keep = M[t:, c:].any(axis=1)
+        if np.count_nonzero(keep) < keep.size:
+            M = np.concatenate([M[:t], M[t:][keep]])
+            if t == M.shape[0]:
+                break
+        c += int(M[t:, c:].any(axis=0).argmax())
+        vals = M[t:, c].tolist()
+        g = gcd(n, *vals)
+        h = next((i for i, v in enumerate(vals) if gcd(v, n) == g), None)
+        if h is None:
+            # no entry generates the column's ideal; s, u mod n keep the
+            # products below (n-1)^2
+            p = M[t]
+            for r in M[t + 1 :]:
+                if gcd(int(p[c]), n) == g:
+                    break
+                _, s, u = _xgcd(int(p[c]), int(r[c]))
+                p = ((s % n) * p + (u % n) * r) % n
+            M = np.concatenate([M[:t], p[None], M[t:]])
+        else:
+            # p (a unit times its row) replaces that row; row t moves there
+            p = M[t + h].copy()
+            M[t + h] = M[t]
+        a = int(p[c])
+        if a != g:
+            p = (_unit_multiplier(a, n) * p) % n
+        # clear column c below slot t and reduce it above: quotient times
+        # entry is below (n-1)^2, and floor division by a scalar is numpy's
+        # fast path back to [0, n).  Slot t then takes p.
+        S = M[:, c:]
+        S -= S[:, :1] // g * p[c:]
+        S -= (S // n) * n
+        M[t] = p
+        if g > 1:
+            M = np.concatenate([M, ((n // g) * p % n)[None]])
+        t += 1
+        c += 1
+    return M
 
 
 def howell_span_order(H, n: int) -> int:

@@ -53,6 +53,20 @@ def test_modulus_beyond_int64_limit_is_config_error(capsys):
         assert "too large" in captured.err
 
 
+def test_table_beyond_numpy_size_limit_is_config_error(capsys):
+    # (Z/65536)^4 has 2^64 elements: within a cap of 10^40, but its
+    # coordinate table cannot be allocated
+    for argv in (
+        ["bogomolov", "--explicit", "--g", "2", "--r", "65536", "--cap", str(10**40)],
+        ["verify-g", "--g", "2", "--r", "65536", "--cap", str(10**40)],
+    ):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("brauerkit: ") and "array size limit" in line
+
+
 def test_bad_jobs_is_config_error(capsys):
     code = main(["table", "--g", "2", "--r", "2", "--d", "0", "--jobs", "0"])
     assert code == EXIT_CONFIG

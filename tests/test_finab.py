@@ -7,6 +7,7 @@ from brauerkit.finab import (
     FinAbGroup,
     NonHomocyclicError,
     Subgroup,
+    TableTooLargeError,
     cartier_dual,
     count_solutions,
     element_order,
@@ -69,6 +70,13 @@ def test_elements_iteration_matches_coordinate_table():
     assert listed == [tuple(row) for row in G.coordinate_table().tolist()]
     assert len(listed) == 12
     assert len(set(listed)) == 12
+
+
+def test_coordinate_table_beyond_numpy_size_limit():
+    G = FinAbGroup((2**32, 2**32))
+    with pytest.raises(TableTooLargeError, match="array size limit"):
+        G.coordinate_table(cap=G.order)
+    assert issubclass(TableTooLargeError, ValueError)
 
 
 def test_elements_cap():

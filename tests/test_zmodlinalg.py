@@ -233,6 +233,99 @@ def test_howell_modulus_limit():
             solve_mod([[1, 2]], [3], big)
 
 
+def _combined_rows(R, count, n, rng):
+    """``count`` rows a*R[i] + b*R[j] mod n, so the span of R does not grow."""
+    i = rng.integers(0, len(R), size=count)
+    j = rng.integers(0, len(R), size=count)
+    a = rng.integers(0, n, size=(count, 1))
+    b = rng.integers(0, n, size=(count, 1))
+    return (a * R[i] % n + b * R[j] % n) % n
+
+
+def test_howell_dense_wide_matches_rref():
+    # dense inputs of the size the stacked explicit intersection builds
+    rng = np.random.default_rng(41)
+    for n in (97, 2**31 - 1):
+        full = rng.integers(0, n, size=(140, 120))
+        R = rng.integers(0, n, size=(100, 120))
+        deficient = np.vstack([R, _combined_rows(R, 41, n, rng)])[rng.permutation(141)]
+        for M, rank in ((full, 120), (deficient, 100)):
+            H = howell_form(M, n)
+            assert H.tolist() == rref_mod_prime(M.tolist(), n)
+            assert H.shape == (rank, 120)
+
+
+def _check_howell_invariants(H, n):
+    leads = [int(np.flatnonzero(row)[0]) for row in H]
+    assert all(a < b for a, b in zip(leads, leads[1:]))
+    for i, c in enumerate(leads):
+        p = int(H[i, c])
+        assert n % p == 0
+        assert (H[:i, c] < p).all()
+        annihilator = ((n // p) * H[i] % n)[None]
+        assert not howell_reduce(H[i + 1 :], annihilator, n).any()
+
+
+def _howell_inputs(n, rng):
+    """Random matrices over Z/n: uniform, built from divisors of n, and (for
+    n = 2^31) full of n - 1 and n - 2^k entries, the largest residues."""
+    divisors = np.array([d for d in (1, 2, 3, 4, 5, 8, 9, 12, 2**16, 2**30) if n % d == 0])
+    for _ in range(12):
+        shape = (int(rng.integers(1, 30)), int(rng.integers(1, 20)))
+        yield rng.integers(0, n, size=shape)
+        scale = divisors[rng.integers(0, len(divisors), size=shape)]
+        yield scale * rng.integers(0, n, size=shape) % n
+        yield (n - scale) * rng.integers(0, 2, size=shape)
+
+
+def _unimodular_mix(M, n, rng):
+    """Rows of M shuffled, scaled by units, and added to one another."""
+    M = M[rng.permutation(len(M))] % n
+    for _ in range(3 * len(M)):
+        i, j = (int(v) for v in rng.integers(0, len(M), size=2))
+        if i != j:
+            M[j] = (M[j] + int(rng.integers(0, n)) * M[i] % n) % n
+        M[i] = (n - 1) * M[i] % n
+    return M
+
+
+@pytest.mark.parametrize("n", [12, 360, 2**31])
+def test_howell_invariants_and_canonicity(n):
+    rng = np.random.default_rng(n % 1000 + 7)
+    for M in _howell_inputs(n, rng):
+        H = howell_form(M, n)
+        _check_howell_invariants(H, n)
+        assert not howell_reduce(H, M, n).any()
+        assert np.array_equal(howell_form(H, n), H)
+        assert np.array_equal(howell_form(_unimodular_mix(M, n, rng), n), H)
+        # negating every entry keeps the span
+        assert np.array_equal(howell_form(-M % n, n), H)
+
+
+def test_howell_no_unit_in_leading_column():
+    # in these cases no entry of the first column generates its ideal, all
+    # of Z/n, so the pivot row has to be combined from several rows; the
+    # random cases draw that column from the non-units
+    cases = [
+        ([[4, 1], [3, 0]], 12),
+        ([[6, 1, 0], [4, 0, 1], [3, 1, 1]], 12),
+        ([[10, 1], [15, 0], [6, 1]], 30),
+        ([[0, 2], [4, 1], [3, 0]], 12),
+    ]
+    rng = np.random.default_rng(43)
+    nonunits = {12: [0, 2, 3, 4, 6, 8, 9, 10], 30: [0, 2, 3, 5, 6, 10, 15, 20]}
+    for n, values in nonunits.items():
+        for _ in range(40):
+            M = rng.choice(values, size=(int(rng.integers(2, 5)), 2))
+            M[:, 1] = rng.integers(0, n, size=len(M))
+            cases.append((M.tolist(), n))
+    for M, n in cases:
+        H = howell_form(M, n)
+        _check_howell_invariants(H, n)
+        assert span_closure(H, n) == span_closure(M, n)
+    assert howell_form([[4, 1], [3, 0]], 12).tolist() == [[1, 1], [0, 3]]
+
+
 def test_enumerate_row_span_cap():
     with pytest.raises(RuntimeError):
         enumerate_row_span(np.eye(4, dtype=int), 8, cap=100)
