@@ -22,6 +22,7 @@ result is canonical and runs are deterministic.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,10 +37,10 @@ from .sympl import AltForm, SymplecticSpace, upper_index_pairs, weil_form
 from .zmodlinalg import (
     ModulusTooLargeError,
     howell_form,
+    howell_kernel,
     howell_reduce,
     howell_span,
     howell_span_order,
-    solve_mod,
 )
 
 __all__ = [
@@ -163,9 +164,10 @@ def _generator_rows(
     space: SymplecticSpace, subgroup: Subgroup, I: np.ndarray, J: np.ndarray
 ) -> np.ndarray:
     """Constraint rows of the pairs of canonical generators of ``subgroup``."""
-    gens = np.array(
-        [g.coords for g in subgroup.generators()], dtype=np.int64
-    ).reshape(-1, space.dim)
+    # (Z/r)^(2g) is homocyclic: canonical generators are already coordinates
+    gens = np.array(subgroup.canonical_generators, dtype=np.int64).reshape(
+        -1, space.dim
+    )
     rows = [
         _minor_rows(gens[i], gens[i + 1 :], I, J, space.r) for i in range(len(gens))
     ]
@@ -174,7 +176,7 @@ def _generator_rows(
 
 def _kernel_submodule(space: SymplecticSpace, constraint_rows) -> FormSubmodule:
     A = np.asarray(constraint_rows, dtype=np.int64).reshape(-1, space.form_rank)
-    _, kernel = solve_mod(A, np.zeros(A.shape[0], dtype=np.int64), space.r)
+    _, kernel = howell_kernel(howell_form(A, space.r), space.r)
     return FormSubmodule.from_rows(space, kernel)
 
 
@@ -259,7 +261,7 @@ def _streamed_constraint_kernel(
         if rows.shape[0] == 0:
             continue
         acc = howell_form(np.vstack([acc, np.unique(rows, axis=0)]), r)
-        K = solve_mod(acc, np.zeros(acc.shape[0], dtype=np.int64), r)[1]
+        K = howell_kernel(acc, r)[1]
         if howell_span_order(acc, r) == r ** (m - 1):
             break
     return FormSubmodule.from_rows(space, K)
@@ -318,6 +320,10 @@ class BicyclicFamily:
     def __iter__(self):
         return iter(self.members)
 
+    @cached_property
+    def _member_set(self) -> frozenset[Subgroup]:
+        return frozenset(self.members)
+
     def with_pair(
         self, sigma: GroupElement, tau: GroupElement
     ) -> BicyclicFamily:
@@ -325,13 +331,16 @@ class BicyclicFamily:
         if not is_bicyclic_rr(sigma, tau, self.space.r):
             raise ValueError("pair does not generate a (Z/r)^2 subgroup")
         member = subgroup_from_generators(self.space.group, [sigma, tau])
-        if member in self.members:
+        if member in self._member_set:
             return self
-        return BicyclicFamily(
+        grown = BicyclicFamily(
             self.space,
             self.members + (member,),
             self.provenance + ("user-supplied",),
         )
+        # seeded from this family's set, so a chain of calls hashes each member once
+        grown.__dict__["_member_set"] = self._member_set | {member}
+        return grown
 
 
 def _unit_inverses(r: int) -> tuple[tuple[int, int, np.ndarray], ...]:
@@ -435,7 +444,7 @@ def bogomolov_intersection(
     I, J = _pair_indices(space)
     rows = [_generator_rows(space, member, I, J) for member in family.members]
     stacked = np.vstack([np.zeros((0, space.form_rank), dtype=np.int64), *rows])
-    return _kernel_submodule(space, howell_form(stacked, space.r))
+    return _kernel_submodule(space, stacked)
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,18 @@ entries grow; the Smith form serves this work over Z only.  Matrices over
 Z/n are plain int64 arrays with every entry reduced into ``[0, n)``; the
 modulus is passed alongside the matrix.  n need not be prime, which is why
 row spans are canonicalized with the Howell form instead of Gaussian
-elimination, and every Z/n routine, ``solve_mod`` included, runs on it.
+elimination, and every Z/n routine runs on it.
 
 The Howell form is built column by column (Howell 1986; Storjohann and
 Mulders, ESA 1998): a pivot row clears its column in every other row in one
 vectorized update, so the Python-level steps number the pivot columns.
-Entries stay in [0, n) between steps, so a product is below (n-1)^2 and a
-sum of two (a row combination) below 2(n-1)^2: exact in int64 while that is
-below 2^63, that is for n <= 2^31.  ``howell_form``, ``howell_reduce`` and
+Kernels and solutions come from back-substitution on a Howell form
+(``howell_kernel``), one pivot row at a time from the last; ``solve_mod``
+runs it on the Howell form of [A | c].  Entries stay in [0, n) between
+steps, so a product is below (n-1)^2, a sum of two (a row combination)
+below 2(n-1)^2, and a back-substitution update (a residue times a residue
+plus a residue) below n^2: exact in int64 while that is below 2^63, that is
+for n <= 2^31.  ``howell_form``, ``howell_reduce``, ``howell_kernel`` and
 ``solve_mod`` raise ``ModulusTooLargeError`` for any larger n rather than
 wrap around.
 """
@@ -35,6 +39,7 @@ __all__ = [
     "howell_span_order",
     "howell_span",
     "enumerate_row_span",
+    "howell_kernel",
     "solve_mod",
 ]
 
@@ -396,6 +401,68 @@ def enumerate_row_span(A, n: int, cap: int = 1_000_000) -> set[tuple[int, ...]]:
     return span
 
 
+def howell_kernel(H, n: int, rhs=None):
+    """Solve H @ x == rhs over Z/n by back-substitution on a Howell form ``H``.
+
+    Returns ``(particular, kernel)``: ``kernel`` rows generate
+    {x : H @ x == 0 mod n} (not in Howell form), and ``particular`` solves
+    H @ x == rhs, or is ``None`` when that has no solution (``rhs`` defaults
+    to zero).
+
+    There is one seed e_f per non-pivot column f and one seed (n/p) e_c per
+    pivot p > 1 in column c; the particular solution starts as the zero seed
+    with residual -rhs.  From the last pivot row up, each seed's pivot
+    coordinate is set to -(residual / p) mod n/p, and that column times
+    H[:i, c] is added into the residuals of the rows above.  The Howell
+    property puts (n/p) h_i in the span of the rows below, which every seed
+    already satisfies, so p divides each seed's residual; ``ValueError`` if
+    not, since ``H`` is then no Howell form.  Subtracting the e_f seeds, then
+    the pivot seeds from the last pivot up, reduces any kernel vector to 0,
+    so the seeds span the kernel.  An update is a residue times a residue
+    plus a residue, below n^2, so the int64 limit is that of ``howell_form``:
+    ``ModulusTooLargeError`` for n > 2^31.
+    """
+    _check_modulus(n)
+    H = np.asarray(H, dtype=np.int64) % n
+    if H.ndim != 2:
+        raise DimensionMismatchError(f"expected a 2-d matrix, got shape {H.shape}")
+    t, k = H.shape
+    b = np.zeros(t, dtype=np.int64) if rhs is None else np.asarray(rhs, dtype=np.int64)
+    b = b.ravel() % n
+    if b.size != t:
+        raise DimensionMismatchError(f"rhs has length {b.size}, matrix has {t} rows")
+    nonzero = H != 0
+    if not nonzero.any(axis=1).all():
+        raise ValueError(f"not a Howell form over Z/{n}")
+    cols = nonzero.argmax(axis=1) if t else np.zeros(0, dtype=np.intp)
+    piv = H[np.arange(t), cols]
+    if (np.diff(cols) <= 0).any() or (n % piv).any():
+        raise ValueError(f"not a Howell form over Z/{n}")
+    pivotal = np.zeros(k, dtype=bool)
+    pivotal[cols] = True
+    free = np.flatnonzero(~pivotal)
+    seed_cols = np.concatenate([free, cols[piv > 1]])
+    scale = np.concatenate([np.ones(free.size, dtype=np.int64), n // piv[piv > 1]])
+    s = seed_cols.size
+    # rows of X are the seeds, the particular solution last; R their residuals
+    X = np.zeros((s + 1, k), dtype=np.int64)
+    X[np.arange(s), seed_cols] = scale
+    R = np.vstack([H[:, seed_cols].T * scale[:, None] % n, -b[None] % n])
+    solvable = True
+    for i in reversed(range(t)):
+        c, p = cols[i], int(piv[i])
+        d = R[:, i]
+        bad = d % p != 0
+        if bad[:s].any():
+            raise ValueError(f"not a Howell form over Z/{n}")
+        solvable = solvable and not bad[s]
+        delta = -(d // p) % (n // p)
+        # only the pivot seed of row i is nonzero here, and its delta is 0
+        X[:, c] += delta
+        R[:, :i] = (R[:, :i] + delta[:, None] * H[:i, c]) % n
+    return (X[s] if solvable else None), X[:s]
+
+
 def solve_mod(A, c, n: int):
     """Solve A @ x == c over Z/n.
 
@@ -404,13 +471,12 @@ def solve_mod(A, c, n: int):
     system has no solution.  A system with no equations has the identity
     kernel.
 
-    The rows of [A^T | I_k] span the vectors ((A x)^T, x^T).  In their Howell
-    form, the rows that vanish on the first m columns span every such vector
-    with A x = 0 (the Howell property), so their last k columns are the
-    kernel.  Reducing (c^T, 0) by the form leaves a remainder that vanishes
-    on the first m columns exactly when A x = c is solvable, and then the
-    remainder is (0, -x^T) for a solution x.  Shares the int64 limit of
-    ``howell_form``: ``ModulusTooLargeError`` for n > 2^31.
+    The Howell form of [A | c] has the same solutions as A x = c.  A row that
+    leads in the c column reads 0 = nonzero, so there is no solution;
+    otherwise its first k columns are a Howell form of A and back-substitution
+    (``howell_kernel``) against its last column gives both answers.  Shares
+    the int64 limit of ``howell_form``: ``ModulusTooLargeError`` for
+    n > 2^31.
     """
     _check_modulus(n)
     A = np.asarray(A, dtype=np.int64)
@@ -420,9 +486,7 @@ def solve_mod(A, c, n: int):
     cvec = np.asarray(c, dtype=np.int64).ravel()
     if cvec.size != m:
         raise DimensionMismatchError(f"rhs has length {cvec.size}, matrix has {m} rows")
-    H = howell_form(np.hstack([A.T % n, np.eye(k, dtype=np.int64)]), n)
-    rhs = np.concatenate([cvec, np.zeros(k, dtype=np.int64)])
-    rem = howell_reduce(H, rhs[None], n)[0]
-    if rem[:m].any():
+    H = howell_form(np.hstack([A, cvec[:, None]]), n)
+    if H.shape[0] and not H[-1, :k].any():
         return None
-    return -rem[m:] % n, H[~H[:, :m].any(axis=1), m:]
+    return howell_kernel(H[:, :k], n, H[:, k])

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brute import rref_mod_prime, span_closure
 from brauerkit.zmodlinalg import (
@@ -8,6 +12,7 @@ from brauerkit.zmodlinalg import (
     det_int,
     enumerate_row_span,
     howell_form,
+    howell_kernel,
     howell_reduce,
     howell_span,
     howell_span_order,
@@ -386,3 +391,107 @@ def test_solve_mod_exhaustive_z6():
             assert {tuple(int(c_) for c_ in v) for v in coset} == brute
             # solution count equals kernel size
             assert len(brute) == len(enumerate_row_span(kernel, n))
+
+
+def _annihilator(rows, n: int, k: int) -> set[tuple[int, ...]]:
+    """Every x in (Z/n)^k with v . x = 0 for each listed row v, by brute force."""
+    X = np.array(list(itertools.product(range(n), repeat=k)), dtype=np.int64)
+    V = np.array(sorted(rows), dtype=np.int64).reshape(-1, k)
+    return set(map(tuple, X[~((X @ V.T) % n).any(axis=1)].tolist()))
+
+
+def _check_kernel_against_brute(M, n):
+    k = M.shape[1]
+    H = howell_form(M, n)
+    span = span_closure(H, n)
+    particular, kernel = howell_kernel(H, n)
+    assert not particular.any()
+    assert kernel.shape[1] == k
+    ann = _annihilator(span, n, k)
+    assert span_closure(kernel, n) == ann
+    assert howell_span_order(howell_form(kernel, n), n) == n**k // len(span)
+    # a right-hand side in the image of H: the particular solution solves it
+    rhs = H @ (np.arange(1, k + 1) % n) % n
+    particular, again = howell_kernel(H, n, rhs)
+    assert np.array_equal(H @ particular % n, rhs)
+    assert np.array_equal(again, kernel)
+
+
+def test_howell_kernel_is_brute_annihilator():
+    rng = np.random.default_rng(47)
+    for n in (2, 4, 6, 8, 9, 12, 36):
+        k_max = max(k for k in range(1, 6) if n**k <= 5000)
+        divisors = [d for d in range(1, n) if n % d == 0]
+        for _ in range(25):
+            shape = (int(rng.integers(0, 4)), int(rng.integers(1, k_max + 1)))
+            M = rng.integers(0, n, size=shape)
+            if rng.integers(0, 2):
+                # multiples of divisors of n give pivots above 1
+                M = M * rng.choice(divisors, size=shape) % n
+            _check_kernel_against_brute(M, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 4, 6, 8, 9, 12]).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(1, max(k for k in range(1, 5) if n**k <= 2000)).flatmap(
+                lambda k: st.lists(
+                    st.lists(st.integers(0, n - 1), min_size=k, max_size=k),
+                    min_size=1,
+                    max_size=3,
+                )
+            ),
+        )
+    )
+)
+def test_howell_kernel_property_small_n(case):
+    n, rows = case
+    _check_kernel_against_brute(np.array(rows, dtype=np.int64), n)
+
+
+@pytest.mark.parametrize("n", [2**31 - 1, 12])
+def test_howell_kernel_wide_form(n):
+    # the width of the stacked explicit intersection at g = 8
+    rng = np.random.default_rng(53)
+    H = howell_form(rng.integers(0, n, size=(119, 120)), n)
+    pivots = [int(row[np.flatnonzero(row)[0]]) for row in H]
+    if n == 12:
+        # annihilator rows make the form square, with pivots 4 and 3
+        assert H.shape == (120, 120) and max(pivots) > 1
+    else:
+        assert H.shape == (119, 120) and max(pivots) == 1
+    particular, kernel = howell_kernel(H, n)
+    assert kernel.shape[0] >= 1
+    Hobj = H.astype(object)
+    for v in kernel:
+        assert not (Hobj.dot(v.astype(object)) % n).any()
+    # n^120 / |span| kernel vectors, counted on the kernel's own Howell form
+    order = howell_span_order(howell_form(kernel, n), n)
+    assert order * howell_span_order(H, n) == n**120
+    x = rng.integers(0, n, size=120).astype(object)
+    rhs = Hobj.dot(x) % n
+    particular, _ = howell_kernel(H, n, rhs.astype(np.int64))
+    assert ((Hobj.dot(particular.astype(object)) - rhs) % n == 0).all()
+
+
+def test_howell_kernel_unsolvable_and_rejected():
+    # 2x = 1 has no solution mod 4; the kernel {0, 2} is still returned
+    particular, kernel = howell_kernel([[2]], 4, [1])
+    assert particular is None
+    assert span_closure(kernel, 4) == {(0,), (2,)}
+    # increasing pivots, but the annihilator row (0, 2) of (2, 1) is missing
+    with pytest.raises(ValueError):
+        howell_kernel([[2, 1]], 4)
+    with pytest.raises(ValueError):
+        howell_kernel([[1, 0], [1, 1]], 6)
+    with pytest.raises(ValueError):
+        howell_kernel([[1, 0], [0, 0]], 6)
+    with pytest.raises(DimensionMismatchError):
+        howell_kernel([[1, 0]], 6, [1, 2])
+    with pytest.raises(ModulusTooLargeError):
+        howell_kernel([[1, 0]], 2**31 + 1)
+    particular, kernel = howell_kernel(np.zeros((0, 3), dtype=np.int64), 6)
+    assert particular.tolist() == [0, 0, 0]
+    assert kernel.tolist() == np.eye(3, dtype=int).tolist()
