@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .finab import (
     DEFAULT_ENUMERATION_CAP,
     GroupElement,
     Subgroup,
-    is_bicyclic_rr,
     subgroup_from_generators,
 )
 from .sympl import AltForm, SymplecticSpace, upper_index_pairs, weil_form
@@ -180,39 +180,20 @@ def _kernel_submodule(space: SymplecticSpace, constraint_rows) -> FormSubmodule:
     return FormSubmodule.from_rows(space, kernel)
 
 
-def _pair_stream(
-    space: SymplecticSpace,
-    *,
-    isotropic: bool,
-    bicyclic: bool,
-    cap: int,
-    by_weight: bool = False,
-):
-    """The selected element pairs, grouped by their first element.
+def _pair_selector(space: SymplecticSpace, *, isotropic: bool, bicyclic: bool):
+    """``select(x, Y)``, the one pair filter of the streams below.
 
-    For each x in coordinate-table order, yields ``(x, Y, rows)``: the later
-    elements y, in the same order, such that e(x, y) = 0 (when ``isotropic``)
-    and x, y span (Z/r)^2 (when ``bicyclic``), together with the constraint
-    rows of those pairs.  A pair spans (Z/r)^2 exactly when its 2x2 minors
-    do not all vanish modulo any prime divisor of r.  An x with no selected
-    partner is skipped.
-
-    ``by_weight`` (for the scan only) first sorts the table stably by the
-    number of nonzero coordinates, so basis vectors and their sums come
-    first.  Every unordered pair is still met once, but a pair may come as
-    (y, x), with its minor row negated.  The explicit families keep the
-    lexicographic order, which fixes the order of their members.
+    It returns ``(Y', rows)``: the rows y of Y such that e(x, y) = 0 (when
+    ``isotropic``) and x, y span (Z/r)^2 (when ``bicyclic``), together with
+    the constraint rows of the pairs (x, y).  A pair spans (Z/r)^2 exactly
+    when its 2x2 minors do not all vanish modulo any prime divisor of r.
     """
     r = space.r
-    X = space.group.coordinate_table(cap)
-    if by_weight:
-        X = X[np.argsort((X != 0).sum(axis=1), kind="stable")]
     I, J = _pair_indices(space)
     Cfull = weil_form(space).full_matrix()
     primes = _prime_factors(r)
-    for i in range(X.shape[0] - 1):
-        x = X[i]
-        Y = X[i + 1 :]
+
+    def select(x: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if isotropic:
             Y = Y[(Y @ ((x @ Cfull) % r)) % r == 0]
         rows = _minor_rows(x, Y, I, J, r)
@@ -221,8 +202,67 @@ def _pair_stream(
             for p in primes:
                 mask &= (rows % p).any(axis=1)
             Y, rows = Y[mask], rows[mask]
+        return Y, rows
+
+    return select
+
+
+def _pair_stream(
+    space: SymplecticSpace, *, isotropic: bool, bicyclic: bool, cap: int
+):
+    """The selected pairs of the whole group, grouped by their first element.
+
+    Lists the coordinate table (``CapExceededError`` past ``cap``).  For
+    each x in table order, yields ``(x, Y, rows)``: the later elements y, in
+    the same order, that ``_pair_selector`` keeps, with the constraint rows
+    of the pairs (x, y).  An x with no selected partner is skipped.  The
+    explicit families read their member order from this lexicographic
+    order, and the scan falls back to it when the shell does not suffice.
+    """
+    X = space.group.coordinate_table(cap)
+    select = _pair_selector(space, isotropic=isotropic, bicyclic=bicyclic)
+    for i in range(X.shape[0] - 1):
+        Y, rows = select(X[i], X[i + 1 :])
         if Y.shape[0]:
-            yield x, Y, rows
+            yield X[i], Y, rows
+
+
+def _shell(space: SymplecticSpace) -> np.ndarray:
+    """The shell S1: the nonzero vectors with at most two nonzero
+    coordinates, each 1 or r - 1.  That is 8g^2 vectors (fewer at r = 2,
+    where 1 = r - 1), by weight and then in coordinate-table order, so the
+    basis vectors come first.  S1 holds every witness pair of the paper:
+    (a_i, a_j), (b_i, b_j), (a_i, b_j), (a_j, b_i), (a_i + a_j, b_i - b_j).
+    """
+    d = space.dim
+    units = sorted({1, space.r - 1})
+    vectors = []
+    for weight in (1, 2):
+        block = []
+        for support in combinations(range(d), weight):
+            for entries in product(units, repeat=weight):
+                v = [0] * d
+                for i, c in zip(support, entries):
+                    v[i] = c
+                block.append(v)
+        vectors += sorted(block)
+    return np.array(vectors, dtype=np.int64).reshape(-1, d)
+
+
+def _shell_pairs(space: SymplecticSpace, *, isotropic: bool, bicyclic: bool):
+    """The selected pairs inside the shell S1, grouped by their later element.
+
+    For each t in shell order, yields ``(t, S, rows)``: the earlier shell
+    elements s that ``_pair_selector`` keeps with t, with the constraint
+    rows of the pairs (t, s), the negated rows of (s, t).  Every unordered
+    pair of S1 is met once, and nothing outside S1 is listed.
+    """
+    S = _shell(space)
+    select = _pair_selector(space, isotropic=isotropic, bicyclic=bicyclic)
+    for k in range(1, S.shape[0]):
+        Y, rows = select(S[k], S[:k])
+        if Y.shape[0]:
+            yield S[k], Y, rows
 
 
 def _streamed_constraint_kernel(
@@ -230,20 +270,28 @@ def _streamed_constraint_kernel(
 ) -> FormSubmodule:
     """Kernel of the constraints of all selected isotropic pairs.
 
-    Pairs are scanned once, x by increasing weight, their rows accumulated in
-    Howell form.  Alongside it the scan keeps K, the generators of the
-    accumulator's kernel.  Z/r is quasi-Frobenius, so a row span is the
-    annihilator of its kernel: a row v lies in the span exactly when K v = 0.
-    One product ``rows @ K.T`` thus drops the rows already in the span, and K
-    is solved for again only when the accumulator grows.  That product sums
-    m terms of up to (r - 1)^2, and the isotropy test 2g of them, so a
-    modulus with max(m, 2g) (r - 1)^2 >= 2^63 raises ``ModulusTooLargeError``
-    before any element is listed.
-
     Every selected pair is isotropic, so span(e), of order r, lies in the
     kernel throughout; and over Z/r the kernel has r^m / |row span|
     elements.  The kernel has therefore shrunk to span(e) exactly when the
-    row span reaches order r^(m-1), and the scan stops there.
+    row span reaches order r^(m-1), whichever pairs gave the rows, and the
+    scan stops there.  It tests this before every batch, so at g = 1, where
+    m = 1, it lists no pair at all.
+
+    The pairs come from the shell S1 first (``_shell_pairs``), where the
+    stop has come at every (g, r) tried.  Only if S1 falls short is the
+    coordinate table listed and every pair streamed (``_pair_stream``),
+    from the rows S1 gave, so the scan stays exhaustive.  Since that
+    fallback may list the whole group, ``CapExceededError`` and
+    ``TableTooLargeError`` are raised before S1 starts.
+
+    Rows accumulate in Howell form.  Alongside it the scan keeps K, the
+    generators of the accumulator's kernel.  Z/r is quasi-Frobenius, so a
+    row span is the annihilator of its kernel: a row v lies in the span
+    exactly when K v = 0.  One product ``rows @ K.T`` thus drops the rows
+    already in the span, and K is solved for again only when the
+    accumulator grows.  That product sums m terms of up to (r - 1)^2, and
+    the isotropy test 2g of them, so a modulus with
+    max(m, 2g) (r - 1)^2 >= 2^63 raises ``ModulusTooLargeError`` first.
     """
     r = space.r
     m = space.form_rank
@@ -251,19 +299,25 @@ def _streamed_constraint_kernel(
         raise ModulusTooLargeError(
             f"modulus {r} is too large for the exact int64 scan at g = {space.g}"
         )
+    space.group.check_table(cap)
+    masks = {"isotropic": True, "bicyclic": require_bicyclic}
+    batches = chain(
+        _shell_pairs(space, **masks), _pair_stream(space, cap=cap, **masks)
+    )
     acc = np.zeros((0, m), dtype=np.int64)
     K = np.eye(m, dtype=np.int64)
-    for _, _, rows in _pair_stream(
-        space, isotropic=True, bicyclic=require_bicyclic, cap=cap, by_weight=True
-    ):
+    order = 1
+    while order < r ** (m - 1):
+        batch = next(batches, None)
+        if batch is None:
+            break
+        rows = batch[2]
         # rows already in the span of acc change neither acc nor the kernel
         rows = rows[((rows @ K.T) % r).any(axis=1)]
-        if rows.shape[0] == 0:
-            continue
-        acc = howell_form(np.vstack([acc, np.unique(rows, axis=0)]), r)
-        K = howell_kernel(acc, r)[1]
-        if howell_span_order(acc, r) == r ** (m - 1):
-            break
+        if rows.shape[0]:
+            acc = howell_form(np.vstack([acc, np.unique(rows, axis=0)]), r)
+            K = howell_kernel(acc, r)[1]
+            order = howell_span_order(acc, r)
     return FormSubmodule.from_rows(space, K)
 
 
@@ -277,11 +331,14 @@ def compute_G(
     ``all-pairs`` constrains by every pair (x, y) with e(x, y) = 0;
     ``primitive-pairs`` only by those pairs whose span is (Z/r)^2.  The
     standard pairing itself always satisfies the constraints, so the scan
-    ends as soon as the kernel has shrunk to its span; it meets x by
-    increasing weight, where that happens early.  A row already in the span
-    is dropped by one product with the accumulator's kernel, so the scan
-    raises ``ModulusTooLargeError`` when r is too large for that product to
-    stay exact in int64 (for g >= 2, below the 2^31 Howell limit).
+    ends as soon as the kernel has shrunk to its span.  It scans the pairs
+    of the low-weight shell S1 (support at most 2, entries 1 or r - 1)
+    first, where that happens, and lists the whole group only if S1 falls
+    short; the cap and the table size are checked up front all the same.
+    A row already in the span is dropped by one product with the
+    accumulator's kernel, so the scan raises ``ModulusTooLargeError`` when
+    r is too large for that product to stay exact in int64 (for g >= 2,
+    below the 2^31 Howell limit).
     """
     if mode not in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
         raise ValueError(f"unknown mode {mode!r}")
@@ -328,9 +385,10 @@ class BicyclicFamily:
         self, sigma: GroupElement, tau: GroupElement
     ) -> BicyclicFamily:
         """Family extended by the subgroup generated by a user-supplied pair."""
-        if not is_bicyclic_rr(sigma, tau, self.space.r):
-            raise ValueError("pair does not generate a (Z/r)^2 subgroup")
         member = subgroup_from_generators(self.space.group, [sigma, tau])
+        # two generators span a quotient of (Z/r)^2: it is all of it iff order r^2
+        if member.order != self.space.r**2:
+            raise ValueError("pair does not generate a (Z/r)^2 subgroup")
         if member in self._member_set:
             return self
         grown = BicyclicFamily(

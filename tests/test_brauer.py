@@ -28,6 +28,7 @@ from brauerkit.brauer import (
 from brauerkit.finab import (
     CapExceededError,
     FinAbGroup,
+    TableTooLargeError,
     is_bicyclic_rr,
     subgroup_from_generators,
 )
@@ -138,67 +139,119 @@ def test_span_filter_drops_exactly_rows_in_span():
             assert (~((rows @ K.T) % n).any(axis=1)).tolist() == want
 
 
-def _stream_pairs(space, by_weight: bool, **masks):
-    """Each unordered pair the stream yields, with its minor row as seen
-    from the smaller element, counted with multiplicity."""
-    r = space.r
-    met = Counter()
-    for x, Y, rows in brauer._pair_stream(
-        space, cap=10**6, by_weight=by_weight, **masks
-    ):
-        x = tuple(x.tolist())
-        for y, row in zip(Y.tolist(), rows.tolist()):
-            y = tuple(y)
-            if y < x:
-                met[(y, x, tuple(-v % r for v in row))] += 1
-            else:
-                met[(x, y, tuple(row))] += 1
-    return met
+def _shell_brute(g, r):
+    """S1 by enumeration: nonzero vectors, support <= 2, entries 1 or r - 1."""
+    return [
+        v
+        for v in product(range(r), repeat=2 * g)
+        if 0 < sum(map(bool, v)) <= 2 and all(c in (0, 1, r - 1) for c in v)
+    ]
 
 
-@pytest.mark.parametrize("g, r", [(1, 6), (2, 2), (2, 3), (2, 4)])
+@pytest.mark.parametrize("g, r", [(1, 6), (2, 2), (2, 3), (2, 4), (2, 6), (3, 2)])
 @pytest.mark.parametrize("isotropic", [True, False])
 @pytest.mark.parametrize("bicyclic", [True, False])
 def test_weight_order_meets_the_same_pairs(g, r, isotropic, bicyclic):
+    # the shell stream, in weight order, against S1 pairs listed by brute force
     sp = SymplecticSpace(g=g, r=r)
-    masks = {"isotropic": isotropic, "bicyclic": bicyclic}
-    lexicographic = _stream_pairs(sp, False, **masks)
+    shell = _shell_brute(g, r)
+    assert len(shell) == (8 * g * g if r > 2 else g * (2 * g + 1))
+    assert sorted(map(tuple, brauer._shell(sp).tolist())) == shell
+    want = {
+        frozenset((s, t))
+        for i, s in enumerate(shell)
+        for t in shell[i + 1 :]
+        if not (isotropic and symplectic_value(s, t, r))
+        and not (bicyclic and pair_span_size(s, t, r) != r * r)
+    }
     # a plane in (Z/r)^2 is never isotropic; every other case selects pairs
-    assert bool(lexicographic) != (g == 1 and isotropic and bicyclic)
-    assert all(row == minor_vector(x, y, r) for x, y, row in lexicographic)
-    assert _stream_pairs(sp, True, **masks) == lexicographic
+    assert bool(want) != (g == 1 and isotropic and bicyclic)
+    met = Counter()
+    masks = {"isotropic": isotropic, "bicyclic": bicyclic}
+    for t, S, rows in brauer._shell_pairs(sp, **masks):
+        t = tuple(t.tolist())
+        for s, row in zip(map(tuple, S.tolist()), rows.tolist()):
+            met[frozenset((s, t))] += 1
+            assert tuple(-v % r for v in row) == minor_vector(s, t, r)
+    assert set(met) == want
+    assert set(met.values()) <= {1}
+
+
+def _refuse_to_list(*args, **kwargs):
+    raise RuntimeError("the scan listed group elements")
 
 
 @pytest.mark.parametrize(
-    "g, r, mode, batches",
+    "g, r, mode, stop",
     [
-        (3, 4, MODE_ALL_PAIRS, 74),
-        (3, 4, MODE_PRIMITIVE_PAIRS, 61),
-        (4, 2, MODE_ALL_PAIRS, 25),
-        (4, 2, MODE_PRIMITIVE_PAIRS, 24),
+        (3, 4, MODE_ALL_PAIRS, 53),
+        (3, 4, MODE_PRIMITIVE_PAIRS, 53),
+        (4, 2, MODE_ALL_PAIRS, 30),
+        (4, 2, MODE_PRIMITIVE_PAIRS, 30),
     ],
 )
-def test_scan_stops_early_in_weight_order(monkeypatch, g, r, mode, batches):
-    # in lexicographic order the scan consumes 258, 242, 66 and 65 batches
-    consumed = []
-    stream = brauer._pair_stream
+def test_scan_stops_inside_the_shell(monkeypatch, g, r, mode, stop):
+    # S1 has 72 elements at (3, 4) and 36 at (4, 2); the stop is pinned as
+    # the 1-based shell position of the last newcomer the scan consumed, and
+    # the coordinate table must never be listed
+    sp = SymplecticSpace(g=g, r=r)
+    shell = brauer._shell(sp).tolist()
+    newcomers = []
+    stream = brauer._shell_pairs
 
     def counted(*args, **kwargs):
         for item in stream(*args, **kwargs):
-            consumed.append(1)
+            newcomers.append(shell.index(item[0].tolist()) + 1)
             yield item
 
-    monkeypatch.setattr(brauer, "_pair_stream", counted)
-    sp = SymplecticSpace(g=g, r=r)
+    monkeypatch.setattr(brauer, "_shell_pairs", counted)
+    monkeypatch.setattr(FinAbGroup, "coordinate_table", _refuse_to_list)
     assert compute_G(sp, mode) == FormSubmodule.weil_span(sp)
-    assert len(consumed) == batches
+    assert newcomers[-1] == stop
 
 
-@pytest.mark.parametrize("g, r", [(3, 5), (4, 2), (4, 3)])
+def test_scan_at_genus_one_lists_no_element(monkeypatch):
+    # m = 1, so the empty accumulator already has order r^(m - 1) = 1
+    monkeypatch.setattr(FinAbGroup, "coordinate_table", _refuse_to_list)
+    monkeypatch.setattr(brauer, "_shell", _refuse_to_list)
+    for r in (2, 3, 4, 6):
+        sp = SymplecticSpace(g=1, r=r)
+        for mode in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
+            assert compute_G(sp, mode) == FormSubmodule.full(sp)
+
+
+@pytest.mark.parametrize("g, r", [(g, r) for g in (2, 3) for r in (2, 3, 4, 5)])
+def test_full_stream_alone_gives_the_shell_scan_values(monkeypatch, g, r):
+    sp = SymplecticSpace(g=g, r=r)
+    modes = (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS)
+    with_shell = [compute_G(sp, mode) for mode in modes]
+    monkeypatch.setattr(
+        brauer, "_shell", lambda space: np.zeros((0, space.dim), dtype=np.int64)
+    )
+    assert [compute_G(sp, mode) for mode in modes] == with_shell
+
+
+@pytest.mark.parametrize(
+    "g, r", [(3, 5), (4, 2), (4, 3), (2, 30), (3, 6), (4, 6), (3, 12)]
+)
 @pytest.mark.parametrize("mode", [MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS])
 def test_compute_g_is_pairing_span_beyond_acceptance_grid(g, r, mode):
     sp = SymplecticSpace(g=g, r=r)
     assert compute_G(sp, mode) == FormSubmodule.weil_span(sp)
+
+
+@pytest.mark.parametrize("r, prime_powers", [(6, (2, 3)), (12, (4, 3))])
+@pytest.mark.parametrize("mode", [MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS])
+def test_compute_g_is_crt_sum_over_prime_powers(r, prime_powers, mode):
+    # G(r) is the sum over q exactly dividing r of G(q) carried into Z/r by
+    # the idempotent (r/q) * ((r/q)^-1 mod q), which is 1 mod q and 0 mod r/q
+    sp = SymplecticSpace(g=2, r=r)
+    lifted = []
+    for q in prime_powers:
+        idempotent = (r // q) * pow(r // q, -1, q) % r
+        Gq = compute_G(SymplecticSpace(g=2, r=q), mode)
+        lifted += [[idempotent * c % r for c in row] for row in Gq.generators]
+    assert compute_G(sp, mode) == FormSubmodule.from_rows(sp, lifted)
 
 
 def test_compute_g_rejects_modulus_past_scan_limit_before_listing(monkeypatch):
@@ -212,6 +265,15 @@ def test_compute_g_rejects_modulus_past_scan_limit_before_listing(monkeypatch):
         with pytest.raises(ModulusTooLargeError):
             compute_G(sp, mode, cap=10**40)
     assert listed == []
+
+
+def test_compute_g_rejects_oversized_table_before_the_shell(monkeypatch):
+    # 65536^4 rows fit under the cap, but not in a numpy array
+    monkeypatch.setattr(brauer, "_shell", _refuse_to_list)
+    sp = SymplecticSpace(g=2, r=65536)
+    for mode in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
+        with pytest.raises(TableTooLargeError):
+            compute_G(sp, mode, cap=10**40)
 
 
 def test_restriction_kernel_trivial_subgroup():
@@ -407,6 +469,16 @@ def test_family_with_pair():
     assert len(again) == 1
     with pytest.raises(ValueError):
         grown.with_pair(sp.a(1), 2 * sp.a(1) + sp.a(2) * 0)
+
+
+def test_family_with_pair_composite_r():
+    sp = SymplecticSpace(g=2, r=6)
+    fam = BicyclicFamily(space=sp, members=(), provenance=())
+    with pytest.raises(ValueError):
+        fam.with_pair(sp.a(1), 2 * sp.a(2))  # spans Z/6 x Z/3, of order 18
+    grown = fam.with_pair(sp.a(1) + sp.a(2), sp.b(1) - 2 * sp.b(2))
+    assert len(grown) == 1
+    assert grown.members[0].order == 36
 
 
 def test_bogomolov_empty_family_is_whole_space():
