@@ -57,7 +57,6 @@ from .zmodlinalg import (
     ModulusTooLargeError,
     det_int,
     howell_form,
-    integer_kernel,
     smith_normal_form,
     solve_mod,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "fixed_locus_count_r2",
     "form_space",
     "howell_form",
-    "integer_kernel",
     "is_bicyclic_rr",
     "is_primitive",
     "isotropic_bicyclics",

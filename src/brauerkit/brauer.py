@@ -29,6 +29,7 @@ import numpy as np
 
 from .finab import (
     DEFAULT_ENUMERATION_CAP,
+    CapExceededError,
     GroupElement,
     Subgroup,
     subgroup_from_generators,
@@ -134,9 +135,12 @@ class FormSubmodule:
         return all(other.contains_vector(row) for row in self.generators)
 
     def vectors(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
-        """Every coefficient vector in the span, sorted."""
+        """Every coefficient vector in the span, sorted.
+
+        ``CapExceededError`` when the span has more than ``cap`` forms.
+        """
         if self.order > cap:
-            raise ValueError(f"span of {self.order} forms exceeds cap {cap}")
+            raise CapExceededError(f"span of {self.order} forms exceeds cap {cap}")
         H = np.array(self.generators, dtype=np.int64).reshape(-1, self.space.form_rank)
         return howell_span(H, self.space.r)
 
@@ -315,7 +319,7 @@ def _streamed_constraint_kernel(
         # rows already in the span of acc change neither acc nor the kernel
         rows = rows[((rows @ K.T) % r).any(axis=1)]
         if rows.shape[0]:
-            acc = howell_form(np.vstack([acc, np.unique(rows, axis=0)]), r)
+            acc = howell_form(np.vstack([acc, rows]), r)
             K = howell_kernel(acc, r)[1]
             order = howell_span_order(acc, r)
     return FormSubmodule.from_rows(space, K)

@@ -9,9 +9,11 @@ components  covering-side component counts and exponents
 selftest    deterministic property suites, seeded
 
 Exit codes: 0 every checked flag holds, 1 some inclusion flag failed,
-2 unusable configuration (g < 1, r < 2, and a modulus beyond the int64
-limit of the Howell routines included), 3 the enumeration cap cut off at
-least one record (such records are marked skipped).
+2 unusable configuration (g < 1, r < 2, a modulus beyond the int64
+limit of the Howell routines, ``ModulusTooLargeError``, and a cap so large
+that a coordinate table is beyond numpy's array size limit,
+``TableTooLargeError``, included), 3 the enumeration cap cut off at least
+one record (such records are marked skipped).
 
 table, verify-g and bogomolov take an enumeration cap, which can also be
 set through the environment variable BRAUERKIT_CAP; an explicit --cap

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .finab import (
-    FinAbGroup,
     GroupElement,
     Subgroup,
     cartier_dual,
@@ -85,8 +84,7 @@ class CoverModel:
 
 def prym_component_count(model: CoverModel) -> int:
     """Number of components indexed by the Cartier dual of the kernel: r."""
-    abstract = FinAbGroup(model.kernel_subgroup.invariant_factors())
-    return cartier_dual(abstract).order
+    return cartier_dual(model.kernel_subgroup).order
 
 
 def quotient_component_count(model: CoverModel) -> int:

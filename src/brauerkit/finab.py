@@ -25,7 +25,6 @@ from .zmodlinalg import (
     howell_reduce,
     howell_span,
     howell_span_order,
-    integer_kernel,
     smith_normal_form,
 )
 
@@ -257,25 +256,19 @@ class Subgroup:
         return self._pull_back(howell_span(H, self._modulus()))
 
     def invariant_factors(self) -> tuple[int, ...]:
-        """Isomorphism type of the subgroup, as an invariant factor chain."""
-        gens = self.generators()
-        k = len(gens)
-        if k == 0:
+        """Isomorphism type of the subgroup, as an invariant factor chain.
+
+        The scaled embedding is injective, so the subgroup is the row span
+        over Z/N of the canonical generators C.  If U C V = D is the Smith
+        form over Z, V is an automorphism of (Z/N)^k, so the span is the
+        direct sum of the Z/(N / gcd(d_i, N)).
+        """
+        if not self.canonical_generators:
             return ()
-        n = self.parent.rank
-        rel = np.zeros((n, k + n), dtype=object)
-        for j, g in enumerate(gens):
-            for i, c in enumerate(g.coords):
-                rel[i, j] = int(c)
-        for i, d in enumerate(self.parent.invariant_factors):
-            rel[i, k + i] = int(d)
-        ker = integer_kernel(rel)
-        lam = ker[:, :k]
-        _, D, _ = smith_normal_form(lam)
-        diag = [int(D[i, i]) for i in range(min(D.shape))]
-        if not all(diag):
-            raise RuntimeError("relation lattice is not of full rank")
-        facs = tuple(d for d in diag if d > 1)
+        N = self._modulus()
+        _, D, _ = smith_normal_form(self.canonical_generators)
+        orders = (N // gcd(int(D[i, i]), N) for i in range(min(D.shape)))
+        facs = tuple(sorted(q for q in orders if q > 1))
         if prod(facs) != self.order:
             raise RuntimeError(
                 f"invariant factors {facs} do not multiply to the order {self.order}"

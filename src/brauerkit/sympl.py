@@ -78,12 +78,6 @@ class SymplecticSpace:
         coords[2 * i - 1] = 1
         return self.element(coords)
 
-    def basis_labels(self) -> list[str]:
-        out = []
-        for i in range(1, self.g + 1):
-            out += [f"a{i}", f"b{i}"]
-        return out
-
 
 @dataclass(frozen=True)
 class AltForm:

@@ -2,7 +2,9 @@
 
 Integer matrices are numpy arrays with ``dtype=object`` holding Python ints,
 so the unimodular reductions never overflow no matter how the intermediate
-entries grow; the Smith form serves this work over Z only.  Matrices over
+entries grow.  The Smith form over Z serves
+``finab.Subgroup.invariant_factors``; kernels come only from
+``howell_kernel`` below.  Matrices over
 Z/n are plain int64 arrays with every entry reduced into ``[0, n)``; the
 modulus is passed alongside the matrix.  n need not be prime, which is why
 row spans are canonicalized with the Howell form instead of Gaussian
@@ -33,7 +35,6 @@ __all__ = [
     "ModulusTooLargeError",
     "smith_normal_form",
     "det_int",
-    "integer_kernel",
     "howell_form",
     "howell_reduce",
     "howell_span_order",
@@ -200,17 +201,6 @@ def det_int(M) -> int:
             A[i, c] = 0
         prev = A[c, c]
     return sign * int(A[n - 1, n - 1])
-
-
-def integer_kernel(M) -> np.ndarray:
-    """Rows form a lattice basis of {x in Z^cols : M @ x = 0}."""
-    A = as_int_matrix(M)
-    m, k = A.shape
-    _, D, V = smith_normal_form(A)
-    keep = [j for j in range(k) if j >= min(m, k) or D[j, j] == 0]
-    if not keep:
-        return np.empty((0, k), dtype=object)
-    return V[:, keep].T.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,17 @@ def span_closure(rows, n: int) -> set[tuple[int, ...]]:
     return seen
 
 
+def torsion_counts(rows, n: int) -> dict[int, int]:
+    """For each d | n, how many v in the span of ``rows`` over Z/n have
+    d*v = 0, counted over the additive closure."""
+    span = span_closure(rows, n)
+    return {
+        d: sum(all(d * c % n == 0 for c in v) for v in span)
+        for d in range(1, n + 1)
+        if n % d == 0
+    }
+
+
 def rref_mod_prime(rows, p: int) -> list[list[int]]:
     """Reduced row echelon form over the field Z/p, in Python ints, zero rows
     dropped; over a prime modulus this is the Howell form."""

@@ -70,6 +70,16 @@ def test_form_submodule_vectors_and_forms():
     assert rebuilt == span
 
 
+def test_form_submodule_vectors_past_cap_raise_cap_exceeded():
+    span = FormSubmodule.full(SymplecticSpace(g=2, r=2))
+    assert span.order == 64
+    with pytest.raises(CapExceededError):
+        span.vectors(cap=63)
+    with pytest.raises(CapExceededError):
+        span.forms(cap=63)
+    assert len(span.vectors(cap=64)) == 64
+
+
 def test_compute_g_rejects_unknown_mode():
     with pytest.raises(ValueError):
         compute_G(SymplecticSpace(g=2, r=2), "every-pair")

@@ -1,7 +1,14 @@
+from math import gcd, prod
+
 import numpy as np
 import pytest
 
-from brute import count_k_solutions_brute, element_order_brute, pair_span_size
+from brute import (
+    count_k_solutions_brute,
+    element_order_brute,
+    pair_span_size,
+    torsion_counts,
+)
 from brauerkit.finab import (
     CapExceededError,
     FinAbGroup,
@@ -295,3 +302,22 @@ def test_subgroup_invariant_factors_product_is_order():
             assert prod == S.order
             for a, b in zip(inv, inv[1:]):
                 assert b % a == 0
+
+
+def test_subgroup_invariant_factors_match_torsion_counts():
+    # a group with factors e_i has prod gcd(d, e_i) elements killed by d,
+    # and these counts over every d | N fix its isomorphism type
+    rng = np.random.default_rng(17)
+    for factors in [(4, 4, 4), (2, 2, 6), (2, 4, 8), (3, 6, 12), (9, 9)]:
+        G = FinAbGroup(factors)
+        N = G.exponent
+        for _ in range(8):
+            gens = [
+                [int(rng.integers(0, d)) for d in factors]
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            S = subgroup_from_generators(G, [G.element(c) for c in gens])
+            inv = S.invariant_factors()
+            scaled = [[c * (N // d) for c, d in zip(v, factors)] for v in gens]
+            for d, count in torsion_counts(scaled, N).items():
+                assert count == prod(gcd(d, e) for e in inv), (factors, gens, d)

@@ -16,7 +16,6 @@ from brauerkit.zmodlinalg import (
     howell_reduce,
     howell_span,
     howell_span_order,
-    integer_kernel,
     smith_normal_form,
     solve_mod,
 )
@@ -106,22 +105,6 @@ def test_det_matches_cofactor_expansion():
 
 def test_det_singular():
     assert det_int([[1, 2], [2, 4]]) == 0
-
-
-def test_integer_kernel_annihilates_and_spans():
-    M = np.array([[1, 2, 3]], dtype=object)
-    K = integer_kernel(M)
-    assert K.shape == (2, 3)
-    assert not (M @ K.T).any()
-    # basis rows of a saturated lattice have content 1
-    from math import gcd
-    for row in K:
-        assert gcd(gcd(int(row[0]), int(row[1])), int(row[2])) == 1
-
-    assert integer_kernel([[2, 4], [6, 8]]).shape == (0, 2)
-    K2 = integer_kernel([[2, 4]])
-    assert K2.shape == (1, 2)
-    assert 2 * K2[0, 0] + 4 * K2[0, 1] == 0
 
 
 def test_howell_single_row_already_canonical():
