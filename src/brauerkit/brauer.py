@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -185,7 +185,8 @@ def _kernel_submodule(space: SymplecticSpace, constraint_rows) -> FormSubmodule:
 
 
 def _pair_selector(space: SymplecticSpace, *, isotropic: bool, bicyclic: bool):
-    """``select(x, Y)``, the one pair filter of the streams below.
+    """``select(x, Y)``, the one pair filter of the shell scan and the
+    explicit families.
 
     It returns ``(Y', rows)``: the rows y of Y such that e(x, y) = 0 (when
     ``isotropic``) and x, y span (Z/r)^2 (when ``bicyclic``), together with
@@ -211,32 +212,13 @@ def _pair_selector(space: SymplecticSpace, *, isotropic: bool, bicyclic: bool):
     return select
 
 
-def _pair_stream(
-    space: SymplecticSpace, *, isotropic: bool, bicyclic: bool, cap: int
-):
-    """The selected pairs of the whole group, grouped by their first element.
-
-    Lists the coordinate table (``CapExceededError`` past ``cap``).  For
-    each x in table order, yields ``(x, Y, rows)``: the later elements y, in
-    the same order, that ``_pair_selector`` keeps, with the constraint rows
-    of the pairs (x, y).  An x with no selected partner is skipped.  The
-    explicit families read their member order from this lexicographic
-    order, and the scan falls back to it when the shell does not suffice.
-    """
-    X = space.group.coordinate_table(cap)
-    select = _pair_selector(space, isotropic=isotropic, bicyclic=bicyclic)
-    for i in range(X.shape[0] - 1):
-        Y, rows = select(X[i], X[i + 1 :])
-        if Y.shape[0]:
-            yield X[i], Y, rows
-
-
 def _shell(space: SymplecticSpace) -> np.ndarray:
     """The shell S1: the nonzero vectors with at most two nonzero
     coordinates, each 1 or r - 1.  That is 8g^2 vectors (fewer at r = 2,
     where 1 = r - 1), by weight and then in coordinate-table order, so the
-    basis vectors come first.  S1 holds every witness pair of the paper:
-    (a_i, a_j), (b_i, b_j), (a_i, b_j), (a_j, b_i), (a_i + a_j, b_i - b_j).
+    basis vectors come first.  S1 holds every witness pair of the paper,
+    (a_i, a_j), (b_i, b_j), (a_i, b_j), (a_j, b_i) and (a_i + a_j, b_i - b_j),
+    which is why the scan of ``compute_G`` needs no other element.
     """
     d = space.dim
     units = sorted({1, space.r - 1})
@@ -270,9 +252,9 @@ def _shell_pairs(space: SymplecticSpace, *, isotropic: bool, bicyclic: bool):
 
 
 def _streamed_constraint_kernel(
-    space: SymplecticSpace, *, require_bicyclic: bool, cap: int
+    space: SymplecticSpace, mode: str, cap: int
 ) -> FormSubmodule:
-    """Kernel of the constraints of all selected isotropic pairs.
+    """Kernel of the constraints of the selected isotropic pairs of S1.
 
     Every selected pair is isotropic, so span(e), of order r, lies in the
     kernel throughout; and over Z/r the kernel has r^m / |row span|
@@ -281,12 +263,18 @@ def _streamed_constraint_kernel(
     scan stops there.  It tests this before every batch, so at g = 1, where
     m = 1, it lists no pair at all.
 
-    The pairs come from the shell S1 first (``_shell_pairs``), where the
-    stop has come at every (g, r) tried.  Only if S1 falls short is the
-    coordinate table listed and every pair streamed (``_pair_stream``),
-    from the rows S1 gave, so the scan stays exhaustive.  Since that
-    fallback may list the whole group, ``CapExceededError`` and
-    ``TableTooLargeError`` are raised before S1 starts.
+    The pairs of the shell S1 (``_shell_pairs``) always reach that stop.
+    S1 holds the witness pairs (a_i, a_j), (b_i, b_j), (a_i, b_j),
+    (a_j, b_i) and (a_i + a_j, b_i - b_j), i != j.  A form b they all kill
+    has b(u, v) = 0 on every pair of basis vectors other than the
+    (a_i, b_i), and b(a_i, b_i) - b(a_j, b_j) = 0 from the last one, so b
+    is a multiple of e.  Each witness pair is isotropic and has a unit
+    minor, so it is bicyclic at every r >= 2 and both modes select it.  A
+    shell that ends before the stop is therefore a bug, and raises
+    ``RuntimeError`` naming g, r and the mode.  The cap and the table size
+    are still charged for the whole group before S1 starts
+    (``CapExceededError``, ``TableTooLargeError``), so a capped point stays
+    skipped.
 
     Rows accumulate in Howell form.  Alongside it the scan keeps K, the
     generators of the accumulator's kernel.  Z/r is quasi-Frobenius, so a
@@ -304,9 +292,8 @@ def _streamed_constraint_kernel(
             f"modulus {r} is too large for the exact int64 scan at g = {space.g}"
         )
     space.group.check_table(cap)
-    masks = {"isotropic": True, "bicyclic": require_bicyclic}
-    batches = chain(
-        _shell_pairs(space, **masks), _pair_stream(space, cap=cap, **masks)
+    batches = _shell_pairs(
+        space, isotropic=True, bicyclic=(mode == MODE_PRIMITIVE_PAIRS)
     )
     acc = np.zeros((0, m), dtype=np.int64)
     K = np.eye(m, dtype=np.int64)
@@ -314,7 +301,10 @@ def _streamed_constraint_kernel(
     while order < r ** (m - 1):
         batch = next(batches, None)
         if batch is None:
-            break
+            raise RuntimeError(
+                f"the shell S1 ended before the {mode} scan reached span(e) "
+                f"at g = {space.g}, r = {r}"
+            )
         rows = batch[2]
         # rows already in the span of acc change neither acc nor the kernel
         rows = rows[((rows @ K.T) % r).any(axis=1)]
@@ -335,20 +325,19 @@ def compute_G(
     ``all-pairs`` constrains by every pair (x, y) with e(x, y) = 0;
     ``primitive-pairs`` only by those pairs whose span is (Z/r)^2.  The
     standard pairing itself always satisfies the constraints, so the scan
-    ends as soon as the kernel has shrunk to its span.  It scans the pairs
-    of the low-weight shell S1 (support at most 2, entries 1 or r - 1)
-    first, where that happens, and lists the whole group only if S1 falls
-    short; the cap and the table size are checked up front all the same.
-    A row already in the span is dropped by one product with the
-    accumulator's kernel, so the scan raises ``ModulusTooLargeError`` when
-    r is too large for that product to stay exact in int64 (for g >= 2,
-    below the 2^31 Howell limit).
+    ends as soon as the kernel has shrunk to its span.  It scans only the
+    pairs of the low-weight shell S1 (support at most 2, entries 1 or
+    r - 1): S1 holds the paper's witness pairs, which already cut the
+    kernel down to span(e), so no other pair can shrink it further and the
+    group is never listed.  The cap and the table size are checked up front
+    all the same.  A row already in the span is dropped by one product with
+    the accumulator's kernel, so the scan raises ``ModulusTooLargeError``
+    when r is too large for that product to stay exact in int64 (for
+    g >= 2, below the 2^31 Howell limit).
     """
     if mode not in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
         raise ValueError(f"unknown mode {mode!r}")
-    return _streamed_constraint_kernel(
-        space, require_bicyclic=(mode == MODE_PRIMITIVE_PAIRS), cap=cap
-    )
+    return _streamed_constraint_kernel(space, mode, cap)
 
 
 def restriction_kernel(space: SymplecticSpace, subgroup: Subgroup) -> FormSubmodule:
@@ -441,22 +430,27 @@ def _plucker_keys(rows: np.ndarray, inverses) -> list[bytes]:
 def _enumerate_bicyclics(
     space: SymplecticSpace, isotropic_only: bool, cap: int
 ) -> BicyclicFamily:
-    """Members in the order the pair stream first meets them.
+    """Members in the order the pairs of the whole group first meet them.
 
-    Only a pair whose Plücker key is new is canonicalized, so there is one
+    Lists the coordinate table (``CapExceededError`` past ``cap``) and takes
+    the pairs (x, y), y after x, in that lexicographic order, which fixes
+    the member order.  An x with no selected partner is skipped.  Only a
+    pair whose Plücker key is new is canonicalized, so there is one
     ``subgroup_from_generators`` call per member.
     """
     group = space.group
+    X = group.coordinate_table(cap)
+    # after the cap check, which bounds r and so these r-entry tables
+    inverses = _unit_inverses(space.r)
+    select = _pair_selector(space, isotropic=isotropic_only, bicyclic=True)
     tag = "isotropic-pair" if isotropic_only else "bicyclic-pair"
     seen: set[bytes] = set()
     members: list[Subgroup] = []
-    inverses = ()
-    for x, Y, rows in _pair_stream(
-        space, isotropic=isotropic_only, bicyclic=True, cap=cap
-    ):
-        # built once the stream has passed its cap check: a table has r entries
-        inverses = inverses or _unit_inverses(space.r)
-        gx = group.element(x)
+    for i in range(X.shape[0] - 1):
+        Y, rows = select(X[i], X[i + 1 :])
+        if not Y.shape[0]:
+            continue
+        gx = group.element(X[i])
         for y, key in zip(Y, _plucker_keys(rows, inverses)):
             if key not in seen:
                 seen.add(key)

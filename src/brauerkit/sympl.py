@@ -13,6 +13,7 @@ standard pairing pairs a_i with b_i and nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,8 +58,10 @@ class SymplecticSpace:
         """Number of independent alternating coefficients, g(2g - 1)."""
         return self.g * (2 * self.g - 1)
 
-    @property
+    @cached_property
     def group(self) -> FinAbGroup:
+        # built once per space; cached_property writes to __dict__ directly,
+        # so the frozen dataclass allows it and equality and hashing ignore it
         return FinAbGroup((self.r,) * self.dim)
 
     def element(self, coords) -> GroupElement:

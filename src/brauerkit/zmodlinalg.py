@@ -39,7 +39,6 @@ __all__ = [
     "howell_reduce",
     "howell_span_order",
     "howell_span",
-    "enumerate_row_span",
     "howell_kernel",
     "solve_mod",
 ]
@@ -207,11 +206,6 @@ def det_int(M) -> int:
 # Z/n
 
 
-def _leading(row: np.ndarray) -> int:
-    nz = np.flatnonzero(row)
-    return int(nz[0])
-
-
 def _check_modulus(n: int):
     """Reject moduli the int64 Howell routines cannot handle exactly."""
     if n < 2:
@@ -301,6 +295,22 @@ def howell_form(A, n: int) -> np.ndarray:
     return M
 
 
+def _pivots(H: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot columns and pivots of the rows of ``H``, entries in [0, n).
+
+    ``ValueError`` unless every row is nonzero, the pivot columns strictly
+    increase and each pivot divides n: the shape of a Howell form.
+    """
+    nonzero = H != 0
+    if not nonzero.any(axis=1).all():
+        raise ValueError(f"not a Howell form over Z/{n}")
+    cols = nonzero.argmax(axis=1) if H.shape[0] else np.zeros(0, dtype=np.intp)
+    piv = H[np.arange(H.shape[0]), cols]
+    if (np.diff(cols) <= 0).any() or (n % piv).any():
+        raise ValueError(f"not a Howell form over Z/{n}")
+    return cols, piv
+
+
 def howell_span_order(H, n: int) -> int:
     """Number of vectors in the row span of a Howell form ``H`` over Z/n.
 
@@ -309,7 +319,7 @@ def howell_span_order(H, n: int) -> int:
     """
     order = 1
     for row in np.asarray(H, dtype=np.int64):
-        order *= n // int(row[_leading(row)])
+        order *= n // int(row[np.flatnonzero(row)[0]])
     return order
 
 
@@ -317,28 +327,19 @@ def howell_span(H, n: int) -> list[tuple[int, ...]]:
     """Every vector in the row span of a Howell form ``H`` over Z/n, sorted.
 
     The span is the set of sums c_i * h_i with 0 <= c_i < n / pivot(h_i).
-    ``ValueError`` unless ``H`` is a Howell form: leading columns strictly
-    increase, each pivot divides n, and each row's annihilator multiple
-    (n / pivot) * h_i reduces to zero against the rows below it.
+    ``ValueError`` unless ``H`` is a Howell form: the pivots pass
+    ``_pivots``, and each row's annihilator multiple (n / pivot) * h_i
+    reduces to zero against the rows below it.
     """
     H = np.asarray(H, dtype=np.int64) % n
     if H.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d matrix, got shape {H.shape}")
+    _, piv = _pivots(H, n)
     span = np.zeros((1, H.shape[1]), dtype=np.int64)
-    below = H.shape[1]
-    # from the last row up, so each annihilator is reduced by checked rows
     for i in reversed(range(H.shape[0])):
-        row = H[i]
-        nz = np.flatnonzero(row)
-        p = int(row[nz[0]]) if nz.size else 0
-        if (
-            not p
-            or nz[0] >= below
-            or n % p
-            or howell_reduce(H[i + 1 :], (n // p) * row[None], n).any()
-        ):
+        row, p = H[i], int(piv[i])
+        if howell_reduce(H[i + 1 :], (n // p) * row[None], n).any():
             raise ValueError(f"not a Howell form over Z/{n}")
-        below = nz[0]
         mults = np.arange(n // p, dtype=np.int64)
         span = ((span[:, None, :] + mults[None, :, None] * row) % n).reshape(
             -1, H.shape[1]
@@ -367,28 +368,6 @@ def howell_reduce(H, rows, n: int) -> np.ndarray:
     for h, c in zip(H, (H != 0).argmax(axis=1)):
         R = (R - (R[:, c] // h[c])[:, None] * h) % n
     return R
-
-
-def enumerate_row_span(A, n: int, cap: int = 1_000_000) -> set[tuple[int, ...]]:
-    """The full row span of ``A`` over Z/n as a set of coordinate tuples.
-
-    Brute force by construction; useful as an oracle against howell_form.
-    """
-    A = np.asarray(A, dtype=np.int64) % n
-    if A.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-d matrix, got shape {A.shape}")
-    k = A.shape[1]
-    span: set[tuple[int, ...]] = {tuple([0] * k)}
-    for row in A:
-        new: set[tuple[int, ...]] = set()
-        for v in span:
-            base = np.array(v, dtype=np.int64)
-            for c in range(n):
-                new.add(tuple(((base + c * row) % n).tolist()))
-        span = new
-        if len(span) > cap:
-            raise RuntimeError(f"row span exceeds {cap} elements")
-    return span
 
 
 def howell_kernel(H, n: int, rhs=None):
@@ -421,13 +400,7 @@ def howell_kernel(H, n: int, rhs=None):
     b = b.ravel() % n
     if b.size != t:
         raise DimensionMismatchError(f"rhs has length {b.size}, matrix has {t} rows")
-    nonzero = H != 0
-    if not nonzero.any(axis=1).all():
-        raise ValueError(f"not a Howell form over Z/{n}")
-    cols = nonzero.argmax(axis=1) if t else np.zeros(0, dtype=np.intp)
-    piv = H[np.arange(t), cols]
-    if (np.diff(cols) <= 0).any() or (n % piv).any():
-        raise ValueError(f"not a Howell form over Z/{n}")
+    cols, piv = _pivots(H, n)
     pivotal = np.zeros(k, dtype=bool)
     pivotal[cols] = True
     free = np.flatnonzero(~pivotal)

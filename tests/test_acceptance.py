@@ -37,7 +37,6 @@ from brauerkit.finab import FinAbGroup, element_order
 from brauerkit.sympl import SymplecticSpace, eval_form, weil_form
 from brauerkit.zmodlinalg import (
     det_int,
-    enumerate_row_span,
     howell_form,
     smith_normal_form,
 )
@@ -272,9 +271,9 @@ def test_criterion_7_linear_algebra_substrate(announce):
             cols = int(rng.integers(1, max_cols + 1))
             M = rng.integers(0, n, size=(rows, cols))
             H = howell_form(M, n)
-            span = enumerate_row_span(M, n)
+            span = span_closure(M, n)
             okay = len(span) <= 10**4
-            okay &= span == span_closure(M, n) == enumerate_row_span(H, n)
+            okay &= span == span_closure(H, n)
             okay &= np.array_equal(howell_form(H, n), H)
             regen = sorted(span)[int(rng.integers(0, len(span)))]
             M2 = np.vstack([M[::-1], np.asarray(regen, dtype=np.int64)])

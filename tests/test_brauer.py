@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import numpy as np
@@ -230,15 +230,65 @@ def test_scan_at_genus_one_lists_no_element(monkeypatch):
             assert compute_G(sp, mode) == FormSubmodule.full(sp)
 
 
-@pytest.mark.parametrize("g, r", [(g, r) for g in (2, 3) for r in (2, 3, 4, 5)])
-def test_full_stream_alone_gives_the_shell_scan_values(monkeypatch, g, r):
-    sp = SymplecticSpace(g=g, r=r)
-    modes = (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS)
-    with_shell = [compute_G(sp, mode) for mode in modes]
-    monkeypatch.setattr(
-        brauer, "_shell", lambda space: np.zeros((0, space.dim), dtype=np.int64)
-    )
-    assert [compute_G(sp, mode) for mode in modes] == with_shell
+def test_scan_raises_if_the_shell_ends_before_the_stop(monkeypatch):
+    # the basis vectors alone leave every form sum c_i (a_i, b_i), r^g of
+    # them, so the stop at span(e) is never reached
+    shell = brauer._shell
+
+    def weight_one(space):
+        S = shell(space)
+        return S[(S != 0).sum(axis=1) == 1]
+
+    monkeypatch.setattr(brauer, "_shell", weight_one)
+    sp = SymplecticSpace(g=2, r=3)
+    for mode in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
+        with pytest.raises(RuntimeError, match=rf"{mode} scan .* g = 2, r = 3$"):
+            compute_G(sp, mode)
+
+
+def _witness_pairs(g, r):
+    """The paper's witness pairs (a_i, a_j), (b_i, b_j), (a_i, b_j),
+    (a_j, b_i) and (a_i + a_j, b_i - b_j), i < j, as coordinate tuples."""
+
+    def vec(*terms):
+        v = [0] * (2 * g)
+        for coord, c in terms:
+            v[coord] = c % r
+        return tuple(v)
+
+    pairs = []
+    for i, j in combinations(range(g), 2):
+        a_i, b_i, a_j, b_j = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
+        pairs += [
+            (vec((a_i, 1)), vec((a_j, 1))),
+            (vec((b_i, 1)), vec((b_j, 1))),
+            (vec((a_i, 1)), vec((b_j, 1))),
+            (vec((a_j, 1)), vec((b_i, 1))),
+            (vec((a_i, 1), (a_j, 1)), vec((b_i, 1), (b_j, -1))),
+        ]
+    return pairs
+
+
+@pytest.mark.parametrize("g, r", [(2, r) for r in range(2, 7)] + [(3, 2)])
+def test_witness_pairs_in_the_shell_kill_all_but_the_pairing_span(g, r):
+    # the certificate behind the shell-only scan, by brute force: the
+    # witness pairs lie in S1, are isotropic and bicyclic, and the forms
+    # their minor rows kill are exactly the multiples of e
+    pairs = _witness_pairs(g, r)
+    assert len(pairs) == 5 * g * (g - 1) // 2
+    shell = set(_shell_brute(g, r))
+    for x, y in pairs:
+        assert x in shell and y in shell
+        assert symplectic_value(x, y, r) == 0
+        assert pair_span_size(x, y, r) == r * r
+    rows = np.array([minor_vector(x, y, r) for x, y in pairs], dtype=np.int64)
+    forms = np.array(list(product(range(r), repeat=rows.shape[1])), dtype=np.int64)
+    killed = forms[~((forms @ rows.T) % r).any(axis=1)]
+    d = 2 * g
+    e = [int(i % 2 == 0 and j == i + 1) for i in range(d) for j in range(i + 1, d)]
+    assert set(map(tuple, killed.tolist())) == {
+        tuple(c * v for v in e) for c in range(r)
+    }
 
 
 @pytest.mark.parametrize(

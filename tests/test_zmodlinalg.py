@@ -10,7 +10,6 @@ from brauerkit.zmodlinalg import (
     DimensionMismatchError,
     ModulusTooLargeError,
     det_int,
-    enumerate_row_span,
     howell_form,
     howell_kernel,
     howell_reduce,
@@ -115,7 +114,7 @@ def test_howell_frozen_z4():
     H1 = howell_form([[2, 0], [0, 2], [1, 1]], 4)
     H2 = howell_form([[1, 1], [0, 2]], 4)
     assert H1.tolist() == H2.tolist() == [[1, 1], [0, 2]]
-    assert enumerate_row_span(H1, 4) == enumerate_row_span([[2, 0], [0, 2], [1, 1]], 4)
+    assert span_closure(H1, 4) == span_closure([[2, 0], [0, 2], [1, 1]], 4)
 
 
 def test_howell_prime_modulus_is_rref():
@@ -130,7 +129,7 @@ def test_howell_annihilator_rows_are_generated():
     # contains (2, 2) but also needs (0, 2) to be closed under the
     # weak "leading coefficient" structure
     H = howell_form([[2, 1]], 4)
-    assert enumerate_row_span(H, 4) == enumerate_row_span([[2, 1]], 4)
+    assert span_closure(H, 4) == span_closure([[2, 1]], 4)
     assert H.shape[0] == 2  # the annihilator contributes a second row
 
 
@@ -154,7 +153,6 @@ def test_howell_canonical_for_span():
             H = howell_form(M, n)
             base = span_closure(M, n)
             assert base == span_closure(H, n)
-            assert base == enumerate_row_span(M, n)
             assert np.array_equal(howell_form(H, n), H)
             # any other generating set of the same span canonicalizes equally
             extra = sorted(base)[int(rng.integers(0, len(base)))]
@@ -314,22 +312,17 @@ def test_howell_no_unit_in_leading_column():
     assert howell_form([[4, 1], [3, 0]], 12).tolist() == [[1, 1], [0, 3]]
 
 
-def test_enumerate_row_span_cap():
-    with pytest.raises(RuntimeError):
-        enumerate_row_span(np.eye(4, dtype=int), 8, cap=100)
-
-
 def test_solve_mod_frozen_z4():
     assert solve_mod([[2]], [1], 4) is None
     x, kernel = solve_mod([[2]], [2], 4)
     assert (2 * int(x[0])) % 4 == 2
-    assert enumerate_row_span(kernel, 4) == {(0,), (2,)}
+    assert span_closure(kernel, 4) == {(0,), (2,)}
 
 
 def test_solve_mod_inconsistent_zero_row():
     assert solve_mod([[0, 0]], [3], 6) is None
     x, kernel = solve_mod([[0, 0]], [0], 6)
-    assert len(enumerate_row_span(kernel, 6)) == 36
+    assert len(span_closure(kernel, 6)) == 36
 
 
 def test_solve_mod_no_equations_no_unknowns():
@@ -357,23 +350,19 @@ def test_solve_mod_exhaustive_z6():
             k = int(rng.integers(1, k_max + 1))
             A = rng.integers(0, n, size=(m, k))
             c = rng.integers(0, n, size=m)
-            brute = set()
-            for x in np.ndindex(*([n] * k)):
-                xv = np.array(x, dtype=np.int64)
-                if not ((A @ xv - c) % n).any():
-                    brute.add(x)
+            X = np.array(list(itertools.product(range(n), repeat=k)), dtype=np.int64)
+            brute = set(map(tuple, X[~((X @ A.T - c) % n).any(axis=1)].tolist()))
             res = solve_mod(A, c, n)
             if res is None:
                 assert not brute
                 continue
             x0, kernel = res
             assert tuple(int(v) for v in x0) in brute
-            coset = {
-                tuple((np.array(v) + x0) % n) for v in enumerate_row_span(kernel, n)
-            }
-            assert {tuple(int(c_) for c_ in v) for v in coset} == brute
+            span = np.array(sorted(span_closure(kernel, n)), dtype=np.int64)
+            coset = set(map(tuple, ((span + x0) % n).tolist()))
+            assert coset == brute
             # solution count equals kernel size
-            assert len(brute) == len(enumerate_row_span(kernel, n))
+            assert len(brute) == len(span)
 
 
 def _annihilator(rows, n: int, k: int) -> set[tuple[int, ...]]:
