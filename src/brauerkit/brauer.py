@@ -178,6 +178,21 @@ def _generator_rows(
     return np.vstack([np.zeros((0, space.form_rank), dtype=np.int64), *rows])
 
 
+def _matmul_mod(A: np.ndarray, B: np.ndarray, r: int) -> np.ndarray:
+    """(A @ B) mod r for int64 matrices with entries in [0, r), exact.
+
+    A term is below (r - 1)^2, so the inner dimension is summed in chunks of
+    (2^63 - 1 - r) // (r - 1)^2 terms, reduced mod r between chunks: one
+    product at small r, two terms per step at r near 2^31, the largest
+    modulus ``howell_form`` accepts.
+    """
+    step = (2**63 - 1 - r) // (r - 1) ** 2
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for i in range(0, A.shape[1], step):
+        out = (out + A[:, i : i + step] @ B[i : i + step]) % r
+    return out
+
+
 def _kernel_submodule(space: SymplecticSpace, constraint_rows) -> FormSubmodule:
     A = np.asarray(constraint_rows, dtype=np.int64).reshape(-1, space.form_rank)
     _, kernel = howell_kernel(howell_form(A, space.r), space.r)
@@ -354,7 +369,13 @@ def restriction_kernel(space: SymplecticSpace, subgroup: Subgroup) -> FormSubmod
 
 @dataclass(frozen=True)
 class BicyclicFamily:
-    """Deduplicated family of (Z/r)^2 subgroups with per-member provenance."""
+    """Deduplicated family of (Z/r)^2 subgroups with per-member provenance.
+
+    The intersection of the members' restriction kernels is computed once
+    per family and cached (``bogomolov_intersection`` returns it).  A family
+    grown by ``with_pair`` after its parent was intersected inherits the
+    parent's intersection and cuts it down by the new member alone.
+    """
 
     space: SymplecticSpace
     members: tuple[Subgroup, ...]
@@ -374,10 +395,37 @@ class BicyclicFamily:
     def _member_set(self) -> frozenset[Subgroup]:
         return frozenset(self.members)
 
+    @cached_property
+    def _intersection(self) -> FormSubmodule:
+        """Kernel of the stacked generator-pair constraints of every member.
+
+        ``ValueError`` naming the first member that is not a subgroup of the
+        space's module: its rows would be read mod r in the wrong
+        coordinates.
+        """
+        space = self.space
+        I, J = _pair_indices(space)
+        rows = [np.zeros((0, space.form_rank), dtype=np.int64)]
+        for k, member in enumerate(self.members):
+            if member.parent != space.group:
+                raise ValueError(
+                    f"member {k} ({self.provenance[k]}) is a subgroup of "
+                    f"{member.parent}, not of the space's module {space.group}"
+                )
+            rows.append(_generator_rows(space, member, I, J))
+        return _kernel_submodule(space, np.vstack(rows))
+
     def with_pair(
         self, sigma: GroupElement, tau: GroupElement
     ) -> BicyclicFamily:
-        """Family extended by the subgroup generated by a user-supplied pair."""
+        """Family extended by the subgroup generated by a user-supplied pair.
+
+        If this family's intersection is already computed, the grown family's
+        is seeded from it.  With K the generators of this intersection
+        (k x m) and N the new member's constraint rows (s x m), the grown
+        intersection is {x in span K : N x = 0} = {c K : (N K^T) c = 0},
+        one s x k solve in place of restacking every member.
+        """
         member = subgroup_from_generators(self.space.group, [sigma, tau])
         # two generators span a quotient of (Z/r)^2: it is all of it iff order r^2
         if member.order != self.space.r**2:
@@ -391,6 +439,16 @@ class BicyclicFamily:
         )
         # seeded from this family's set, so a chain of calls hashes each member once
         grown.__dict__["_member_set"] = self._member_set | {member}
+        if "_intersection" in self.__dict__:
+            space, r = self.space, self.space.r
+            K = np.array(self._intersection.generators, dtype=np.int64).reshape(
+                -1, space.form_rank
+            )
+            N = _generator_rows(space, member, *_pair_indices(space))
+            _, C = howell_kernel(howell_form(_matmul_mod(N, K.T, r), r), r)
+            grown.__dict__["_intersection"] = FormSubmodule.from_rows(
+                space, _matmul_mod(C, K, r)
+            )
         return grown
 
 
@@ -486,7 +544,13 @@ def bogomolov_intersection(
 
     With an explicit family, the generator-pair constraints of every member
     are stacked into one linear system (an empty family leaves the whole
-    form module).  With ``family=None`` the isotropic bicyclic family is
+    form module).  The family caches the result, so a second call costs
+    nothing, and a family grown by ``with_pair`` after an intersection
+    costs one s x k solve: the s constraint rows of the new member against
+    the k generators of the cached intersection.  ``ValueError`` if the
+    family belongs to another space or holds a subgroup of another module.
+
+    With ``family=None`` the isotropic bicyclic family is
     streamed without being materialized; a member contributes exactly the
     constraint of one generating pair, since on a bicyclic subgroup a form
     is determined by its value on any generating pair up to units.  That
@@ -497,10 +561,7 @@ def bogomolov_intersection(
         return compute_G(space, MODE_PRIMITIVE_PAIRS, cap)
     if family.space != space:
         raise ValueError("family belongs to a different space")
-    I, J = _pair_indices(space)
-    rows = [_generator_rows(space, member, I, J) for member in family.members]
-    stacked = np.vstack([np.zeros((0, space.form_rank), dtype=np.int64), *rows])
-    return _kernel_submodule(space, stacked)
+    return family._intersection
 
 
 @dataclass(frozen=True)

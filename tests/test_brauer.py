@@ -601,6 +601,112 @@ def test_bogomolov_all_bicyclics_trivial():
     )
 
 
+@pytest.mark.parametrize("g, r", [(2, 9), (3, 3)])
+def test_bogomolov_rejects_a_member_of_another_module(g, r):
+    sp = SymplecticSpace(g=2, r=3)
+    other = SymplecticSpace(g=g, r=r)
+    foreign = subgroup_from_generators(other.group, [other.a(1), other.a(2)])
+    own = subgroup_from_generators(sp.group, [sp.a(1), sp.a(2)])
+    fam = BicyclicFamily(sp, (own, foreign), ("mine", "foreign"))
+    with pytest.raises(ValueError, match=r"member 1 \(foreign\)"):
+        bogomolov_intersection(sp, fam)
+
+
+def _witness_family(sp):
+    """The family of the paper's witness pairs, grown pair by pair."""
+    fam = BicyclicFamily(sp, (), ())
+    for i, j in combinations(range(1, sp.g + 1), 2):
+        for x, y in (
+            (sp.a(i), sp.a(j)),
+            (sp.b(i), sp.b(j)),
+            (sp.a(i), sp.b(j)),
+            (sp.a(j), sp.b(i)),
+            (sp.a(i) + sp.a(j), sp.b(i) - sp.b(j)),
+        ):
+            fam = fam.with_pair(x, y)
+    return fam
+
+
+def _random_pair(sp, rng):
+    """A random pair, made isotropic half of the time when x has a unit
+    a_i coordinate: e(x, b_i) = x_(a_i), so y - e(x, y) x_(a_i)^(-1) b_i."""
+    r = sp.r
+    x = [int(v) for v in rng.integers(0, r, size=sp.dim)]
+    y = [int(v) for v in rng.integers(0, r, size=sp.dim)]
+    units = [i for i in range(0, sp.dim, 2) if gcd(x[i], r) == 1]
+    if units and rng.random() < 0.5:
+        i = units[0]
+        t = symplectic_value(x, y, r) * pow(x[i], -1, r) % r
+        y[i + 1] = (y[i + 1] - t) % r
+    return sp.element(x), sp.element(y)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("r", [2, 4, 6, 8, 9, 12, 97, 2**31 - 1])
+def test_seeded_intersection_matches_stacked(g, r):
+    # a family grown after an intersection inherits it (one small solve);
+    # a fresh family of the same members stacks every member's rows
+    sp = SymplecticSpace(g=g, r=r)
+    rng = np.random.default_rng(1000 * g + r % 1000)
+    compared = 0
+    for _ in range(3):
+        fam = BicyclicFamily(sp, (), ())
+        for _ in range(10):
+            try:
+                fam = fam.with_pair(*_random_pair(sp, rng))
+            except ValueError:
+                continue
+            if rng.random() < 0.6:
+                stacked = BicyclicFamily(sp, fam.members, fam.provenance)
+                assert bogomolov_intersection(sp, fam) == bogomolov_intersection(
+                    sp, stacked
+                )
+                compared += 1
+    assert compared
+
+
+def test_seeded_witness_family_at_int64_limit():
+    sp = SymplecticSpace(g=8, r=2**31 - 1)
+    fam = _witness_family(sp)
+    assert len(fam) == 140
+    assert bogomolov_intersection(sp, fam) == FormSubmodule.weil_span(sp)
+    wider = fam.with_pair(sp.a(1), sp.b(1))
+    assert "_intersection" in wider.__dict__  # seeded, not stacked
+    assert bogomolov_intersection(sp, wider) == FormSubmodule.trivial(sp)
+
+
+@pytest.mark.parametrize("r", [2, 12, 97, 2**31 - 1])
+def test_matmul_mod_is_exact(r):
+    rng = np.random.default_rng(r % 1000)
+    A = rng.integers(0, r, size=(5, 120), dtype=np.int64)
+    B = rng.integers(0, r, size=(120, 3), dtype=np.int64)
+    exact = (A.astype(object) @ B.astype(object)) % r
+    assert brauer._matmul_mod(A, B, r).tolist() == exact.tolist()
+
+
+def test_grown_family_intersects_only_the_new_member(monkeypatch):
+    sp = SymplecticSpace(g=3, r=12)
+    fam = _witness_family(sp)
+    bogomolov_intersection(sp, fam)
+    generator_rows, rows_in = [], []
+    uncounted_generator_rows = brauer._generator_rows
+
+    def counted_generator_rows(*args):
+        generator_rows.append(uncounted_generator_rows(*args))
+        return generator_rows[-1]
+
+    def counted_howell_form(A, n):
+        rows_in.append(np.asarray(A).shape[0])
+        return howell_form(A, n)
+
+    monkeypatch.setattr(brauer, "_generator_rows", counted_generator_rows)
+    monkeypatch.setattr(brauer, "howell_form", counted_howell_form)
+    wider = fam.with_pair(sp.a(1) + sp.b(2), sp.b(1))
+    assert bogomolov_intersection(sp, wider) == FormSubmodule.trivial(sp)
+    assert len(generator_rows) == 1
+    assert rows_in and max(rows_in) <= generator_rows[0].shape[0]
+
+
 def test_verify_report_g2_r2():
     rep = verify_main_inclusions(SymplecticSpace(g=2, r=2))
     d = rep.as_dict()
