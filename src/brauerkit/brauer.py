@@ -15,8 +15,9 @@ All of it is linear algebra on the g(2g-1) upper-triangular coefficients:
 a pair (x, y) imposes the single linear constraint
 sum_{i<j} v_ij (x_i y_j - x_j y_i) = 0 on a coefficient vector v, and a
 subgroup imposes the constraints of its generator pairs (enough, by
-bilinearity).  Constraint row spans are accumulated in Howell form, so every
-result is canonical and runs are deterministic.
+bilinearity).  Every kernel comes from one step, ``_cut``: the forms of a
+submodule that a batch of constraint rows kills.  Submodules are kept in
+Howell form, so every result is canonical and runs are deterministic.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .finab import (
 )
 from .sympl import AltForm, SymplecticSpace, upper_index_pairs, weil_form
 from .zmodlinalg import (
+    DimensionMismatchError,
     ModulusTooLargeError,
     howell_form,
     howell_kernel,
@@ -93,9 +95,7 @@ class FormSubmodule:
     @classmethod
     def from_rows(cls, space: SymplecticSpace, rows) -> FormSubmodule:
         r = space.r
-        m = space.form_rank
-        arr = np.asarray(rows, dtype=np.int64).reshape(-1, m)
-        H = howell_form(arr, r)
+        H = howell_form(_form_rows(space, rows), r)
         return cls(space, tuple(map(tuple, H.tolist())), howell_span_order(H, r))
 
     @classmethod
@@ -104,7 +104,10 @@ class FormSubmodule:
 
     @classmethod
     def full(cls, space: SymplecticSpace) -> FormSubmodule:
-        return cls.from_rows(space, np.eye(space.form_rank, dtype=np.int64))
+        # the identity is its own Howell form
+        m = space.form_rank
+        identity = tuple(map(tuple, np.eye(m, dtype=np.int64).tolist()))
+        return cls(space, identity, space.r**m)
 
     @classmethod
     def trivial(cls, space: SymplecticSpace) -> FormSubmodule:
@@ -118,11 +121,17 @@ class FormSubmodule:
     def rank(self) -> int:
         return len(self.generators)
 
-    def contains_vector(self, vec) -> bool:
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        """The generators as a read-only k x m int64 matrix."""
         m = self.space.form_rank
-        row = np.asarray(vec, dtype=np.int64).reshape(1, m)
         H = np.array(self.generators, dtype=np.int64).reshape(-1, m)
-        return not howell_reduce(H, row, self.space.r).any()
+        H.flags.writeable = False
+        return H
+
+    def contains_vector(self, vec) -> bool:
+        row = _form_rows(self.space, [vec])
+        return not howell_reduce(self._matrix, row, self.space.r).any()
 
     def contains(self, form: AltForm) -> bool:
         if form.space != self.space:
@@ -141,11 +150,26 @@ class FormSubmodule:
         """
         if self.order > cap:
             raise CapExceededError(f"span of {self.order} forms exceeds cap {cap}")
-        H = np.array(self.generators, dtype=np.int64).reshape(-1, self.space.form_rank)
-        return howell_span(H, self.space.r)
+        return howell_span(self._matrix, self.space.r)
 
     def forms(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[AltForm]:
         return [AltForm.from_vector(self.space, v) for v in self.vectors(cap)]
+
+
+def _form_rows(space: SymplecticSpace, rows) -> np.ndarray:
+    """``rows`` as an s x m int64 matrix, m the form rank (0 x m if empty).
+
+    ``DimensionMismatchError`` for any other shape, so no rows are glued.
+    """
+    m = space.form_rank
+    A = np.asarray(rows, dtype=np.int64)
+    if A.shape == (0,):
+        return A.reshape(0, m)
+    if A.ndim != 2 or A.shape[1] != m:
+        raise DimensionMismatchError(
+            f"expected rows of {m} form coefficients, got shape {A.shape}"
+        )
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +211,35 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, r: int) -> np.ndarray:
     modulus ``howell_form`` accepts.
     """
     step = (2**63 - 1 - r) // (r - 1) ** 2
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for i in range(0, A.shape[1], step):
+    out = A[:, :step] @ B[:step] % r
+    for i in range(step, A.shape[1], step):
         out = (out + A[:, i : i + step] @ B[i : i + step]) % r
     return out
 
 
-def _kernel_submodule(space: SymplecticSpace, constraint_rows) -> FormSubmodule:
-    A = np.asarray(constraint_rows, dtype=np.int64).reshape(-1, space.form_rank)
-    _, kernel = howell_kernel(howell_form(A, space.r), space.r)
-    return FormSubmodule.from_rows(space, kernel)
+def _cut(
+    space: SymplecticSpace, rows, sub: FormSubmodule | None = None
+) -> FormSubmodule:
+    """The forms of ``sub`` (of every form when ``None``) that each row kills.
+
+    With K the generators of ``sub`` and N the rows, entries in [0, r), that
+    is {c K : (N K^T) c = 0}: one Howell form and one kernel of the s x k
+    matrix N K^T, both products through ``_matmul_mod`` (N itself when
+    ``sub`` is ``None``; no identity K is built).  ``sub`` comes back
+    unchanged when N K^T = 0.  Cutting by N1 and then N2 is cutting by them
+    stacked.
+    """
+    r = space.r
+    N = _form_rows(space, rows)
+    if sub is None:
+        K, P = None, N
+    else:
+        K = sub._matrix
+        P = _matmul_mod(N, K.T, r)
+        if not P.any():
+            return sub
+    _, C = howell_kernel(howell_form(P, r), r)
+    return FormSubmodule.from_rows(space, C if K is None else _matmul_mod(C, K, r))
 
 
 def _pair_selector(space: SymplecticSpace, *, isotropic: bool, bicyclic: bool):
@@ -266,70 +309,6 @@ def _shell_pairs(space: SymplecticSpace, *, isotropic: bool, bicyclic: bool):
             yield S[k], Y, rows
 
 
-def _streamed_constraint_kernel(
-    space: SymplecticSpace, mode: str, cap: int
-) -> FormSubmodule:
-    """Kernel of the constraints of the selected isotropic pairs of S1.
-
-    Every selected pair is isotropic, so span(e), of order r, lies in the
-    kernel throughout; and over Z/r the kernel has r^m / |row span|
-    elements.  The kernel has therefore shrunk to span(e) exactly when the
-    row span reaches order r^(m-1), whichever pairs gave the rows, and the
-    scan stops there.  It tests this before every batch, so at g = 1, where
-    m = 1, it lists no pair at all.
-
-    The pairs of the shell S1 (``_shell_pairs``) always reach that stop.
-    S1 holds the witness pairs (a_i, a_j), (b_i, b_j), (a_i, b_j),
-    (a_j, b_i) and (a_i + a_j, b_i - b_j), i != j.  A form b they all kill
-    has b(u, v) = 0 on every pair of basis vectors other than the
-    (a_i, b_i), and b(a_i, b_i) - b(a_j, b_j) = 0 from the last one, so b
-    is a multiple of e.  Each witness pair is isotropic and has a unit
-    minor, so it is bicyclic at every r >= 2 and both modes select it.  A
-    shell that ends before the stop is therefore a bug, and raises
-    ``RuntimeError`` naming g, r and the mode.  The cap and the table size
-    are still charged for the whole group before S1 starts
-    (``CapExceededError``, ``TableTooLargeError``), so a capped point stays
-    skipped.
-
-    Rows accumulate in Howell form.  Alongside it the scan keeps K, the
-    generators of the accumulator's kernel.  Z/r is quasi-Frobenius, so a
-    row span is the annihilator of its kernel: a row v lies in the span
-    exactly when K v = 0.  One product ``rows @ K.T`` thus drops the rows
-    already in the span, and K is solved for again only when the
-    accumulator grows.  That product sums m terms of up to (r - 1)^2, and
-    the isotropy test 2g of them, so a modulus with
-    max(m, 2g) (r - 1)^2 >= 2^63 raises ``ModulusTooLargeError`` first.
-    """
-    r = space.r
-    m = space.form_rank
-    if max(m, space.dim) * (r - 1) ** 2 >= 2**63:
-        raise ModulusTooLargeError(
-            f"modulus {r} is too large for the exact int64 scan at g = {space.g}"
-        )
-    space.group.check_table(cap)
-    batches = _shell_pairs(
-        space, isotropic=True, bicyclic=(mode == MODE_PRIMITIVE_PAIRS)
-    )
-    acc = np.zeros((0, m), dtype=np.int64)
-    K = np.eye(m, dtype=np.int64)
-    order = 1
-    while order < r ** (m - 1):
-        batch = next(batches, None)
-        if batch is None:
-            raise RuntimeError(
-                f"the shell S1 ended before the {mode} scan reached span(e) "
-                f"at g = {space.g}, r = {r}"
-            )
-        rows = batch[2]
-        # rows already in the span of acc change neither acc nor the kernel
-        rows = rows[((rows @ K.T) % r).any(axis=1)]
-        if rows.shape[0]:
-            acc = howell_form(np.vstack([acc, rows]), r)
-            K = howell_kernel(acc, r)[1]
-            order = howell_span_order(acc, r)
-    return FormSubmodule.from_rows(space, K)
-
-
 def compute_G(
     space: SymplecticSpace,
     mode: str = MODE_ALL_PAIRS,
@@ -338,21 +317,48 @@ def compute_G(
     """Forms vanishing wherever the standard pairing vanishes.
 
     ``all-pairs`` constrains by every pair (x, y) with e(x, y) = 0;
-    ``primitive-pairs`` only by those pairs whose span is (Z/r)^2.  The
-    standard pairing itself always satisfies the constraints, so the scan
-    ends as soon as the kernel has shrunk to its span.  It scans only the
-    pairs of the low-weight shell S1 (support at most 2, entries 1 or
-    r - 1): S1 holds the paper's witness pairs, which already cut the
-    kernel down to span(e), so no other pair can shrink it further and the
-    group is never listed.  The cap and the table size are checked up front
-    all the same.  A row already in the span is dropped by one product with
-    the accumulator's kernel, so the scan raises ``ModulusTooLargeError``
-    when r is too large for that product to stay exact in int64 (for
-    g >= 2, below the 2^31 Howell limit).
+    ``primitive-pairs`` only by those pairs whose span is (Z/r)^2.
+
+    Starting from every form, the scan cuts (``_cut``) by each batch of
+    selected pairs of the shell S1 (``_shell_pairs``).  The pairs are
+    isotropic, so span(e), of order r, survives every cut, and the scan
+    stops once the order is r; at g = 1 it lists no pair.  S1 reaches that
+    stop: its witness pairs (a_i, a_j), (b_i, b_j), (a_i, b_j), (a_j, b_i)
+    and (a_i + a_j, b_i - b_j), i != j, are isotropic with a unit minor, so
+    both modes select them, and a form they all kill vanishes on every pair
+    of basis vectors but the (a_i, b_i), where it takes one value: it is a
+    multiple of e.  A shell that ends first is a bug (``RuntimeError``
+    naming g, r and the mode).  The group is never listed, but the cap and
+    the table size are charged for all of it first (``CapExceededError``,
+    ``TableTooLargeError``), so a capped point stays skipped.
+
+    The isotropy test sums 2g products of up to (r - 1)^2 in int64, so
+    ``ModulusTooLargeError`` comes first when max(m, 2g) (r - 1)^2 >= 2^63,
+    m = g(2g - 1).  ``_cut`` multiplies through ``_matmul_mod`` and needs
+    no bound; the m term keeps the refused moduli, and so the exit codes,
+    as documented.
     """
     if mode not in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
         raise ValueError(f"unknown mode {mode!r}")
-    return _streamed_constraint_kernel(space, mode, cap)
+    r = space.r
+    if max(space.form_rank, space.dim) * (r - 1) ** 2 >= 2**63:
+        raise ModulusTooLargeError(
+            f"modulus {r} is too large for the exact int64 scan at g = {space.g}"
+        )
+    space.group.check_table(cap)
+    batches = _shell_pairs(
+        space, isotropic=True, bicyclic=(mode == MODE_PRIMITIVE_PAIRS)
+    )
+    G = FormSubmodule.full(space)
+    while G.order > r:
+        batch = next(batches, None)
+        if batch is None:
+            raise RuntimeError(
+                f"the shell S1 ended before the {mode} scan reached span(e) "
+                f"at g = {space.g}, r = {r}"
+            )
+        G = _cut(space, batch[2], G)
+    return G
 
 
 def restriction_kernel(space: SymplecticSpace, subgroup: Subgroup) -> FormSubmodule:
@@ -363,8 +369,7 @@ def restriction_kernel(space: SymplecticSpace, subgroup: Subgroup) -> FormSubmod
     """
     if subgroup.parent != space.group:
         raise ValueError("subgroup does not sit in the space's module")
-    rows = _generator_rows(space, subgroup, *_pair_indices(space))
-    return _kernel_submodule(space, rows)
+    return _cut(space, _generator_rows(space, subgroup, *_pair_indices(space)))
 
 
 @dataclass(frozen=True)
@@ -413,7 +418,7 @@ class BicyclicFamily:
                     f"{member.parent}, not of the space's module {space.group}"
                 )
             rows.append(_generator_rows(space, member, I, J))
-        return _kernel_submodule(space, np.vstack(rows))
+        return _cut(space, np.vstack(rows))
 
     def with_pair(
         self, sigma: GroupElement, tau: GroupElement
@@ -421,10 +426,9 @@ class BicyclicFamily:
         """Family extended by the subgroup generated by a user-supplied pair.
 
         If this family's intersection is already computed, the grown family's
-        is seeded from it.  With K the generators of this intersection
-        (k x m) and N the new member's constraint rows (s x m), the grown
-        intersection is {x in span K : N x = 0} = {c K : (N K^T) c = 0},
-        one s x k solve in place of restacking every member.
+        is seeded from it: this intersection cut by the new member's s
+        constraint rows alone, one s x k system against its k generators in
+        place of restacking every member.
         """
         member = subgroup_from_generators(self.space.group, [sigma, tau])
         # two generators span a quotient of (Z/r)^2: it is all of it iff order r^2
@@ -440,15 +444,8 @@ class BicyclicFamily:
         # seeded from this family's set, so a chain of calls hashes each member once
         grown.__dict__["_member_set"] = self._member_set | {member}
         if "_intersection" in self.__dict__:
-            space, r = self.space, self.space.r
-            K = np.array(self._intersection.generators, dtype=np.int64).reshape(
-                -1, space.form_rank
-            )
-            N = _generator_rows(space, member, *_pair_indices(space))
-            _, C = howell_kernel(howell_form(_matmul_mod(N, K.T, r), r), r)
-            grown.__dict__["_intersection"] = FormSubmodule.from_rows(
-                space, _matmul_mod(C, K, r)
-            )
+            N = _generator_rows(self.space, member, *_pair_indices(self.space))
+            grown.__dict__["_intersection"] = _cut(self.space, N, self._intersection)
         return grown
 
 
@@ -543,12 +540,12 @@ def bogomolov_intersection(
     """Intersection of restriction kernels over a family of bicyclic subgroups.
 
     With an explicit family, the generator-pair constraints of every member
-    are stacked into one linear system (an empty family leaves the whole
-    form module).  The family caches the result, so a second call costs
-    nothing, and a family grown by ``with_pair`` after an intersection
-    costs one s x k solve: the s constraint rows of the new member against
-    the k generators of the cached intersection.  ``ValueError`` if the
-    family belongs to another space or holds a subgroup of another module.
+    are stacked into one cut of every form (an empty family leaves the
+    whole form module).  The family caches the result, so a second call
+    costs nothing, and a family grown by ``with_pair`` after an
+    intersection costs one small cut of the cached one by the new member's
+    rows.  ``ValueError`` if the family belongs to another space or holds
+    a subgroup of another module.
 
     With ``family=None`` the isotropic bicyclic family is
     streamed without being materialized; a member contributes exactly the

@@ -315,7 +315,8 @@ def howell_span_order(H, n: int) -> int:
     """Number of vectors in the row span of a Howell form ``H`` over Z/n.
 
     Assumes ``H`` is ``howell_form`` output and does not check it, because
-    the pair scan calls this after every accumulation.
+    every ``FormSubmodule`` and ``Subgroup`` is built by calling this on a
+    Howell form just computed: once per scan cut and once per family member.
     """
     order = 1
     for row in np.asarray(H, dtype=np.int64):

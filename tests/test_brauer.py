@@ -34,6 +34,7 @@ from brauerkit.finab import (
 )
 from brauerkit.sympl import AltForm, SymplecticSpace, eval_form, weil_form
 from brauerkit.zmodlinalg import (
+    DimensionMismatchError,
     ModulusTooLargeError,
     howell_form,
     howell_reduce,
@@ -58,6 +59,23 @@ def test_form_submodule_constructors():
     assert triv.is_submodule_of(span)
     assert span.is_submodule_of(full)
     assert not full.is_submodule_of(span)
+
+
+def test_form_rows_of_the_wrong_width_are_rejected():
+    # reshaped to width 6, these two rows of width 3 would read as the one
+    # row (1, 0, 0, 0, 0, 1): the wrong module, with no error
+    sp = SymplecticSpace(g=2, r=3)
+    glued = [[1, 0, 0], [0, 0, 1]]
+    with pytest.raises(DimensionMismatchError):
+        FormSubmodule.from_rows(sp, glued)
+    with pytest.raises(DimensionMismatchError):
+        brauer._cut(sp, glued)
+    span = FormSubmodule.weil_span(sp)
+    for vec in ([[1, 0], [0, 0], [0, 1]], (1, 0, 0)):
+        with pytest.raises(DimensionMismatchError):
+            span.contains_vector(vec)
+    assert FormSubmodule.from_rows(sp, []) == FormSubmodule.trivial(sp)
+    assert FormSubmodule.from_forms(sp, []) == FormSubmodule.trivial(sp)
 
 
 def test_form_submodule_vectors_and_forms():
@@ -131,9 +149,10 @@ def test_compute_g_cap():
 
 
 def test_span_filter_drops_exactly_rows_in_span():
-    # two membership tests for a Howell basis: reduction against it
-    # (FormSubmodule.contains_vector), and K v = 0 for its kernel K (the
-    # streamed scan; over Z/n a row span is the annihilator of its kernel)
+    # two membership tests for a Howell basis, both from zmodlinalg:
+    # reduction against it (howell_reduce, which FormSubmodule.contains_vector
+    # uses), and K v = 0 for its kernel K (over Z/n a row span is the
+    # annihilator of its kernel)
     rng = np.random.default_rng(33)
     for n in (2, 3, 4, 6, 8, 9, 12):
         cols = 4 if n >= 6 else 5
@@ -147,6 +166,45 @@ def test_span_filter_drops_exactly_rows_in_span():
             want = [tuple(row) in span for row in rows.tolist()]
             assert (~howell_reduce(basis, rows, n).any(axis=1)).tolist() == want
             assert (~((rows @ K.T) % n).any(axis=1)).tolist() == want
+
+
+def _brute_cut(vectors, N, r):
+    """The vectors x of a list that every row of N kills: N x = 0 mod r."""
+    V = np.array(sorted(vectors), dtype=np.int64).reshape(len(vectors), -1)
+    return set(map(tuple, V[~((V @ N.T) % r).any(axis=1)].tolist()))
+
+
+@pytest.mark.parametrize(
+    "g, r", [(1, 2), (1, 4), (1, 6), (1, 8), (1, 9), (1, 12)]
+    + [(2, r) for r in range(2, 7)]
+)
+def test_cut_matches_brute_force(g, r):
+    sp = SymplecticSpace(g=g, r=r)
+    m = sp.form_rank
+    everything = list(product(range(r), repeat=m))
+    rng = np.random.default_rng(100 * g + r)
+    for _ in range(12):
+        # scaling a generator by a random factor mod r gives torsion spans
+        gens = rng.integers(0, r, size=(int(rng.integers(0, 4)), m))
+        gens = gens * rng.integers(1, r, size=(gens.shape[0], 1)) % r
+        S = FormSubmodule.from_rows(sp, gens)
+        K = np.array(S.generators, dtype=np.int64).reshape(-1, m)
+        inside = span_closure(K, r)
+        N1, N2 = (rng.integers(0, r, size=(int(rng.integers(0, 3)), m)) for _ in "12")
+        cut1 = brauer._cut(sp, N1, S)
+        assert set(cut1.vectors()) == _brute_cut(inside, N1, r)
+        # cutting twice is cutting once by the stacked rows
+        assert brauer._cut(sp, N2, cut1) == brauer._cut(sp, np.vstack([N1, N2]), S)
+        # rows that kill all of S, and no rows at all, return S itself
+        killers = sorted(_brute_cut(everything, K, r))
+        picks = rng.integers(0, len(killers), size=2)
+        assert brauer._cut(sp, [killers[i] for i in picks], S) is S
+        assert brauer._cut(sp, np.zeros((0, m), dtype=np.int64), S) is S
+        assert brauer._cut(sp, [], S) is S
+        # without a submodule, the kernel of N on every form
+        ker = brauer._cut(sp, N1)
+        assert set(ker.vectors(cap=r**m)) == _brute_cut(everything, N1, r)
+        assert ker == brauer._cut(sp, N1, FormSubmodule.full(sp))
 
 
 def _shell_brute(g, r):
@@ -221,7 +279,8 @@ def test_scan_stops_inside_the_shell(monkeypatch, g, r, mode, stop):
 
 
 def test_scan_at_genus_one_lists_no_element(monkeypatch):
-    # m = 1, so the empty accumulator already has order r^(m - 1) = 1
+    # m = 1, so every form is a multiple of e: the scan starts at order r
+    # and stops before its first batch
     monkeypatch.setattr(FinAbGroup, "coordinate_table", _refuse_to_list)
     monkeypatch.setattr(brauer, "_shell", _refuse_to_list)
     for r in (2, 3, 4, 6):
@@ -315,7 +374,8 @@ def test_compute_g_is_crt_sum_over_prime_powers(r, prime_powers, mode):
 
 
 def test_compute_g_rejects_modulus_past_scan_limit_before_listing(monkeypatch):
-    # the kernel filter sums m = 6 products of up to (r - 1)^2 > 2^63 / 6
+    # the scan refuses max(m, 2g) (r - 1)^2 >= 2^63, and here m = 6 while
+    # (r - 1)^2 > 2^63 / 6
     listed = []
     monkeypatch.setattr(
         FinAbGroup, "coordinate_table", lambda *args: listed.append(args)
