@@ -208,9 +208,12 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, r: int) -> np.ndarray:
     A term is below (r - 1)^2, so the inner dimension is summed in chunks of
     (2^63 - 1 - r) // (r - 1)^2 terms, reduced mod r between chunks: one
     product at small r, two terms per step at r near 2^31, the largest
-    modulus ``howell_form`` accepts.
+    modulus ``howell_form`` accepts.  ``ModulusTooLargeError`` once a single
+    term does not fit, (r - 1)^2 > 2^63 - 1 - r.
     """
     step = (2**63 - 1 - r) // (r - 1) ** 2
+    if not step:
+        raise ModulusTooLargeError(f"modulus {r} is too large for exact int64 products")
     out = A[:, :step] @ B[:step] % r
     for i in range(step, A.shape[1], step):
         out = (out + A[:, i : i + step] @ B[i : i + step]) % r
@@ -242,34 +245,6 @@ def _cut(
     return FormSubmodule.from_rows(space, C if K is None else _matmul_mod(C, K, r))
 
 
-def _pair_selector(space: SymplecticSpace, *, isotropic: bool, bicyclic: bool):
-    """``select(x, Y)``, the one pair filter of the shell scan and the
-    explicit families.
-
-    It returns ``(Y', rows)``: the rows y of Y such that e(x, y) = 0 (when
-    ``isotropic``) and x, y span (Z/r)^2 (when ``bicyclic``), together with
-    the constraint rows of the pairs (x, y).  A pair spans (Z/r)^2 exactly
-    when its 2x2 minors do not all vanish modulo any prime divisor of r.
-    """
-    r = space.r
-    I, J = _pair_indices(space)
-    Cfull = weil_form(space).full_matrix()
-    primes = _prime_factors(r)
-
-    def select(x: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if isotropic:
-            Y = Y[(Y @ ((x @ Cfull) % r)) % r == 0]
-        rows = _minor_rows(x, Y, I, J, r)
-        if bicyclic:
-            mask = np.ones(rows.shape[0], dtype=bool)
-            for p in primes:
-                mask &= (rows % p).any(axis=1)
-            Y, rows = Y[mask], rows[mask]
-        return Y, rows
-
-    return select
-
-
 def _shell(space: SymplecticSpace) -> np.ndarray:
     """The shell S1: the nonzero vectors with at most two nonzero
     coordinates, each 1 or r - 1.  That is 8g^2 vectors (fewer at r = 2,
@@ -297,16 +272,29 @@ def _shell_pairs(space: SymplecticSpace, *, isotropic: bool, bicyclic: bool):
     """The selected pairs inside the shell S1, grouped by their later element.
 
     For each t in shell order, yields ``(t, S, rows)``: the earlier shell
-    elements s that ``_pair_selector`` keeps with t, with the constraint
-    rows of the pairs (t, s), the negated rows of (s, t).  Every unordered
-    pair of S1 is met once, and nothing outside S1 is listed.
+    elements s with e(t, s) = 0 (when ``isotropic``) and t, s spanning
+    (Z/r)^2 (when ``bicyclic``), with the constraint rows of the pairs
+    (t, s), the negated rows of (s, t).  A pair spans (Z/r)^2 exactly when
+    its 2x2 minors do not all vanish modulo any prime divisor of r.  Every
+    unordered pair of S1 is met once, and nothing outside S1 is listed.
     """
+    r = space.r
+    I, J = _pair_indices(space)
+    C = weil_form(space).full_matrix()
+    primes = _prime_factors(r)
     S = _shell(space)
-    select = _pair_selector(space, isotropic=isotropic, bicyclic=bicyclic)
     for k in range(1, S.shape[0]):
-        Y, rows = select(S[k], S[:k])
+        t, Y = S[k], S[:k]
+        if isotropic:
+            Y = Y[(Y @ ((t @ C) % r)) % r == 0]
+        rows = _minor_rows(t, Y, I, J, r)
+        if bicyclic:
+            mask = np.ones(rows.shape[0], dtype=bool)
+            for p in primes:
+                mask &= (rows % p).any(axis=1)
+            Y, rows = Y[mask], rows[mask]
         if Y.shape[0]:
-            yield S[k], Y, rows
+            yield t, Y, rows
 
 
 def compute_G(
@@ -449,79 +437,86 @@ class BicyclicFamily:
         return grown
 
 
-def _unit_inverses(r: int) -> tuple[tuple[int, int, np.ndarray], ...]:
-    """(p, q, inverse table mod q) for each prime power q = p^k exactly
-    dividing r; the table maps a unit mod q to its inverse, the rest to 0."""
-    out = []
-    for p in _prime_factors(r):
-        q = p
-        while r % (q * p) == 0:
-            q *= p
-        inverse = [pow(a, -1, q) if a % p else 0 for a in range(q)]
-        out.append((p, q, np.array(inverse, dtype=np.int64)))
-    return tuple(out)
+def _chart(space: SymplecticSpace, p: int, q: int, isotropic: bool) -> np.ndarray:
+    """Bases (x, y) of the free rank-2 summands of (Z/q)^(2g), q = p^k, one
+    per summand (isotropic ones only when ``isotropic``), as an n x 2 x 2g
+    array ordered by pivot columns (c1, c2) and then lexicographically.
 
-
-def _plucker_keys(rows: np.ndarray, inverses) -> list[bytes]:
-    """One bytes key per bicyclic pair, from its minor row: two pairs get
-    equal keys exactly when they generate the same subgroup.
-
-    A bicyclic pair spans a free rank-2 summand of (Z/r)^(2g), and its minor
-    row fixes that summand up to a unit.  Modulo each prime power q = p^k
-    exactly dividing r, some minor is nonzero mod p (the bicyclic mask), so
-    scaling the row mod q by the inverse of its first such entry removes the
-    unit.  The parts side by side are the CRT of the normalised row.
-    ``inverses`` is ``_unit_inverses(r)``.
+    Reduced mod p, a summand is a plane with pivot columns c1 < c2, and it
+    has exactly one basis with x_c1 = y_c2 = 1, x_c2 = y_c1 = 0, x_j = 0
+    mod p for j < c1 and y_j = 0 mod p for j < c2; every other entry is
+    free.  That is the Schubert-cell chart of Gr(2, 2g) read over Z/q.
     """
-    parts = []
-    for p, q, inverse in inverses:
-        R = rows % q
-        lead = R[np.arange(R.shape[0]), (R % p != 0).argmax(axis=1)]
-        parts.append(R * inverse[lead][:, None] % q)
-    keys = np.hstack(parts)
-    return keys.view(f"V{keys.itemsize * keys.shape[1]}").ravel().tolist()
+    d = space.dim
+    C = weil_form(space).full_matrix()
+
+    def rows(c: int, z: int) -> np.ndarray:
+        # 1 at c, 0 at z, a multiple of p before c, anything after
+        entries = [range(0, q, p) if j < c else range(q) for j in range(d)]
+        entries[c], entries[z] = (1,), (0,)
+        return np.array(list(product(*entries)), dtype=np.int64)
+
+    blocks = [np.zeros((0, 2, d), dtype=np.int64)]
+    for c1, c2 in combinations(range(d), 2):
+        X, Y = rows(c1, c2), rows(c2, c1)
+        if isotropic:
+            i, j = np.nonzero((X @ C % q) @ Y.T % q == 0)
+        else:
+            i, j = np.divmod(np.arange(len(X) * len(Y)), len(Y))
+        blocks.append(np.stack([X[i], Y[j]], axis=1))
+    return np.concatenate(blocks)
 
 
 def _enumerate_bicyclics(
     space: SymplecticSpace, isotropic_only: bool, cap: int
 ) -> BicyclicFamily:
-    """Members in the order the pairs of the whole group first meet them.
+    """Members listed from the chart of each prime power q = p^k exactly
+    dividing r (``_chart``), the bases combined by CRT with the first
+    prime's list outermost: no element pair is listed.
 
-    Lists the coordinate table (``CapExceededError`` past ``cap``) and takes
-    the pairs (x, y), y after x, in that lexicographic order, which fixes
-    the member order.  An x with no selected partner is skipped.  Only a
-    pair whose Plücker key is new is canonicalized, so there is one
-    ``subgroup_from_generators`` call per member.
+    ``check_table(cap)`` still charges the whole group, so a capped point
+    stays skipped.  At prime r a chart basis is already the Howell form of
+    its member (over F_p that is the reduced echelon form); at other r each
+    member is canonicalized once.  A form kills span(x, y) iff it kills
+    (x, y), so the family's intersection is seeded by one cut by one minor
+    row per member.
     """
     group = space.group
-    X = group.coordinate_table(cap)
-    # after the cap check, which bounds r and so these r-entry tables
-    inverses = _unit_inverses(space.r)
-    select = _pair_selector(space, isotropic=isotropic_only, bicyclic=True)
+    group.check_table(cap)
+    r = space.r
+    primes = _prime_factors(r)
+    bases = np.zeros((1, 2, space.dim), dtype=np.int64)
+    for p in primes:
+        q = p
+        while r % (q * p) == 0:
+            q *= p
+        unit = (r // q) * pow(r // q, -1, q) % r  # 1 mod q, 0 mod r / q
+        B = _chart(space, p, q, isotropic_only)
+        bases = ((bases[:, None] + unit * B[None]) % r).reshape(-1, 2, space.dim)
+    if primes == (r,):
+        members = [Subgroup(group, tuple(map(tuple, b)), r * r) for b in bases.tolist()]
+    else:
+        members = [
+            subgroup_from_generators(group, [group.element(x), group.element(y)])
+            for x, y in bases.tolist()
+        ]
     tag = "isotropic-pair" if isotropic_only else "bicyclic-pair"
-    seen: set[bytes] = set()
-    members: list[Subgroup] = []
-    for i in range(X.shape[0] - 1):
-        Y, rows = select(X[i], X[i + 1 :])
-        if not Y.shape[0]:
-            continue
-        gx = group.element(X[i])
-        for y, key in zip(Y, _plucker_keys(rows, inverses)):
-            if key not in seen:
-                seen.add(key)
-                members.append(subgroup_from_generators(group, [gx, group.element(y)]))
-    return BicyclicFamily(space, tuple(members), (tag,) * len(members))
+    family = BicyclicFamily(space, tuple(members), (tag,) * len(members))
+    I, J = _pair_indices(space)
+    X, Y = bases[:, 0], bases[:, 1]
+    # the minors of each basis (_minor_rows takes one x, the scan's fast case)
+    rows = (X[:, I] * Y[:, J] - X[:, J] * Y[:, I]) % r
+    family.__dict__["_intersection"] = _cut(space, rows)
+    return family
 
 
 def isotropic_bicyclics(
     space: SymplecticSpace, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> BicyclicFamily:
     """All subgroups generated by a pair (x, y) with span (Z/r)^2 and
-    e(x, y) = 0, each listed once.  Every element pair is still scanned, in
-    numpy batches of one x each (about r^{4g}/2 pairs), but a pair reaches
-    Howell canonicalization only when its Plücker key is new: one
-    ``subgroup_from_generators`` call per member.  Intended for small
-    spaces."""
+    e(x, y) = 0, each listed once, straight from the Grassmannian chart
+    (``_enumerate_bicyclics``): one basis per member, no element pairs.
+    There are about r^{4g-5} members, so this is for small spaces."""
     return _enumerate_bicyclics(space, isotropic_only=True, cap=cap)
 
 
@@ -542,7 +537,8 @@ def bogomolov_intersection(
     With an explicit family, the generator-pair constraints of every member
     are stacked into one cut of every form (an empty family leaves the
     whole form module).  The family caches the result, so a second call
-    costs nothing, and a family grown by ``with_pair`` after an
+    costs nothing; ``isotropic_bicyclics`` and ``all_bicyclics`` return
+    it already seeded, and a family grown by ``with_pair`` after an
     intersection costs one small cut of the cached one by the new member's
     rows.  ``ValueError`` if the family belongs to another space or holds
     a subgroup of another module.

@@ -134,3 +134,43 @@ def vanishing_forms(
         for v in F[ok]:
             kept.add(tuple(int(c) for c in v))
     return kept
+
+
+def gaussian_binomial(n: int, k: int, p: int) -> int:
+    """Number of k-dimensional subspaces of F_p^n."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def bicyclic_count(g: int, r: int, isotropic: bool) -> int:
+    """Number of (Z/r)^2 subgroups of (Z/r)^(2g), isotropic ones only when
+    asked, from closed forms alone.
+
+    Over F_p there are [2g choose 2]_p planes, of which [g choose 2]_p
+    (p^g + 1)(p^(g-1) + 1) are isotropic.  A plane mod p lifts to
+    p^((k-1) d) free summands over Z/p^k, d the dimension of the smooth
+    scheme of planes: 2(2g - 2) for all of them, 4g - 5 for the isotropic
+    ones.  The count over Z/r is the product over prime powers p^k || r.
+    """
+    total = 1
+    p = 2
+    while r > 1:
+        k = 0
+        while r % p == 0:
+            r //= p
+            k += 1
+        if k:
+            if isotropic:
+                planes = gaussian_binomial(g, 2, p) * (p**g + 1) * (p ** (g - 1) + 1)
+                d = 4 * g - 5
+            else:
+                planes = gaussian_binomial(2 * g, 2, p)
+                d = 2 * (2 * g - 2)
+            if not planes:
+                return 0
+            total *= planes * p ** ((k - 1) * d)
+        p += 1
+    return total

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from brute import (
+    bicyclic_count,
     minor_vector,
     pair_span_size,
+    rref_mod_prime,
     span_closure,
     symplectic_value,
     vanishing_forms,
@@ -472,96 +474,129 @@ def test_family_members_are_distinct_and_bicyclic():
     assert all(tag == "isotropic-pair" for tag in fam.provenance)
 
 
-def test_family_member_order_matches_naive_pair_loop():
-    # members come in the order a plain double loop over the elements first
-    # meets them, isotropic or not
-    for r in (2, 3, 4):
+def _naive_family_spans(g: int, r: int) -> dict[bool, set]:
+    """Element sets of the (Z/r)^2 subgroups spanned by element pairs, by a
+    plain double loop over the elements: every subgroup (key False) and
+    those of isotropic pairs (key True).
+
+    A pair spans (Z/r)^2 when its r^2 combinations a x + b y are distinct;
+    a span is kept as the bytes of the sorted codes of its elements, each
+    read base r.
+    """
+    d = 2 * g
+    elems = np.array(list(product(range(r), repeat=d)), dtype=np.int64)
+    a, b = np.array(list(product(range(r), repeat=2)), dtype=np.int64).T
+    code = r ** np.arange(d - 1, -1, -1)
+    spans = {True: set(), False: set()}
+    for i, x in enumerate(elems):
+        Y = elems[i + 1 :]
+        S = np.sort((a[:, None] * x + b[:, None] * Y[:, None]) % r @ code, axis=1)
+        free = (np.diff(S, axis=1) != 0).all(axis=1)
+        isotropic = (Y[:, 1::2] @ x[::2] - Y[:, ::2] @ x[1::2]) % r == 0
+        keys = np.ascontiguousarray(S).view(f"V{S.itemsize * r * r}").ravel()
+        spans[False].update(keys[free].tolist())
+        spans[True].update(keys[free & isotropic].tolist())
+    return spans
+
+
+def _element_codes(member, r: int) -> bytes:
+    """The member's elements as ``_naive_family_spans`` keeps a span."""
+    d = member.parent.rank
+    codes = (
+        sum(c * r ** (d - 1 - j) for j, c in enumerate(v))
+        for v in span_closure(member.canonical_generators, r)
+    )
+    return np.array(sorted(codes), dtype=np.int64).tobytes()
+
+
+def test_family_members_match_naive_pair_loop():
+    # the chart lists exactly the subgroups a plain double loop over the
+    # elements meets, isotropic or not, each once
+    for r in (2, 3, 4, 6):
         sp = SymplecticSpace(g=2, r=r)
-        elems = list(sp.group.elements())
-        first_seen = {True: {}, False: {}}  # dicts keep insertion order
-        for i, x in enumerate(elems):
-            for y in elems[i + 1 :]:
-                if pair_span_size(x.coords, y.coords, r) != r * r:
-                    continue
-                sub = subgroup_from_generators(sp.group, [x, y])
-                isotropic = symplectic_value(x.coords, y.coords, r) == 0
-                for iso_only, seen in first_seen.items():
-                    if isotropic or not iso_only:
-                        seen.setdefault(sub)
-        assert list(isotropic_bicyclics(sp).members) == list(first_seen[True])
-        assert list(all_bicyclics(sp).members) == list(first_seen[False])
+        naive = _naive_family_spans(2, r)
+        for isotropic, enumerate_family in (
+            (True, isotropic_bicyclics),
+            (False, all_bicyclics),
+        ):
+            spans = [_element_codes(m, r) for m in enumerate_family(sp)]
+            assert len(spans) == len(set(spans))
+            assert set(spans) == naive[isotropic], (r, isotropic)
 
 
-def _bicyclic_pairs(g: int, r: int):
-    """Every element pair of (Z/r)^(2g) whose minors have gcd prime to r."""
-    elems = list(product(range(r), repeat=2 * g))
-    return [
-        (x, y)
-        for i, x in enumerate(elems)
-        for y in elems[i + 1 :]
-        if gcd(r, *minor_vector(x, y, r)) == 1
-    ]
+def _pivot_columns(member, p: int) -> tuple[int, ...]:
+    """Pivot columns of the member reduced mod the prime p."""
+    return tuple(row.index(1) for row in rref_mod_prime(member.canonical_generators, p))
 
 
-def _plucker_keys_of(pairs, r: int) -> list[bytes]:
-    rows = np.array([minor_vector(x, y, r) for x, y in pairs], dtype=np.int64)
-    return brauer._plucker_keys(rows, brauer._unit_inverses(r))
-
-
-def _assert_keys_match_span_closure(pairs, r: int):
-    # equal keys exactly when the pairs span the same subgroup: the span of
-    # each pair lies in the closure of the first pair with its key (both have
-    # r^2 elements, so they are equal), and distinct keys have distinct spans
-    spans: dict[bytes, frozenset] = {}
-    for (x, y), key in zip(pairs, _plucker_keys_of(pairs, r)):
-        if key not in spans:
-            spans[key] = frozenset(span_closure([x, y], r))
-        assert x in spans[key] and y in spans[key], (x, y)
-    assert all(len(span) == r * r for span in spans.values())
-    assert len(set(spans.values())) == len(spans)
+@pytest.mark.parametrize("r, p, rest", [(3, 3, 1), (4, 2, 1), (5, 5, 1), (6, 2, 3)])
+def test_family_order_is_the_chart_order(r, p, rest):
+    # deterministic, and ordered by the pivot columns (c1, c2) mod the first
+    # prime p; at composite r each basis mod p^k is combined with the whole
+    # list for the rest of r, itself in chart order
+    sp = SymplecticSpace(g=2, r=r)
+    for isotropic, enumerate_family in (
+        (True, isotropic_bicyclics),
+        (False, all_bicyclics),
+    ):
+        fam = enumerate_family(sp)
+        assert fam.members == enumerate_family(sp).members
+        outer = [_pivot_columns(m, p) for m in fam]
+        assert all(len(key) == 2 for key in outer)
+        assert outer == sorted(outer)
+        if rest > 1:
+            block = bicyclic_count(2, rest, isotropic)
+            inner = [_pivot_columns(m, rest) for m in fam]
+            assert inner[:block] == sorted(inner[:block])
+            assert all(key == inner[i % block] for i, key in enumerate(inner))
 
 
 @pytest.mark.parametrize(
-    "g, r", [(1, r) for r in range(2, 13)] + [(2, 2), (2, 3)]
+    "g, r", [(2, 4), (2, 6), (2, 8), (2, 9), (2, 12), (3, 2), (3, 3)]
 )
-def test_plucker_key_matches_span_closure(g, r):
-    _assert_keys_match_span_closure(_bicyclic_pairs(g, r), r)
+def test_family_sizes_match_closed_form(g, r):
+    sp = SymplecticSpace(g=g, r=r)
+    assert len(isotropic_bicyclics(sp)) == bicyclic_count(g, r, isotropic=True)
+    assert len(all_bicyclics(sp)) == bicyclic_count(g, r, isotropic=False)
 
 
-@pytest.mark.parametrize("r", [6, 12])
-def test_plucker_key_matches_span_closure_sampled(r):
-    # composite r at g = 2, where no single minor need be a unit mod r: random
-    # bicyclic pairs, each followed by three bases of its span (a x + b y,
-    # c x + d y) with ad - bc a unit
-    rng = np.random.default_rng(r)
-    pairs = []
-    while len(pairs) < 1200:
-        x, y = (tuple(int(v) for v in rng.integers(0, r, 4)) for _ in range(2))
-        if gcd(r, *minor_vector(x, y, r)) != 1:
-            continue
-        pairs.append((x, y))
-        while len(pairs) % 4:
-            a, b, c, d = (int(v) for v in rng.integers(0, r, 4))
-            if gcd(r, a * d - b * c) == 1:
-                pairs.append(
-                    tuple(
-                        tuple((s * xi + t * yi) % r for xi, yi in zip(x, y))
-                        for s, t in ((a, b), (c, d))
-                    )
-                )
-    _assert_keys_match_span_closure(pairs, r)
+@pytest.mark.parametrize("g, r", [(2, 3), (2, 5), (3, 2)])
+def test_prime_family_members_are_built_in_howell_form(g, r):
+    # at prime r a member is built from its chart basis without a Howell
+    # call; it must be the subgroup that canonicalization gives
+    sp = SymplecticSpace(g=g, r=r)
+    for enumerate_family in (isotropic_bicyclics, all_bicyclics):
+        for member in enumerate_family(sp):
+            x, y = member.canonical_generators
+            canonical = subgroup_from_generators(
+                sp.group, [sp.element(x), sp.element(y)]
+            )
+            assert member == canonical
+            assert member.canonical_generators == canonical.canonical_generators
+            assert member.order == canonical.order == r * r
 
 
-@pytest.mark.parametrize("g, r", [(1, 12), (2, 4)])
-def test_plucker_key_matches_subgroup_equality(g, r):
-    group = SymplecticSpace(g=g, r=r).group
-    pairs = _bicyclic_pairs(g, r)
-    subs = [
-        subgroup_from_generators(group, [group.element(x), group.element(y)])
-        for x, y in pairs
-    ]
-    keys = _plucker_keys_of(pairs, r)
-    assert len(set(keys)) == len(set(subs)) == len(set(zip(keys, subs)))
+def test_families_list_no_table(monkeypatch):
+    monkeypatch.setattr(FinAbGroup, "coordinate_table", _refuse_to_list)
+    for g, r in [(1, 6), (2, 3), (2, 4), (2, 6)]:
+        sp = SymplecticSpace(g=g, r=r)
+        assert len(isotropic_bicyclics(sp)) == bicyclic_count(g, r, isotropic=True)
+        assert len(all_bicyclics(sp)) == bicyclic_count(g, r, isotropic=False)
+        for enumerate_family in (isotropic_bicyclics, all_bicyclics):
+            with pytest.raises(CapExceededError):
+                enumerate_family(sp, cap=sp.group.order - 1)
+
+
+@pytest.mark.parametrize("g, r", [(1, 4), (2, 4), (2, 5), (2, 6), (3, 2)])
+def test_family_intersection_matches_generator_rows(g, r):
+    # one minor row per chart basis seeds the same intersection as the
+    # stacked generator-pair rows of a family built from the same members
+    sp = SymplecticSpace(g=g, r=r)
+    for enumerate_family in (isotropic_bicyclics, all_bicyclics):
+        fam = enumerate_family(sp)
+        assert "_intersection" in fam.__dict__
+        stacked = BicyclicFamily(sp, fam.members, fam.provenance)
+        assert bogomolov_intersection(sp, fam) == bogomolov_intersection(sp, stacked)
 
 
 def test_family_canonicalizes_once_per_member(monkeypatch):
@@ -742,6 +777,19 @@ def test_matmul_mod_is_exact(r):
     B = rng.integers(0, r, size=(120, 3), dtype=np.int64)
     exact = (A.astype(object) @ B.astype(object)) % r
     assert brauer._matmul_mod(A, B, r).tolist() == exact.tolist()
+
+
+def test_matmul_mod_past_one_int64_term_is_a_typed_error():
+    # 3037000500 is the largest r with (r - 1)^2 <= 2^63 - 1 - r: one term
+    # per chunk, still exact; above it no single term fits
+    r = 3_037_000_500
+    A = np.array([[r - 1, r - 2, 1]], dtype=np.int64)
+    B = np.array([[r - 1], [r - 1], [r - 3]], dtype=np.int64)
+    exact = (A.astype(object) @ B.astype(object)) % r
+    assert brauer._matmul_mod(A, B, r).tolist() == exact.tolist()
+    for big in (r + 1, 4 * 10**9):
+        with pytest.raises(ModulusTooLargeError, match=rf"modulus {big} "):
+            brauer._matmul_mod(A, B, big)
 
 
 def test_grown_family_intersects_only_the_new_member(monkeypatch):
