@@ -6,6 +6,7 @@ forms, no solvers, no shortcuts shared with the package under test.
 """
 
 from itertools import product
+from math import gcd
 
 import numpy as np
 
@@ -89,6 +90,15 @@ def minor_vector(x, y, r: int) -> tuple[int, ...]:
     d = len(x)
     return tuple(
         (x[i] * y[j] - x[j] * y[i]) % r for i in range(d) for j in range(i + 1, d)
+    )
+
+
+def plucker_key(x, y, r: int) -> tuple[int, ...]:
+    """The 2x2 minors of (x, y) up to a unit of Z/r: the least of the
+    tuples u * minors mod r over the units u."""
+    minors = minor_vector(x, y, r)
+    return min(
+        tuple(u * m % r for m in minors) for u in range(1, r) if gcd(u, r) == 1
     )
 
 

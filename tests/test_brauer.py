@@ -9,6 +9,7 @@ from brute import (
     bicyclic_count,
     minor_vector,
     pair_span_size,
+    plucker_key,
     rref_mod_prime,
     span_closure,
     symplectic_value,
@@ -597,6 +598,94 @@ def test_family_intersection_matches_generator_rows(g, r):
         assert "_intersection" in fam.__dict__
         stacked = BicyclicFamily(sp, fam.members, fam.provenance)
         assert bogomolov_intersection(sp, fam) == bogomolov_intersection(sp, stacked)
+
+
+def _bicyclic_pairs(g: int, r: int):
+    """Every element pair of (Z/r)^(2g) whose minors have gcd prime to r."""
+    elems = list(product(range(r), repeat=2 * g))
+    return [
+        (x, y)
+        for i, x in enumerate(elems)
+        for y in elems[i + 1 :]
+        if gcd(r, *minor_vector(x, y, r)) == 1
+    ]
+
+
+def _assert_keys_match_span_closure(pairs, r: int) -> dict[tuple, frozenset]:
+    # equal keys exactly when the pairs span the same subgroup: the span of
+    # each pair lies in the closure of the first pair with its key (both have
+    # r^2 elements, so they are equal), and distinct keys have distinct spans
+    spans: dict[tuple, frozenset] = {}
+    for x, y in pairs:
+        key = plucker_key(x, y, r)
+        if key not in spans:
+            spans[key] = frozenset(span_closure([x, y], r))
+        assert x in spans[key] and y in spans[key], (x, y)
+    assert all(len(span) == r * r for span in spans.values())
+    assert len(set(spans.values())) == len(spans)
+    return spans
+
+
+@pytest.mark.parametrize(
+    "g, r", [(1, r) for r in range(2, 13)] + [(2, 2), (2, 3)]
+)
+def test_plucker_key_matches_span_closure(g, r):
+    # the Plücker key names the span of a pair; the chart lists each span
+    # of a bicyclic pair exactly once
+    spans = _assert_keys_match_span_closure(_bicyclic_pairs(g, r), r)
+    fam = all_bicyclics(SymplecticSpace(g=g, r=r))
+    assert len(fam) == len(spans)
+    assert {frozenset(span_closure(m.canonical_generators, r)) for m in fam} == set(
+        spans.values()
+    )
+
+
+@pytest.mark.parametrize("r", [6, 12])
+def test_plucker_key_matches_span_closure_sampled(r):
+    # composite r at g = 2, where no single minor need be a unit mod r: random
+    # bicyclic pairs, each followed by three bases of its span (a x + b y,
+    # c x + d y) with ad - bc a unit; the span of every isotropic pair is a
+    # member of the isotropic family
+    rng = np.random.default_rng(r)
+    pairs = []
+    while len(pairs) < 1200:
+        x, y = (tuple(int(v) for v in rng.integers(0, r, 4)) for _ in range(2))
+        if gcd(r, *minor_vector(x, y, r)) != 1:
+            continue
+        pairs.append((x, y))
+        while len(pairs) % 4:
+            a, b, c, d = (int(v) for v in rng.integers(0, r, 4))
+            if gcd(r, a * d - b * c) == 1:
+                pairs.append(
+                    tuple(
+                        tuple((s * xi + t * yi) % r for xi, yi in zip(x, y))
+                        for s, t in ((a, b), (c, d))
+                    )
+                )
+    _assert_keys_match_span_closure(pairs, r)
+    sp = SymplecticSpace(g=2, r=r)
+    members = set(isotropic_bicyclics(sp).members)
+    isotropic = [(x, y) for x, y in pairs if symplectic_value(x, y, r) == 0]
+    assert isotropic
+    for x, y in isotropic:
+        span = subgroup_from_generators(sp.group, [sp.element(x), sp.element(y)])
+        assert span in members
+
+
+@pytest.mark.parametrize("g, r", [(1, 12), (2, 4)])
+def test_plucker_key_matches_subgroup_equality(g, r):
+    # equal keys exactly when the subgroups are equal, and the subgroups are
+    # the members of the chart family
+    sp = SymplecticSpace(g=g, r=r)
+    group = sp.group
+    pairs = _bicyclic_pairs(g, r)
+    subs = [
+        subgroup_from_generators(group, [group.element(x), group.element(y)])
+        for x, y in pairs
+    ]
+    keys = [plucker_key(x, y, r) for x, y in pairs]
+    assert len(set(keys)) == len(set(subs)) == len(set(zip(keys, subs)))
+    assert set(subs) == set(all_bicyclics(sp).members)
 
 
 def test_family_canonicalizes_once_per_member(monkeypatch):
