@@ -23,7 +23,7 @@ Howell form, so every result is canonical and runs are deterministic.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, product
 
 import numpy as np
@@ -35,10 +35,11 @@ from .finab import (
     Subgroup,
     subgroup_from_generators,
 )
-from .sympl import AltForm, SymplecticSpace, upper_index_pairs, weil_form
+from .sympl import AltForm, SymplecticSpace, weil_form
 from .zmodlinalg import (
-    DimensionMismatchError,
-    ModulusTooLargeError,
+    _check_modulus,
+    _matmul_mod,
+    _residues,
     howell_form,
     howell_kernel,
     howell_reduce,
@@ -124,8 +125,7 @@ class FormSubmodule:
     @cached_property
     def _matrix(self) -> np.ndarray:
         """The generators as a read-only k x m int64 matrix."""
-        m = self.space.form_rank
-        H = np.array(self.generators, dtype=np.int64).reshape(-1, m)
+        H = _form_rows(self.space, self.generators)
         H.flags.writeable = False
         return H
 
@@ -157,67 +157,37 @@ class FormSubmodule:
 
 
 def _form_rows(space: SymplecticSpace, rows) -> np.ndarray:
-    """``rows`` as an s x m int64 matrix, m the form rank (0 x m if empty).
+    """``rows`` as an s x m matrix over Z/r, m the form rank (0 x m if empty).
 
     ``DimensionMismatchError`` for any other shape, so no rows are glued.
     """
-    m = space.form_rank
-    A = np.asarray(rows, dtype=np.int64)
-    if A.shape == (0,):
-        return A.reshape(0, m)
-    if A.ndim != 2 or A.shape[1] != m:
-        raise DimensionMismatchError(
-            f"expected rows of {m} form coefficients, got shape {A.shape}"
-        )
-    return A
+    return _residues(rows, space.r, space.form_rank)
 
 
 # ---------------------------------------------------------------------------
 # constraint machinery
 
 
-def _pair_indices(space: SymplecticSpace) -> tuple[np.ndarray, np.ndarray]:
-    I, J = np.array(upper_index_pairs(space.dim), dtype=np.int64).T
-    return I, J
+@cache
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays I, J of the pairs i < j of range(d), in
+    ``upper_index_pairs`` order; built once per d."""
+    return np.triu_indices(d, 1)
 
 
-def _minor_rows(
-    x: np.ndarray, Y: np.ndarray, I: np.ndarray, J: np.ndarray, r: int
-) -> np.ndarray:
-    """Constraint rows of the pairs (x, y), y running over the rows of Y."""
-    return (x[I] * Y[:, J] - x[J] * Y[:, I]) % r
+def _minor_rows(X: np.ndarray, Y: np.ndarray, r: int) -> np.ndarray:
+    """Constraint rows x_i y_j - x_j y_i (i < j) mod r of the pairs (x, y),
+    x and y the rows of X and Y broadcast against each other."""
+    I, J = _upper_pairs(X.shape[-1])
+    return (X[..., I] * Y[..., J] - X[..., J] * Y[..., I]) % r
 
 
-def _generator_rows(
-    space: SymplecticSpace, subgroup: Subgroup, I: np.ndarray, J: np.ndarray
-) -> np.ndarray:
+def _generator_rows(space: SymplecticSpace, subgroup: Subgroup) -> np.ndarray:
     """Constraint rows of the pairs of canonical generators of ``subgroup``."""
     # (Z/r)^(2g) is homocyclic: canonical generators are already coordinates
-    gens = np.array(subgroup.canonical_generators, dtype=np.int64).reshape(
-        -1, space.dim
-    )
-    rows = [
-        _minor_rows(gens[i], gens[i + 1 :], I, J, space.r) for i in range(len(gens))
-    ]
-    return np.vstack([np.zeros((0, space.form_rank), dtype=np.int64), *rows])
-
-
-def _matmul_mod(A: np.ndarray, B: np.ndarray, r: int) -> np.ndarray:
-    """(A @ B) mod r for int64 matrices with entries in [0, r), exact.
-
-    A term is below (r - 1)^2, so the inner dimension is summed in chunks of
-    (2^63 - 1 - r) // (r - 1)^2 terms, reduced mod r between chunks: one
-    product at small r, two terms per step at r near 2^31, the largest
-    modulus ``howell_form`` accepts.  ``ModulusTooLargeError`` once a single
-    term does not fit, (r - 1)^2 > 2^63 - 1 - r.
-    """
-    step = (2**63 - 1 - r) // (r - 1) ** 2
-    if not step:
-        raise ModulusTooLargeError(f"modulus {r} is too large for exact int64 products")
-    out = A[:, :step] @ B[:step] % r
-    for i in range(step, A.shape[1], step):
-        out = (out + A[:, i : i + step] @ B[i : i + step]) % r
-    return out
+    gens = _residues(subgroup.canonical_generators, space.r, space.dim)
+    a, b = _upper_pairs(len(gens))
+    return _minor_rows(gens[a], gens[b], space.r)
 
 
 def _cut(
@@ -279,15 +249,17 @@ def _shell_pairs(space: SymplecticSpace, *, isotropic: bool, bicyclic: bool):
     unordered pair of S1 is met once, and nothing outside S1 is listed.
     """
     r = space.r
-    I, J = _pair_indices(space)
     C = weil_form(space).full_matrix()
     primes = _prime_factors(r)
     S = _shell(space)
     for k in range(1, S.shape[0]):
         t, Y = S[k], S[:k]
         if isotropic:
+            # exact in int64 for r <= 2^31: t and each y have at most two
+            # nonzero residues and each row of C one, so both products sum
+            # at most two terms below (r - 1)^2
             Y = Y[(Y @ ((t @ C) % r)) % r == 0]
-        rows = _minor_rows(t, Y, I, J, r)
+        rows = _minor_rows(t, Y, r)
         if bicyclic:
             mask = np.ones(rows.shape[0], dtype=bool)
             for p in primes:
@@ -318,21 +290,13 @@ def compute_G(
     multiple of e.  A shell that ends first is a bug (``RuntimeError``
     naming g, r and the mode).  The group is never listed, but the cap and
     the table size are charged for all of it first (``CapExceededError``,
-    ``TableTooLargeError``), so a capped point stays skipped.
-
-    The isotropy test sums 2g products of up to (r - 1)^2 in int64, so
-    ``ModulusTooLargeError`` comes first when max(m, 2g) (r - 1)^2 >= 2^63,
-    m = g(2g - 1).  ``_cut`` multiplies through ``_matmul_mod`` and needs
-    no bound; the m term keeps the refused moduli, and so the exit codes,
-    as documented.
+    ``TableTooLargeError``), so a capped point stays skipped.  Before
+    either, ``ModulusTooLargeError`` for r > 2^31 (``_check_modulus``).
     """
     if mode not in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
         raise ValueError(f"unknown mode {mode!r}")
     r = space.r
-    if max(space.form_rank, space.dim) * (r - 1) ** 2 >= 2**63:
-        raise ModulusTooLargeError(
-            f"modulus {r} is too large for the exact int64 scan at g = {space.g}"
-        )
+    _check_modulus(r)
     space.group.check_table(cap)
     batches = _shell_pairs(
         space, isotropic=True, bicyclic=(mode == MODE_PRIMITIVE_PAIRS)
@@ -357,7 +321,7 @@ def restriction_kernel(space: SymplecticSpace, subgroup: Subgroup) -> FormSubmod
     """
     if subgroup.parent != space.group:
         raise ValueError("subgroup does not sit in the space's module")
-    return _cut(space, _generator_rows(space, subgroup, *_pair_indices(space)))
+    return _cut(space, _generator_rows(space, subgroup))
 
 
 @dataclass(frozen=True)
@@ -397,7 +361,6 @@ class BicyclicFamily:
         coordinates.
         """
         space = self.space
-        I, J = _pair_indices(space)
         rows = [np.zeros((0, space.form_rank), dtype=np.int64)]
         for k, member in enumerate(self.members):
             if member.parent != space.group:
@@ -405,7 +368,7 @@ class BicyclicFamily:
                     f"member {k} ({self.provenance[k]}) is a subgroup of "
                     f"{member.parent}, not of the space's module {space.group}"
                 )
-            rows.append(_generator_rows(space, member, I, J))
+            rows.append(_generator_rows(space, member))
         return _cut(space, np.vstack(rows))
 
     def with_pair(
@@ -432,7 +395,7 @@ class BicyclicFamily:
         # seeded from this family's set, so a chain of calls hashes each member once
         grown.__dict__["_member_set"] = self._member_set | {member}
         if "_intersection" in self.__dict__:
-            N = _generator_rows(self.space, member, *_pair_indices(self.space))
+            N = _generator_rows(self.space, member)
             grown.__dict__["_intersection"] = _cut(self.space, N, self._intersection)
         return grown
 
@@ -502,10 +465,7 @@ def _enumerate_bicyclics(
         ]
     tag = "isotropic-pair" if isotropic_only else "bicyclic-pair"
     family = BicyclicFamily(space, tuple(members), (tag,) * len(members))
-    I, J = _pair_indices(space)
-    X, Y = bases[:, 0], bases[:, 1]
-    # the minors of each basis (_minor_rows takes one x, the scan's fast case)
-    rows = (X[:, I] * Y[:, J] - X[:, J] * Y[:, I]) % r
+    rows = _minor_rows(bases[:, 0], bases[:, 1], r)
     family.__dict__["_intersection"] = _cut(space, rows)
     return family
 

@@ -9,11 +9,12 @@ components  covering-side component counts and exponents
 selftest    deterministic property suites, seeded
 
 Exit codes: 0 every checked flag holds, 1 some inclusion flag failed,
-2 unusable configuration (g < 1, r < 2, a modulus beyond the int64
-limit of the Howell routines, ``ModulusTooLargeError``, and a cap so large
+2 unusable configuration (g < 1, r < 2, a modulus r > 2^31, the one
+int64 limit of the Z/r routines, ``ModulusTooLargeError``, a cap so large
 that a coordinate table is beyond numpy's array size limit,
-``TableTooLargeError``, included), 3 the enumeration cap cut off at least
-one record (such records are marked skipped).
+``TableTooLargeError``, and a ``table --out`` file that cannot be written
+included), 3 the enumeration cap cut off at least one record (such
+records are marked skipped).
 
 table, verify-g and bogomolov take an enumeration cap, which can also be
 set through the environment variable BRAUERKIT_CAP; an explicit --cap
@@ -208,14 +209,6 @@ def _render_csv(args, cap: int, records: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def load_report(path: str) -> dict:
     """Re-read a JSON report; unknown fields are preserved as-is."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -231,7 +224,16 @@ def cmd_table(args, cap: int) -> int:
         return EXIT_CONFIG
     records, exit_code = _build_records(args, cap)
     render = _render_csv if args.format == "csv" else _render_json
-    _emit(render(args, cap, records), args.out)
+    text = render(args, cap, records)
+    if not args.out:
+        sys.stdout.write(text)
+        return exit_code
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"brauerkit: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     return exit_code
 
 

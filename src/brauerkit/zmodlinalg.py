@@ -19,9 +19,11 @@ runs it on the Howell form of [A | c].  Entries stay in [0, n) between
 steps, so a product is below (n-1)^2, a sum of two (a row combination)
 below 2(n-1)^2, and a back-substitution update (a residue times a residue
 plus a residue) below n^2: exact in int64 while that is below 2^63, that is
-for n <= 2^31.  ``howell_form``, ``howell_reduce``, ``howell_kernel`` and
-``solve_mod`` raise ``ModulusTooLargeError`` for any larger n rather than
-wrap around.
+for n <= 2^31.  That is the package's one int64 limit: caller input enters
+every Z/n routine through one conversion, ``_residues``, which raises
+``ModulusTooLargeError`` for larger n rather than wrap around, and
+products of residue matrices go through ``_matmul_mod``, summed in chunks
+that stay below 2^63.
 """
 
 from __future__ import annotations
@@ -216,6 +218,59 @@ def _check_modulus(n: int):
         )
 
 
+def _residues(A, n: int, width: int | None = None) -> np.ndarray:
+    """Caller input ``A`` as a fresh int64 matrix with entries in [0, n).
+
+    Checks the modulus first.  Integers of any size are reduced exactly;
+    other entries are a ``TypeError`` unless ``A`` is empty.
+    ``DimensionMismatchError`` unless ``A`` is 2-d with ``width`` columns
+    (any number when ``None``); an empty 1-d ``A`` is no rows of ``width``.
+    """
+    _check_modulus(n)
+    M = np.asarray(A)
+    if M.dtype != np.int64:
+        if M.dtype.kind == "u":
+            # reduced in its own dtype first, so entries above 2^63 stay exact
+            M = M % M.dtype.type(n)
+        elif not M.size:
+            M = np.zeros(M.shape, dtype=np.int64)
+        elif M.dtype.kind not in "bi":
+            # numpy reads a list that mixes ints past 2^63 with small ones
+            # as float64; read as objects, every int stays exact
+            O = np.asarray(A, dtype=object)
+            ints = (int, np.integer)
+            bad = next((v for v in O.flat if not isinstance(v, ints)), None)
+            if bad is not None:
+                raise TypeError(
+                    f"expected integer entries, got {type(bad).__name__} "
+                    f"(dtype {M.dtype})"
+                )
+            M = O % n
+        M = M.astype(np.int64)
+    if width is not None and M.shape == (0,):
+        M = M.reshape(0, width)
+    if M.ndim != 2 or width not in (None, M.shape[1]):
+        want = "a 2-d matrix" if width is None else f"rows of width {width}"
+        raise DimensionMismatchError(f"expected {want}, got shape {M.shape}")
+    return M % n
+
+
+def _matmul_mod(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
+    """(A @ B) mod n for int64 matrices with entries in [0, n), exact.
+
+    A term is below (n - 1)^2, so the inner dimension is summed in chunks of
+    (2^63 - 1 - n) // (n - 1)^2 terms, reduced mod n between chunks: one
+    product at small n, two terms per step at n = 2^31, the largest modulus
+    ``_check_modulus`` accepts.
+    """
+    _check_modulus(n)
+    step = (2**63 - 1 - n) // (n - 1) ** 2
+    out = A[:, :step] @ B[:step] % n
+    for i in range(step, A.shape[1], step):
+        out = (out + A[:, i : i + step] @ B[i : i + step]) % n
+    return out
+
+
 def _unit_multiplier(a: int, n: int) -> int:
     """A unit u mod n with u*a == gcd(a, n) (mod n).
 
@@ -246,11 +301,7 @@ def howell_form(A, n: int) -> np.ndarray:
     above; its annihilator (n/g) * pivot joins the remaining rows, and rows
     that become zero are dropped.
     """
-    _check_modulus(n)
-    M = np.asarray(A, dtype=np.int64)
-    if M.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-d matrix, got shape {M.shape}")
-    M = M % n
+    M = _residues(A, n)
     # M[:t] holds the pivot rows found so far; M[t:] the remaining rows,
     # which are zero in every column before c
     t = c = 0
@@ -319,7 +370,7 @@ def howell_span_order(H, n: int) -> int:
     Howell form just computed: once per scan cut and once per family member.
     """
     order = 1
-    for row in np.asarray(H, dtype=np.int64):
+    for row in _residues(H, n):
         order *= n // int(row[np.flatnonzero(row)[0]])
     return order
 
@@ -332,9 +383,7 @@ def howell_span(H, n: int) -> list[tuple[int, ...]]:
     ``_pivots``, and each row's annihilator multiple (n / pivot) * h_i
     reduces to zero against the rows below it.
     """
-    H = np.asarray(H, dtype=np.int64) % n
-    if H.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-d matrix, got shape {H.shape}")
+    H = _residues(H, n)
     _, piv = _pivots(H, n)
     span = np.zeros((1, H.shape[1]), dtype=np.int64)
     for i in reversed(range(H.shape[0])):
@@ -357,13 +406,8 @@ def howell_reduce(H, rows, n: int) -> np.ndarray:
     ``howell_reduce(H, rows, n).any(axis=1)`` marks the rows outside it.
     An empty basis leaves the rows unchanged.
     """
-    _check_modulus(n)
-    H = np.asarray(H, dtype=np.int64)
-    R = np.asarray(rows, dtype=np.int64) % n
-    if H.ndim != 2 or R.ndim != 2 or H.shape[1] != R.shape[1]:
-        raise DimensionMismatchError(
-            f"cannot reduce rows of shape {R.shape} by a basis of shape {H.shape}"
-        )
+    H = _residues(H, n)
+    R = _residues(rows, n, H.shape[1])
     if H.shape[0] == 0:
         return R
     for h, c in zip(H, (H != 0).argmax(axis=1)):
@@ -388,17 +432,14 @@ def howell_kernel(H, n: int, rhs=None):
     already satisfies, so p divides each seed's residual; ``ValueError`` if
     not, since ``H`` is then no Howell form.  Subtracting the e_f seeds, then
     the pivot seeds from the last pivot up, reduces any kernel vector to 0,
-    so the seeds span the kernel.  An update is a residue times a residue
-    plus a residue, below n^2, so the int64 limit is that of ``howell_form``:
-    ``ModulusTooLargeError`` for n > 2^31.
+    so the seeds span the kernel.
     """
-    _check_modulus(n)
-    H = np.asarray(H, dtype=np.int64) % n
-    if H.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-d matrix, got shape {H.shape}")
+    H = _residues(H, n)
     t, k = H.shape
-    b = np.zeros(t, dtype=np.int64) if rhs is None else np.asarray(rhs, dtype=np.int64)
-    b = b.ravel() % n
+    if rhs is None:
+        b = np.zeros(t, dtype=np.int64)
+    else:
+        b = _residues(np.reshape(rhs, (1, -1)), n)[0]
     if b.size != t:
         raise DimensionMismatchError(f"rhs has length {b.size}, matrix has {t} rows")
     cols, piv = _pivots(H, n)
@@ -438,16 +479,11 @@ def solve_mod(A, c, n: int):
     The Howell form of [A | c] has the same solutions as A x = c.  A row that
     leads in the c column reads 0 = nonzero, so there is no solution;
     otherwise its first k columns are a Howell form of A and back-substitution
-    (``howell_kernel``) against its last column gives both answers.  Shares
-    the int64 limit of ``howell_form``: ``ModulusTooLargeError`` for
-    n > 2^31.
+    (``howell_kernel``) against its last column gives both answers.
     """
-    _check_modulus(n)
-    A = np.asarray(A, dtype=np.int64)
-    if A.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-d matrix, got shape {A.shape}")
+    A = _residues(A, n)
     m, k = A.shape
-    cvec = np.asarray(c, dtype=np.int64).ravel()
+    cvec = _residues(np.reshape(c, (1, -1)), n)[0]
     if cvec.size != m:
         raise DimensionMismatchError(f"rhs has length {cvec.size}, matrix has {m} rows")
     H = howell_form(np.hstack([A, cvec[:, None]]), n)

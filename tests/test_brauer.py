@@ -81,6 +81,26 @@ def test_form_rows_of_the_wrong_width_are_rejected():
     assert FormSubmodule.from_forms(sp, []) == FormSubmodule.trivial(sp)
 
 
+def test_form_rows_refuse_non_integers_and_reduce_big_ints():
+    # truncated, 1.5 would read as 1 and give the span of (1, 0, ..., 0)
+    sp = SymplecticSpace(g=2, r=5)
+    span = FormSubmodule.weil_span(sp)
+    for entry in (1.5, 2.0, 1 + 2j, "1"):
+        row = [entry, 0, 0, 0, 0, 0]
+        with pytest.raises(TypeError):
+            FormSubmodule.from_rows(sp, [row])
+        with pytest.raises(TypeError):
+            brauer._cut(sp, [row])
+        with pytest.raises(TypeError):
+            span.contains_vector(row)
+    # 2^70 + 2, 2 - 2^80 and 2^63 + 3 are 1 mod 5, whatever numpy's dtype
+    # guess, so each row is e = (1, 0, 0, 0, 0, 1)
+    for big in ([2**70 + 2, 0, 0, 0, 0, 2 - 2**80], [2**63 + 3, 0, 0, 0, 0, 1]):
+        assert FormSubmodule.from_rows(sp, [big]) == span
+        assert brauer._cut(sp, [big]) == brauer._cut(sp, [[1, 0, 0, 0, 0, 1]])
+        assert span.contains_vector(big)
+
+
 def test_form_submodule_vectors_and_forms():
     sp = SymplecticSpace(g=1, r=4)
     span = FormSubmodule.weil_span(sp)
@@ -248,6 +268,30 @@ def test_weight_order_meets_the_same_pairs(g, r, isotropic, bicyclic):
     assert set(met.values()) <= {1}
 
 
+@pytest.mark.parametrize("g", [2, 3, 4])
+@pytest.mark.parametrize("r", [2**31 - 1, 2**31])
+@pytest.mark.parametrize("bicyclic", [True, False])
+def test_shell_pairs_are_exact_at_the_modulus_limit(g, r, bicyclic):
+    # the int64 isotropy products and minor rows against Python ints, at
+    # the largest moduli the Z/r routines accept
+    sp = SymplecticSpace(g=g, r=r)
+    shell = list(map(tuple, brauer._shell(sp).tolist()))
+    want = {
+        (s, t)
+        for i, t in enumerate(shell)
+        for s in shell[:i]
+        if not symplectic_value(s, t, r)
+        and not (bicyclic and gcd(r, *minor_vector(s, t, r)) != 1)
+    }
+    met = set()
+    for t, S, rows in brauer._shell_pairs(sp, isotropic=True, bicyclic=bicyclic):
+        t = tuple(t.tolist())
+        for s, row in zip(map(tuple, S.tolist()), rows.tolist()):
+            met.add((s, t))
+            assert tuple(-v % r for v in row) == minor_vector(s, t, r)
+    assert met == want
+
+
 def _refuse_to_list(*args, **kwargs):
     raise RuntimeError("the scan listed group elements")
 
@@ -376,18 +420,29 @@ def test_compute_g_is_crt_sum_over_prime_powers(r, prime_powers, mode):
     assert compute_G(sp, mode) == FormSubmodule.from_rows(sp, lifted)
 
 
-def test_compute_g_rejects_modulus_past_scan_limit_before_listing(monkeypatch):
-    # the scan refuses max(m, 2g) (r - 1)^2 >= 2^63, and here m = 6 while
-    # (r - 1)^2 > 2^63 / 6
+def test_compute_g_refuses_the_table_at_the_modulus_limit_before_listing(monkeypatch):
+    # r = 2^31 - 1 is within the Z/r limit, and r^4 fits under the cap,
+    # but the coordinate table is past numpy's size limit
     listed = []
     monkeypatch.setattr(
         FinAbGroup, "coordinate_table", lambda *args: listed.append(args)
     )
     sp = SymplecticSpace(g=2, r=2**31 - 1)
     for mode in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
-        with pytest.raises(ModulusTooLargeError):
+        with pytest.raises(TableTooLargeError):
             compute_G(sp, mode, cap=10**40)
     assert listed == []
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_compute_g_rejects_modulus_past_2_31_before_the_shell(monkeypatch, g):
+    # at g = 1 the scan lists no pair, so only the modulus check refuses
+    monkeypatch.setattr(brauer, "_shell", _refuse_to_list)
+    monkeypatch.setattr(FinAbGroup, "coordinate_table", _refuse_to_list)
+    sp = SymplecticSpace(g=g, r=2**31 + 1)
+    for mode in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
+        with pytest.raises(ModulusTooLargeError):
+            compute_G(sp, mode, cap=10**40)
 
 
 def test_compute_g_rejects_oversized_table_before_the_shell(monkeypatch):
@@ -868,15 +923,15 @@ def test_matmul_mod_is_exact(r):
     assert brauer._matmul_mod(A, B, r).tolist() == exact.tolist()
 
 
-def test_matmul_mod_past_one_int64_term_is_a_typed_error():
-    # 3037000500 is the largest r with (r - 1)^2 <= 2^63 - 1 - r: one term
-    # per chunk, still exact; above it no single term fits
-    r = 3_037_000_500
+def test_matmul_mod_past_2_31_is_a_typed_error():
+    # 2^31 is the largest modulus the Z/r routines accept: two terms per
+    # chunk, still exact; above it the product is refused, not wrapped
+    r = 2**31
     A = np.array([[r - 1, r - 2, 1]], dtype=np.int64)
     B = np.array([[r - 1], [r - 1], [r - 3]], dtype=np.int64)
     exact = (A.astype(object) @ B.astype(object)) % r
     assert brauer._matmul_mod(A, B, r).tolist() == exact.tolist()
-    for big in (r + 1, 4 * 10**9):
+    for big in (r + 1, 3_037_000_500, 4 * 10**9):
         with pytest.raises(ModulusTooLargeError, match=rf"modulus {big} "):
             brauer._matmul_mod(A, B, big)
 

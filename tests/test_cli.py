@@ -67,6 +67,17 @@ def test_table_beyond_numpy_size_limit_is_config_error(capsys):
         assert line.startswith("brauerkit: ") and "array size limit" in line
 
 
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    argv = ["table", "--g", "2", "--r", "2", "--d", "0", "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("brauerkit: ") and str(out) in line
+    assert not out.parent.exists()
+
+
 def test_bad_jobs_is_config_error(capsys):
     code = main(["table", "--g", "2", "--r", "2", "--d", "0", "--jobs", "0"])
     assert code == EXIT_CONFIG

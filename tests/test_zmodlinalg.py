@@ -467,3 +467,54 @@ def test_howell_kernel_unsolvable_and_rejected():
     particular, kernel = howell_kernel(np.zeros((0, 3), dtype=np.int64), 6)
     assert particular.tolist() == [0, 0, 0]
     assert kernel.tolist() == np.eye(3, dtype=int).tolist()
+
+
+def _each_caller_input(entry):
+    """Every Z/n routine with ``entry`` in one of its caller inputs, mod 5."""
+    row = [[entry, 1]]
+    return {
+        "howell_form": lambda: howell_form(row, 5),
+        "howell_reduce basis": lambda: howell_reduce(row, [[1, 2]], 5),
+        "howell_reduce rows": lambda: howell_reduce([[1, 0]], row, 5),
+        "howell_kernel": lambda: howell_kernel(row, 5),
+        "howell_kernel rhs": lambda: howell_kernel([[1, 0]], 5, [entry]),
+        "solve_mod": lambda: solve_mod(row, [1], 5),
+        "solve_mod rhs": lambda: solve_mod([[1, 0]], [entry], 5),
+        "howell_span": lambda: howell_span(row, 5),
+        "howell_span_order": lambda: howell_span_order(row, 5),
+    }
+
+
+def _plain(value):
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@pytest.mark.parametrize("routine", sorted(_each_caller_input(0)))
+def test_non_integer_entries_are_a_type_error(routine):
+    # truncated, 1.5 would read as 1 and 2.5 as 2
+    for entry, dtype in ((1.5, "float64"), (2.0, "float64"), (1 + 2j, "complex")):
+        with pytest.raises(TypeError, match=dtype):
+            _each_caller_input(entry)[routine]()
+    with pytest.raises(TypeError, match="str"):
+        _each_caller_input("1")[routine]()
+
+
+@pytest.mark.parametrize("routine", sorted(_each_caller_input(0)))
+def test_integers_of_any_size_reduce_exactly(routine):
+    # each entry is 1 mod 5: a Python int past 2^64, a negative one, one
+    # numpy reads as float64 next to a small int, and a uint64 past 2^63
+    want = _plain(_each_caller_input(1)[routine]())
+    for entry in (2**70 + 2, 5 - 2**70, 2**63 + 3, np.uint64(2**63 + 3)):
+        assert _plain(_each_caller_input(entry)[routine]()) == want
+
+
+def test_empty_inputs_of_any_dtype_are_accepted():
+    for dtype in (np.float64, np.complex128, np.str_, object):
+        empty = np.zeros((0, 3), dtype=dtype)
+        assert howell_form(empty, 6).shape == (0, 3)
+        assert howell_reduce(empty, [[7, 3, 1]], 6).tolist() == [[1, 3, 1]]
+        assert howell_span_order(empty, 6) == 1
+        assert howell_kernel(empty, 6)[1].tolist() == np.eye(3, dtype=int).tolist()
+        assert solve_mod(empty, np.zeros(0, dtype=dtype), 6)[0].tolist() == [0, 0, 0]
