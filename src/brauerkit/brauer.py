@@ -3,13 +3,13 @@
 Operations here answer, in exact arithmetic over Z/r:
 
 * which alternating forms vanish on every isotropic pair of the standard
-  pairing (``compute_G``), optionally restricted to pairs that generate a
-  (Z/r)^2 subgroup;
+  pairing (``compute_G``, one cut by the paper's witness pairs),
+  optionally restricted to pairs that generate a (Z/r)^2 subgroup;
 * which forms die under restriction to a given subgroup
   (``restriction_kernel``);
 * the intersection of those restriction kernels over a family of bicyclic
   subgroups (``bogomolov_intersection``), the family being either explicit
-  or the streamed family of all isotropic bicyclic pairs.
+  or, left implicit, that of all isotropic bicyclic pairs.
 
 All of it is linear algebra on the g(2g-1) upper-triangular coefficients:
 a pair (x, y) imposes the single linear constraint
@@ -215,58 +215,17 @@ def _cut(
     return FormSubmodule.from_rows(space, C if K is None else _matmul_mod(C, K, r))
 
 
-def _shell(space: SymplecticSpace) -> np.ndarray:
-    """The shell S1: the nonzero vectors with at most two nonzero
-    coordinates, each 1 or r - 1.  That is 8g^2 vectors (fewer at r = 2,
-    where 1 = r - 1), by weight and then in coordinate-table order, so the
-    basis vectors come first.  S1 holds every witness pair of the paper,
-    (a_i, a_j), (b_i, b_j), (a_i, b_j), (a_j, b_i) and (a_i + a_j, b_i - b_j),
-    which is why the scan of ``compute_G`` needs no other element.
+def _witness_pairs(space: SymplecticSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The paper's witness pairs (a_i, a_j), (b_i, b_j), (a_i, b_j), (a_j, b_i)
+    and (a_i + a_j, b_i - b_j), i < j, as int64 arrays X, Y over Z/r: row k
+    of X pairs with row k of Y.  There are 5g(g - 1)/2, none at g = 1.
     """
-    d = space.dim
-    units = sorted({1, space.r - 1})
-    vectors = []
-    for weight in (1, 2):
-        block = []
-        for support in combinations(range(d), weight):
-            for entries in product(units, repeat=weight):
-                v = [0] * d
-                for i, c in zip(support, entries):
-                    v[i] = c
-                block.append(v)
-        vectors += sorted(block)
-    return np.array(vectors, dtype=np.int64).reshape(-1, d)
-
-
-def _shell_pairs(space: SymplecticSpace, *, isotropic: bool, bicyclic: bool):
-    """The selected pairs inside the shell S1, grouped by their later element.
-
-    For each t in shell order, yields ``(t, S, rows)``: the earlier shell
-    elements s with e(t, s) = 0 (when ``isotropic``) and t, s spanning
-    (Z/r)^2 (when ``bicyclic``), with the constraint rows of the pairs
-    (t, s), the negated rows of (s, t).  A pair spans (Z/r)^2 exactly when
-    its 2x2 minors do not all vanish modulo any prime divisor of r.  Every
-    unordered pair of S1 is met once, and nothing outside S1 is listed.
-    """
-    r = space.r
-    C = weil_form(space).full_matrix()
-    primes = _prime_factors(r)
-    S = _shell(space)
-    for k in range(1, S.shape[0]):
-        t, Y = S[k], S[:k]
-        if isotropic:
-            # exact in int64 for r <= 2^31: t and each y have at most two
-            # nonzero residues and each row of C one, so both products sum
-            # at most two terms below (r - 1)^2
-            Y = Y[(Y @ ((t @ C) % r)) % r == 0]
-        rows = _minor_rows(t, Y, r)
-        if bicyclic:
-            mask = np.ones(rows.shape[0], dtype=bool)
-            for p in primes:
-                mask &= (rows % p).any(axis=1)
-            Y, rows = Y[mask], rows[mask]
-        if Y.shape[0]:
-            yield t, Y, rows
+    E = np.eye(space.dim, dtype=np.int64)
+    a, b = E[0::2], E[1::2]
+    I, J = _upper_pairs(space.g)
+    X = np.concatenate([a[I], b[I], a[I], a[J], a[I] + a[J]])
+    Y = np.concatenate([a[J], b[J], b[J], b[I], (b[I] - b[J]) % space.r])
+    return X, Y
 
 
 def compute_G(
@@ -279,37 +238,32 @@ def compute_G(
     ``all-pairs`` constrains by every pair (x, y) with e(x, y) = 0;
     ``primitive-pairs`` only by those pairs whose span is (Z/r)^2.
 
-    Starting from every form, the scan cuts (``_cut``) by each batch of
-    selected pairs of the shell S1 (``_shell_pairs``).  The pairs are
-    isotropic, so span(e), of order r, survives every cut, and the scan
-    stops once the order is r; at g = 1 it lists no pair.  S1 reaches that
-    stop: its witness pairs (a_i, a_j), (b_i, b_j), (a_i, b_j), (a_j, b_i)
-    and (a_i + a_j, b_i - b_j), i != j, are isotropic with a unit minor, so
-    both modes select them, and a form they all kill vanishes on every pair
-    of basis vectors but the (a_i, b_i), where it takes one value: it is a
-    multiple of e.  A shell that ends first is a bug (``RuntimeError``
-    naming g, r and the mode).  The group is never listed, but the cap and
-    the table size are charged for all of it first (``CapExceededError``,
-    ``TableTooLargeError``), so a capped point stays skipped.  Before
-    either, ``ModulusTooLargeError`` for r > 2^31 (``_check_modulus``).
+    Both are one cut (``_cut``) of every form by the minor rows of the
+    witness pairs W (``_witness_pairs``).  Each pair of W is isotropic with
+    a unit minor, so W lies in the selected pairs of either mode, and a
+    form that kills W vanishes on every pair of basis vectors but the
+    (a_i, b_i), where it takes one value: the cut is span(e).  Every
+    isotropic pair is killed by e, so span(e) <= G <= cut(W) = span(e) in
+    both modes.  A cut of any other order is a bug (``RuntimeError`` naming
+    the mode, g, r and a generator outside span(e)).  The group is never
+    listed, but the cap and the table size are charged for all of it first
+    (``CapExceededError``, ``TableTooLargeError``), so a capped point stays
+    skipped.  Before either, ``ModulusTooLargeError`` for r > 2^31
+    (``_check_modulus``).
     """
     if mode not in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
         raise ValueError(f"unknown mode {mode!r}")
     r = space.r
     _check_modulus(r)
     space.group.check_table(cap)
-    batches = _shell_pairs(
-        space, isotropic=True, bicyclic=(mode == MODE_PRIMITIVE_PAIRS)
-    )
-    G = FormSubmodule.full(space)
-    while G.order > r:
-        batch = next(batches, None)
-        if batch is None:
-            raise RuntimeError(
-                f"the shell S1 ended before the {mode} scan reached span(e) "
-                f"at g = {space.g}, r = {r}"
-            )
-        G = _cut(space, batch[2], G)
+    G = _cut(space, _minor_rows(*_witness_pairs(space), r))
+    if G.order != r:
+        e = FormSubmodule.weil_span(space)
+        outside = next(v for v in G.generators if not e.contains_vector(v))
+        raise RuntimeError(
+            f"the {mode} witness cut left {G.order} forms, not span(e), at "
+            f"g = {space.g}, r = {r}: generator {outside} is outside span(e)"
+        )
     return G
 
 
@@ -503,12 +457,12 @@ def bogomolov_intersection(
     rows.  ``ValueError`` if the family belongs to another space or holds
     a subgroup of another module.
 
-    With ``family=None`` the isotropic bicyclic family is
-    streamed without being materialized; a member contributes exactly the
-    constraint of one generating pair, since on a bicyclic subgroup a form
-    is determined by its value on any generating pair up to units.  That
-    streamed scan is the one of ``compute_G`` in primitive-pairs mode, so
-    the streamed G' is the primitive-pairs G and is computed as such.
+    With ``family=None`` the isotropic bicyclic family is never
+    materialized.  A member contributes exactly the constraint of one
+    generating pair, since on a bicyclic subgroup a form is determined by
+    its value on any generating pair up to units, so this G' is the
+    primitive-pairs G and is computed as such: one cut by the witness
+    pairs (``compute_G``).
     """
     if family is None:
         return compute_G(space, MODE_PRIMITIVE_PAIRS, cap)
@@ -521,9 +475,10 @@ def bogomolov_intersection(
 class InclusionReport:
     """Machine-readable summary of the main inclusion checks for one space.
 
-    G refers to compute_G (per mode), G' to the streamed intersection of
-    isotropic bicyclic restriction kernels, and the span of the standard
-    pairing e is the expected value of both.  The streamed G' is the
+    G refers to compute_G (per mode), G' to the intersection of isotropic
+    bicyclic restriction kernels over the implicit family
+    (``bogomolov_intersection(space, None)``), and the span of the standard
+    pairing e is the expected value of both.  That G' is the
     primitive-pairs G, computed once and reported under both names, so
     ``gprime_subset_g_primitive`` holds by construction; the explicit family
     route of ``bogomolov_intersection`` is the independent check of G'.
@@ -570,7 +525,7 @@ def verify_main_inclusions(
     if mode not in ("both", MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
         raise ValueError(f"unknown mode {mode!r}")
     e_span = FormSubmodule.weil_span(space)
-    # the streamed G' is the primitive-pairs G; one scan serves both
+    # the implicit-family G' is the primitive-pairs G; one cut serves both
     gprime = compute_G(space, MODE_PRIMITIVE_PAIRS, cap)
     e_vec = weil_form(space).vector()
     g_all = (

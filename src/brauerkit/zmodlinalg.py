@@ -367,7 +367,7 @@ def howell_span_order(H, n: int) -> int:
 
     Assumes ``H`` is ``howell_form`` output and does not check it, because
     every ``FormSubmodule`` and ``Subgroup`` is built by calling this on a
-    Howell form just computed: once per scan cut and once per family member.
+    Howell form just computed: once per cut and once per family member.
     """
     order = 1
     for row in _residues(H, n):

@@ -1,4 +1,5 @@
-from collections import Counter
+import ast
+import re
 from itertools import combinations, product
 from math import gcd
 
@@ -239,117 +240,100 @@ def _shell_brute(g, r):
     ]
 
 
-@pytest.mark.parametrize("g, r", [(1, 6), (2, 2), (2, 3), (2, 4), (2, 6), (3, 2)])
-@pytest.mark.parametrize("isotropic", [True, False])
-@pytest.mark.parametrize("bicyclic", [True, False])
-def test_weight_order_meets_the_same_pairs(g, r, isotropic, bicyclic):
-    # the shell stream, in weight order, against S1 pairs listed by brute force
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [2, 3, 4, 6])
+def test_witness_pairs_are_the_papers(g, r):
+    # the library's witness pairs against the list written out below, each
+    # one against the brute-force pairing, span size and minors
     sp = SymplecticSpace(g=g, r=r)
-    shell = _shell_brute(g, r)
-    assert len(shell) == (8 * g * g if r > 2 else g * (2 * g + 1))
-    assert sorted(map(tuple, brauer._shell(sp).tolist())) == shell
-    want = {
-        frozenset((s, t))
-        for i, s in enumerate(shell)
-        for t in shell[i + 1 :]
-        if not (isotropic and symplectic_value(s, t, r))
-        and not (bicyclic and pair_span_size(s, t, r) != r * r)
-    }
-    # a plane in (Z/r)^2 is never isotropic; every other case selects pairs
-    assert bool(want) != (g == 1 and isotropic and bicyclic)
-    met = Counter()
-    masks = {"isotropic": isotropic, "bicyclic": bicyclic}
-    for t, S, rows in brauer._shell_pairs(sp, **masks):
-        t = tuple(t.tolist())
-        for s, row in zip(map(tuple, S.tolist()), rows.tolist()):
-            met[frozenset((s, t))] += 1
-            assert tuple(-v % r for v in row) == minor_vector(s, t, r)
-    assert set(met) == want
-    assert set(met.values()) <= {1}
+    X, Y = brauer._witness_pairs(sp)
+    pairs = list(zip(map(tuple, X.tolist()), map(tuple, Y.tolist())))
+    assert len(pairs) == 5 * g * (g - 1) // 2
+    assert set(pairs) == set(_witness_pairs(g, r))
+    for (x, y), row in zip(pairs, brauer._minor_rows(X, Y, r).tolist()):
+        assert symplectic_value(x, y, r) == 0
+        assert pair_span_size(x, y, r) == r * r
+        assert tuple(row) == minor_vector(x, y, r)
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
 @pytest.mark.parametrize("r", [2**31 - 1, 2**31])
 @pytest.mark.parametrize("bicyclic", [True, False])
-def test_shell_pairs_are_exact_at_the_modulus_limit(g, r, bicyclic):
-    # the int64 isotropy products and minor rows against Python ints, at
-    # the largest moduli the Z/r routines accept
+def test_shell_pairs_are_exact_at_the_modulus_limit(monkeypatch, g, r, bicyclic):
+    # the witness pairs, which are pairs of the shell S1, at the largest
+    # moduli the Z/r routines accept: their int64 minor rows against Python
+    # ints, and the cut of the selected mode, with the table-size refusal
+    # lifted, against span(e)
     sp = SymplecticSpace(g=g, r=r)
-    shell = list(map(tuple, brauer._shell(sp).tolist()))
-    want = {
-        (s, t)
-        for i, t in enumerate(shell)
-        for s in shell[:i]
-        if not symplectic_value(s, t, r)
-        and not (bicyclic and gcd(r, *minor_vector(s, t, r)) != 1)
-    }
-    met = set()
-    for t, S, rows in brauer._shell_pairs(sp, isotropic=True, bicyclic=bicyclic):
-        t = tuple(t.tolist())
-        for s, row in zip(map(tuple, S.tolist()), rows.tolist()):
-            met.add((s, t))
-            assert tuple(-v % r for v in row) == minor_vector(s, t, r)
-    assert met == want
+    X, Y = brauer._witness_pairs(sp)
+    pairs = list(zip(map(tuple, X.tolist()), map(tuple, Y.tolist())))
+    assert set(pairs) == set(_witness_pairs(g, r))
+    for (x, y), row in zip(pairs, brauer._minor_rows(X, Y, r).tolist()):
+        assert symplectic_value(x, y, r) == 0
+        assert gcd(r, *row) == 1
+        assert tuple(row) == minor_vector(x, y, r)
+    monkeypatch.setattr(FinAbGroup, "check_table", lambda self, cap: None)
+    mode = MODE_PRIMITIVE_PAIRS if bicyclic else MODE_ALL_PAIRS
+    assert compute_G(sp, mode) == FormSubmodule.weil_span(sp)
 
 
 def _refuse_to_list(*args, **kwargs):
     raise RuntimeError("the scan listed group elements")
 
 
-@pytest.mark.parametrize(
-    "g, r, mode, stop",
-    [
-        (3, 4, MODE_ALL_PAIRS, 53),
-        (3, 4, MODE_PRIMITIVE_PAIRS, 53),
-        (4, 2, MODE_ALL_PAIRS, 30),
-        (4, 2, MODE_PRIMITIVE_PAIRS, 30),
-    ],
-)
-def test_scan_stops_inside_the_shell(monkeypatch, g, r, mode, stop):
-    # S1 has 72 elements at (3, 4) and 36 at (4, 2); the stop is pinned as
-    # the 1-based shell position of the last newcomer the scan consumed, and
-    # the coordinate table must never be listed
-    sp = SymplecticSpace(g=g, r=r)
-    shell = brauer._shell(sp).tolist()
-    newcomers = []
-    stream = brauer._shell_pairs
+@pytest.mark.parametrize("g, r", [(2, 3), (3, 4), (4, 2), (4, 6)])
+@pytest.mark.parametrize("mode", [MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS])
+def test_compute_g_is_one_cut_by_the_witness_rows(monkeypatch, g, r, mode):
+    # one cut of every form by the 5g(g - 1)/2 witness rows, with no group
+    # element listed
+    cut = brauer._cut
+    calls = []
 
-    def counted(*args, **kwargs):
-        for item in stream(*args, **kwargs):
-            newcomers.append(shell.index(item[0].tolist()) + 1)
-            yield item
+    def counted(space, rows, sub=None):
+        calls.append((len(rows), sub))
+        return cut(space, rows, sub)
 
-    monkeypatch.setattr(brauer, "_shell_pairs", counted)
+    monkeypatch.setattr(brauer, "_cut", counted)
     monkeypatch.setattr(FinAbGroup, "coordinate_table", _refuse_to_list)
+    sp = SymplecticSpace(g=g, r=r)
     assert compute_G(sp, mode) == FormSubmodule.weil_span(sp)
-    assert newcomers[-1] == stop
+    assert calls == [(5 * g * (g - 1) // 2, None)]
 
 
 def test_scan_at_genus_one_lists_no_element(monkeypatch):
-    # m = 1, so every form is a multiple of e: the scan starts at order r
-    # and stops before its first batch
+    # m = 1, so every form is a multiple of e: there is no witness pair, and
+    # the cut by no rows is every form
     monkeypatch.setattr(FinAbGroup, "coordinate_table", _refuse_to_list)
-    monkeypatch.setattr(brauer, "_shell", _refuse_to_list)
     for r in (2, 3, 4, 6):
         sp = SymplecticSpace(g=1, r=r)
+        X, Y = brauer._witness_pairs(sp)
+        assert X.shape == Y.shape == (0, 2)
         for mode in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
             assert compute_G(sp, mode) == FormSubmodule.full(sp)
 
 
 def test_scan_raises_if_the_shell_ends_before_the_stop(monkeypatch):
-    # the basis vectors alone leave every form sum c_i (a_i, b_i), r^g of
-    # them, so the stop at span(e) is never reached
-    shell = brauer._shell
+    # without the (a_i + a_j, b_i - b_j) pairs the cut leaves every form
+    # sum c_i (a_i, b_i), r^g of them, so it never reaches span(e); the
+    # error names a generator outside span(e)
+    witness_pairs = brauer._witness_pairs
 
-    def weight_one(space):
-        S = shell(space)
-        return S[(S != 0).sum(axis=1) == 1]
+    def without_mixed_pairs(space):
+        X, Y = witness_pairs(space)
+        single = (X != 0).sum(axis=1) == 1
+        return X[single], Y[single]
 
-    monkeypatch.setattr(brauer, "_shell", weight_one)
+    monkeypatch.setattr(brauer, "_witness_pairs", without_mixed_pairs)
     sp = SymplecticSpace(g=2, r=3)
+    e_span = FormSubmodule.weil_span(sp)
     for mode in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
-        with pytest.raises(RuntimeError, match=rf"{mode} scan .* g = 2, r = 3$"):
+        message = rf"{mode} witness cut left 9 forms, .* g = 2, r = 3: generator "
+        with pytest.raises(RuntimeError, match=message) as raised:
             compute_G(sp, mode)
+        named = re.search(r"generator (\(.*?\))", str(raised.value)).group(1)
+        vec = ast.literal_eval(named)
+        assert len(vec) == sp.form_rank
+        assert not e_span.contains_vector(vec)
 
 
 def _witness_pairs(g, r):
@@ -377,7 +361,7 @@ def _witness_pairs(g, r):
 
 @pytest.mark.parametrize("g, r", [(2, r) for r in range(2, 7)] + [(3, 2)])
 def test_witness_pairs_in_the_shell_kill_all_but_the_pairing_span(g, r):
-    # the certificate behind the shell-only scan, by brute force: the
+    # the certificate behind the witness cut of compute_G, by brute force: the
     # witness pairs lie in S1, are isotropic and bicyclic, and the forms
     # their minor rows kill are exactly the multiples of e
     pairs = _witness_pairs(g, r)
@@ -398,12 +382,14 @@ def test_witness_pairs_in_the_shell_kill_all_but_the_pairing_span(g, r):
 
 
 @pytest.mark.parametrize(
-    "g, r", [(3, 5), (4, 2), (4, 3), (2, 30), (3, 6), (4, 6), (3, 12)]
+    "g, r",
+    [(3, 5), (4, 2), (4, 3), (2, 30), (3, 6), (4, 6), (3, 12), (8, 3), (12, 2)],
 )
 @pytest.mark.parametrize("mode", [MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS])
 def test_compute_g_is_pairing_span_beyond_acceptance_grid(g, r, mode):
+    # the cap is the group order, past the default one at g = 8 and 12
     sp = SymplecticSpace(g=g, r=r)
-    assert compute_G(sp, mode) == FormSubmodule.weil_span(sp)
+    assert compute_G(sp, mode, cap=r ** (2 * g)) == FormSubmodule.weil_span(sp)
 
 
 @pytest.mark.parametrize("r, prime_powers", [(6, (2, 3)), (12, (4, 3))])
@@ -436,8 +422,8 @@ def test_compute_g_refuses_the_table_at_the_modulus_limit_before_listing(monkeyp
 
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_compute_g_rejects_modulus_past_2_31_before_the_shell(monkeypatch, g):
-    # at g = 1 the scan lists no pair, so only the modulus check refuses
-    monkeypatch.setattr(brauer, "_shell", _refuse_to_list)
+    # the modulus check comes before the witness pairs are built, at g = 1 too
+    monkeypatch.setattr(brauer, "_witness_pairs", _refuse_to_list)
     monkeypatch.setattr(FinAbGroup, "coordinate_table", _refuse_to_list)
     sp = SymplecticSpace(g=g, r=2**31 + 1)
     for mode in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
@@ -447,7 +433,7 @@ def test_compute_g_rejects_modulus_past_2_31_before_the_shell(monkeypatch, g):
 
 def test_compute_g_rejects_oversized_table_before_the_shell(monkeypatch):
     # 65536^4 rows fit under the cap, but not in a numpy array
-    monkeypatch.setattr(brauer, "_shell", _refuse_to_list)
+    monkeypatch.setattr(brauer, "_witness_pairs", _refuse_to_list)
     sp = SymplecticSpace(g=2, r=65536)
     for mode in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
         with pytest.raises(TableTooLargeError):

@@ -1,8 +1,9 @@
 """Every kernel in ``brauer`` comes from one step, ``_cut``.
 
-The scan of ``compute_G``, restriction kernels and family intersections
-all cut a form submodule by constraint rows.  A second ``howell_kernel``
-site in ``brauer.py`` would be a second kernel path to keep in step.
+The witness cut of ``compute_G``, restriction kernels and family
+intersections all cut a form submodule by constraint rows.  A second
+``howell_kernel`` site in ``brauer.py`` would be a second kernel path to
+keep in step.
 """
 
 import ast
