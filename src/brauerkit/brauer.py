@@ -283,9 +283,11 @@ class BicyclicFamily:
     """Deduplicated family of (Z/r)^2 subgroups with per-member provenance.
 
     The intersection of the members' restriction kernels is computed once
-    per family and cached (``bogomolov_intersection`` returns it).  A family
-    grown by ``with_pair`` after its parent was intersected inherits the
-    parent's intersection and cuts it down by the new member alone.
+    per family and cached (``bogomolov_intersection`` returns it).  A form
+    kills span(x, y) iff it kills (x, y), so a member added by ``with_pair``
+    contributes one constraint row, the minor row of the pair it was given.
+    A family grown by ``with_pair`` after its parent was intersected
+    inherits the parent's intersection and cuts it down by that row alone.
     """
 
     space: SymplecticSpace
@@ -307,15 +309,17 @@ class BicyclicFamily:
         return frozenset(self.members)
 
     @cached_property
-    def _intersection(self) -> FormSubmodule:
-        """Kernel of the stacked generator-pair constraints of every member.
+    def _rows(self) -> tuple[np.ndarray, ...]:
+        """Blocks of constraint rows whose stack the intersection cuts by.
 
-        ``ValueError`` naming the first member that is not a subgroup of the
-        space's module: its rows would be read mod r in the wrong
-        coordinates.
+        Computed, it is one block per member, the generator-pair rows of its
+        canonical generators, and ``ValueError`` names the first member that
+        is not a subgroup of the space's module: its rows would be read mod
+        r in the wrong coordinates.  ``with_pair`` and the enumerated
+        families seed it with one minor row per member.
         """
         space = self.space
-        rows = [np.zeros((0, space.form_rank), dtype=np.int64)]
+        rows = []
         for k, member in enumerate(self.members):
             if member.parent != space.group:
                 raise ValueError(
@@ -323,34 +327,46 @@ class BicyclicFamily:
                     f"{member.parent}, not of the space's module {space.group}"
                 )
             rows.append(_generator_rows(space, member))
-        return _cut(space, np.vstack(rows))
+        return tuple(rows)
+
+    @cached_property
+    def _intersection(self) -> FormSubmodule:
+        """Kernel of the stacked constraint rows (``_rows``)."""
+        rows = self._rows
+        return _cut(self.space, np.vstack(rows) if rows else [])
 
     def with_pair(
         self, sigma: GroupElement, tau: GroupElement
     ) -> BicyclicFamily:
         """Family extended by the subgroup generated by a user-supplied pair.
 
-        If this family's intersection is already computed, the grown family's
-        is seeded from it: this intersection cut by the new member's s
-        constraint rows alone, one s x k system against its k generators in
+        The new member's constraint is the one minor row of (sigma, tau).
+        It joins this family's rows if they are known (always so for an
+        empty family), and if this family's intersection is already
+        computed, the grown family's is seeded from it: this intersection
+        cut by that row alone, one 1 x k system against its k generators in
         place of restacking every member.
         """
-        member = subgroup_from_generators(self.space.group, [sigma, tau])
+        space = self.space
+        member = subgroup_from_generators(space.group, [sigma, tau])
         # two generators span a quotient of (Z/r)^2: it is all of it iff order r^2
-        if member.order != self.space.r**2:
+        if member.order != space.r**2:
             raise ValueError("pair does not generate a (Z/r)^2 subgroup")
         if member in self._member_set:
             return self
         grown = BicyclicFamily(
-            self.space,
+            space,
             self.members + (member,),
             self.provenance + ("user-supplied",),
         )
         # seeded from this family's set, so a chain of calls hashes each member once
         grown.__dict__["_member_set"] = self._member_set | {member}
+        xy = np.array([sigma.coords, tau.coords], dtype=np.int64)
+        N = _minor_rows(xy[:1], xy[1:], space.r)
+        if not self.members or "_rows" in self.__dict__:
+            grown.__dict__["_rows"] = self._rows + (N,)
         if "_intersection" in self.__dict__:
-            N = _generator_rows(self.space, member)
-            grown.__dict__["_intersection"] = _cut(self.space, N, self._intersection)
+            grown.__dict__["_intersection"] = _cut(space, N, self._intersection)
         return grown
 
 
@@ -420,6 +436,7 @@ def _enumerate_bicyclics(
     tag = "isotropic-pair" if isotropic_only else "bicyclic-pair"
     family = BicyclicFamily(space, tuple(members), (tag,) * len(members))
     rows = _minor_rows(bases[:, 0], bases[:, 1], r)
+    family.__dict__["_rows"] = (rows,)
     family.__dict__["_intersection"] = _cut(space, rows)
     return family
 
@@ -448,14 +465,16 @@ def bogomolov_intersection(
 ) -> FormSubmodule:
     """Intersection of restriction kernels over a family of bicyclic subgroups.
 
-    With an explicit family, the generator-pair constraints of every member
-    are stacked into one cut of every form (an empty family leaves the
-    whole form module).  The family caches the result, so a second call
-    costs nothing; ``isotropic_bicyclics`` and ``all_bicyclics`` return
-    it already seeded, and a family grown by ``with_pair`` after an
-    intersection costs one small cut of the cached one by the new member's
-    rows.  ``ValueError`` if the family belongs to another space or holds
-    a subgroup of another module.
+    With an explicit family, the constraint rows of every member are
+    stacked into one cut of every form (an empty family leaves the whole
+    form module): one minor row per member listed by ``with_pair`` or an
+    enumerator, the generator-pair rows of a member given by hand.  The
+    family caches the result, so a second call costs nothing;
+    ``isotropic_bicyclics`` and ``all_bicyclics`` return it already
+    seeded, and a family grown by ``with_pair`` after an intersection costs
+    one small cut of the cached one by the new member's row.  ``ValueError``
+    if the family belongs to another space or holds a subgroup of another
+    module.
 
     With ``family=None`` the isotropic bicyclic family is never
     materialized.  A member contributes exactly the constraint of one
@@ -478,10 +497,11 @@ class InclusionReport:
     G refers to compute_G (per mode), G' to the intersection of isotropic
     bicyclic restriction kernels over the implicit family
     (``bogomolov_intersection(space, None)``), and the span of the standard
-    pairing e is the expected value of both.  That G' is the
-    primitive-pairs G, computed once and reported under both names, so
-    ``gprime_subset_g_primitive`` holds by construction; the explicit family
-    route of ``bogomolov_intersection`` is the independent check of G'.
+    pairing e is the expected value of both.  ``compute_G`` is the same
+    witness cut in either mode, and that G' is the primitive-pairs G, so one
+    cut is computed and reported under all three names: the subset flags
+    hold by construction, and the explicit family route of
+    ``bogomolov_intersection`` is the independent check of G'.
     """
 
     g: int
@@ -525,14 +545,11 @@ def verify_main_inclusions(
     if mode not in ("both", MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
         raise ValueError(f"unknown mode {mode!r}")
     e_span = FormSubmodule.weil_span(space)
-    # the implicit-family G' is the primitive-pairs G; one cut serves both
+    # both modes of G are the same witness cut, and the implicit-family G'
+    # is the primitive-pairs G: one cut serves all three
     gprime = compute_G(space, MODE_PRIMITIVE_PAIRS, cap)
     e_vec = weil_form(space).vector()
-    g_all = (
-        compute_G(space, MODE_ALL_PAIRS, cap)
-        if mode in ("both", MODE_ALL_PAIRS)
-        else None
-    )
+    g_all = gprime if mode in ("both", MODE_ALL_PAIRS) else None
     g_prim = gprime if mode in ("both", MODE_PRIMITIVE_PAIRS) else None
     return InclusionReport(
         g=space.g,

@@ -96,7 +96,7 @@ class FinAbGroup:
         return r is None or first == r
 
     def element(self, coords) -> GroupElement:
-        return GroupElement(self, tuple(int(c) for c in coords))
+        return GroupElement(self, tuple(coords))
 
     def zero(self) -> GroupElement:
         return GroupElement(self, (0,) * self.rank)
@@ -206,10 +206,9 @@ def _scales(parent: FinAbGroup) -> list[int]:
 
 
 def _embed_rows(parent: FinAbGroup, elems) -> np.ndarray:
-    scales = _scales(parent)
-    N = parent.exponent
-    rows = [[(c * s) % N for c, s in zip(e.coords, scales)] for e in elems]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), parent.rank)
+    # coordinate i is below d_i, so its scaled value is below N
+    coords = np.array([e.coords for e in elems], dtype=np.int64)
+    return coords.reshape(len(elems), parent.rank) * np.array(_scales(parent))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ that stay below 2^63.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -298,21 +298,29 @@ def howell_form(A, n: int) -> np.ndarray:
     row.  The pivot of column c has entry g = gcd(n, column): a unit times
     the first row with gcd(entry, n) = g, else a combination of rows by
     extended gcds.  One update clears column c below it and reduces it
-    above; its annihilator (n/g) * pivot joins the remaining rows, and rows
-    that become zero are dropped.
+    above; its annihilator (n/g) * pivot joins the remaining rows.  Zero
+    rows are looked for only while more rows than columns remain, when some
+    of them must vanish, and the rest are dropped once at the end.
     """
     M = _residues(A, n)
+    k = M.shape[1]
     # M[:t] holds the pivot rows found so far; M[t:] the remaining rows,
     # which are zero in every column before c
     t = c = 0
-    while t < M.shape[0]:
-        keep = M[t:, c:].any(axis=1)
-        if np.count_nonzero(keep) < keep.size:
-            M = np.concatenate([M[:t], M[t:][keep]])
-            if t == M.shape[0]:
-                break
-        c += int(M[t:, c:].any(axis=0).argmax())
+    while t < M.shape[0] and c < k:
+        if M.shape[0] - t > k - c:
+            keep = M[t:, c:].any(axis=1)
+            if not keep.all():
+                M = np.concatenate([M[:t], M[t:][keep]])
+                if t == M.shape[0]:
+                    break
         vals = M[t:, c].tolist()
+        if not any(vals):
+            live = M[t:, c:].any(axis=0)
+            if not live.any():
+                break
+            c += int(live.argmax())
+            vals = M[t:, c].tolist()
         g = gcd(n, *vals)
         h = next((i for i, v in enumerate(vals) if gcd(v, n) == g), None)
         if h is None:
@@ -343,7 +351,8 @@ def howell_form(A, n: int) -> np.ndarray:
             M = np.concatenate([M, ((n // g) * p % n)[None]])
         t += 1
         c += 1
-    return M
+    # every row past t is zero: each column was cleared below its pivot
+    return M[:t]
 
 
 def _pivots(H: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -369,10 +378,11 @@ def howell_span_order(H, n: int) -> int:
     every ``FormSubmodule`` and ``Subgroup`` is built by calling this on a
     Howell form just computed: once per cut and once per family member.
     """
-    order = 1
-    for row in _residues(H, n):
-        order *= n // int(row[np.flatnonzero(row)[0]])
-    return order
+    H = _residues(H, n)
+    if not H.shape[0]:
+        return 1
+    piv = H[np.arange(H.shape[0]), (H != 0).argmax(axis=1)]
+    return prod(n // p for p in piv.tolist())
 
 
 def howell_span(H, n: int) -> list[tuple[int, ...]]:

@@ -837,18 +837,23 @@ def test_bogomolov_rejects_a_member_of_another_module(g, r):
         bogomolov_intersection(sp, fam)
 
 
-def _witness_family(sp):
-    """The family of the paper's witness pairs, grown pair by pair."""
-    fam = BicyclicFamily(sp, (), ())
+def _witness_pairs_of(sp):
+    """The paper's witness pairs, as element pairs of the space."""
     for i, j in combinations(range(1, sp.g + 1), 2):
-        for x, y in (
+        yield from (
             (sp.a(i), sp.a(j)),
             (sp.b(i), sp.b(j)),
             (sp.a(i), sp.b(j)),
             (sp.a(j), sp.b(i)),
             (sp.a(i) + sp.a(j), sp.b(i) - sp.b(j)),
-        ):
-            fam = fam.with_pair(x, y)
+        )
+
+
+def _witness_family(sp):
+    """The family of the paper's witness pairs, grown pair by pair."""
+    fam = BicyclicFamily(sp, (), ())
+    for x, y in _witness_pairs_of(sp):
+        fam = fam.with_pair(x, y)
     return fam
 
 
@@ -922,27 +927,97 @@ def test_matmul_mod_past_2_31_is_a_typed_error():
             brauer._matmul_mod(A, B, big)
 
 
+def _refuse_generator_rows(*args):
+    raise RuntimeError("generator rows were built")
+
+
 def test_grown_family_intersects_only_the_new_member(monkeypatch):
+    # the new member's constraint is the one minor row of its pair: no
+    # generator rows, and the seeded cut's Howell form gets that one row
     sp = SymplecticSpace(g=3, r=12)
     fam = _witness_family(sp)
     bogomolov_intersection(sp, fam)
-    generator_rows, rows_in = [], []
-    uncounted_generator_rows = brauer._generator_rows
-
-    def counted_generator_rows(*args):
-        generator_rows.append(uncounted_generator_rows(*args))
-        return generator_rows[-1]
+    rows_in = []
 
     def counted_howell_form(A, n):
         rows_in.append(np.asarray(A).shape[0])
         return howell_form(A, n)
 
-    monkeypatch.setattr(brauer, "_generator_rows", counted_generator_rows)
+    monkeypatch.setattr(brauer, "_generator_rows", _refuse_generator_rows)
     monkeypatch.setattr(brauer, "howell_form", counted_howell_form)
     wider = fam.with_pair(sp.a(1) + sp.b(2), sp.b(1))
     assert bogomolov_intersection(sp, wider) == FormSubmodule.trivial(sp)
-    assert len(generator_rows) == 1
-    assert rows_in and max(rows_in) <= generator_rows[0].shape[0]
+    assert rows_in and rows_in[0] == 1 and max(rows_in) <= 1
+
+
+def _transvected_witness_pairs(sp, rng):
+    """The paper's witness pairs moved by a random symplectic automorphism,
+    a product of 2g transvections x -> x + c e(x, v) v."""
+    r = sp.r
+    moves = [
+        ([int(t) for t in rng.integers(0, r, size=sp.dim)], int(rng.integers(1, r)))
+        for _ in range(sp.dim)
+    ]
+
+    def move(x):
+        x = list(x.coords)
+        for v, c in moves:
+            t = c * symplectic_value(x, v, r)
+            x = [(xi + t * vi) % r for xi, vi in zip(x, v)]
+        return sp.element(x)
+
+    return [(move(x), move(y)) for x, y in _witness_pairs_of(sp)]
+
+
+@pytest.mark.parametrize("g, r", [(4, 12), (3, 30), (3, 36)])
+def test_family_grown_without_intersection_matches_stacked(g, r):
+    # grown as the witness workload grows it: from an empty family, with no
+    # intersection until the end, one minor row per member; a hand-built
+    # family of the same members stacks their generator rows, three or more
+    # for members whose Howell form has three or more rows
+    sp = SymplecticSpace(g=g, r=r)
+    fam = BicyclicFamily(sp, (), ())
+    for x, y in _transvected_witness_pairs(sp, np.random.default_rng(r)):
+        fam = fam.with_pair(x, y)
+        assert "_intersection" not in fam.__dict__
+    assert len(fam) == 5 * g * (g - 1) // 2
+    assert [block.shape for block in fam._rows] == [(1, sp.form_rank)] * len(fam)
+    stacked = BicyclicFamily(sp, fam.members, fam.provenance)
+    assert max(len(m.canonical_generators) for m in fam) >= 3
+    assert sum(len(block) for block in stacked._rows) > len(fam)
+    assert bogomolov_intersection(sp, fam) == bogomolov_intersection(sp, stacked)
+    assert bogomolov_intersection(sp, fam) == FormSubmodule.weil_span(sp)
+
+
+@pytest.mark.parametrize("g, r", [(2, 3), (2, 4), (2, 6)])
+def test_with_pair_on_an_enumerated_family_builds_no_generator_rows(
+    monkeypatch, g, r
+):
+    sp = SymplecticSpace(g=g, r=r)
+    fam = isotropic_bicyclics(sp)
+    monkeypatch.setattr(brauer, "_generator_rows", _refuse_generator_rows)
+    x, y = sp.a(1), sp.b(1) + sp.a(2)  # e(x, y) = 1: not an isotropic member
+    wider = fam.with_pair(x, y)
+    assert len(wider) == len(fam) + 1
+    assert "_rows" in wider.__dict__ and "_intersection" in wider.__dict__
+    monkeypatch.undo()
+    stacked = BicyclicFamily(sp, wider.members, wider.provenance)
+    assert bogomolov_intersection(sp, wider) == bogomolov_intersection(sp, stacked)
+    assert bogomolov_intersection(sp, wider) == FormSubmodule.trivial(sp)
+
+
+def test_growing_a_family_with_a_foreign_member_still_names_it():
+    # with_pair computes no member's rows up front, so the foreign member
+    # is found, and named, when the grown family is intersected
+    sp = SymplecticSpace(g=2, r=3)
+    other = SymplecticSpace(g=2, r=9)
+    foreign = subgroup_from_generators(other.group, [other.a(1), other.a(2)])
+    own = subgroup_from_generators(sp.group, [sp.a(1), sp.a(2)])
+    fam = BicyclicFamily(sp, (own, foreign), ("mine", "foreign"))
+    wider = fam.with_pair(sp.b(1), sp.b(2))
+    assert len(wider) == 3 and "_rows" not in wider.__dict__
+    with pytest.raises(ValueError, match=r"member 1 \(foreign\)"):
+        bogomolov_intersection(sp, wider)
 
 
 def test_verify_report_g2_r2():
@@ -964,6 +1039,23 @@ def test_verify_report_g2_r4():
     assert rep.e_in_gprime
     assert rep.gprime_subset_g_all and rep.gprime_subset_g_primitive
     assert rep.g_all_equals_weil_span and rep.g_primitive_equals_weil_span
+
+
+def test_verify_main_inclusions_makes_one_witness_cut(monkeypatch):
+    # both modes of compute_G are the same cut, and G' is the
+    # primitive-pairs G: one cut serves all three
+    cut = brauer._cut
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return cut(*args)
+
+    monkeypatch.setattr(brauer, "_cut", counted)
+    rep = verify_main_inclusions(SymplecticSpace(g=3, r=4))
+    assert len(calls) == 1
+    assert all(rep.inclusion_flags().values())
+    assert rep.g_order_all_pairs == rep.g_order_primitive_pairs == 4
 
 
 def test_verify_report_single_mode_leaves_other_fields_unset():

@@ -288,6 +288,42 @@ def test_howell_invariants_and_canonicity(n):
         assert np.array_equal(howell_form(-M % n, n), H)
 
 
+def _padded_inputs(n, rng):
+    """Tall and wide matrices over Z/n whose rows are interleaved with zero
+    rows, repeated rows and multiples of rows (by units and non-units); a
+    wide one has at most n^3 vectors in its span."""
+    c = _max_cols(n) if n <= 30 else 12
+    wide = (2, 10) if n <= 30 else (3, 20)
+    for rows, width in ((3 * c, c), (c + 1, c), wide, (1, 1)):
+        for _ in range(4):
+            R = rng.integers(0, n, size=(rows, width))
+            R[:, : int(rng.integers(0, width))] %= int(rng.choice([1, 2, 3, n]))
+            extra = np.vstack(
+                [
+                    np.zeros((rows, width), dtype=np.int64),
+                    R[rng.integers(0, rows, size=rows)],
+                    rng.integers(0, n, size=(rows, 1)) * R[::-1] % n,
+                ]
+            )
+            M = np.vstack([R, extra])[rng.permutation(4 * rows)]
+            yield M
+
+
+@pytest.mark.parametrize("n", [12, 30, 360, 2**31])
+def test_howell_zero_repeated_and_multiple_rows(n):
+    # zero rows are dropped early only while more rows than columns remain,
+    # so zero, repeated and dependent rows are met in every position
+    rng = np.random.default_rng(n % 1000 + 11)
+    for M in _padded_inputs(n, rng):
+        H = howell_form(M, n)
+        _check_howell_invariants(H, n)
+        assert not howell_reduce(H, M, n).any()
+        assert np.array_equal(howell_form(_unimodular_mix(M, n, rng), n), H)
+        assert np.array_equal(howell_form(H, n), H)
+        if n <= 30:
+            assert span_closure(H, n) == span_closure(M, n)
+
+
 def test_howell_no_unit_in_leading_column():
     # in these cases no entry of the first column generates its ideal, all
     # of Z/n, so the pivot row has to be combined from several rows; the
