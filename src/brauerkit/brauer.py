@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 from itertools import combinations, product
+from math import gcd
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .finab import (
     CapExceededError,
     GroupElement,
     Subgroup,
-    subgroup_from_generators,
 )
 from .sympl import AltForm, SymplecticSpace, weil_form
 from .zmodlinalg import (
@@ -285,9 +285,12 @@ class BicyclicFamily:
     The intersection of the members' restriction kernels is computed once
     per family and cached (``bogomolov_intersection`` returns it).  A form
     kills span(x, y) iff it kills (x, y), so a member added by ``with_pair``
-    contributes one constraint row, the minor row of the pair it was given.
-    A family grown by ``with_pair`` after its parent was intersected
-    inherits the parent's intersection and cuts it down by that row alone.
+    contributes one constraint row, the minor row of the pair it was given;
+    the member itself is read off that row (``_plane``), so it is
+    canonicalized by ``howell_form`` only when its first nonzero minor is
+    not a unit.  A family grown by ``with_pair`` after its parent was
+    intersected inherits the parent's intersection and cuts it down by that
+    row alone.
     """
 
     space: SymplecticSpace
@@ -340,18 +343,25 @@ class BicyclicFamily:
     ) -> BicyclicFamily:
         """Family extended by the subgroup generated by a user-supplied pair.
 
-        The new member's constraint is the one minor row of (sigma, tau).
-        It joins this family's rows if they are known (always so for an
-        empty family), and if this family's intersection is already
-        computed, the grown family's is seeded from it: this intersection
-        cut by that row alone, one 1 x k system against its k generators in
-        place of restacking every member.
+        ``ValueError`` if sigma or tau is not an element of the space's
+        module, then ``ModulusTooLargeError`` for r > 2^31, then
+        ``ValueError`` unless the pair spans (Z/r)^2.  The new member is
+        built from the minor row of (sigma, tau) (``_plane``), and that one
+        row is its constraint.  It joins this family's rows if they are
+        known (always so for an empty family), and if this family's
+        intersection is already computed, the grown family's is seeded from
+        it: this intersection cut by that row alone, one 1 x k system
+        against its k generators in place of restacking every member.
         """
         space = self.space
-        member = subgroup_from_generators(space.group, [sigma, tau])
-        # two generators span a quotient of (Z/r)^2: it is all of it iff order r^2
-        if member.order != space.r**2:
-            raise ValueError("pair does not generate a (Z/r)^2 subgroup")
+        if sigma.parent != space.group or tau.parent != space.group:
+            raise ValueError("generator belongs to a different group")
+        # the minor row is a product of residues in int64
+        _check_modulus(space.r)
+        xy = (sigma.coords, tau.coords)
+        X = np.array(xy, dtype=np.int64)
+        N = _minor_rows(X[:1], X[1:], space.r)
+        member = _plane(space, xy, N[0].tolist())
         if member in self._member_set:
             return self
         grown = BicyclicFamily(
@@ -361,13 +371,44 @@ class BicyclicFamily:
         )
         # seeded from this family's set, so a chain of calls hashes each member once
         grown.__dict__["_member_set"] = self._member_set | {member}
-        xy = np.array([sigma.coords, tau.coords], dtype=np.int64)
-        N = _minor_rows(xy[:1], xy[1:], space.r)
         if not self.members or "_rows" in self.__dict__:
             grown.__dict__["_rows"] = self._rows + (N,)
         if "_intersection" in self.__dict__:
             grown.__dict__["_intersection"] = _cut(space, N, self._intersection)
         return grown
+
+
+def _plane(space: SymplecticSpace, xy, minors) -> Subgroup:
+    """The subgroup spanned by the pair ``xy`` = (x, y) of coordinate
+    sequences (entries in [0, r)), given their minor row ``minors``
+    (``_minor_rows``, as a list), in canonical form.
+
+    The span is (Z/r)^2 iff gcd(r, minors) = 1, else ``ValueError``; its
+    order is then r^2.  Let (c1, c2) be the first pair with a nonzero minor
+    u = x_c1 y_c2 - x_c2 y_c1.  If u is a unit, the rows
+    u^-1 (y_c2 x - x_c2 y) and u^-1 (x_c1 y - y_c1 x) span the same
+    subgroup (the change of basis has determinant u^-1).  Their entries
+    before c1, c2 are minors that come before (c1, c2), hence 0, their
+    pivots are 1 and the first is 0 at c2: they are the Howell form, at any
+    r.  Only a non-unit u goes through ``howell_form``.
+    """
+    r = space.r
+    if gcd(r, *minors) != 1:
+        raise ValueError("pair does not generate a (Z/r)^2 subgroup")
+    k = next(k for k, u in enumerate(minors) if u)
+    if gcd(minors[k], r) == 1:
+        I, J = _upper_pairs(space.dim)
+        c1, c2 = int(I[k]), int(J[k])
+        x, y = xy
+        s = pow(minors[k], -1, r)
+        a, b, c, d = y[c2] * s, x[c2] * s, x[c1] * s, y[c1] * s
+        rows = (
+            tuple((a * xi - b * yi) % r for xi, yi in zip(x, y)),
+            tuple((c * yi - d * xi) % r for xi, yi in zip(x, y)),
+        )
+    else:
+        rows = tuple(map(tuple, howell_form(xy, r).tolist()))
+    return Subgroup(space.group, rows, r * r)
 
 
 def _chart(space: SymplecticSpace, p: int, q: int, isotropic: bool) -> np.ndarray:
@@ -408,11 +449,14 @@ def _enumerate_bicyclics(
     prime's list outermost: no element pair is listed.
 
     ``check_table(cap)`` still charges the whole group, so a capped point
-    stays skipped.  At prime r a chart basis is already the Howell form of
-    its member (over F_p that is the reduced echelon form); at other r each
-    member is canonicalized once.  A form kills span(x, y) iff it kills
-    (x, y), so the family's intersection is seeded by one cut by one minor
-    row per member.
+    stays skipped.  Every basis has its minor row, built once for all of
+    them.  At prime r a chart basis is already the Howell form of its
+    member (over F_p that is the reduced echelon form, ``_plane`` with
+    u = 1); at other r each member is read off its basis and minor row by
+    ``_plane``, one ``howell_form`` call only for a member whose first
+    nonzero minor is not a unit.  A form kills span(x, y) iff it kills
+    (x, y), so the family's intersection is seeded by one cut by those minor
+    rows, one per member.
     """
     group = space.group
     group.check_table(cap)
@@ -426,16 +470,15 @@ def _enumerate_bicyclics(
         unit = (r // q) * pow(r // q, -1, q) % r  # 1 mod q, 0 mod r / q
         B = _chart(space, p, q, isotropic_only)
         bases = ((bases[:, None] + unit * B[None]) % r).reshape(-1, 2, space.dim)
+    rows = _minor_rows(bases[:, 0], bases[:, 1], r)
     if primes == (r,):
         members = [Subgroup(group, tuple(map(tuple, b)), r * r) for b in bases.tolist()]
     else:
         members = [
-            subgroup_from_generators(group, [group.element(x), group.element(y)])
-            for x, y in bases.tolist()
+            _plane(space, xy, m) for xy, m in zip(bases.tolist(), rows.tolist())
         ]
     tag = "isotropic-pair" if isotropic_only else "bicyclic-pair"
     family = BicyclicFamily(space, tuple(members), (tag,) * len(members))
-    rows = _minor_rows(bases[:, 0], bases[:, 1], r)
     family.__dict__["_rows"] = (rows,)
     family.__dict__["_intersection"] = _cut(space, rows)
     return family

@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
+import stat
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -218,9 +220,28 @@ def load_report(path: str) -> dict:
     return doc
 
 
+def _unwritable_dir(path: str) -> str | None:
+    """Why no file can be created at ``path`` as far as its directory
+    tells (missing, not a directory, not writable), or ``None``.  The file
+    itself is not touched, so a refused run leaves nothing behind."""
+    parent = os.path.dirname(path) or "."
+    try:
+        mode = os.stat(parent).st_mode
+    except OSError as exc:
+        return exc.strerror
+    if not stat.S_ISDIR(mode):
+        return os.strerror(errno.ENOTDIR)
+    if not os.access(parent, os.W_OK | os.X_OK):
+        return os.strerror(errno.EACCES)
+    return None
+
+
 def cmd_table(args, cap: int) -> int:
     if args.jobs < 1:
         print(f"brauerkit: jobs must be positive, got {args.jobs}", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.out and (why := _unwritable_dir(args.out)):
+        print(f"brauerkit: cannot write {args.out}: {why}", file=sys.stderr)
         return EXIT_CONFIG
     records, exit_code = _build_records(args, cap)
     render = _render_csv if args.format == "csv" else _render_json

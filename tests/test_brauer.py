@@ -1,5 +1,7 @@
 import ast
+import random
 import re
+from collections import Counter
 from itertools import combinations, product
 from math import gcd
 
@@ -729,19 +731,130 @@ def test_plucker_key_matches_subgroup_equality(g, r):
     assert set(subs) == set(all_bicyclics(sp).members)
 
 
-def test_family_canonicalizes_once_per_member(monkeypatch):
+def _plane_howell_calls(monkeypatch, sp) -> list:
+    """Patch ``brauer.howell_form`` to record each 2 x 2g input, the only
+    shape a member canonicalization gives (cuts have g(2g - 1) columns)."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return subgroup_from_generators(*args, **kwargs)
+    def counted(A, n):
+        if np.asarray(A).shape == (2, sp.dim):
+            calls.append(A)
+        return howell_form(A, n)
 
-    monkeypatch.setattr(brauer, "subgroup_from_generators", counted)
+    monkeypatch.setattr(brauer, "howell_form", counted)
+    return calls
+
+
+def _leading_minor(minors) -> int:
+    return next(m for m in minors if m)
+
+
+def test_family_canonicalizes_once_per_member(monkeypatch):
+    # a member is written down from its chart basis; only one whose first
+    # nonzero minor is not a unit mod r goes through one 2-row howell_form
+    for g, r in [(2, 3), (2, 5), (3, 2)]:
+        sp = SymplecticSpace(g=g, r=r)
+        calls = _plane_howell_calls(monkeypatch, sp)
+        for enumerate_family in (isotropic_bicyclics, all_bicyclics):
+            assert len(enumerate_family(sp)) and not calls
     sp = SymplecticSpace(g=2, r=4)
+    calls = _plane_howell_calls(monkeypatch, sp)
     for enumerate_family in (isotropic_bicyclics, all_bicyclics):
         calls.clear()
         fam = enumerate_family(sp)
-        assert len(calls) == len(fam)
+        (rows,) = fam._rows
+        non_units = sum(gcd(_leading_minor(row), 4) != 1 for row in rows.tolist())
+        assert len(calls) == non_units
+        assert 0 < non_units < len(fam)
+
+
+@pytest.mark.parametrize("r", [4, 6, 8])
+def test_plane_matches_subgroup_from_generators_on_chart_pairs(monkeypatch, r):
+    # every member of all_bicyclics is built by _plane from its chart pair
+    sp = SymplecticSpace(g=2, r=r)
+    plane = brauer._plane
+    pairs = []
+
+    def recorded(space, xy, minors):
+        pairs.append((xy, minors))
+        return plane(space, xy, minors)
+
+    monkeypatch.setattr(brauer, "_plane", recorded)
+    fam = all_bicyclics(sp)
+    assert len(pairs) == len(fam)
+    for member, ((x, y), minors) in zip(fam, pairs):
+        assert tuple(minors) == minor_vector(x, y, r)
+        assert member == subgroup_from_generators(
+            sp.group, [sp.element(x), sp.element(y)]
+        )
+
+
+def _draw_vector(rng, dim: int, r: int, sparse: bool) -> tuple[int, ...]:
+    if not sparse:
+        return tuple(rng.randrange(r) for _ in range(dim))
+    return tuple(rng.randrange(r) if rng.random() < 0.3 else 0 for _ in range(dim))
+
+
+def test_plane_matches_subgroup_from_generators_on_random_pairs(monkeypatch):
+    # the closed form and the howell_form fallback both give the canonical
+    # subgroup, up to the largest modulus the Z/r routines accept
+    rng = random.Random(2020)
+    branches = Counter()
+    for r in (2, 3, 4, 6, 8, 9, 12, 30, 36, 97, 2**31 - 1, 2**31):
+        for g in (1, 2, 3, 8):
+            sp = SymplecticSpace(g=g, r=r)
+            calls = _plane_howell_calls(monkeypatch, sp)
+            for sparse in (False, True):
+                checked = 0
+                for _ in range(400):
+                    x, y = (_draw_vector(rng, sp.dim, r, sparse) for _ in range(2))
+                    minors = list(minor_vector(x, y, r))
+                    if gcd(r, *minors) != 1:
+                        continue
+                    calls.clear()
+                    got = brauer._plane(sp, (x, y), minors)
+                    assert got == subgroup_from_generators(
+                        sp.group, [sp.element(x), sp.element(y)]
+                    ), (r, g, x, y)
+                    unit = gcd(_leading_minor(minors), r) == 1
+                    assert len(calls) == (0 if unit else 1)
+                    branches[unit] += 1
+                    checked += 1
+                    if checked == 15:
+                        break
+                assert checked, (r, g, sparse)
+    assert branches[True] and branches[False]
+
+
+def test_plane_refuses_a_pair_that_is_not_bicyclic():
+    sp = SymplecticSpace(g=2, r=6)
+    for x, y in [
+        (sp.a(1), 2 * sp.a(2)),  # spans Z/6 x Z/3
+        (sp.a(1), sp.a(1)),
+        (sp.group.zero(), sp.group.zero()),
+    ]:
+        minors = list(minor_vector(x.coords, y.coords, 6))
+        with pytest.raises(ValueError, match=r"does not generate a \(Z/r\)\^2"):
+            brauer._plane(sp, (x.coords, y.coords), minors)
+
+
+def test_with_pair_checks_the_group_then_the_modulus(monkeypatch):
+    # both before any product of residues: past 2^31 one would wrap int64
+    monkeypatch.setattr(brauer, "_minor_rows", _refuse_to_list)
+    monkeypatch.setattr(brauer, "_plane", _refuse_to_list)
+    other = SymplecticSpace(g=2, r=5)
+    for r in (7, 2**31 + 1, 10**12 + 39):
+        sp = SymplecticSpace(g=2, r=r)
+        fam = BicyclicFamily(sp, (), ())
+        for x, y in [(sp.a(1), other.b(1)), (other.a(1), sp.b(1))]:
+            with pytest.raises(ValueError, match="generator belongs to a different group"):
+                fam.with_pair(x, y)
+    for r in (2**31 + 1, 10**12 + 39):
+        sp = SymplecticSpace(g=2, r=r)
+        fam = BicyclicFamily(sp, (), ())
+        x, y = sp.element([r - 1, 1, r - 2, 3]), sp.element([r - 3, r - 1, 1, 0])
+        with pytest.raises(ModulusTooLargeError, match=rf"modulus {r} "):
+            fam.with_pair(x, y)
 
 
 def test_family_with_pair():

@@ -78,6 +78,29 @@ def test_unwritable_out_is_config_error(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+def test_unwritable_out_is_refused_before_any_point(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        raise AssertionError("a point was checked")
+
+    monkeypatch.setattr(cli, "verify_main_inclusions", counted)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out, why in [
+        (tmp_path / "missing" / "x.json", "No such file or directory"),
+        (blocker / "x.json", "Not a directory"),
+    ]:
+        argv = ["table", "--g", "2..3", "--r", "2..4", "--d", "0", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"brauerkit: cannot write {out}: {why}\n"
+    assert calls == []
+    assert blocker.read_text() == "" and not (tmp_path / "missing").exists()
+
+
 def test_bad_jobs_is_config_error(capsys):
     code = main(["table", "--g", "2", "--r", "2", "--d", "0", "--jobs", "0"])
     assert code == EXIT_CONFIG
