@@ -65,18 +65,19 @@ MODE_ALL_PAIRS = "all-pairs"
 MODE_PRIMITIVE_PAIRS = "primitive-pairs"
 
 
-def _prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, q) for each prime power q = p^k exactly dividing n, p ascending."""
+    out, p = [], 2
+    while n > 1:
+        if p * p > n:
+            p = n  # what is left is prime
+        q = 1
+        while n % p == 0:
+            n, q = n // p, q * p
+        if q > 1:
+            out.append((p, q))
+        p += 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -245,17 +246,17 @@ def compute_G(
     (a_i, b_i), where it takes one value: the cut is span(e).  Every
     isotropic pair is killed by e, so span(e) <= G <= cut(W) = span(e) in
     both modes.  A cut of any other order is a bug (``RuntimeError`` naming
-    the mode, g, r and a generator outside span(e)).  The group is never
-    listed, but the cap and the table size are charged for all of it first
-    (``CapExceededError``, ``TableTooLargeError``), so a capped point stays
-    skipped.  Before either, ``ModulusTooLargeError`` for r > 2^31
-    (``_check_modulus``).
+    the mode, g, r and a generator outside span(e)).  No group element is
+    listed: the cap is charged with the witness pairs, ``CapExceededError``
+    when there are more than ``cap``, after ``ModulusTooLargeError`` for
+    r > 2^31 (``_check_modulus``).
     """
     if mode not in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
         raise ValueError(f"unknown mode {mode!r}")
     r = space.r
     _check_modulus(r)
-    space.group.check_table(cap)
+    if (pairs := 5 * space.g * (space.g - 1) // 2) > cap:
+        raise CapExceededError(f"{pairs} witness pairs exceed cap {cap}")
     G = _cut(space, _minor_rows(*_witness_pairs(space), r))
     if G.order != r:
         e = FormSubmodule.weil_span(space)
@@ -448,30 +449,34 @@ def _enumerate_bicyclics(
     dividing r (``_chart``), the bases combined by CRT with the first
     prime's list outermost: no element pair is listed.
 
-    ``check_table(cap)`` still charges the whole group, so a capped point
-    stays skipped.  Every basis has its minor row, built once for all of
-    them.  At prime r a chart basis is already the Howell form of its
-    member (over F_p that is the reduced echelon form, ``_plane`` with
-    u = 1); at other r each member is read off its basis and minor row by
-    ``_plane``, one ``howell_form`` call only for a member whose first
-    nonzero minor is not a unit.  A form kills span(x, y) iff it kills
+    The cap is charged with the closed-form member count before any chart
+    is listed (``CapExceededError`` past it).  Every basis has its minor
+    row, built once for all of them.  At prime r a chart basis is already
+    the Howell form of its member (over F_p that is the reduced echelon
+    form, ``_plane`` with u = 1); at other r each member is read off its
+    basis and minor row by ``_plane``, one ``howell_form`` call only for a
+    member whose first nonzero minor is not a unit.  A form kills span(x, y) iff it kills
     (x, y), so the family's intersection is seeded by one cut by those minor
     rows, one per member.
     """
-    group = space.group
-    group.check_table(cap)
-    r = space.r
-    primes = _prime_factors(r)
-    bases = np.zeros((1, 2, space.dim), dtype=np.int64)
-    for p in primes:
-        q = p
-        while r % (q * p) == 0:
-            q *= p
+    group, r, g, n = space.group, space.r, space.g, space.dim
+    iso = int(isotropic_only)
+    prime_powers, count = _prime_powers(r), 1
+    for p, q in prime_powers:
+        # F_p^n has (p^n - 1)(p^(n-1) - 1) / ((p - 1)(p^2 - 1)) planes, with
+        # p^(n-2) for p^(n-1) the isotropic ones (none at g = 1); each lifts
+        # to p^((k-1)d) summands over Z/q, d = 4g - 4, or 4g - 5 if isotropic
+        planes = (p**n - 1) * (p ** (n - 1 - iso) - 1) // ((p - 1) * (p * p - 1))
+        count *= planes * (q // p) ** (4 * g - 4 - iso) if planes else 0
+    if count > cap:
+        raise CapExceededError(f"family of {count} members exceeds cap {cap}")
+    bases = np.zeros((1, 2, n), dtype=np.int64)
+    for p, q in prime_powers:
         unit = (r // q) * pow(r // q, -1, q) % r  # 1 mod q, 0 mod r / q
         B = _chart(space, p, q, isotropic_only)
-        bases = ((bases[:, None] + unit * B[None]) % r).reshape(-1, 2, space.dim)
+        bases = ((bases[:, None] + unit * B[None]) % r).reshape(-1, 2, n)
     rows = _minor_rows(bases[:, 0], bases[:, 1], r)
-    if primes == (r,):
+    if prime_powers == [(r, r)]:
         members = [Subgroup(group, tuple(map(tuple, b)), r * r) for b in bases.tolist()]
     else:
         members = [
@@ -490,7 +495,8 @@ def isotropic_bicyclics(
     """All subgroups generated by a pair (x, y) with span (Z/r)^2 and
     e(x, y) = 0, each listed once, straight from the Grassmannian chart
     (``_enumerate_bicyclics``): one basis per member, no element pairs.
-    There are about r^{4g-5} members, so this is for small spaces."""
+    There are about r^{4g-5} members, and the cap is charged with their
+    exact count before any is listed (``CapExceededError`` past it)."""
     return _enumerate_bicyclics(space, isotropic_only=True, cap=cap)
 
 

@@ -108,12 +108,11 @@ class FinAbGroup:
         for coords in product(*(range(d) for d in self.invariant_factors)):
             yield GroupElement(self, coords)
 
-    def check_table(self, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
-        """Raise the error ``coordinate_table(cap)`` would raise, without
-        building the table: ``CapExceededError`` past the cap, then
-        ``TableTooLargeError`` past numpy's array size limit."""
-        n = self.order
-        k = self.rank
+    def coordinate_table(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+        """(order x rank) int64 array of all coordinate rows, in elements()
+        order; ``CapExceededError`` past the cap, then ``TableTooLargeError``
+        past numpy's array size limit, before anything is allocated."""
+        n, k = self.order, self.rank
         if n > cap:
             raise CapExceededError(f"group order {n} exceeds cap {cap}")
         if n * k * 8 > np.iinfo(np.intp).max:
@@ -121,12 +120,6 @@ class FinAbGroup:
                 f"a {n} x {k} int64 coordinate table of {self} is beyond "
                 "numpy's array size limit"
             )
-
-    def coordinate_table(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-        """(order x rank) int64 array of all coordinate rows, in elements() order."""
-        self.check_table(cap)
-        n = self.order
-        k = self.rank
         out = np.zeros((n, k), dtype=np.int64)
         idx = np.arange(n)
         stride = n

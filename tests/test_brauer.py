@@ -32,9 +32,9 @@ from brauerkit.brauer import (
     verify_main_inclusions,
 )
 from brauerkit.finab import (
+    DEFAULT_ENUMERATION_CAP,
     CapExceededError,
     FinAbGroup,
-    TableTooLargeError,
     is_bicyclic_rr,
     subgroup_from_generators,
 )
@@ -170,8 +170,11 @@ def test_pairing_span_contained_both_modes():
 
 
 def test_compute_g_cap():
-    with pytest.raises(CapExceededError):
-        compute_G(SymplecticSpace(g=2, r=3), MODE_ALL_PAIRS, cap=10)
+    # the cap is charged with the 5g(g - 1)/2 witness pairs, 5 at g = 2
+    sp = SymplecticSpace(g=2, r=3)
+    with pytest.raises(CapExceededError, match="^5 witness pairs exceed cap 4$"):
+        compute_G(sp, MODE_ALL_PAIRS, cap=4)
+    assert compute_G(sp, MODE_ALL_PAIRS, cap=5) == FormSubmodule.weil_span(sp)
 
 
 def test_span_filter_drops_exactly_rows_in_span():
@@ -261,11 +264,10 @@ def test_witness_pairs_are_the_papers(g, r):
 @pytest.mark.parametrize("g", [2, 3, 4])
 @pytest.mark.parametrize("r", [2**31 - 1, 2**31])
 @pytest.mark.parametrize("bicyclic", [True, False])
-def test_shell_pairs_are_exact_at_the_modulus_limit(monkeypatch, g, r, bicyclic):
+def test_shell_pairs_are_exact_at_the_modulus_limit(g, r, bicyclic):
     # the witness pairs, which are pairs of the shell S1, at the largest
     # moduli the Z/r routines accept: their int64 minor rows against Python
-    # ints, and the cut of the selected mode, with the table-size refusal
-    # lifted, against span(e)
+    # ints, and the cut of the selected mode against span(e)
     sp = SymplecticSpace(g=g, r=r)
     X, Y = brauer._witness_pairs(sp)
     pairs = list(zip(map(tuple, X.tolist()), map(tuple, Y.tolist())))
@@ -274,7 +276,6 @@ def test_shell_pairs_are_exact_at_the_modulus_limit(monkeypatch, g, r, bicyclic)
         assert symplectic_value(x, y, r) == 0
         assert gcd(r, *row) == 1
         assert tuple(row) == minor_vector(x, y, r)
-    monkeypatch.setattr(FinAbGroup, "check_table", lambda self, cap: None)
     mode = MODE_PRIMITIVE_PAIRS if bicyclic else MODE_ALL_PAIRS
     assert compute_G(sp, mode) == FormSubmodule.weil_span(sp)
 
@@ -389,9 +390,8 @@ def test_witness_pairs_in_the_shell_kill_all_but_the_pairing_span(g, r):
 )
 @pytest.mark.parametrize("mode", [MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS])
 def test_compute_g_is_pairing_span_beyond_acceptance_grid(g, r, mode):
-    # the cap is the group order, past the default one at g = 8 and 12
     sp = SymplecticSpace(g=g, r=r)
-    assert compute_G(sp, mode, cap=r ** (2 * g)) == FormSubmodule.weil_span(sp)
+    assert compute_G(sp, mode) == FormSubmodule.weil_span(sp)
 
 
 @pytest.mark.parametrize("r, prime_powers", [(6, (2, 3)), (12, (4, 3))])
@@ -408,18 +408,14 @@ def test_compute_g_is_crt_sum_over_prime_powers(r, prime_powers, mode):
     assert compute_G(sp, mode) == FormSubmodule.from_rows(sp, lifted)
 
 
-def test_compute_g_refuses_the_table_at_the_modulus_limit_before_listing(monkeypatch):
-    # r = 2^31 - 1 is within the Z/r limit, and r^4 fits under the cap,
-    # but the coordinate table is past numpy's size limit
-    listed = []
-    monkeypatch.setattr(
-        FinAbGroup, "coordinate_table", lambda *args: listed.append(args)
-    )
-    sp = SymplecticSpace(g=2, r=2**31 - 1)
+@pytest.mark.parametrize("r", [2**16, 2**31 - 1])
+def test_compute_g_past_the_table_size_limit_lists_no_table(monkeypatch, r):
+    # a coordinate table of (Z/r)^4 is past numpy's size limit at both
+    # moduli, but G costs 5 witness pairs and lists no group element
+    monkeypatch.setattr(FinAbGroup, "coordinate_table", _refuse_to_list)
+    sp = SymplecticSpace(g=2, r=r)
     for mode in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
-        with pytest.raises(TableTooLargeError):
-            compute_G(sp, mode, cap=10**40)
-    assert listed == []
+        assert compute_G(sp, mode) == FormSubmodule.weil_span(sp)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -430,15 +426,6 @@ def test_compute_g_rejects_modulus_past_2_31_before_the_shell(monkeypatch, g):
     sp = SymplecticSpace(g=g, r=2**31 + 1)
     for mode in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
         with pytest.raises(ModulusTooLargeError):
-            compute_G(sp, mode, cap=10**40)
-
-
-def test_compute_g_rejects_oversized_table_before_the_shell(monkeypatch):
-    # 65536^4 rows fit under the cap, but not in a numpy array
-    monkeypatch.setattr(brauer, "_witness_pairs", _refuse_to_list)
-    sp = SymplecticSpace(g=2, r=65536)
-    for mode in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
-        with pytest.raises(TableTooLargeError):
             compute_G(sp, mode, cap=10**40)
 
 
@@ -595,13 +582,42 @@ def test_family_order_is_the_chart_order(r, p, rest):
             assert all(key == inner[i % block] for i, key in enumerate(inner))
 
 
+FAMILIES = ((isotropic_bicyclics, True), (all_bicyclics, False))
+
+
+def _refuse_to_chart(*args, **kwargs):
+    raise RuntimeError("the family listed a chart")
+
+
 @pytest.mark.parametrize(
     "g, r", [(2, 4), (2, 6), (2, 8), (2, 9), (2, 12), (3, 2), (3, 3)]
 )
-def test_family_sizes_match_closed_form(g, r):
+def test_family_sizes_match_closed_form(monkeypatch, g, r):
+    # the cap is charged with exactly the member count: a family fits a cap
+    # of its own size, and one below it is refused before any chart is listed
     sp = SymplecticSpace(g=g, r=r)
-    assert len(isotropic_bicyclics(sp)) == bicyclic_count(g, r, isotropic=True)
-    assert len(all_bicyclics(sp)) == bicyclic_count(g, r, isotropic=False)
+    counts = {
+        enumerate_family: bicyclic_count(g, r, isotropic=isotropic)
+        for enumerate_family, isotropic in FAMILIES
+    }
+    for enumerate_family, count in counts.items():
+        assert len(enumerate_family(sp, cap=count)) == count
+    monkeypatch.setattr(brauer, "_chart", _refuse_to_chart)
+    for enumerate_family, count in counts.items():
+        message = f"^family of {count} members exceeds cap {count - 1}$"
+        with pytest.raises(CapExceededError, match=message):
+            enumerate_family(sp, cap=count - 1)
+
+
+def test_isotropic_family_past_the_default_cap_is_refused_before_any_chart(
+    monkeypatch,
+):
+    # (3, 10) has 315 * 101556 isotropic members in a group of only 10^6
+    monkeypatch.setattr(brauer, "_chart", _refuse_to_chart)
+    sp = SymplecticSpace(g=3, r=10)
+    message = f"^family of 31990140 members exceeds cap {DEFAULT_ENUMERATION_CAP}$"
+    with pytest.raises(CapExceededError, match=message):
+        isotropic_bicyclics(sp)
 
 
 @pytest.mark.parametrize("g, r", [(2, 3), (2, 5), (3, 2)])
@@ -624,11 +640,12 @@ def test_families_list_no_table(monkeypatch):
     monkeypatch.setattr(FinAbGroup, "coordinate_table", _refuse_to_list)
     for g, r in [(1, 6), (2, 3), (2, 4), (2, 6)]:
         sp = SymplecticSpace(g=g, r=r)
-        assert len(isotropic_bicyclics(sp)) == bicyclic_count(g, r, isotropic=True)
-        assert len(all_bicyclics(sp)) == bicyclic_count(g, r, isotropic=False)
-        for enumerate_family in (isotropic_bicyclics, all_bicyclics):
-            with pytest.raises(CapExceededError):
-                enumerate_family(sp, cap=sp.group.order - 1)
+        for enumerate_family, isotropic in FAMILIES:
+            count = bicyclic_count(g, r, isotropic=isotropic)
+            assert len(enumerate_family(sp)) == count
+            if count:
+                with pytest.raises(CapExceededError):
+                    enumerate_family(sp, cap=count - 1)
 
 
 @pytest.mark.parametrize("g, r", [(1, 4), (2, 4), (2, 5), (2, 6), (3, 2)])

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from brauerkit import cli
+from brauerkit import brauer, cli
 from brauerkit.brauer import FormSubmodule, InclusionReport
 from brauerkit.cli import (
     CSV_COLUMNS,
@@ -16,6 +16,7 @@ from brauerkit.cli import (
     main,
     parse_range,
 )
+from brauerkit.finab import CapExceededError
 
 
 def test_parse_range():
@@ -53,18 +54,34 @@ def test_modulus_beyond_int64_limit_is_config_error(capsys):
         assert "too large" in captured.err
 
 
-def test_table_beyond_numpy_size_limit_is_config_error(capsys):
-    # (Z/65536)^4 has 2^64 elements: within a cap of 10^40, but its
-    # coordinate table cannot be allocated
-    for argv in (
-        ["bogomolov", "--explicit", "--g", "2", "--r", "65536", "--cap", str(10**40)],
-        ["verify-g", "--g", "2", "--r", "65536", "--cap", str(10**40)],
-    ):
-        assert main(argv) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert line.startswith("brauerkit: ") and "array size limit" in line
+def test_verify_g_past_numpy_size_limit_lists_no_table(capsys):
+    # (Z/65536)^4 has 2^64 elements, so its coordinate table cannot be
+    # allocated, but G costs 5 witness pairs
+    code = main(["verify-g", "--g", "2", "--r", "65536", "--cap", str(10**40)])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert captured.err == ""
+    assert captured.out == "".join(
+        f"g=2 r=65536 mode={mode} |G|=65536 rank=1 equals-pairing-span=yes\n"
+        for mode in ("all-pairs", "primitive-pairs")
+    )
+
+
+def test_points_capped_only_by_the_group_order_are_computed(capsys):
+    # (Z/8)^8 has 2^24 elements, past the default cap, but G costs 30 pairs;
+    # (Z/97)^12 has about 7 * 10^23, but G costs 75
+    code = main(["table", "--g", "4", "--r", "8", "--d", "0"])
+    (rec,) = json.loads(capsys.readouterr().out)["records"]
+    assert code == EXIT_OK
+    assert rec["status"] == "ok"
+    assert rec["gprime_order"] == rec["g_order_all_pairs"] == 8
+    code = main(["verify-g", "--g", "6", "--r", "97", "--cap", str(10**30)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out == "".join(
+        f"g=6 r=97 mode={mode} |G|=97 rank=1 equals-pairing-span=yes\n"
+        for mode in ("all-pairs", "primitive-pairs")
+    )
 
 
 def test_unwritable_out_is_config_error(tmp_path, capsys):
@@ -138,7 +155,8 @@ def test_table_four_records_all_span_equal(capsys):
 
 
 def test_table_cap_exceeded_marks_skipped(capsys):
-    code = main(["table", "--g", "2", "--r", "2", "--d", "0", "--cap", "10"])
+    # G at g = 2 lists its 5 witness pairs
+    code = main(["table", "--g", "2", "--r", "2", "--d", "0", "--cap", "4"])
     out = capsys.readouterr().out
     assert code == EXIT_CAP
     rec = json.loads(out)["records"][0]
@@ -177,10 +195,10 @@ def test_table_failed_flag_names_first_violation(capsys, monkeypatch):
 
 
 def test_cap_env_var_and_cli_override(capsys, monkeypatch):
-    monkeypatch.setenv("BRAUERKIT_CAP", "10")
+    monkeypatch.setenv("BRAUERKIT_CAP", "4")
     assert main(["table", "--g", "2", "--r", "2", "--d", "0"]) == EXIT_CAP
     capsys.readouterr()
-    code = main(["table", "--g", "2", "--r", "2", "--d", "0", "--cap", "1000000"])
+    code = main(["table", "--g", "2", "--r", "2", "--d", "0", "--cap", "5"])
     assert code == EXIT_OK
     capsys.readouterr()
     monkeypatch.setenv("BRAUERKIT_CAP", "ten")
@@ -250,14 +268,26 @@ def test_verify_g_output(capsys):
     assert all("equals-pairing-span=yes" in line for line in lines)
 
 
-def test_verify_g_carries_on_past_a_capped_point(capsys):
-    # (2, 4) hits the cap, but (3, 2) has only 64 elements and is still checked
-    code = main(["verify-g", "--g", "2..3", "--r", "2..5", "--cap", "100"])
-    out = capsys.readouterr().out
+def test_verify_g_carries_on_past_a_capped_point(capsys, monkeypatch):
+    # a cap of 10 passes the 5 witness pairs at g = 2 and refuses the 15 at
+    # g = 3; a point refused ahead of the others, here (2, 4), leaves them
+    # checked
+    real_compute_G = cli.compute_G
+
+    def capped_at_2_4(space, mode, cap):
+        if (space.g, space.r) == (2, 4):
+            raise CapExceededError("refused at (2, 4)")
+        return real_compute_G(space, mode, cap)
+
+    monkeypatch.setattr(cli, "compute_G", capped_at_2_4)
+    code = main(["verify-g", "--g", "2..3", "--r", "2..5", "--cap", "10"])
+    out = capsys.readouterr().out.splitlines()
     assert code == EXIT_CAP
-    assert "g=2 r=4 mode=all-pairs skipped: group order 256 exceeds cap 100" in out
+    assert len(out) == 16
     for mode in ("all-pairs", "primitive-pairs"):
-        assert f"g=3 r=2 mode={mode} |G|=2 rank=1 equals-pairing-span=yes" in out
+        assert f"g=2 r=4 mode={mode} skipped: refused at (2, 4)" in out
+        assert f"g=2 r=5 mode={mode} |G|=5 rank=1 equals-pairing-span=yes" in out
+        assert f"g=3 r=2 mode={mode} skipped: 15 witness pairs exceed cap 10" in out
 
 
 def test_verify_g_violation_outranks_a_later_capped_point(capsys, monkeypatch):
@@ -269,11 +299,29 @@ def test_verify_g_violation_outranks_a_later_capped_point(capsys, monkeypatch):
         return real_compute_G(space, mode, cap)
 
     monkeypatch.setattr(cli, "compute_G", wrong_at_2_2)
-    code = main(["verify-g", "--g", "2..3", "--r", "2", "--cap", "50"])
+    code = main(["verify-g", "--g", "2..3", "--r", "2", "--cap", "10"])
     out = capsys.readouterr().out
     assert code == EXIT_VIOLATION
     assert "g=2 r=2 mode=all-pairs |G|=64 rank=6 equals-pairing-span=no" in out
-    assert "g=3 r=2 mode=all-pairs skipped: group order 64 exceeds cap 50" in out
+    assert "g=3 r=2 mode=all-pairs skipped: 15 witness pairs exceed cap 10" in out
+
+
+@pytest.mark.parametrize("mode", ["both", "all-pairs", "primitive-pairs"])
+def test_verify_g_makes_one_witness_cut_per_point(capsys, monkeypatch, mode):
+    # both modes are the same cut, so "both" cuts once and prints two lines
+    cut = brauer._cut
+    calls = []
+
+    def counted(space, rows, sub=None):
+        calls.append((space.g, space.r))
+        return cut(space, rows, sub)
+
+    monkeypatch.setattr(brauer, "_cut", counted)
+    code = main(["verify-g", "--g", "2..3", "--r", "2..4", "--mode", mode])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_OK
+    assert calls == [(g, r) for g in (2, 3) for r in (2, 3, 4)]
+    assert len(lines) == len(calls) * (2 if mode == "both" else 1)
 
 
 def test_bogomolov_streamed_and_explicit(capsys):
@@ -289,12 +337,14 @@ def test_bogomolov_streamed_and_explicit(capsys):
 
 
 def test_bogomolov_carries_on_past_a_capped_point(capsys):
-    code = main(["bogomolov", "--g", "2..3", "--r", "2..3", "--cap", "70"])
+    # the isotropic family has 600 members at r = 6 but 400 at r = 7
+    argv = ["bogomolov", "--explicit", "--g", "2", "--r", "6..7", "--cap", "500"]
+    code = main(argv)
     out = capsys.readouterr().out.strip().split("\n")
     assert code == EXIT_CAP
-    assert out[1] == "g=2 r=3 skipped: group order 81 exceeds cap 70"
-    assert out[2].startswith("g=3 r=2 family=isotropic members=streamed |G'|=2 ")
-    assert len(out) == 4
+    assert out[0] == "g=2 r=6 skipped: family of 600 members exceeds cap 500"
+    assert out[1].startswith("g=2 r=7 family=isotropic members=400 |G'|=7 ")
+    assert len(out) == 2
 
 
 def test_bogomolov_all_family(capsys):
