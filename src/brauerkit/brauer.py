@@ -23,7 +23,7 @@ Howell form, so every result is canonical and runs are deterministic.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations, product
 from math import gcd
 
@@ -35,7 +35,7 @@ from .finab import (
     GroupElement,
     Subgroup,
 )
-from .sympl import AltForm, SymplecticSpace, weil_form
+from .sympl import AltForm, SymplecticSpace, _upper_pairs, weil_form
 from .zmodlinalg import (
     _check_modulus,
     _matmul_mod,
@@ -113,11 +113,12 @@ class FormSubmodule:
 
     @classmethod
     def trivial(cls, space: SymplecticSpace) -> FormSubmodule:
-        return cls.from_rows(space, np.zeros((0, space.form_rank), dtype=np.int64))
+        return cls(space, (), 1)
 
     @classmethod
     def weil_span(cls, space: SymplecticSpace) -> FormSubmodule:
-        return cls.from_forms(space, [weil_form(space)])
+        # e is 1 at (a_1, b_1), index 0: the one row is its own Howell form
+        return cls(space, (weil_form(space).vector(),), space.r)
 
     @property
     def rank(self) -> int:
@@ -167,13 +168,6 @@ def _form_rows(space: SymplecticSpace, rows) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # constraint machinery
-
-
-@cache
-def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays I, J of the pairs i < j of range(d), in
-    ``upper_index_pairs`` order; built once per d."""
-    return np.triu_indices(d, 1)
 
 
 def _minor_rows(X: np.ndarray, Y: np.ndarray, r: int) -> np.ndarray:
@@ -246,10 +240,10 @@ def compute_G(
     (a_i, b_i), where it takes one value: the cut is span(e).  Every
     isotropic pair is killed by e, so span(e) <= G <= cut(W) = span(e) in
     both modes.  A cut of any other order is a bug (``RuntimeError`` naming
-    the mode, g, r and a generator outside span(e)).  No group element is
-    listed: the cap is charged with the witness pairs, ``CapExceededError``
-    when there are more than ``cap``, after ``ModulusTooLargeError`` for
-    r > 2^31 (``_check_modulus``).
+    the mode, g, r and a generator outside span(e), or e if the cut is
+    smaller).  No group element is listed: the cap is charged with the
+    witness pairs, ``CapExceededError`` when there are more than ``cap``,
+    after ``ModulusTooLargeError`` for r > 2^31 (``_check_modulus``).
     """
     if mode not in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
         raise ValueError(f"unknown mode {mode!r}")
@@ -260,11 +254,14 @@ def compute_G(
     G = _cut(space, _minor_rows(*_witness_pairs(space), r))
     if G.order != r:
         e = FormSubmodule.weil_span(space)
-        outside = next(v for v in G.generators if not e.contains_vector(v))
-        raise RuntimeError(
+        outside = next((v for v in G.generators if not e.contains_vector(v)), None)
+        where = (
             f"the {mode} witness cut left {G.order} forms, not span(e), at "
-            f"g = {space.g}, r = {r}: generator {outside} is outside span(e)"
+            f"g = {space.g}, r = {r}"
         )
+        if outside is None:
+            raise RuntimeError(f"{where}: e = {e.generators[0]} is outside the cut")
+        raise RuntimeError(f"{where}: generator {outside} is outside span(e)")
     return G
 
 
@@ -283,8 +280,8 @@ def restriction_kernel(space: SymplecticSpace, subgroup: Subgroup) -> FormSubmod
 class BicyclicFamily:
     """Deduplicated family of (Z/r)^2 subgroups with per-member provenance.
 
-    The intersection of the members' restriction kernels is computed once
-    per family and cached (``bogomolov_intersection`` returns it).  A form
+    The intersection of the members' restriction kernels is computed on
+    first use and cached (``bogomolov_intersection`` returns it).  A form
     kills span(x, y) iff it kills (x, y), so a member added by ``with_pair``
     contributes one constraint row, the minor row of the pair it was given;
     the member itself is read off that row (``_plane``), so it is
@@ -336,8 +333,7 @@ class BicyclicFamily:
     @cached_property
     def _intersection(self) -> FormSubmodule:
         """Kernel of the stacked constraint rows (``_rows``)."""
-        rows = self._rows
-        return _cut(self.space, np.vstack(rows) if rows else [])
+        return _cut(self.space, np.vstack(self._rows) if self._rows else [])
 
     def with_pair(
         self, sigma: GroupElement, tau: GroupElement
@@ -357,10 +353,8 @@ class BicyclicFamily:
         space = self.space
         if sigma.parent != space.group or tau.parent != space.group:
             raise ValueError("generator belongs to a different group")
-        # the minor row is a product of residues in int64
-        _check_modulus(space.r)
         xy = (sigma.coords, tau.coords)
-        X = np.array(xy, dtype=np.int64)
+        X = _residues(xy, space.r)
         N = _minor_rows(X[:1], X[1:], space.r)
         member = _plane(space, xy, N[0].tolist())
         if member in self._member_set:
@@ -455,9 +449,9 @@ def _enumerate_bicyclics(
     the Howell form of its member (over F_p that is the reduced echelon
     form, ``_plane`` with u = 1); at other r each member is read off its
     basis and minor row by ``_plane``, one ``howell_form`` call only for a
-    member whose first nonzero minor is not a unit.  A form kills span(x, y) iff it kills
-    (x, y), so the family's intersection is seeded by one cut by those minor
-    rows, one per member.
+    member whose first nonzero minor is not a unit.  A form kills span(x, y)
+    iff it kills (x, y), so ``_rows`` is seeded with those minor rows, one
+    per member: the intersection is their one cut, made on first use.
     """
     group, r, g, n = space.group, space.r, space.g, space.dim
     iso = int(isotropic_only)
@@ -485,7 +479,6 @@ def _enumerate_bicyclics(
     tag = "isotropic-pair" if isotropic_only else "bicyclic-pair"
     family = BicyclicFamily(space, tuple(members), (tag,) * len(members))
     family.__dict__["_rows"] = (rows,)
-    family.__dict__["_intersection"] = _cut(space, rows)
     return family
 
 
@@ -518,12 +511,12 @@ def bogomolov_intersection(
     stacked into one cut of every form (an empty family leaves the whole
     form module): one minor row per member listed by ``with_pair`` or an
     enumerator, the generator-pair rows of a member given by hand.  The
-    family caches the result, so a second call costs nothing;
-    ``isotropic_bicyclics`` and ``all_bicyclics`` return it already
-    seeded, and a family grown by ``with_pair`` after an intersection costs
-    one small cut of the cached one by the new member's row.  ``ValueError``
-    if the family belongs to another space or holds a subgroup of another
-    module.
+    intersection is computed on first use and cached on the family, so a
+    second call costs nothing, and a family grown by ``with_pair`` after an
+    intersection costs one small cut of the cached one by the new member's
+    row.  ``cap`` is unused with an explicit family: its enumerator already
+    charged it.  ``ValueError`` if the family belongs to another space or
+    holds a subgroup of another module.
 
     With ``family=None`` the isotropic bicyclic family is never
     materialized.  A member contributes exactly the constraint of one
@@ -595,25 +588,23 @@ def verify_main_inclusions(
         raise ValueError(f"unknown mode {mode!r}")
     e_span = FormSubmodule.weil_span(space)
     # both modes of G are the same witness cut, and the implicit-family G'
-    # is the primitive-pairs G: one cut serves all three
+    # is the primitive-pairs G: one cut, so one of each flag, serves all three
     gprime = compute_G(space, MODE_PRIMITIVE_PAIRS, cap)
-    e_vec = weil_form(space).vector()
-    g_all = gprime if mode in ("both", MODE_ALL_PAIRS) else None
-    g_prim = gprime if mode in ("both", MODE_PRIMITIVE_PAIRS) else None
+    subset, equal = gprime.is_submodule_of(gprime), gprime == e_span
+    has_all = mode in ("both", MODE_ALL_PAIRS)
+    has_prim = mode in ("both", MODE_PRIMITIVE_PAIRS)
     return InclusionReport(
         g=space.g,
         r=space.r,
         form_rank=space.form_rank,
         weil_span_order=e_span.order,
-        g_order_all_pairs=None if g_all is None else g_all.order,
-        g_order_primitive_pairs=None if g_prim is None else g_prim.order,
+        g_order_all_pairs=gprime.order if has_all else None,
+        g_order_primitive_pairs=gprime.order if has_prim else None,
         gprime_order=gprime.order,
-        e_in_gprime=gprime.contains_vector(e_vec),
-        gprime_subset_g_all=None if g_all is None else gprime.is_submodule_of(g_all),
-        gprime_subset_g_primitive=(
-            None if g_prim is None else gprime.is_submodule_of(g_prim)
-        ),
-        g_all_equals_weil_span=None if g_all is None else g_all == e_span,
-        g_primitive_equals_weil_span=None if g_prim is None else g_prim == e_span,
-        gprime_equals_weil_span=gprime == e_span,
+        e_in_gprime=gprime.contains_vector(e_span.generators[0]),
+        gprime_subset_g_all=subset if has_all else None,
+        gprime_subset_g_primitive=subset if has_prim else None,
+        g_all_equals_weil_span=equal if has_all else None,
+        g_primitive_equals_weil_span=equal if has_prim else None,
+        gprime_equals_weil_span=equal,
     )

@@ -298,7 +298,7 @@ def cmd_bogomolov(args, cap: int) -> int:
                 gprime = bogomolov_intersection(space, fam, cap)
                 members = str(len(fam))
             else:
-                # the streamed G' is the primitive-pairs G
+                # the implicit family's G' is the primitive-pairs G
                 gprime = g_prim
                 members = "streamed"
         except CapExceededError as exc:
@@ -485,7 +485,7 @@ def _suite_submodules(_: np.random.Generator):
         if set(compute_G(space, MODE_PRIMITIVE_PAIRS).vectors()) != brute_prim:
             return False, f"primitive-pairs mismatch at r={r}"
         if set(bogomolov_intersection(space).vectors()) != brute_prim:
-            return False, f"streamed intersection mismatch at r={r}"
+            return False, f"implicit family intersection mismatch at r={r}"
         span = subgroup_from_generators(space.group, [space.a(1), space.a(2)])
         sub = restriction_kernel(space, span)
         if sub.order != r ** (space.form_rank - 1):
@@ -582,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     bg.add_argument(
         "--explicit",
         action="store_true",
-        help="materialize the family instead of streaming it",
+        help="materialize the family instead of leaving it implicit",
     )
     bg.add_argument("--cap", type=int, default=None)
 

@@ -13,7 +13,7 @@ standard pairing pairs a_i with b_i and nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -31,9 +31,16 @@ __all__ = [
 ]
 
 
+@cache
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays I, J of the pairs i < j of range(d), lexicographic; cached."""
+    return np.triu_indices(d, 1)
+
+
 def upper_index_pairs(dim: int) -> list[tuple[int, int]]:
     """Index pairs (i, j), i < j, in the flattening order used everywhere."""
-    return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    I, J = _upper_pairs(dim)
+    return list(zip(I.tolist(), J.tolist()))
 
 
 @dataclass(frozen=True)

@@ -339,6 +339,51 @@ def test_scan_raises_if_the_shell_ends_before_the_stop(monkeypatch):
         assert not e_span.contains_vector(vec)
 
 
+def test_scan_names_e_if_the_cut_is_smaller_than_span_e(monkeypatch):
+    # with (a_1, b_1) among the pairs the cut also kills e: it is {0}, so
+    # no generator lies outside span(e), and the error names e instead
+    witness_pairs = brauer._witness_pairs
+
+    def with_a1_b1(space):
+        X, Y = witness_pairs(space)
+        a1, b1 = np.eye(space.dim, dtype=np.int64)[:2]
+        return np.vstack([X, a1]), np.vstack([Y, b1])
+
+    monkeypatch.setattr(brauer, "_witness_pairs", with_a1_b1)
+    sp = SymplecticSpace(g=2, r=3)
+    e = weil_form(sp).vector()
+    for mode in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
+        message = (
+            rf"{mode} witness cut left 1 forms, .* g = 2, r = 3: "
+            rf"e = {re.escape(str(e))} is outside the cut"
+        )
+        with pytest.raises(RuntimeError, match=message):
+            compute_G(sp, mode)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [2, 3, 4, 6, 12, 97, 2**31 - 1, 2**31])
+def test_written_down_spans_match_an_independent_route(monkeypatch, g, r):
+    # span(e) and {0} are written down, not canonicalized: they must be
+    # what from_forms and from_rows compute, and their span what the
+    # naive closure finds
+    sp = SymplecticSpace(g=g, r=r)
+    e = weil_form(sp)
+    computed_span = FormSubmodule.from_forms(sp, [e])
+    computed_trivial = FormSubmodule.from_rows(sp, [])
+    def no_howell_form(*args):
+        raise AssertionError("a written-down span called howell_form")
+
+    monkeypatch.setattr(brauer, "howell_form", no_howell_form)
+    span = FormSubmodule.weil_span(sp)
+    assert span == computed_span and span.order == r
+    assert FormSubmodule.trivial(sp) == computed_trivial
+    if r <= 97:
+        vectors = span.vectors()
+        assert set(vectors) == span_closure([e.vector()], r)
+        assert len(vectors) == r
+
+
 def _witness_pairs(g, r):
     """The paper's witness pairs (a_i, a_j), (b_i, b_j), (a_i, b_j),
     (a_j, b_i) and (a_i + a_j, b_i - b_j), i < j, as coordinate tuples."""
@@ -650,12 +695,13 @@ def test_families_list_no_table(monkeypatch):
 
 @pytest.mark.parametrize("g, r", [(1, 4), (2, 4), (2, 5), (2, 6), (3, 2)])
 def test_family_intersection_matches_generator_rows(g, r):
-    # one minor row per chart basis seeds the same intersection as the
-    # stacked generator-pair rows of a family built from the same members
+    # one minor row per chart basis is seeded, and its cut, computed on
+    # first use, is the same intersection as the stacked generator-pair rows
+    # of a family built from the same members
     sp = SymplecticSpace(g=g, r=r)
     for enumerate_family in (isotropic_bicyclics, all_bicyclics):
         fam = enumerate_family(sp)
-        assert "_intersection" in fam.__dict__
+        assert "_rows" in fam.__dict__ and "_intersection" not in fam.__dict__
         stacked = BicyclicFamily(sp, fam.members, fam.provenance)
         assert bogomolov_intersection(sp, fam) == bogomolov_intersection(sp, stacked)
 
@@ -1125,6 +1171,7 @@ def test_with_pair_on_an_enumerated_family_builds_no_generator_rows(
 ):
     sp = SymplecticSpace(g=g, r=r)
     fam = isotropic_bicyclics(sp)
+    bogomolov_intersection(sp, fam)  # so the grown family's cut is seeded
     monkeypatch.setattr(brauer, "_generator_rows", _refuse_generator_rows)
     x, y = sp.a(1), sp.b(1) + sp.a(2)  # e(x, y) = 1: not an isotropic member
     wider = fam.with_pair(x, y)
@@ -1148,6 +1195,55 @@ def test_growing_a_family_with_a_foreign_member_still_names_it():
     assert len(wider) == 3 and "_rows" not in wider.__dict__
     with pytest.raises(ValueError, match=r"member 1 \(foreign\)"):
         bogomolov_intersection(sp, wider)
+
+
+_SP, _OTHER = SymplecticSpace(g=2, r=3), SymplecticSpace(g=2, r=5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: FormSubmodule.weil_span(_SP).contains(weil_form(_OTHER)),
+            "form lives on a different space",
+        ),
+        (
+            lambda: FormSubmodule.trivial(_SP).is_submodule_of(
+                FormSubmodule.trivial(_OTHER)
+            ),
+            "submodules of different spaces",
+        ),
+        (
+            lambda: restriction_kernel(
+                _SP, subgroup_from_generators(_OTHER.group, [_OTHER.a(1)])
+            ),
+            "subgroup does not sit in the space's module",
+        ),
+        (
+            lambda: BicyclicFamily(_SP, (), ("orphan",)),
+            "one provenance tag per member",
+        ),
+        (
+            lambda: bogomolov_intersection(_SP, BicyclicFamily(_OTHER, (), ())),
+            "family belongs to a different space",
+        ),
+        (
+            lambda: verify_main_inclusions(_SP, mode="some-pairs"),
+            "unknown mode 'some-pairs'",
+        ),
+    ],
+    ids=[
+        "contains-foreign-form",
+        "submodule-across-spaces",
+        "restriction-kernel-foreign-subgroup",
+        "provenance-length",
+        "intersection-foreign-family",
+        "verify-unknown-mode",
+    ],
+)
+def test_foreign_or_malformed_input_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_verify_report_g2_r2():

@@ -321,3 +321,24 @@ def test_subgroup_invariant_factors_match_torsion_counts():
             scaled = [[c * (N // d) for c, d in zip(v, factors)] for v in gens]
             for d, count in torsion_counts(scaled, N).items():
                 assert count == prod(gcd(d, e) for e in inv), (factors, gens, d)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: FinAbGroup((3, 3)).coordinate_table(cap=8),
+            "group order 9 exceeds cap 8",
+        ),
+        (
+            lambda: subgroup_from_generators(
+                FinAbGroup((3, 3)), [FinAbGroup((3, 3)).element((1, 2))]
+            ).elements(cap=2),
+            "subgroup order 3 exceeds cap 2",
+        ),
+    ],
+    ids=["coordinate-table", "subgroup-elements"],
+)
+def test_listing_past_the_cap_is_refused(call, message):
+    with pytest.raises(CapExceededError, match=message):
+        call()

@@ -39,3 +39,27 @@ def test_int64_limit_is_decided_only_in_zmodlinalg():
                 sites.append(f"{path.name}:{node.lineno}")
     outside = [site for site in sites if not site.startswith("zmodlinalg.py:")]
     assert sites and not outside, outside
+
+
+def _uses(tree, name: str) -> list:
+    """Every node in ``tree`` that refers to ``name``, bare or as an attribute."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+    ]
+
+
+def test_brauer_checks_the_modulus_only_in_compute_G():
+    # compute_G checks it before charging the cap, so a public caller sees
+    # the modulus refusal first; everywhere else in brauer caller input is
+    # checked by _residues, the one conversion
+    tree = ast.parse((PACKAGE / "brauer.py").read_text(encoding="utf-8"))
+    (compute_G,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "compute_G"
+    ]
+    uses = _uses(tree, "_check_modulus")
+    assert uses and uses == _uses(compute_G, "_check_modulus")

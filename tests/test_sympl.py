@@ -39,6 +39,10 @@ def test_upper_index_pairs_order():
     assert upper_index_pairs(4) == [
         (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
     ]
+    for dim in range(9):
+        pairs = upper_index_pairs(dim)
+        assert pairs == [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        assert all(type(i) is int and type(j) is int for i, j in pairs)
 
 
 def test_altform_coeff_validation():

@@ -9,6 +9,7 @@ from brute import rref_mod_prime, span_closure
 from brauerkit.zmodlinalg import (
     DimensionMismatchError,
     ModulusTooLargeError,
+    _check_modulus,
     det_int,
     howell_form,
     howell_kernel,
@@ -554,3 +555,10 @@ def test_empty_inputs_of_any_dtype_are_accepted():
         assert howell_span_order(empty, 6) == 1
         assert howell_kernel(empty, 6)[1].tolist() == np.eye(3, dtype=int).tolist()
         assert solve_mod(empty, np.zeros(0, dtype=dtype), 6)[0].tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("n", [1, 0, -5])
+def test_moduli_below_two_are_refused(n):
+    for call in (lambda: _check_modulus(n), lambda: howell_form([[1, 0]], n)):
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            call()
