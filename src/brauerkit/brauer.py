@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -40,11 +40,11 @@ from .zmodlinalg import (
     _check_modulus,
     _matmul_mod,
     _residues,
+    _span_order,
     howell_form,
     howell_kernel,
     howell_reduce,
     howell_span,
-    howell_span_order,
 )
 
 __all__ = [
@@ -96,9 +96,11 @@ class FormSubmodule:
 
     @classmethod
     def from_rows(cls, space: SymplecticSpace, rows) -> FormSubmodule:
+        # converted once: howell_form keeps its own input check, and the
+        # order is read off the pivots of the form it returns
         r = space.r
         H = howell_form(_form_rows(space, rows), r)
-        return cls(space, tuple(map(tuple, H.tolist())), howell_span_order(H, r))
+        return cls(space, tuple(map(tuple, H.tolist())), _span_order(H, r))
 
     @classmethod
     def from_forms(cls, space: SymplecticSpace, forms) -> FormSubmodule:
@@ -288,7 +290,8 @@ class BicyclicFamily:
     canonicalized by ``howell_form`` only when its first nonzero minor is
     not a unit.  A family grown by ``with_pair`` after its parent was
     intersected inherits the parent's intersection and cuts it down by that
-    row alone.
+    row alone.  The enumerated families keep only their chart and build
+    their members on first use (``_ChartFamily``).
     """
 
     space: SymplecticSpace
@@ -316,8 +319,9 @@ class BicyclicFamily:
         Computed, it is one block per member, the generator-pair rows of its
         canonical generators, and ``ValueError`` names the first member that
         is not a subgroup of the space's module: its rows would be read mod
-        r in the wrong coordinates.  ``with_pair`` and the enumerated
-        families seed it with one minor row per member.
+        r in the wrong coordinates.  ``with_pair`` seeds it with one minor
+        row per member, and an enumerated family's is its members' minor
+        rows.
         """
         space = self.space
         rows = []
@@ -406,10 +410,13 @@ def _plane(space: SymplecticSpace, xy, minors) -> Subgroup:
     return Subgroup(space.group, rows, r * r)
 
 
-def _chart(space: SymplecticSpace, p: int, q: int, isotropic: bool) -> np.ndarray:
+def _chart(
+    space: SymplecticSpace, p: int, q: int, isotropic: bool
+) -> list[np.ndarray]:
     """Bases (x, y) of the free rank-2 summands of (Z/q)^(2g), q = p^k, one
-    per summand (isotropic ones only when ``isotropic``), as an n x 2 x 2g
-    array ordered by pivot columns (c1, c2) and then lexicographically.
+    per summand (isotropic ones only when ``isotropic``), as one
+    n_b x 2 x 2g block per pivot pair (c1, c2), in order, each block
+    ordered lexicographically (and empty when no summand has those pivots).
 
     Reduced mod p, a summand is a plane with pivot columns c1 < c2, and it
     has exactly one basis with x_c1 = y_c2 = 1, x_c2 = y_c1 = 0, x_j = 0
@@ -425,7 +432,7 @@ def _chart(space: SymplecticSpace, p: int, q: int, isotropic: bool) -> np.ndarra
         entries[c], entries[z] = (1,), (0,)
         return np.array(list(product(*entries)), dtype=np.int64)
 
-    blocks = [np.zeros((0, 2, d), dtype=np.int64)]
+    blocks = []
     for c1, c2 in combinations(range(d), 2):
         X, Y = rows(c1, c2), rows(c2, c1)
         if isotropic:
@@ -433,27 +440,94 @@ def _chart(space: SymplecticSpace, p: int, q: int, isotropic: bool) -> np.ndarra
         else:
             i, j = np.divmod(np.arange(len(X) * len(Y)), len(Y))
         blocks.append(np.stack([X[i], Y[j]], axis=1))
-    return np.concatenate(blocks)
+    return blocks
+
+
+def _crt(lifted, r: int) -> np.ndarray:
+    """Bases over Z/r from one array of bases per prime power q of r, each
+    lifted by the CRT unit of q (1 mod q, 0 mod r / q): every combination
+    of one basis per array, summed mod r, the first array outermost."""
+    bases = np.zeros((1, *lifted[0].shape[1:]), dtype=np.int64)
+    for B in lifted:
+        bases = ((bases[:, None] + B[None]) % r).reshape(-1, *B.shape[1:])
+    return bases
+
+
+class _ChartFamily(BicyclicFamily):
+    """An enumerated family kept as its chart (``_enumerate_bicyclics``):
+    for each prime power q of r, the blocks of ``_chart`` lifted to Z/r.
+    Its members are the CRT combinations of one basis per q (``_crt``), the
+    first q's bases outermost, so ``len`` needs none of them.
+
+    The intersection is streamed: for each combination of one block per q,
+    the minor rows of its bases are built, cut from the submodule so far
+    (``_cut``) and dropped, so memory holds one block's rows.  A block that
+    cuts nothing costs one product.  ``members`` is built on first read,
+    each by ``_plane`` from its basis and minor row (at prime r the basis
+    itself, whose leading minor is 1), and ``with_pair`` grows the family
+    by one minor row per member, as it grows a family of its own.
+    """
+
+    def __init__(
+        self,
+        space: SymplecticSpace,
+        tag: str,
+        charts: tuple[tuple[np.ndarray, ...], ...],
+        count: int,
+    ):
+        # frozen, so straight into the instance dict: members and
+        # provenance are left to the cached properties below
+        self.__dict__.update(space=space, _tag=tag, _charts=charts, _count=count)
+
+    def __len__(self) -> int:
+        return self._count
+
+    @cached_property
+    def provenance(self) -> tuple[str, ...]:
+        return (self._tag,) * self._count
+
+    @cached_property
+    def _bases(self) -> np.ndarray:
+        """Every member's chart basis over Z/r, in member order."""
+        return _crt([np.concatenate(blocks) for blocks in self._charts], self.space.r)
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, ...]:
+        B = self._bases
+        return (_minor_rows(B[:, 0], B[:, 1], self.space.r),)
+
+    @cached_property
+    def members(self) -> tuple[Subgroup, ...]:
+        (rows,) = self._rows
+        return tuple(
+            _plane(self.space, xy, m)
+            for xy, m in zip(self._bases.tolist(), rows.tolist())
+        )
+
+    @cached_property
+    def _intersection(self) -> FormSubmodule:
+        space, r = self.space, self.space.r
+        sub = None
+        for blocks in product(*self._charts):
+            B = _crt(blocks, r)
+            sub = _cut(space, _minor_rows(B[:, 0], B[:, 1], r), sub)
+        return sub
 
 
 def _enumerate_bicyclics(
     space: SymplecticSpace, isotropic_only: bool, cap: int
 ) -> BicyclicFamily:
-    """Members listed from the chart of each prime power q = p^k exactly
-    dividing r (``_chart``), the bases combined by CRT with the first
-    prime's list outermost: no element pair is listed.
+    """The family listed from the chart of each prime power q = p^k exactly
+    dividing r (``_chart``), kept as its chart (``_ChartFamily``): no
+    element pair, member or minor row is listed.
 
     The cap is charged with the closed-form member count before any chart
-    is listed (``CapExceededError`` past it).  Every basis has its minor
-    row, built once for all of them.  At prime r a chart basis is already
-    the Howell form of its member (over F_p that is the reduced echelon
-    form, ``_plane`` with u = 1); at other r each member is read off its
-    basis and minor row by ``_plane``, one ``howell_form`` call only for a
-    member whose first nonzero minor is not a unit.  A form kills span(x, y)
-    iff it kills (x, y), so ``_rows`` is seeded with those minor rows, one
-    per member: the intersection is their one cut, made on first use.
+    is listed (``CapExceededError`` past it).  The count of chart bases,
+    the product over q of each chart's size, is the family's ``len``; one
+    that differs from the closed form is a bug (``RuntimeError`` naming the
+    family, g and r).
     """
-    group, r, g, n = space.group, space.r, space.g, space.dim
+    r, g, n = space.r, space.g, space.dim
     iso = int(isotropic_only)
     prime_powers, count = _prime_powers(r), 1
     for p, q in prime_powers:
@@ -464,22 +538,19 @@ def _enumerate_bicyclics(
         count *= planes * (q // p) ** (4 * g - 4 - iso) if planes else 0
     if count > cap:
         raise CapExceededError(f"family of {count} members exceeds cap {cap}")
-    bases = np.zeros((1, 2, n), dtype=np.int64)
+    charts = []
     for p, q in prime_powers:
         unit = (r // q) * pow(r // q, -1, q) % r  # 1 mod q, 0 mod r / q
-        B = _chart(space, p, q, isotropic_only)
-        bases = ((bases[:, None] + unit * B[None]) % r).reshape(-1, 2, n)
-    rows = _minor_rows(bases[:, 0], bases[:, 1], r)
-    if prime_powers == [(r, r)]:
-        members = [Subgroup(group, tuple(map(tuple, b)), r * r) for b in bases.tolist()]
-    else:
-        members = [
-            _plane(space, xy, m) for xy, m in zip(bases.tolist(), rows.tolist())
-        ]
+        charts.append(tuple(unit * B % r for B in _chart(space, p, q, isotropic_only)))
+    listed = prod(sum(map(len, blocks)) for blocks in charts)
+    if listed != count:
+        kind = "isotropic" if isotropic_only else "all"
+        raise RuntimeError(
+            f"the {kind} bicyclic chart at g = {g}, r = {r} lists {listed} "
+            f"bases, not the {count} members of the closed form"
+        )
     tag = "isotropic-pair" if isotropic_only else "bicyclic-pair"
-    family = BicyclicFamily(space, tuple(members), (tag,) * len(members))
-    family.__dict__["_rows"] = (rows,)
-    return family
+    return _ChartFamily(space, tag, tuple(charts), count)
 
 
 def isotropic_bicyclics(
@@ -509,8 +580,9 @@ def bogomolov_intersection(
 
     With an explicit family, the constraint rows of every member are
     stacked into one cut of every form (an empty family leaves the whole
-    form module): one minor row per member listed by ``with_pair`` or an
-    enumerator, the generator-pair rows of a member given by hand.  The
+    form module): one minor row per member listed by ``with_pair``, the
+    generator-pair rows of a member given by hand.  An enumerated family
+    cuts by its members' minor rows one chart block at a time.  The
     intersection is computed on first use and cached on the family, so a
     second call costs nothing, and a family grown by ``with_pair`` after an
     intersection costs one small cut of the cached one by the new member's

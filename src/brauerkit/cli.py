@@ -582,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     bg.add_argument(
         "--explicit",
         action="store_true",
-        help="materialize the family instead of leaving it implicit",
+        help="intersect over the explicit family instead of the implicit one",
     )
     bg.add_argument("--cap", type=int, default=None)
 

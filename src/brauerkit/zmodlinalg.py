@@ -375,10 +375,15 @@ def howell_span_order(H, n: int) -> int:
     """Number of vectors in the row span of a Howell form ``H`` over Z/n.
 
     Assumes ``H`` is ``howell_form`` output and does not check it, because
-    every ``FormSubmodule`` and ``Subgroup`` is built by calling this on a
-    Howell form just computed: once per cut and once per family member.
+    every ``Subgroup`` is built by calling this on a Howell form just
+    computed (a ``FormSubmodule`` reads the same pivots by ``_span_order``).
     """
-    H = _residues(H, n)
+    return _span_order(_residues(H, n), n)
+
+
+def _span_order(H: np.ndarray, n: int) -> int:
+    """``howell_span_order`` of a Howell form just computed by ``howell_form``:
+    the product of n / p over its pivots p, with no conversion."""
     if not H.shape[0]:
         return 1
     piv = H[np.arange(H.shape[0]), (H != 0).argmax(axis=1)]

@@ -3,7 +3,7 @@ import random
 import re
 from collections import Counter
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd, prod
 
 import numpy as np
 import pytest
@@ -35,6 +35,7 @@ from brauerkit.finab import (
     DEFAULT_ENUMERATION_CAP,
     CapExceededError,
     FinAbGroup,
+    Subgroup,
     is_bicyclic_rr,
     subgroup_from_generators,
 )
@@ -693,17 +694,80 @@ def test_families_list_no_table(monkeypatch):
                     enumerate_family(sp, cap=count - 1)
 
 
-@pytest.mark.parametrize("g, r", [(1, 4), (2, 4), (2, 5), (2, 6), (3, 2)])
+@pytest.mark.parametrize(
+    "g, r", [(1, 4), (1, 6), (2, 4), (2, 5), (2, 6), (2, 12), (3, 2)]
+)
 def test_family_intersection_matches_generator_rows(g, r):
-    # one minor row per chart basis is seeded, and its cut, computed on
-    # first use, is the same intersection as the stacked generator-pair rows
-    # of a family built from the same members
+    # an enumerated family holds its chart and nothing built from it; its
+    # cut by the minor rows of the chart bases, block by block on first use,
+    # is the same intersection as the one stacked cut by the generator-pair
+    # rows of a family built by hand from the same members, and len counts
+    # those members
     sp = SymplecticSpace(g=g, r=r)
-    for enumerate_family in (isotropic_bicyclics, all_bicyclics):
+    for enumerate_family, isotropic in FAMILIES:
         fam = enumerate_family(sp)
-        assert "_rows" in fam.__dict__ and "_intersection" not in fam.__dict__
+        built = {"members", "provenance", "_bases", "_rows", "_intersection"}
+        assert not built & fam.__dict__.keys()
+        streamed = bogomolov_intersection(sp, fam)
+        assert not built - {"_intersection"} & fam.__dict__.keys()
+        assert len(fam) == len(fam.members) == bicyclic_count(g, r, isotropic)
         stacked = BicyclicFamily(sp, fam.members, fam.provenance)
-        assert bogomolov_intersection(sp, fam) == bogomolov_intersection(sp, stacked)
+        assert streamed == bogomolov_intersection(sp, stacked)
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise RuntimeError("a family member was built")
+
+
+@pytest.mark.parametrize("g, r", [(2, 4), (2, 6), (2, 12), (3, 2)])
+def test_family_len_and_intersection_build_no_member(monkeypatch, g, r):
+    # len is the count of chart bases and the intersection is cut from their
+    # minor rows, each offered once, one pivot block per cut: neither goes
+    # through _plane or builds a Subgroup
+    sp = SymplecticSpace(g=g, r=r)
+    cut, offered = brauer._cut, []
+
+    def counted_cut(space, rows, sub=None):
+        offered.append(len(rows))
+        return cut(space, rows, sub)
+
+    monkeypatch.setattr(brauer, "_cut", counted_cut)
+    monkeypatch.setattr(brauer, "_plane", _refuse_to_build)
+    monkeypatch.setattr(Subgroup, "__init__", _refuse_to_build)
+    blocks = prod(comb(sp.dim, 2) for _ in brauer._prime_powers(r))
+    for enumerate_family, isotropic in FAMILIES:
+        offered.clear()
+        fam = enumerate_family(sp)
+        assert len(fam) == bicyclic_count(g, r, isotropic=isotropic)
+        inter = bogomolov_intersection(sp, fam)
+        want = FormSubmodule.weil_span(sp) if isotropic else FormSubmodule.trivial(sp)
+        assert inter == want
+        assert len(offered) == blocks and sum(offered) == len(fam)
+        assert "members" not in fam.__dict__
+
+
+def test_a_chart_that_drops_a_basis_is_a_runtime_error(monkeypatch):
+    # len is the listed count; one that misses the closed form is a bug,
+    # raised, not asserted, and named
+    chart = brauer._chart
+
+    def short_chart(*args):
+        blocks = chart(*args)
+        k = next(k for k, block in enumerate(blocks) if len(block))
+        blocks[k] = blocks[k][1:]
+        return blocks
+
+    monkeypatch.setattr(brauer, "_chart", short_chart)
+    sp = SymplecticSpace(g=2, r=4)
+    for enumerate_family, isotropic in FAMILIES:
+        kind = "isotropic" if isotropic else "all"
+        count = bicyclic_count(2, 4, isotropic=isotropic)
+        message = (
+            rf"^the {kind} bicyclic chart at g = 2, r = 4 lists {count - 1} "
+            rf"bases, not the {count} members of the closed form$"
+        )
+        with pytest.raises(RuntimeError, match=message):
+            enumerate_family(sp)
 
 
 def _bicyclic_pairs(g: int, r: int):
@@ -813,22 +877,33 @@ def _leading_minor(minors) -> int:
 
 
 def test_family_canonicalizes_once_per_member(monkeypatch):
-    # a member is written down from its chart basis; only one whose first
+    # enumeration calls no howell_form at all; a member is written down from
+    # its chart basis on the first read of members, and only one whose first
     # nonzero minor is not a unit mod r goes through one 2-row howell_form
-    for g, r in [(2, 3), (2, 5), (3, 2)]:
+    calls = []
+
+    def counted(A, n):
+        calls.append(np.asarray(A).shape)
+        return howell_form(A, n)
+
+    monkeypatch.setattr(brauer, "howell_form", counted)
+    for g, r in [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2)]:
         sp = SymplecticSpace(g=g, r=r)
-        calls = _plane_howell_calls(monkeypatch, sp)
         for enumerate_family in (isotropic_bicyclics, all_bicyclics):
-            assert len(enumerate_family(sp)) and not calls
+            fam = enumerate_family(sp)
+            assert len(fam) and not calls
+            if r in (2, 3, 5):  # at prime r every leading minor is 1
+                assert fam.members and not calls
     sp = SymplecticSpace(g=2, r=4)
-    calls = _plane_howell_calls(monkeypatch, sp)
     for enumerate_family in (isotropic_bicyclics, all_bicyclics):
-        calls.clear()
         fam = enumerate_family(sp)
+        assert len(fam.members) == len(fam)
         (rows,) = fam._rows
         non_units = sum(gcd(_leading_minor(row), 4) != 1 for row in rows.tolist())
-        assert len(calls) == non_units
+        assert calls == [(2, sp.dim)] * non_units
         assert 0 < non_units < len(fam)
+        assert fam.members and len(calls) == non_units  # built once
+        calls.clear()
 
 
 @pytest.mark.parametrize("r", [4, 6, 8])
@@ -844,7 +919,8 @@ def test_plane_matches_subgroup_from_generators_on_chart_pairs(monkeypatch, r):
 
     monkeypatch.setattr(brauer, "_plane", recorded)
     fam = all_bicyclics(sp)
-    assert len(pairs) == len(fam)
+    assert not pairs  # members are built on first read
+    assert len(fam.members) == len(pairs) == len(fam)
     for member, ((x, y), minors) in zip(fam, pairs):
         assert tuple(minors) == minor_vector(x, y, r)
         assert member == subgroup_from_generators(

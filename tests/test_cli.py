@@ -336,6 +336,16 @@ def test_bogomolov_streamed_and_explicit(capsys):
     assert "members=15" in out
 
 
+def test_bogomolov_explicit_reaches_the_40320_member_family(capsys):
+    # the isotropic family at (3, 4) is intersected from its chart, with no
+    # member built
+    code = main(["bogomolov", "--explicit", "--g", "3", "--r", "4"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.startswith("g=3 r=4 family=isotropic members=40320 |G'|=4 ")
+    assert "equals-pairing-span=yes" in out
+
+
 def test_bogomolov_carries_on_past_a_capped_point(capsys):
     # the isotropic family has 600 members at r = 6 but 400 at r = 7
     argv = ["bogomolov", "--explicit", "--g", "2", "--r", "6..7", "--cap", "500"]
