@@ -23,7 +23,7 @@ Howell form, so every result is canonical and runs are deterministic.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, product
 from math import gcd, prod
 
@@ -65,19 +65,22 @@ MODE_ALL_PAIRS = "all-pairs"
 MODE_PRIMITIVE_PAIRS = "primitive-pairs"
 
 
-def _prime_powers(n: int) -> list[tuple[int, int]]:
-    """(p, q) for each prime power q = p^k exactly dividing n, p ascending."""
-    out, p = [], 2
-    while n > 1:
-        if p * p > n:
-            p = n  # what is left is prime
+@cache
+def _prime_powers(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(p, q, u) for each prime power q = p^k exactly dividing n, p
+    ascending, u the CRT unit of q (1 mod q, 0 mod n / q); cached, since
+    every ``with_pair`` call reads it."""
+    out, m, p = [], n, 2
+    while m > 1:
+        if p * p > m:
+            p = m  # what is left is prime
         q = 1
-        while n % p == 0:
-            n, q = n // p, q * p
+        while m % p == 0:
+            m, q = m // p, q * p
         if q > 1:
-            out.append((p, q))
+            out.append((p, q, (n // q) * pow(n // q, -1, q) % n))
         p += 1
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -282,16 +285,21 @@ def restriction_kernel(space: SymplecticSpace, subgroup: Subgroup) -> FormSubmod
 class BicyclicFamily:
     """Deduplicated family of (Z/r)^2 subgroups with per-member provenance.
 
+    A (Z/r)^2 summand is named by its chart basis (``_chart_key``), the one
+    basis of it that ``_chart`` lists, and a family dedupes by those bases.
+    A family built by hand holds its ``Subgroup`` members, each keyed by its
+    chart basis or, if it is not a (Z/r)^2 summand of the space's module
+    that the key can be read off, by the member itself (``_member_key``).
+    A family grown by ``with_pair`` (``_GrownFamily``) holds the family it
+    was grown from and the chart bases of the pairs added since, and an
+    enumerated one (``_ChartFamily``) holds its chart; both build members
+    from the bases only when ``members`` is read (``_members_of``).
+
     The intersection of the members' restriction kernels is computed on
     first use and cached (``bogomolov_intersection`` returns it).  A form
-    kills span(x, y) iff it kills (x, y), so a member added by ``with_pair``
-    contributes one constraint row, the minor row of the pair it was given;
-    the member itself is read off that row (``_plane``), so it is
-    canonicalized by ``howell_form`` only when its first nonzero minor is
-    not a unit.  A family grown by ``with_pair`` after its parent was
-    intersected inherits the parent's intersection and cuts it down by that
-    row alone.  The enumerated families keep only their chart and build
-    their members on first use (``_ChartFamily``).
+    kills span(x, y) iff it kills (x, y), so a chart basis contributes one
+    constraint row, its minor row; a member given by hand contributes the
+    generator-pair rows of its canonical generators.
     """
 
     space: SymplecticSpace
@@ -309,19 +317,18 @@ class BicyclicFamily:
         return iter(self.members)
 
     @cached_property
-    def _member_set(self) -> frozenset[Subgroup]:
-        return frozenset(self.members)
+    def _keys(self) -> frozenset:
+        """The dedupe set: one key per member (``_member_key``)."""
+        return frozenset(_member_key(self.space, m) for m in self.members)
 
     @cached_property
     def _rows(self) -> tuple[np.ndarray, ...]:
         """Blocks of constraint rows whose stack the intersection cuts by.
 
-        Computed, it is one block per member, the generator-pair rows of its
-        canonical generators, and ``ValueError`` names the first member that
-        is not a subgroup of the space's module: its rows would be read mod
-        r in the wrong coordinates.  ``with_pair`` seeds it with one minor
-        row per member, and an enumerated family's is its members' minor
-        rows.
+        One block per member, the generator-pair rows of its canonical
+        generators.  ``ValueError`` names the first member that is not a
+        subgroup of the space's module: its rows would be read mod r in the
+        wrong coordinates.
         """
         space = self.space
         rows = []
@@ -346,41 +353,152 @@ class BicyclicFamily:
 
         ``ValueError`` if sigma or tau is not an element of the space's
         module, then ``ModulusTooLargeError`` for r > 2^31, then
-        ``ValueError`` unless the pair spans (Z/r)^2.  The new member is
-        built from the minor row of (sigma, tau) (``_plane``), and that one
-        row is its constraint.  It joins this family's rows if they are
-        known (always so for an empty family), and if this family's
+        ``ValueError`` unless the pair spans (Z/r)^2.  The pair is named by
+        its chart basis (``_chart_key``, in Python ints), and this family
+        comes back unchanged if it already holds that key.  Otherwise the
+        grown family holds this family's members and the new basis; no
+        member or minor row is built until one is read.  If this family's
         intersection is already computed, the grown family's is seeded from
-        it: this intersection cut by that row alone, one 1 x k system
-        against its k generators in place of restacking every member.
+        it: this intersection cut by the new basis's one minor row, in place
+        of restacking every member.
         """
         space = self.space
         if sigma.parent != space.group or tau.parent != space.group:
             raise ValueError("generator belongs to a different group")
-        xy = (sigma.coords, tau.coords)
-        X = _residues(xy, space.r)
-        N = _minor_rows(X[:1], X[1:], space.r)
-        member = _plane(space, xy, N[0].tolist())
-        if member in self._member_set:
+        _check_modulus(space.r)
+        key = _chart_key(space, (sigma.coords, tau.coords))
+        if key in self._keys:
             return self
-        grown = BicyclicFamily(
-            space,
-            self.members + (member,),
-            self.provenance + ("user-supplied",),
-        )
-        # seeded from this family's set, so a chain of calls hashes each member once
-        grown.__dict__["_member_set"] = self._member_set | {member}
-        if not self.members or "_rows" in self.__dict__:
-            grown.__dict__["_rows"] = self._rows + (N,)
+        if isinstance(self, _GrownFamily):
+            grown = _GrownFamily(self._root, self._added + (key,), self._keys | {key})
+        else:
+            grown = _GrownFamily(self, (key,), self._keys | {key})
         if "_intersection" in self.__dict__:
-            grown.__dict__["_intersection"] = _cut(space, N, self._intersection)
+            rows = _basis_rows(np.array([key], dtype=np.int64), space.r)
+            grown.__dict__["_intersection"] = _cut(space, rows, self._intersection)
         return grown
+
+
+class _GrownFamily(BicyclicFamily):
+    """A family grown by ``with_pair``: the family it was first grown from
+    (``_root``, built by hand or enumerated), then the chart bases of the
+    pairs added since (``_added``), in order, and the dedupe set of both.
+
+    Members and provenance are built on first read.  The intersection, if
+    not seeded by ``with_pair``, cuts by the root's rows stacked on one
+    minor row per added basis.
+    """
+
+    def __init__(self, root: BicyclicFamily, added: tuple, keys: frozenset):
+        # frozen, so straight into the instance dict: members and
+        # provenance are left to the cached properties below
+        self.__dict__.update(space=root.space, _root=root, _added=added, _keys=keys)
+
+    def __len__(self) -> int:
+        return len(self._root) + len(self._added)
+
+    @cached_property
+    def _added_bases(self) -> np.ndarray:
+        return np.array(self._added, dtype=np.int64)
+
+    @cached_property
+    def members(self) -> tuple[Subgroup, ...]:
+        return self._root.members + _members_of(self.space, self._added_bases)
+
+    @cached_property
+    def provenance(self) -> tuple[str, ...]:
+        return self._root.provenance + ("user-supplied",) * len(self._added)
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, ...]:
+        return self._root._rows + (_basis_rows(self._added_bases, self.space.r),)
+
+
+def _chart_key(space: SymplecticSpace, rows) -> tuple[tuple[int, ...], ...]:
+    """The chart basis (x, y) of the (Z/r)^2 summand spanned by ``rows``,
+    coordinate sequences, in Python ints: for each prime power q of r, the
+    one basis ``_chart`` lists for the summand mod q, lifted by the CRT unit
+    of q as ``_enumerate_bicyclics`` lifts it.
+
+    For each p, take the first pair of rows and the first minor (c1, c2) of
+    it, in lexicographic (``upper_index_pairs``) order, that is a unit mod
+    p: (c1, c2) are the pivot columns of the summand mod p, since the
+    minors of any basis are a multiple of those of its reduced echelon
+    basis.  That pair times the inverse of its 2 x 2 block at (c1, c2), mod
+    q, spans the same summand, is the identity at (c1, c2), and is the
+    echelon basis mod p, so 0 mod p before its pivots: it is the chart
+    basis.  ``ValueError`` if some p has no unit minor (the rows span no
+    (Z/r)^2 summand).
+    """
+    r, key = space.r, ()
+    for p, q, unit in _prime_powers(r):
+        pivot = next(
+            (
+                (x, y, c1, c2)
+                for x, y in combinations(rows, 2)
+                for c1, c2 in combinations(range(space.dim), 2)
+                if (x[c1] * y[c2] - x[c2] * y[c1]) % p
+            ),
+            None,
+        )
+        if pivot is None:
+            raise ValueError("pair does not generate a (Z/r)^2 subgroup")
+        x, y, c1, c2 = pivot
+        s = pow(x[c1] * y[c2] - x[c2] * y[c1], -1, q)
+        inverse = ((y[c2] * s % q, -x[c2] * s % q), (-y[c1] * s % q, x[c1] * s % q))
+        part = tuple(
+            [
+                tuple([unit * ((a * xk + b * yk) % q) for xk, yk in zip(x, y)])
+                for a, b in inverse
+            ]
+        )
+        if key:  # the lifted parts summed mod r; with one q, unit is 1
+            part = tuple(
+                [tuple([(u + v) % r for u, v in zip(k, w)]) for k, w in zip(key, part)]
+            )
+        key = part
+    return key
+
+
+def _member_key(space: SymplecticSpace, member: Subgroup):
+    """The dedupe key of a member given by hand: its chart basis
+    (``_chart_key`` of its canonical generators) when it sits in the space's
+    module, has order r^2 and has a unit-minor pair of canonical generators
+    for each p, which makes it the summand that pair spans; else the member
+    itself.  A free summand can have a Howell form of three rows, none of
+    whose pairs spans it, so the pair is searched for."""
+    if member.parent == space.group and member.order == space.r**2:
+        try:
+            return _chart_key(space, member.canonical_generators)
+        except ValueError:
+            pass
+    return member
+
+
+def _basis_rows(B: np.ndarray, r: int) -> np.ndarray:
+    """Minor rows of the bases B, an n x 2 x 2g array over Z/r."""
+    return _minor_rows(B[:, 0], B[:, 1], r)
+
+
+def _members_of(space: SymplecticSpace, B: np.ndarray) -> tuple[Subgroup, ...]:
+    """The members spanned by the chart bases B (n x 2 x 2g over Z/r), in
+    order.  At prime r a chart basis is its own Howell form: its pivots are
+    1 at c1 and c2 with zeros before them, and x_c2 = 0.  At composite r
+    each is built by ``_plane`` from its minor row."""
+    r, bases = space.r, B.tolist()
+    if _prime_powers(r)[0][0] == r:
+        return tuple(
+            Subgroup(space.group, tuple(map(tuple, xy)), r * r) for xy in bases
+        )
+    minors = _basis_rows(B, r).tolist()
+    return tuple(_plane(space, xy, m) for xy, m in zip(bases, minors))
 
 
 def _plane(space: SymplecticSpace, xy, minors) -> Subgroup:
     """The subgroup spanned by the pair ``xy`` = (x, y) of coordinate
     sequences (entries in [0, r)), given their minor row ``minors``
-    (``_minor_rows``, as a list), in canonical form.
+    (``_minor_rows``, as a list), in canonical form; ``_members_of`` builds
+    a composite-r member from its chart basis with it.
 
     The span is (Z/r)^2 iff gcd(r, minors) = 1, else ``ValueError``; its
     order is then r^2.  Let (c1, c2) be the first pair with a nonzero minor
@@ -461,11 +579,13 @@ class _ChartFamily(BicyclicFamily):
 
     The intersection is streamed: for each combination of one block per q,
     the minor rows of its bases are built, cut from the submodule so far
-    (``_cut``) and dropped, so memory holds one block's rows.  A block that
-    cuts nothing costs one product.  ``members`` is built on first read,
-    each by ``_plane`` from its basis and minor row (at prime r the basis
-    itself, whose leading minor is 1), and ``with_pair`` grows the family
-    by one minor row per member, as it grows a family of its own.
+    (``_cut``) and dropped.  At composite r that combination is cut one
+    basis of the first q at a time, so memory holds the rows of one block
+    of each other q's, never their product with the first.  A block that
+    cuts nothing costs one product.  ``members`` is built from the bases on
+    first read (``_members_of``).  ``with_pair`` dedupes by the set of the
+    bases (``_keys``), as it dedupes a family of its own, so it builds no
+    member.
     """
 
     def __init__(
@@ -492,26 +612,27 @@ class _ChartFamily(BicyclicFamily):
         return _crt([np.concatenate(blocks) for blocks in self._charts], self.space.r)
 
     @cached_property
+    def _keys(self) -> frozenset:
+        return frozenset(tuple(map(tuple, xy)) for xy in self._bases.tolist())
+
+    @cached_property
     def _rows(self) -> tuple[np.ndarray, ...]:
-        B = self._bases
-        return (_minor_rows(B[:, 0], B[:, 1], self.space.r),)
+        return (_basis_rows(self._bases, self.space.r),)
 
     @cached_property
     def members(self) -> tuple[Subgroup, ...]:
-        (rows,) = self._rows
-        return tuple(
-            _plane(self.space, xy, m)
-            for xy, m in zip(self._bases.tolist(), rows.tolist())
-        )
+        return _members_of(self.space, self._bases)
 
     @cached_property
     def _intersection(self) -> FormSubmodule:
         space, r = self.space, self.space.r
         sub = None
-        for blocks in product(*self._charts):
-            B = _crt(blocks, r)
-            sub = _cut(space, _minor_rows(B[:, 0], B[:, 1], r), sub)
-        return sub
+        for outer, *inner in product(*self._charts):
+            slices = [outer[k : k + 1] for k in range(len(outer))] if inner else [outer]
+            for S in slices:
+                sub = _cut(space, _basis_rows(_crt([S, *inner], r), r), sub)
+        # None only when every slice was empty: the isotropic family at g = 1
+        return sub if sub is not None else _cut(space, [])
 
 
 def _enumerate_bicyclics(
@@ -530,7 +651,7 @@ def _enumerate_bicyclics(
     r, g, n = space.r, space.g, space.dim
     iso = int(isotropic_only)
     prime_powers, count = _prime_powers(r), 1
-    for p, q in prime_powers:
+    for p, q, _ in prime_powers:
         # F_p^n has (p^n - 1)(p^(n-1) - 1) / ((p - 1)(p^2 - 1)) planes, with
         # p^(n-2) for p^(n-1) the isotropic ones (none at g = 1); each lifts
         # to p^((k-1)d) summands over Z/q, d = 4g - 4, or 4g - 5 if isotropic
@@ -539,8 +660,7 @@ def _enumerate_bicyclics(
     if count > cap:
         raise CapExceededError(f"family of {count} members exceeds cap {cap}")
     charts = []
-    for p, q in prime_powers:
-        unit = (r // q) * pow(r // q, -1, q) % r  # 1 mod q, 0 mod r / q
+    for p, q, unit in prime_powers:
         charts.append(tuple(unit * B % r for B in _chart(space, p, q, isotropic_only)))
     listed = prod(sum(map(len, blocks)) for blocks in charts)
     if listed != count:
@@ -580,15 +700,16 @@ def bogomolov_intersection(
 
     With an explicit family, the constraint rows of every member are
     stacked into one cut of every form (an empty family leaves the whole
-    form module): one minor row per member listed by ``with_pair``, the
-    generator-pair rows of a member given by hand.  An enumerated family
-    cuts by its members' minor rows one chart block at a time.  The
-    intersection is computed on first use and cached on the family, so a
-    second call costs nothing, and a family grown by ``with_pair`` after an
-    intersection costs one small cut of the cached one by the new member's
-    row.  ``cap`` is unused with an explicit family: its enumerator already
-    charged it.  ``ValueError`` if the family belongs to another space or
-    holds a subgroup of another module.
+    form module): one minor row per chart basis a family holds, for a
+    member added by ``with_pair``, and the generator-pair rows of a member
+    given by hand.  An enumerated family cuts by its chart bases' minor
+    rows one chart block at a time.  The intersection is computed on first
+    use and cached on the family, so a second call costs nothing, and a
+    family grown by ``with_pair`` after an intersection costs one small cut
+    of the cached one by the new basis's row.  ``cap`` is unused with an
+    explicit family: its enumerator already charged it.  ``ValueError`` if
+    the family belongs to another space or holds a subgroup of another
+    module.
 
     With ``family=None`` the isotropic bicyclic family is never
     materialized.  A member contributes exactly the constraint of one

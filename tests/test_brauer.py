@@ -3,10 +3,13 @@ import random
 import re
 from collections import Counter
 from itertools import combinations, product
-from math import comb, gcd, prod
+from functools import cache
+from math import comb, gcd
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from brute import (
     bicyclic_count,
@@ -18,7 +21,7 @@ from brute import (
     symplectic_value,
     vanishing_forms,
 )
-from brauerkit import brauer
+from brauerkit import brauer, finab
 from brauerkit.brauer import (
     MODE_ALL_PAIRS,
     MODE_PRIMITIVE_PAIRS,
@@ -722,8 +725,10 @@ def _refuse_to_build(*args, **kwargs):
 @pytest.mark.parametrize("g, r", [(2, 4), (2, 6), (2, 12), (3, 2)])
 def test_family_len_and_intersection_build_no_member(monkeypatch, g, r):
     # len is the count of chart bases and the intersection is cut from their
-    # minor rows, each offered once, one pivot block per cut: neither goes
-    # through _plane or builds a Subgroup
+    # minor rows, each offered once: one pivot block per cut at a prime
+    # power r, and at composite r one basis of the first prime power's chart
+    # per cut, with one pivot block of each other's; neither goes through
+    # _plane or builds a Subgroup
     sp = SymplecticSpace(g=g, r=r)
     cut, offered = brauer._cut, []
 
@@ -734,15 +739,17 @@ def test_family_len_and_intersection_build_no_member(monkeypatch, g, r):
     monkeypatch.setattr(brauer, "_cut", counted_cut)
     monkeypatch.setattr(brauer, "_plane", _refuse_to_build)
     monkeypatch.setattr(Subgroup, "__init__", _refuse_to_build)
-    blocks = prod(comb(sp.dim, 2) for _ in brauer._prime_powers(r))
+    (_, q, _), *inner = brauer._prime_powers(r)
+    blocks = comb(sp.dim, 2) ** len(inner)
     for enumerate_family, isotropic in FAMILIES:
+        cuts = blocks * (bicyclic_count(g, q, isotropic) if inner else comb(sp.dim, 2))
         offered.clear()
         fam = enumerate_family(sp)
         assert len(fam) == bicyclic_count(g, r, isotropic=isotropic)
         inter = bogomolov_intersection(sp, fam)
         want = FormSubmodule.weil_span(sp) if isotropic else FormSubmodule.trivial(sp)
         assert inter == want
-        assert len(offered) == blocks and sum(offered) == len(fam)
+        assert len(offered) == cuts and sum(offered) == len(fam)
         assert "members" not in fam.__dict__
 
 
@@ -977,10 +984,166 @@ def test_plane_refuses_a_pair_that_is_not_bicyclic():
             brauer._plane(sp, (x.coords, y.coords), minors)
 
 
+def _rebased(x, y, a, b, c, d, r):
+    """The pair (a x + b y, c x + d y) mod r."""
+    return tuple(
+        tuple((s * xi + t * yi) % r for xi, yi in zip(x, y))
+        for s, t in ((a, b), (c, d))
+    )
+
+
+def _random_bicyclic_pairs(g: int, r: int, rng, count: int):
+    """``count`` random pairs spanning (Z/r)^2, in runs of four: a pair, then
+    three other bases of its span (an invertible 2 x 2 change of basis)."""
+    pairs = []
+    while len(pairs) < count:
+        x, y = (tuple(rng.randrange(r) for _ in range(2 * g)) for _ in range(2))
+        if gcd(r, *minor_vector(x, y, r)) != 1:
+            continue
+        pairs.append((x, y))
+        while len(pairs) % 4:
+            a, b, c, d = (rng.randrange(r) for _ in range(4))
+            if gcd(r, a * d - b * c) == 1:
+                pairs.append(_rebased(x, y, a, b, c, d, r))
+    return pairs
+
+
+@pytest.mark.parametrize("g, r", [(2, 4), (2, 6), (2, 9), (2, 12), (3, 6)])
+def test_chart_key_matches_span_closure(g, r):
+    # the naive oracle: equal keys exactly when the span closures are equal,
+    # and the key is a basis of the span it names
+    sp = SymplecticSpace(g=g, r=r)
+    spans: dict[tuple, frozenset] = {}
+    keys: dict[frozenset, tuple] = {}
+    for x, y in _random_bicyclic_pairs(g, r, random.Random(100 * g + r), 400):
+        key = brauer._chart_key(sp, (x, y))
+        span = frozenset(span_closure([x, y], r))
+        assert spans.setdefault(key, span) == span, (x, y)
+        assert keys.setdefault(span, key) == key, (x, y)
+    assert all(set(span_closure(key, r)) == span for key, span in spans.items())
+    assert 1 < len(spans) <= 100  # each run of four names one span
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(0, 5), min_size=4, max_size=4),
+    st.lists(st.integers(0, 5), min_size=4, max_size=4),
+    st.tuples(*[st.integers(0, 5)] * 4),
+)
+def test_chart_key_names_the_span_at_r_6(x, y, change):
+    r = 6
+    sp = SymplecticSpace(g=2, r=r)
+    assume(gcd(r, *minor_vector(x, y, r)) == 1)
+    a, b, c, d = change
+    assume(gcd(r, a * d - b * c) == 1)
+    key = brauer._chart_key(sp, (x, y))
+    assert brauer._chart_key(sp, _rebased(x, y, a, b, c, d, r)) == key
+    assert set(span_closure(key, r)) == set(span_closure([x, y], r))
+
+
+@pytest.mark.parametrize("g, r", [(2, 3), (2, 4), (2, 6), (3, 2)])
+def test_every_chart_basis_is_its_own_key(g, r):
+    # the key is the enumerator's basis: _chart's, lifted by the same CRT unit
+    sp = SymplecticSpace(g=g, r=r)
+    bases = all_bicyclics(sp)._bases.tolist()
+    assert len(bases) == bicyclic_count(g, r, isotropic=False)
+    for xy in bases:
+        assert brauer._chart_key(sp, xy) == tuple(map(tuple, xy))
+
+
+@pytest.mark.parametrize(
+    "r, x, y",
+    [
+        (6, (1, 0, 0, 0), (0, 2, 0, 0)),  # Z/6 x Z/3
+        (6, (1, 0, 0, 0), (3, 0, 0, 0)),
+        (6, (0, 0, 0, 0), (0, 0, 0, 0)),
+        (12, (1, 0, 0, 0), (0, 2, 0, 0)),  # unit minors mod 3, none mod 2
+        (12, (1, 0, 0, 0), (0, 3, 0, 0)),  # unit minors mod 2, none mod 3
+        (12, (2, 4, 0, 6), (0, 2, 4, 2)),
+    ],
+)
+def test_chart_key_refuses_a_pair_that_is_not_bicyclic(r, x, y):
+    with pytest.raises(ValueError, match=r"does not generate a \(Z/r\)\^2"):
+        brauer._chart_key(SymplecticSpace(g=2, r=r), (x, y))
+
+
+@pytest.mark.parametrize("g, r", [(3, 12), (4, 97)])
+def test_a_with_pair_chain_builds_no_member(monkeypatch, g, r):
+    # a member added by with_pair is its chart key alone: the chain makes no
+    # howell_form call, builds no Subgroup, converts no pair to residues,
+    # builds no minor row and factors r once; members, provenance and the
+    # intersection are those of the pairs it was given
+    sp = SymplecticSpace(g=g, r=r)
+    pairs = _transvected_witness_pairs(sp, np.random.default_rng(24))
+    counts = Counter()
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return call(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("howell_form", "_residues", "_minor_rows", "_plane"):
+        monkeypatch.setattr(brauer, name, counted(name, getattr(brauer, name)))
+    monkeypatch.setattr(finab, "howell_form", counted("howell_form", howell_form))
+    monkeypatch.setattr(Subgroup, "__init__", counted("Subgroup", Subgroup.__init__))
+    factor = counted("factorization", brauer._prime_powers.__wrapped__)
+    monkeypatch.setattr(brauer, "_prime_powers", cache(factor))
+    fam = BicyclicFamily(sp, (), ())
+    for x, y in pairs:
+        fam = fam.with_pair(x, y)
+    assert len(fam) == len(pairs) == 5 * g * (g - 1) // 2
+    assert counts == {"factorization": 1}
+    monkeypatch.undo()
+    assert fam.members == tuple(
+        subgroup_from_generators(sp.group, [x, y]) for x, y in pairs
+    )
+    assert fam.provenance == ("user-supplied",) * len(pairs)
+    by_hand = BicyclicFamily(sp, fam.members, fam.provenance)
+    inter = bogomolov_intersection(sp, fam)
+    assert inter == bogomolov_intersection(sp, by_hand) == FormSubmodule.weil_span(sp)
+
+
+# pairs whose span has a Howell form of three rows, none of whose pairs spans it
+_THREE_ROW_PAIRS = {
+    6: ((3, 3, 0, 2), (4, 3, 3, 2)),  # Howell form (1,0,3,0), (0,3,3,0), (0,0,0,2)
+    12: ((1, 11, 1, 10), (5, 7, 8, 1)),
+}
+
+
+@pytest.mark.parametrize("r", [6, 12])
+def test_with_pair_dedupes_a_family_built_by_hand(r):
+    # a member given by hand is keyed by its chart basis when it is a
+    # (Z/r)^2 summand of the space's module, three-row Howell form or not,
+    # and by itself otherwise; a pair spanning a member leaves the family
+    # as it is, and a foreign member is still named by the intersection
+    sp = SymplecticSpace(g=2, r=r)
+    x, y = map(sp.element, _THREE_ROW_PAIRS[r])
+    three_rows = subgroup_from_generators(sp.group, [x, y])
+    assert len(three_rows.canonical_generators) == 3 and three_rows.order == r * r
+    plain = subgroup_from_generators(sp.group, [sp.a(1), sp.b(2)])
+    smaller = subgroup_from_generators(sp.group, [sp.a(1), 2 * sp.a(2)])  # not (Z/r)^2
+    other = SymplecticSpace(g=2, r=2 * r)
+    foreign = subgroup_from_generators(other.group, [other.a(1), other.a(2)])
+    members = (three_rows, plain, smaller, foreign)
+    fam = BicyclicFamily(sp, members, ("three-rows", "plain", "smaller", "foreign"))
+    for pair in [(x, y), (y, x + y), (x - y, 5 * y), (sp.b(2), sp.a(1) + sp.b(2))]:
+        assert fam.with_pair(*pair) is fam
+    wider = fam.with_pair(sp.a(1), sp.a(2))
+    assert len(wider) == 5 and wider.members[:4] == members
+    assert wider.with_pair(sp.a(2), sp.a(1) + sp.a(2)) is wider
+    with pytest.raises(ValueError, match="does not generate"):
+        fam.with_pair(sp.a(1), 2 * sp.a(2))
+    with pytest.raises(ValueError, match=r"member 3 \(foreign\)"):
+        bogomolov_intersection(sp, wider)
+
+
 def test_with_pair_checks_the_group_then_the_modulus(monkeypatch):
     # both before any product of residues: past 2^31 one would wrap int64
     monkeypatch.setattr(brauer, "_minor_rows", _refuse_to_list)
     monkeypatch.setattr(brauer, "_plane", _refuse_to_list)
+    monkeypatch.setattr(brauer, "_chart_key", _refuse_to_list)
     other = SymplecticSpace(g=2, r=5)
     for r in (7, 2**31 + 1, 10**12 + 39):
         sp = SymplecticSpace(g=2, r=r)
@@ -1233,7 +1396,7 @@ def test_family_grown_without_intersection_matches_stacked(g, r):
         fam = fam.with_pair(x, y)
         assert "_intersection" not in fam.__dict__
     assert len(fam) == 5 * g * (g - 1) // 2
-    assert [block.shape for block in fam._rows] == [(1, sp.form_rank)] * len(fam)
+    assert np.vstack(fam._rows).shape == (len(fam), sp.form_rank)
     stacked = BicyclicFamily(sp, fam.members, fam.provenance)
     assert max(len(m.canonical_generators) for m in fam) >= 3
     assert sum(len(block) for block in stacked._rows) > len(fam)
@@ -1245,14 +1408,23 @@ def test_family_grown_without_intersection_matches_stacked(g, r):
 def test_with_pair_on_an_enumerated_family_builds_no_generator_rows(
     monkeypatch, g, r
 ):
+    # with_pair dedupes an enumerated family by its chart bases: it builds no
+    # member, no generator rows and no stacked rows, and a pair that spans a
+    # member, given in another basis, leaves the family as it is
     sp = SymplecticSpace(g=g, r=r)
     fam = isotropic_bicyclics(sp)
     bogomolov_intersection(sp, fam)  # so the grown family's cut is seeded
     monkeypatch.setattr(brauer, "_generator_rows", _refuse_generator_rows)
+    monkeypatch.setattr(brauer, "_plane", _refuse_to_build)
+    monkeypatch.setattr(Subgroup, "__init__", _refuse_to_build)
+    x, y = map(sp.element, fam._bases[0].tolist())
+    assert fam.with_pair(x, y) is fam
+    assert fam.with_pair(y, x + y) is fam
     x, y = sp.a(1), sp.b(1) + sp.a(2)  # e(x, y) = 1: not an isotropic member
     wider = fam.with_pair(x, y)
     assert len(wider) == len(fam) + 1
-    assert "_rows" in wider.__dict__ and "_intersection" in wider.__dict__
+    assert "_intersection" in wider.__dict__
+    assert not {"members", "_rows"} & (fam.__dict__.keys() | wider.__dict__.keys())
     monkeypatch.undo()
     stacked = BicyclicFamily(sp, wider.members, wider.provenance)
     assert bogomolov_intersection(sp, wider) == bogomolov_intersection(sp, stacked)

@@ -51,15 +51,20 @@ def _uses(tree, name: str) -> list:
     ]
 
 
-def test_brauer_checks_the_modulus_only_in_compute_G():
+def test_brauer_checks_the_modulus_only_in_compute_G_and_with_pair():
     # compute_G checks it before charging the cap, so a public caller sees
-    # the modulus refusal first; everywhere else in brauer caller input is
-    # checked by _residues, the one conversion
+    # the modulus refusal first, and with_pair before the chart key, which
+    # converts nothing; everywhere else in brauer caller input is checked by
+    # _residues, the one conversion
     tree = ast.parse((PACKAGE / "brauer.py").read_text(encoding="utf-8"))
-    (compute_G,) = [
+    checkers = [
         node
         for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "compute_G"
+        if isinstance(node, ast.FunctionDef) and node.name in ("compute_G", "with_pair")
     ]
+    assert sorted(node.name for node in checkers) == ["compute_G", "with_pair"]
     uses = _uses(tree, "_check_modulus")
-    assert uses and uses == _uses(compute_G, "_check_modulus")
+    assert all(_uses(node, "_check_modulus") for node in checkers)
+    assert uses and sorted(map(id, uses)) == sorted(
+        id(use) for node in checkers for use in _uses(node, "_check_modulus")
+    )
