@@ -295,11 +295,12 @@ class BicyclicFamily:
     enumerated one (``_ChartFamily``) holds its chart; both build members
     from the bases only when ``members`` is read (``_members_of``).
 
-    The intersection of the members' restriction kernels is computed on
-    first use and cached (``bogomolov_intersection`` returns it).  A form
-    kills span(x, y) iff it kills (x, y), so a chart basis contributes one
-    constraint row, its minor row; a member given by hand contributes the
-    generator-pair rows of its canonical generators.
+    Families compare and hash by (space, members, provenance), whichever
+    of these holds them.  The intersection of the members' restriction
+    kernels is computed on first use and cached (``bogomolov_intersection``
+    returns it).  A form kills span(x, y) iff it kills (x, y), so a chart
+    basis contributes one constraint row, its minor row; a member given by
+    hand contributes the generator-pair rows of its canonical generators.
     """
 
     space: SymplecticSpace
@@ -315,6 +316,19 @@ class BicyclicFamily:
 
     def __iter__(self):
         return iter(self.members)
+
+    def __eq__(self, other):
+        # by value, whichever private subclass holds the family: a grown or
+        # enumerated family equals the hand-built one of its members
+        if not isinstance(other, BicyclicFamily):
+            return NotImplemented
+        return (self.space, len(self)) == (other.space, len(other)) and (
+            self.members,
+            self.provenance,
+        ) == (other.members, other.provenance)
+
+    def __hash__(self):
+        return hash((self.space, self.members, self.provenance))
 
     @cached_property
     def _keys(self) -> frozenset:
@@ -482,23 +496,16 @@ def _basis_rows(B: np.ndarray, r: int) -> np.ndarray:
 
 def _members_of(space: SymplecticSpace, B: np.ndarray) -> tuple[Subgroup, ...]:
     """The members spanned by the chart bases B (n x 2 x 2g over Z/r), in
-    order.  At prime r a chart basis is its own Howell form: its pivots are
-    1 at c1 and c2 with zeros before them, and x_c2 = 0.  At composite r
-    each is built by ``_plane`` from its minor row."""
-    r, bases = space.r, B.tolist()
-    if _prime_powers(r)[0][0] == r:
-        return tuple(
-            Subgroup(space.group, tuple(map(tuple, xy)), r * r) for xy in bases
-        )
-    minors = _basis_rows(B, r).tolist()
-    return tuple(_plane(space, xy, m) for xy, m in zip(bases, minors))
+    order, each built by ``_plane`` from its minor row."""
+    minors = _basis_rows(B, space.r).tolist()
+    return tuple(_plane(space, xy, m) for xy, m in zip(B.tolist(), minors))
 
 
 def _plane(space: SymplecticSpace, xy, minors) -> Subgroup:
     """The subgroup spanned by the pair ``xy`` = (x, y) of coordinate
     sequences (entries in [0, r)), given their minor row ``minors``
     (``_minor_rows``, as a list), in canonical form; ``_members_of`` builds
-    a composite-r member from its chart basis with it.
+    a member from its chart basis with it.
 
     The span is (Z/r)^2 iff gcd(r, minors) = 1, else ``ValueError``; its
     order is then r^2.  Let (c1, c2) be the first pair with a nonzero minor
@@ -562,9 +569,10 @@ def _chart(
 
 
 def _crt(lifted, r: int) -> np.ndarray:
-    """Bases over Z/r from one array of bases per prime power q of r, each
-    lifted by the CRT unit of q (1 mod q, 0 mod r / q): every combination
-    of one basis per array, summed mod r, the first array outermost."""
+    """Bases over Z/r, or their minor rows, from one array of bases (or of
+    minor rows) per prime power q of r, each lifted by the CRT unit of q
+    (1 mod q, 0 mod r / q): every combination of one entry per array,
+    summed mod r, the first array outermost."""
     bases = np.zeros((1, *lifted[0].shape[1:]), dtype=np.int64)
     for B in lifted:
         bases = ((bases[:, None] + B[None]) % r).reshape(-1, *B.shape[1:])
@@ -577,15 +585,16 @@ class _ChartFamily(BicyclicFamily):
     Its members are the CRT combinations of one basis per q (``_crt``), the
     first q's bases outermost, so ``len`` needs none of them.
 
-    The intersection is streamed: for each combination of one block per q,
-    the minor rows of its bases are built, cut from the submodule so far
-    (``_cut``) and dropped.  At composite r that combination is cut one
-    basis of the first q at a time, so memory holds the rows of one block
-    of each other q's, never their product with the first.  A block that
-    cuts nothing costs one product.  ``members`` is built from the bases on
-    first read (``_members_of``).  ``with_pair`` dedupes by the set of the
-    bases (``_keys``), as it dedupes a family of its own, so it builds no
-    member.
+    The intersection is streamed: the minor rows of each nonempty block are
+    built once, and for each combination of one block per q the CRT of
+    their rows is cut from the submodule so far (``_cut``) and dropped.
+    The first q's block is cut in slices of as many bases as keep a cut
+    within the size of the largest chart, so memory holds the rows of one
+    block of each other q's, never their product with the first; at
+    prime-power r a block is one slice.  A cut that cuts nothing costs one
+    product.  ``members`` is built from the bases on first read
+    (``_members_of``).  ``with_pair`` dedupes by the set of the bases
+    (``_keys``), as it dedupes a family of its own, so it builds no member.
     """
 
     def __init__(
@@ -626,12 +635,19 @@ class _ChartFamily(BicyclicFamily):
     @cached_property
     def _intersection(self) -> FormSubmodule:
         space, r = self.space, self.space.r
+        # the minor rows of a lifted basis are lifted too (a CRT unit is
+        # idempotent), so a combination's rows are the CRT of its blocks'
+        minors = [
+            [_basis_rows(B, r) for B in blocks if len(B)] for blocks in self._charts
+        ]
+        # a cut lists no more rows than the largest chart has bases
+        most = max(sum(map(len, blocks)) for blocks in minors)
         sub = None
-        for outer, *inner in product(*self._charts):
-            slices = [outer[k : k + 1] for k in range(len(outer))] if inner else [outer]
-            for S in slices:
-                sub = _cut(space, _basis_rows(_crt([S, *inner], r), r), sub)
-        # None only when every slice was empty: the isotropic family at g = 1
+        for outer, *inner in product(*minors):
+            step = max(1, most // prod(map(len, inner)))
+            for k in range(0, len(outer), step):
+                sub = _cut(space, _crt([outer[k : k + step], *inner], r), sub)
+        # None only when some chart is empty: the isotropic family at g = 1
         return sub if sub is not None else _cut(space, [])
 
 
