@@ -640,7 +640,8 @@ class _ChartFamily(BicyclicFamily):
         minors = [
             [_basis_rows(B, r) for B in blocks if len(B)] for blocks in self._charts
         ]
-        # a cut lists no more rows than the largest chart has bases
+        # a cut lists no more rows than the largest chart has bases, unless
+        # one basis of the first q with a block of each other q's has more
         most = max(sum(map(len, blocks)) for blocks in minors)
         sub = None
         for outer, *inner in product(*minors):
