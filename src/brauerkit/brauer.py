@@ -281,45 +281,49 @@ def restriction_kernel(space: SymplecticSpace, subgroup: Subgroup) -> FormSubmod
     return _cut(space, _generator_rows(space, subgroup))
 
 
-@dataclass(frozen=True)
 class BicyclicFamily:
     """Deduplicated family of (Z/r)^2 subgroups with per-member provenance.
 
-    A (Z/r)^2 summand is named by its chart basis (``_chart_key``), the one
-    basis of it that ``_chart`` lists, and a family dedupes by those bases.
-    A family built by hand holds its ``Subgroup`` members, each keyed by its
-    chart basis or, if it is not a (Z/r)^2 summand of the space's module
-    that the key can be read off, by the member itself (``_member_key``).
-    A family grown by ``with_pair`` (``_GrownFamily``) holds the family it
-    was grown from and the chart bases of the pairs added since, and an
-    enumerated one (``_ChartFamily``) holds its chart; both build members
-    from the bases only when ``members`` is read (``_members_of``).
+    A family has up to three parts, in member order:
 
-    Families compare and hash by (space, members, provenance), whichever
-    of these holds them.  The intersection of the members' restriction
-    kernels is computed on first use and cached (``bogomolov_intersection``
-    returns it).  A form kills span(x, y) iff it kills (x, y), so a chart
-    basis contributes one constraint row, its minor row; a member given by
-    hand contributes the generator-pair rows of its canonical generators.
+    1. the ``Subgroup`` members given by hand (``BicyclicFamily(space,
+       members, provenance)``);
+    2. an enumerator's chart (``_enumerate_bicyclics``): for each prime
+       power q of r, the blocks of ``_chart`` lifted to Z/r, whose members
+       are the CRT combinations of one basis per q (``_crt``), the first
+       q's bases outermost;
+    3. the chart bases of the pairs that ``with_pair`` added, in order.
+
+    A (Z/r)^2 summand is named by its chart basis (``_chart_key``), the one
+    basis of it that ``_chart`` lists.  ``len`` and the intersection need
+    no member: ``members`` builds those of parts 2 and 3 from their bases
+    on first read (``_members_of``).  Families compare and hash by (space,
+    members, provenance), so a grown or enumerated family equals the family
+    built by hand from its members.
+
+    The intersection of the members' restriction kernels is computed on
+    first use and cached (``bogomolov_intersection`` returns it).  A form
+    kills span(x, y) iff it kills (x, y), so a chart basis contributes one
+    constraint row, its minor row; a member given by hand contributes the
+    generator-pair rows of its canonical generators.
     """
 
-    space: SymplecticSpace
-    members: tuple[Subgroup, ...]
-    provenance: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.members) != len(self.provenance):
+    def __init__(self, space: SymplecticSpace, members, provenance):
+        members, provenance = tuple(members), tuple(provenance)
+        if len(members) != len(provenance):
             raise ValueError("one provenance tag per member")
+        self.space = space
+        self._given, self._given_tags = members, provenance
+        self._charts, self._tag, self._count = (), "", 0
+        self._added = ()
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._given) + self._count + len(self._added)
 
     def __iter__(self):
         return iter(self.members)
 
     def __eq__(self, other):
-        # by value, whichever private subclass holds the family: a grown or
-        # enumerated family equals the hand-built one of its members
         if not isinstance(other, BicyclicFamily):
             return NotImplemented
         return (self.space, len(self)) == (other.space, len(other)) and (
@@ -331,34 +335,86 @@ class BicyclicFamily:
         return hash((self.space, self.members, self.provenance))
 
     @cached_property
-    def _keys(self) -> frozenset:
-        """The dedupe set: one key per member (``_member_key``)."""
-        return frozenset(_member_key(self.space, m) for m in self.members)
+    def members(self) -> tuple[Subgroup, ...]:
+        return self._given + _members_of(self.space, self._bases)
 
     @cached_property
-    def _rows(self) -> tuple[np.ndarray, ...]:
-        """Blocks of constraint rows whose stack the intersection cuts by.
+    def provenance(self) -> tuple[str, ...]:
+        added = ("user-supplied",) * len(self._added)
+        return self._given_tags + (self._tag,) * self._count + added
 
-        One block per member, the generator-pair rows of its canonical
-        generators.  ``ValueError`` names the first member that is not a
-        subgroup of the space's module: its rows would be read mod r in the
-        wrong coordinates.
-        """
-        space = self.space
-        rows = []
-        for k, member in enumerate(self.members):
-            if member.parent != space.group:
-                raise ValueError(
-                    f"member {k} ({self.provenance[k]}) is a subgroup of "
-                    f"{member.parent}, not of the space's module {space.group}"
-                )
-            rows.append(_generator_rows(space, member))
-        return tuple(rows)
+    @cached_property
+    def _bases(self) -> np.ndarray:
+        """The chart bases of parts 2 and 3 over Z/r, in member order."""
+        added = np.array(self._added, dtype=np.int64).reshape(-1, 2, self.space.dim)
+        if not self._charts:
+            return added
+        chart = _crt([np.concatenate(blocks) for blocks in self._charts], self.space.r)
+        return np.concatenate([chart, added])
+
+    @cached_property
+    def _keys(self) -> frozenset:
+        """The dedupe set of parts 1 and 3: one key per member given by hand
+        (``_member_key``) and the added bases.  Part 2 is its chart's
+        definition (``_charted``)."""
+        given = frozenset([_member_key(self.space, m) for m in self._given])
+        return given | frozenset(self._added)
+
+    def _charted(self, key) -> bool:
+        """Whether part 2 holds the summand with chart basis ``key``:
+        ``all_bicyclics`` holds every (Z/r)^2 summand and
+        ``isotropic_bicyclics`` those with e(x, y) = 0 mod r, since a span is
+        isotropic iff its basis is."""
+        if not self._charts:
+            return False
+        if self._tag != "isotropic-pair":
+            return True
+        x, y = key
+        e = sum(x[i] * y[i + 1] - x[i + 1] * y[i] for i in range(0, len(x), 2))
+        return e % self.space.r == 0
 
     @cached_property
     def _intersection(self) -> FormSubmodule:
-        """Kernel of the stacked constraint rows (``_rows``)."""
-        return _cut(self.space, np.vstack(self._rows) if self._rows else [])
+        """The parts cut in order (``_cut``), from every form.
+
+        Part 1 is one cut by the stacked generator-pair rows of its members;
+        ``ValueError`` names the first member that is not a subgroup of the
+        space's module, since its rows would be read mod r in the wrong
+        coordinates.  Part 2 is streamed: the minor rows of each nonempty
+        block are built once, and for each combination of one block per q
+        the CRT of their rows is cut from the submodule so far and dropped.
+        The first q's block is cut in slices of as many bases as keep a cut
+        within the size of the largest chart, so memory holds the rows of
+        one block of each other q's, never their product with the first; at
+        prime-power r a block is one slice.  Part 3 is one cut by one minor
+        row per added basis.  A cut that cuts nothing costs one product.
+        """
+        space, r = self.space, self.space.r
+        rows = []
+        for k, member in enumerate(self._given):
+            if member.parent != space.group:
+                raise ValueError(
+                    f"member {k} ({self._given_tags[k]}) is a subgroup of "
+                    f"{member.parent}, not of the space's module {space.group}"
+                )
+            rows.append(_generator_rows(space, member))
+        sub = _cut(space, np.vstack(rows)) if rows else None
+        if self._charts:
+            # the minor rows of a lifted basis are lifted too (a CRT unit is
+            # idempotent), so a combination's rows are the CRT of its blocks'
+            minors = [
+                [_basis_rows(B, r) for B in blocks if len(B)] for blocks in self._charts
+            ]
+            # a cut lists no more rows than the largest chart has bases, unless
+            # one basis of the first q with a block of each other q's has more
+            most = max(sum(map(len, blocks)) for blocks in minors)
+            for outer, *inner in product(*minors):
+                step = max(1, most // prod(map(len, inner)))
+                for k in range(0, len(outer), step):
+                    sub = _cut(space, _crt([outer[k : k + step], *inner], r), sub)
+        if self._added:
+            sub = _cut(space, _basis_rows(np.array(self._added, dtype=np.int64), r), sub)
+        return sub if sub is not None else FormSubmodule.full(space)
 
     def with_pair(
         self, sigma: GroupElement, tau: GroupElement
@@ -369,63 +425,27 @@ class BicyclicFamily:
         module, then ``ModulusTooLargeError`` for r > 2^31, then
         ``ValueError`` unless the pair spans (Z/r)^2.  The pair is named by
         its chart basis (``_chart_key``, in Python ints), and this family
-        comes back unchanged if it already holds that key.  Otherwise the
-        grown family holds this family's members and the new basis; no
-        member or minor row is built until one is read.  If this family's
-        intersection is already computed, the grown family's is seeded from
-        it: this intersection cut by the new basis's one minor row, in place
-        of restacking every member.
+        comes back unchanged if it already holds that summand (``_keys``,
+        ``_charted``).  Otherwise the grown family has this family's parts
+        and the new basis added; no member or minor row is built until one
+        is read.  If this family's intersection is already computed, the
+        grown family's is seeded from it: this intersection cut by the new
+        basis's one minor row, in place of cutting by every part.
         """
         space = self.space
         if sigma.parent != space.group or tau.parent != space.group:
             raise ValueError("generator belongs to a different group")
         _check_modulus(space.r)
         key = _chart_key(space, (sigma.coords, tau.coords))
-        if key in self._keys:
+        if key in self._keys or self._charted(key):
             return self
-        if isinstance(self, _GrownFamily):
-            grown = _GrownFamily(self._root, self._added + (key,), self._keys | {key})
-        else:
-            grown = _GrownFamily(self, (key,), self._keys | {key})
-        if "_intersection" in self.__dict__:
+        grown = BicyclicFamily(space, self._given, self._given_tags)
+        grown._charts, grown._tag, grown._count = self._charts, self._tag, self._count
+        grown._added, grown._keys = self._added + (key,), self._keys | {key}
+        if "_intersection" in vars(self):
             rows = _basis_rows(np.array([key], dtype=np.int64), space.r)
-            grown.__dict__["_intersection"] = _cut(space, rows, self._intersection)
+            grown._intersection = _cut(space, rows, self._intersection)
         return grown
-
-
-class _GrownFamily(BicyclicFamily):
-    """A family grown by ``with_pair``: the family it was first grown from
-    (``_root``, built by hand or enumerated), then the chart bases of the
-    pairs added since (``_added``), in order, and the dedupe set of both.
-
-    Members and provenance are built on first read.  The intersection, if
-    not seeded by ``with_pair``, cuts by the root's rows stacked on one
-    minor row per added basis.
-    """
-
-    def __init__(self, root: BicyclicFamily, added: tuple, keys: frozenset):
-        # frozen, so straight into the instance dict: members and
-        # provenance are left to the cached properties below
-        self.__dict__.update(space=root.space, _root=root, _added=added, _keys=keys)
-
-    def __len__(self) -> int:
-        return len(self._root) + len(self._added)
-
-    @cached_property
-    def _added_bases(self) -> np.ndarray:
-        return np.array(self._added, dtype=np.int64)
-
-    @cached_property
-    def members(self) -> tuple[Subgroup, ...]:
-        return self._root.members + _members_of(self.space, self._added_bases)
-
-    @cached_property
-    def provenance(self) -> tuple[str, ...]:
-        return self._root.provenance + ("user-supplied",) * len(self._added)
-
-    @cached_property
-    def _rows(self) -> tuple[np.ndarray, ...]:
-        return self._root._rows + (_basis_rows(self._added_bases, self.space.r),)
 
 
 def _chart_key(space: SymplecticSpace, rows) -> tuple[tuple[int, ...], ...]:
@@ -496,43 +516,21 @@ def _basis_rows(B: np.ndarray, r: int) -> np.ndarray:
 
 def _members_of(space: SymplecticSpace, B: np.ndarray) -> tuple[Subgroup, ...]:
     """The members spanned by the chart bases B (n x 2 x 2g over Z/r), in
-    order, each built by ``_plane`` from its minor row."""
-    minors = _basis_rows(B, space.r).tolist()
-    return tuple(_plane(space, xy, m) for xy, m in zip(B.tolist(), minors))
+    order, in canonical form.
 
-
-def _plane(space: SymplecticSpace, xy, minors) -> Subgroup:
-    """The subgroup spanned by the pair ``xy`` = (x, y) of coordinate
-    sequences (entries in [0, r)), given their minor row ``minors``
-    (``_minor_rows``, as a list), in canonical form; ``_members_of`` builds
-    a member from its chart basis with it.
-
-    The span is (Z/r)^2 iff gcd(r, minors) = 1, else ``ValueError``; its
-    order is then r^2.  Let (c1, c2) be the first pair with a nonzero minor
-    u = x_c1 y_c2 - x_c2 y_c1.  If u is a unit, the rows
-    u^-1 (y_c2 x - x_c2 y) and u^-1 (x_c1 y - y_c1 x) span the same
-    subgroup (the change of basis has determinant u^-1).  Their entries
-    before c1, c2 are minors that come before (c1, c2), hence 0, their
-    pivots are 1 and the first is 0 at c2: they are the Howell form, at any
-    r.  Only a non-unit u goes through ``howell_form``.
+    Let u be the first nonzero minor of a basis (x, y), at (c1, c2).  If u
+    is a unit, it is one mod every p, so (c1, c2) are the basis's pivot
+    columns mod every q: x_c1 = y_c2 = 1 and x_c2 = y_c1 = 0.  Its entries
+    x_j (j < c1) and y_j (j < c2) are minors before (c1, c2), up to sign,
+    hence 0.  So the basis is its own Howell form, at any r.  Only a basis
+    whose first nonzero minor is not a unit goes through ``howell_form``.
     """
-    r = space.r
-    if gcd(r, *minors) != 1:
-        raise ValueError("pair does not generate a (Z/r)^2 subgroup")
-    k = next(k for k, u in enumerate(minors) if u)
-    if gcd(minors[k], r) == 1:
-        I, J = _upper_pairs(space.dim)
-        c1, c2 = int(I[k]), int(J[k])
-        x, y = xy
-        s = pow(minors[k], -1, r)
-        a, b, c, d = y[c2] * s, x[c2] * s, x[c1] * s, y[c1] * s
-        rows = (
-            tuple((a * xi - b * yi) % r for xi, yi in zip(x, y)),
-            tuple((c * yi - d * xi) % r for xi, yi in zip(x, y)),
-        )
-    else:
-        rows = tuple(map(tuple, howell_form(xy, r).tolist()))
-    return Subgroup(space.group, rows, r * r)
+    r, members = space.r, []
+    for xy, minors in zip(B.tolist(), _basis_rows(B, r).tolist()):
+        if gcd(next(filter(None, minors)), r) != 1:
+            xy = howell_form(xy, r).tolist()
+        members.append(Subgroup(space.group, tuple(map(tuple, xy)), r * r))
+    return tuple(members)
 
 
 def _chart(
@@ -579,85 +577,12 @@ def _crt(lifted, r: int) -> np.ndarray:
     return bases
 
 
-class _ChartFamily(BicyclicFamily):
-    """An enumerated family kept as its chart (``_enumerate_bicyclics``):
-    for each prime power q of r, the blocks of ``_chart`` lifted to Z/r.
-    Its members are the CRT combinations of one basis per q (``_crt``), the
-    first q's bases outermost, so ``len`` needs none of them.
-
-    The intersection is streamed: the minor rows of each nonempty block are
-    built once, and for each combination of one block per q the CRT of
-    their rows is cut from the submodule so far (``_cut``) and dropped.
-    The first q's block is cut in slices of as many bases as keep a cut
-    within the size of the largest chart, so memory holds the rows of one
-    block of each other q's, never their product with the first; at
-    prime-power r a block is one slice.  A cut that cuts nothing costs one
-    product.  ``members`` is built from the bases on first read
-    (``_members_of``).  ``with_pair`` dedupes by the set of the bases
-    (``_keys``), as it dedupes a family of its own, so it builds no member.
-    """
-
-    def __init__(
-        self,
-        space: SymplecticSpace,
-        tag: str,
-        charts: tuple[tuple[np.ndarray, ...], ...],
-        count: int,
-    ):
-        # frozen, so straight into the instance dict: members and
-        # provenance are left to the cached properties below
-        self.__dict__.update(space=space, _tag=tag, _charts=charts, _count=count)
-
-    def __len__(self) -> int:
-        return self._count
-
-    @cached_property
-    def provenance(self) -> tuple[str, ...]:
-        return (self._tag,) * self._count
-
-    @cached_property
-    def _bases(self) -> np.ndarray:
-        """Every member's chart basis over Z/r, in member order."""
-        return _crt([np.concatenate(blocks) for blocks in self._charts], self.space.r)
-
-    @cached_property
-    def _keys(self) -> frozenset:
-        return frozenset(tuple(map(tuple, xy)) for xy in self._bases.tolist())
-
-    @cached_property
-    def _rows(self) -> tuple[np.ndarray, ...]:
-        return (_basis_rows(self._bases, self.space.r),)
-
-    @cached_property
-    def members(self) -> tuple[Subgroup, ...]:
-        return _members_of(self.space, self._bases)
-
-    @cached_property
-    def _intersection(self) -> FormSubmodule:
-        space, r = self.space, self.space.r
-        # the minor rows of a lifted basis are lifted too (a CRT unit is
-        # idempotent), so a combination's rows are the CRT of its blocks'
-        minors = [
-            [_basis_rows(B, r) for B in blocks if len(B)] for blocks in self._charts
-        ]
-        # a cut lists no more rows than the largest chart has bases, unless
-        # one basis of the first q with a block of each other q's has more
-        most = max(sum(map(len, blocks)) for blocks in minors)
-        sub = None
-        for outer, *inner in product(*minors):
-            step = max(1, most // prod(map(len, inner)))
-            for k in range(0, len(outer), step):
-                sub = _cut(space, _crt([outer[k : k + step], *inner], r), sub)
-        # None only when some chart is empty: the isotropic family at g = 1
-        return sub if sub is not None else _cut(space, [])
-
-
 def _enumerate_bicyclics(
     space: SymplecticSpace, isotropic_only: bool, cap: int
 ) -> BicyclicFamily:
     """The family listed from the chart of each prime power q = p^k exactly
-    dividing r (``_chart``), kept as its chart (``_ChartFamily``): no
-    element pair, member or minor row is listed.
+    dividing r (``_chart``), kept as its chart (part 2 of a
+    ``BicyclicFamily``): no element pair, member or minor row is listed.
 
     The cap is charged with the closed-form member count before any chart
     is listed (``CapExceededError`` past it).  The count of chart bases,
@@ -686,8 +611,10 @@ def _enumerate_bicyclics(
             f"the {kind} bicyclic chart at g = {g}, r = {r} lists {listed} "
             f"bases, not the {count} members of the closed form"
         )
-    tag = "isotropic-pair" if isotropic_only else "bicyclic-pair"
-    return _ChartFamily(space, tag, tuple(charts), count)
+    family = BicyclicFamily(space, (), ())
+    family._charts, family._count = tuple(charts), count
+    family._tag = "isotropic-pair" if isotropic_only else "bicyclic-pair"
+    return family
 
 
 def isotropic_bicyclics(
@@ -715,12 +642,11 @@ def bogomolov_intersection(
 ) -> FormSubmodule:
     """Intersection of restriction kernels over a family of bicyclic subgroups.
 
-    With an explicit family, the constraint rows of every member are
-    stacked into one cut of every form (an empty family leaves the whole
-    form module): one minor row per chart basis a family holds, for a
-    member added by ``with_pair``, and the generator-pair rows of a member
-    given by hand.  An enumerated family cuts by its chart bases' minor
-    rows one chart block at a time.  The intersection is computed on first
+    With an explicit family, every form is cut by each part of the family
+    in turn (an empty family leaves the whole form module): the stacked
+    generator-pair rows of the members given by hand, the minor rows of an
+    enumerator's chart bases one chart block at a time, and one minor row
+    per basis ``with_pair`` added.  The intersection is computed on first
     use and cached on the family, so a second call costs nothing, and a
     family grown by ``with_pair`` after an intersection costs one small cut
     of the cached one by the new basis's row.  ``cap`` is unused with an

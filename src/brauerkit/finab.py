@@ -21,10 +21,10 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from .zmodlinalg import (
+    _span_order,
     howell_form,
     howell_reduce,
     howell_span,
-    howell_span_order,
     smith_normal_form,
 )
 
@@ -279,7 +279,7 @@ def subgroup_from_generators(parent: FinAbGroup, gens) -> Subgroup:
     N = max(parent.exponent, 2)
     rows = _embed_rows(parent, gens)
     H = howell_form(rows, N)
-    return Subgroup(parent, tuple(map(tuple, H.tolist())), howell_span_order(H, N))
+    return Subgroup(parent, tuple(map(tuple, H.tolist())), _span_order(H, N))
 
 
 def is_bicyclic_rr(sigma: GroupElement, tau: GroupElement, r: int) -> bool:

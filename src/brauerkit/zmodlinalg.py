@@ -374,9 +374,9 @@ def _pivots(H: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def howell_span_order(H, n: int) -> int:
     """Number of vectors in the row span of a Howell form ``H`` over Z/n.
 
-    Assumes ``H`` is ``howell_form`` output and does not check it, because
-    every ``Subgroup`` is built by calling this on a Howell form just
-    computed (a ``FormSubmodule`` reads the same pivots by ``_span_order``).
+    Assumes ``H`` is ``howell_form`` output and does not check it.  The
+    library itself reads the order of a Howell form it just computed with
+    ``_span_order``, which skips the conversion of caller input.
     """
     return _span_order(_residues(H, n), n)
 

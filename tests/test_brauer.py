@@ -709,7 +709,7 @@ def test_family_intersection_matches_generator_rows(g, r):
     sp = SymplecticSpace(g=g, r=r)
     for enumerate_family, isotropic in FAMILIES:
         fam = enumerate_family(sp)
-        built = {"members", "provenance", "_bases", "_rows", "_intersection"}
+        built = {"members", "provenance", "_bases", "_keys", "_intersection"}
         assert not built & fam.__dict__.keys()
         streamed = bogomolov_intersection(sp, fam)
         assert not built - {"_intersection"} & fam.__dict__.keys()
@@ -729,7 +729,7 @@ def test_family_len_and_intersection_build_no_member(monkeypatch, g, r):
     # pivot block, and at composite r no cut lists more rows than the
     # largest chart has bases, unless it is one basis of the first prime
     # power's chart with one block of each other's; neither goes through
-    # _plane or builds a Subgroup
+    # _members_of or builds a Subgroup
     sp = SymplecticSpace(g=g, r=r)
     cut, offered = brauer._cut, []
 
@@ -738,7 +738,7 @@ def test_family_len_and_intersection_build_no_member(monkeypatch, g, r):
         return cut(space, rows, sub)
 
     monkeypatch.setattr(brauer, "_cut", counted_cut)
-    monkeypatch.setattr(brauer, "_plane", _refuse_to_build)
+    monkeypatch.setattr(brauer, "_members_of", _refuse_to_build)
     monkeypatch.setattr(Subgroup, "__init__", _refuse_to_build)
     for enumerate_family, isotropic in FAMILIES:
         offered.clear()
@@ -880,7 +880,7 @@ def test_plucker_key_matches_subgroup_equality(g, r):
     assert set(subs) == set(all_bicyclics(sp).members)
 
 
-def _plane_howell_calls(monkeypatch, sp) -> list:
+def _member_howell_calls(monkeypatch, sp) -> list:
     """Patch ``brauer.howell_form`` to record each 2 x 2g input, the only
     shape a member canonicalization gives (cuts have g(2g - 1) columns)."""
     calls = []
@@ -920,8 +920,8 @@ def test_family_canonicalizes_once_per_member(monkeypatch):
     for enumerate_family in (isotropic_bicyclics, all_bicyclics):
         fam = enumerate_family(sp)
         assert len(fam.members) == len(fam)
-        (rows,) = fam._rows
-        non_units = sum(gcd(_leading_minor(row), 4) != 1 for row in rows.tolist())
+        rows = [minor_vector(x, y, 4) for x, y in fam._bases.tolist()]
+        non_units = sum(gcd(_leading_minor(row), 4) != 1 for row in rows)
         assert calls == [(2, sp.dim)] * non_units
         assert 0 < non_units < len(fam)
         assert fam.members and len(calls) == non_units  # built once
@@ -930,21 +930,23 @@ def test_family_canonicalizes_once_per_member(monkeypatch):
 
 @pytest.mark.parametrize("r", [4, 6, 8])
 def test_plane_matches_subgroup_from_generators_on_chart_pairs(monkeypatch, r):
-    # every member of all_bicyclics is built by _plane from its chart pair
+    # every member of all_bicyclics is built by _members_of from its chart
+    # pair, in one call on the first read of members
     sp = SymplecticSpace(g=2, r=r)
-    plane = brauer._plane
+    members_of = brauer._members_of
     pairs = []
 
-    def recorded(space, xy, minors):
-        pairs.append((xy, minors))
-        return plane(space, xy, minors)
+    def recorded(space, B):
+        pairs.append(B.tolist())
+        return members_of(space, B)
 
-    monkeypatch.setattr(brauer, "_plane", recorded)
+    monkeypatch.setattr(brauer, "_members_of", recorded)
     fam = all_bicyclics(sp)
     assert not pairs  # members are built on first read
-    assert len(fam.members) == len(pairs) == len(fam)
-    for member, ((x, y), minors) in zip(fam, pairs):
-        assert tuple(minors) == minor_vector(x, y, r)
+    assert len(fam.members) == len(fam) and len(pairs) == 1
+    assert fam.members and len(pairs) == 1  # a second read builds none
+    assert len(pairs[0]) == len(fam)
+    for member, (x, y) in zip(fam, pairs[0]):
         assert member == subgroup_from_generators(
             sp.group, [sp.element(x), sp.element(y)]
         )
@@ -957,28 +959,32 @@ def _draw_vector(rng, dim: int, r: int, sparse: bool) -> tuple[int, ...]:
 
 
 def test_plane_matches_subgroup_from_generators_on_random_pairs(monkeypatch):
-    # the closed form and the howell_form fallback both give the canonical
-    # subgroup, up to the largest modulus the Z/r routines accept
+    # a member built from the chart key of a random pair is the canonical
+    # subgroup of the pair: the key itself when its first nonzero minor is a
+    # unit, else one howell_form, up to the largest modulus the Z/r
+    # routines accept
     rng = random.Random(2020)
     branches = Counter()
     for r in (2, 3, 4, 6, 8, 9, 12, 30, 36, 97, 2**31 - 1, 2**31):
         for g in (1, 2, 3, 8):
             sp = SymplecticSpace(g=g, r=r)
-            calls = _plane_howell_calls(monkeypatch, sp)
+            calls = _member_howell_calls(monkeypatch, sp)
             for sparse in (False, True):
                 checked = 0
                 for _ in range(400):
                     x, y = (_draw_vector(rng, sp.dim, r, sparse) for _ in range(2))
-                    minors = list(minor_vector(x, y, r))
-                    if gcd(r, *minors) != 1:
+                    if gcd(r, *minor_vector(x, y, r)) != 1:
                         continue
+                    key = brauer._chart_key(sp, (x, y))
                     calls.clear()
-                    got = brauer._plane(sp, (x, y), minors)
+                    (got,) = brauer._members_of(sp, np.array([key], dtype=np.int64))
                     assert got == subgroup_from_generators(
                         sp.group, [sp.element(x), sp.element(y)]
                     ), (r, g, x, y)
-                    unit = gcd(_leading_minor(minors), r) == 1
+                    unit = gcd(_leading_minor(minor_vector(*key, r)), r) == 1
                     assert len(calls) == (0 if unit else 1)
+                    if unit:
+                        assert got.canonical_generators == key
                     branches[unit] += 1
                     checked += 1
                     if checked == 15:
@@ -988,15 +994,17 @@ def test_plane_matches_subgroup_from_generators_on_random_pairs(monkeypatch):
 
 
 def test_plane_refuses_a_pair_that_is_not_bicyclic():
+    # a member is only ever built from a chart basis: a pair that spans no
+    # (Z/r)^2 is refused where it comes in, by with_pair
     sp = SymplecticSpace(g=2, r=6)
+    fam = BicyclicFamily(sp, (), ())
     for x, y in [
         (sp.a(1), 2 * sp.a(2)),  # spans Z/6 x Z/3
         (sp.a(1), sp.a(1)),
         (sp.group.zero(), sp.group.zero()),
     ]:
-        minors = list(minor_vector(x.coords, y.coords, 6))
         with pytest.raises(ValueError, match=r"does not generate a \(Z/r\)\^2"):
-            brauer._plane(sp, (x.coords, y.coords), minors)
+            fam.with_pair(x, y)
 
 
 @pytest.mark.parametrize("g, r", [(2, 4), (2, 6), (2, 9), (2, 12), (3, 6)])
@@ -1080,7 +1088,7 @@ def test_a_with_pair_chain_builds_no_member(monkeypatch, g, r):
 
         return wrapper
 
-    for name in ("howell_form", "_residues", "_minor_rows", "_plane"):
+    for name in ("howell_form", "_residues", "_minor_rows", "_members_of"):
         monkeypatch.setattr(brauer, name, counted(name, getattr(brauer, name)))
     monkeypatch.setattr(finab, "howell_form", counted("howell_form", howell_form))
     monkeypatch.setattr(Subgroup, "__init__", counted("Subgroup", Subgroup.__init__))
@@ -1138,7 +1146,7 @@ def test_with_pair_dedupes_a_family_built_by_hand(r):
 def test_with_pair_checks_the_group_then_the_modulus(monkeypatch):
     # both before any product of residues: past 2^31 one would wrap int64
     monkeypatch.setattr(brauer, "_minor_rows", _refuse_to_list)
-    monkeypatch.setattr(brauer, "_plane", _refuse_to_list)
+    monkeypatch.setattr(brauer, "_members_of", _refuse_to_list)
     monkeypatch.setattr(brauer, "_chart_key", _refuse_to_list)
     other = SymplecticSpace(g=2, r=5)
     for r in (7, 2**31 + 1, 10**12 + 39):
@@ -1403,23 +1411,30 @@ def _transvected_witness_pairs(sp, rng):
 
 
 @pytest.mark.parametrize("g, r", [(4, 12), (3, 30), (3, 36)])
-def test_family_grown_without_intersection_matches_stacked(g, r):
+def test_family_grown_without_intersection_matches_stacked(monkeypatch, g, r):
     # grown as the witness workload grows it: from an empty family, with no
-    # intersection until the end, one minor row per member; a hand-built
-    # family of the same members stacks their generator rows, three or more
-    # for members whose Howell form has three or more rows
+    # intersection until the end, one cut by one minor row per member; a
+    # hand-built family of the same members stacks their generator rows,
+    # three or more for members whose Howell form has three or more rows
     sp = SymplecticSpace(g=g, r=r)
     fam = BicyclicFamily(sp, (), ())
     for x, y in _transvected_witness_pairs(sp, np.random.default_rng(r)):
         fam = fam.with_pair(x, y)
         assert "_intersection" not in fam.__dict__
     assert len(fam) == 5 * g * (g - 1) // 2
-    assert np.vstack(fam._rows).shape == (len(fam), sp.form_rank)
     stacked = BicyclicFamily(sp, fam.members, fam.provenance)
     assert max(len(m.canonical_generators) for m in fam) >= 3
-    assert sum(len(block) for block in stacked._rows) > len(fam)
-    assert bogomolov_intersection(sp, fam) == bogomolov_intersection(sp, stacked)
-    assert bogomolov_intersection(sp, fam) == FormSubmodule.weil_span(sp)
+    cut, offered = brauer._cut, []
+
+    def counted_cut(space, rows, sub=None):
+        offered.append(np.shape(rows))
+        return cut(space, rows, sub)
+
+    monkeypatch.setattr(brauer, "_cut", counted_cut)
+    inter = bogomolov_intersection(sp, fam)
+    assert offered == [(len(fam), sp.form_rank)]
+    assert inter == bogomolov_intersection(sp, stacked) == FormSubmodule.weil_span(sp)
+    assert len(offered) == 2 and offered[1][0] > len(fam)
 
 
 @pytest.mark.parametrize("g, r", [(2, 3), (2, 4), (2, 6)])
@@ -1433,7 +1448,7 @@ def test_with_pair_on_an_enumerated_family_builds_no_generator_rows(
     fam = isotropic_bicyclics(sp)
     bogomolov_intersection(sp, fam)  # so the grown family's cut is seeded
     monkeypatch.setattr(brauer, "_generator_rows", _refuse_generator_rows)
-    monkeypatch.setattr(brauer, "_plane", _refuse_to_build)
+    monkeypatch.setattr(brauer, "_members_of", _refuse_to_build)
     monkeypatch.setattr(Subgroup, "__init__", _refuse_to_build)
     x, y = map(sp.element, fam._bases[0].tolist())
     assert fam.with_pair(x, y) is fam
@@ -1442,14 +1457,40 @@ def test_with_pair_on_an_enumerated_family_builds_no_generator_rows(
     wider = fam.with_pair(x, y)
     assert len(wider) == len(fam) + 1
     assert "_intersection" in wider.__dict__
-    assert not {"members", "_rows"} & (fam.__dict__.keys() | wider.__dict__.keys())
+    assert not {"members", "provenance"} & (fam.__dict__.keys() | wider.__dict__.keys())
+    # the chart is tested by its definition: no chart basis is in a key set
+    assert not fam._keys and len(wider._keys) == 1
     monkeypatch.undo()
     stacked = BicyclicFamily(sp, wider.members, wider.provenance)
     assert bogomolov_intersection(sp, wider) == bogomolov_intersection(sp, stacked)
     assert bogomolov_intersection(sp, wider) == FormSubmodule.trivial(sp)
 
 
-def test_growing_a_family_with_a_foreign_member_still_names_it():
+@pytest.mark.parametrize("g, r", [(2, 2), (2, 4), (2, 6), (2, 9), (2, 12), (3, 2)])
+def test_with_pair_on_an_enumerated_family_is_a_chart_membership_test(g, r):
+    # a pair leaves an enumerated family as it is exactly when its span is a
+    # member: every (Z/r)^2 summand for all_bicyclics, the isotropic ones for
+    # isotropic_bicyclics; no chart basis goes into the dedupe set
+    sp = SymplecticSpace(g=g, r=r)
+    rng = np.random.default_rng(10 * g + r)
+    pairs = []
+    while len(pairs) < 60:
+        x, y = _random_pair(sp, rng)
+        if gcd(r, *minor_vector(x.coords, y.coords, r)) == 1:
+            pairs.append((x, y))
+    for enumerate_family, isotropic in FAMILIES:
+        fam = enumerate_family(sp)
+        members = set(fam.members)
+        kept = Counter()
+        for x, y in pairs:
+            span = subgroup_from_generators(sp.group, [x, y])
+            assert (fam.with_pair(x, y) is fam) == (span in members), (x, y)
+            kept[span in members] += 1
+        assert kept[True] and bool(kept[False]) == isotropic, kept
+        assert not fam._keys
+
+
+def test_growing_a_family_with_a_foreign_member_still_names_it(monkeypatch):
     # with_pair computes no member's rows up front, so the foreign member
     # is found, and named, when the grown family is intersected
     sp = SymplecticSpace(g=2, r=3)
@@ -1457,8 +1498,10 @@ def test_growing_a_family_with_a_foreign_member_still_names_it():
     foreign = subgroup_from_generators(other.group, [other.a(1), other.a(2)])
     own = subgroup_from_generators(sp.group, [sp.a(1), sp.a(2)])
     fam = BicyclicFamily(sp, (own, foreign), ("mine", "foreign"))
-    wider = fam.with_pair(sp.b(1), sp.b(2))
-    assert len(wider) == 3 and "_rows" not in wider.__dict__
+    with monkeypatch.context() as patched:
+        patched.setattr(brauer, "_generator_rows", _refuse_generator_rows)
+        wider = fam.with_pair(sp.b(1), sp.b(2))
+    assert len(wider) == 3
     with pytest.raises(ValueError, match=r"member 1 \(foreign\)"):
         bogomolov_intersection(sp, wider)
 

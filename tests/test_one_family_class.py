@@ -1,0 +1,70 @@
+"""``BicyclicFamily`` is the one family class, and one function builds members.
+
+A family given by hand, enumerated from a chart or grown by ``with_pair``
+is the same class with up to three parts.  A private subclass per way of
+building one would bring back a second ``len``, ``members`` and
+intersection to keep in step, and a ``Subgroup`` built outside
+``_members_of`` would be a second member builder.
+"""
+
+import ast
+from pathlib import Path
+
+BRAUER = Path(__file__).resolve().parent.parent / "src" / "brauerkit" / "brauer.py"
+
+
+def _tree():
+    return ast.parse(BRAUER.read_text(encoding="utf-8"), filename=str(BRAUER))
+
+
+def _named(node, name: str) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def test_no_class_subclasses_bicyclic_family():
+    subclasses = [
+        node.name
+        for node in ast.walk(_tree())
+        if isinstance(node, ast.ClassDef)
+        and any(_named(base, "BicyclicFamily") for base in node.bases)
+    ]
+    assert not subclasses, subclasses
+
+
+def test_brauer_builds_a_subgroup_only_in_members_of():
+    tree = _tree()
+    parent = {
+        child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+    }
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _named(node.func, "Subgroup"):
+            scope = node
+            while scope in parent and not isinstance(scope, ast.FunctionDef):
+                scope = parent[scope]
+            where = scope.name if isinstance(scope, ast.FunctionDef) else "<module>"
+            sites.append(f"{where}:{node.lineno}")
+    assert len(sites) == 1 and sites[0].startswith("_members_of:"), sites
+
+
+def test_no_family_is_built_through_its_instance_dict():
+    # a family's parts are plain attributes set by name, not written into
+    # __dict__ or past a frozen dataclass
+    sites = []
+    for node in ast.walk(_tree()):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        dict_update = (
+            isinstance(func, ast.Attribute)
+            and func.attr == "update"
+            and (
+                _named(func.value, "__dict__")
+                or isinstance(func.value, ast.Call) and _named(func.value.func, "vars")
+            )
+        )
+        if dict_update or _named(func, "__setattr__"):
+            sites.append(node.lineno)
+    assert not sites, sites
