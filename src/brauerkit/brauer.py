@@ -64,6 +64,9 @@ __all__ = [
 MODE_ALL_PAIRS = "all-pairs"
 MODE_PRIMITIVE_PAIRS = "primitive-pairs"
 
+# chart bases per cut: a small point reaches its floor within the first slice
+_SLICE = 96
+
 
 @cache
 def _prime_powers(n: int) -> tuple[tuple[int, int, int], ...]:
@@ -289,17 +292,17 @@ class BicyclicFamily:
     1. the ``Subgroup`` members given by hand (``BicyclicFamily(space,
        members, provenance)``);
     2. an enumerator's chart (``_enumerate_bicyclics``): for each prime
-       power q of r, the blocks of ``_chart`` lifted to Z/r, whose members
-       are the CRT combinations of one basis per q (``_crt``), the first
-       q's bases outermost;
+       power q of r, the bases of ``_chart`` lifted to Z/r, whose members
+       are the CRT combinations of one basis per q, the first q's bases
+       outermost, read a slice at a time from ``_slices``;
     3. the chart bases of the pairs that ``with_pair`` added, in order.
 
     A (Z/r)^2 summand is named by its chart basis (``_chart_key``), the one
     basis of it that ``_chart`` lists.  ``len`` and the intersection need
-    no member: ``members`` builds those of parts 2 and 3 from their bases
-    on first read (``_members_of``).  Families compare and hash by (space,
-    members, provenance), so a grown or enumerated family equals the family
-    built by hand from its members.
+    no member: ``members`` builds those of parts 2 and 3 from the slices
+    and the added bases on first read (``_members_of``).  Families compare
+    and hash by (space, members, provenance), so a grown or enumerated
+    family equals the family built by hand from its members.
 
     The intersection of the members' restriction kernels is computed on
     first use and cached (``bogomolov_intersection`` returns it).  A form
@@ -336,21 +339,28 @@ class BicyclicFamily:
 
     @cached_property
     def members(self) -> tuple[Subgroup, ...]:
-        return self._given + _members_of(self.space, self._bases)
+        added = np.array(self._added, dtype=np.int64).reshape(-1, 2, self.space.dim)
+        bases = np.concatenate([*self._slices(), added])
+        return self._given + _members_of(self.space, bases)
 
     @cached_property
     def provenance(self) -> tuple[str, ...]:
         added = ("user-supplied",) * len(self._added)
         return self._given_tags + (self._tag,) * self._count + added
 
-    @cached_property
-    def _bases(self) -> np.ndarray:
-        """The chart bases of parts 2 and 3 over Z/r, in member order."""
-        added = np.array(self._added, dtype=np.int64).reshape(-1, 2, self.space.dim)
-        if not self._charts:
-            return added
-        chart = _crt([np.concatenate(blocks) for blocks in self._charts], self.space.r)
-        return np.concatenate([chart, added])
+    def _slices(self):
+        """The chart bases of part 2 over Z/r, in member order, in slices of
+        at most ``_SLICE``: the CRT (``_crt``) of a slice of the first q's
+        chart with every basis of the other q's charts, or of one first-q
+        basis when that combination alone is larger.  Nothing when the chart
+        is empty or there is none (an isotropic chart at g = 1 lists no
+        basis, so the other charts' product may be 0)."""
+        if not self._count:
+            return
+        first, *rest = self._charts
+        step = max(1, _SLICE // prod(map(len, rest)))
+        for k in range(0, len(first), step):
+            yield _crt([first[k : k + step], *rest], self.space.r)
 
     @cached_property
     def _keys(self) -> frozenset:
@@ -380,14 +390,15 @@ class BicyclicFamily:
         Part 1 is one cut by the stacked generator-pair rows of its members;
         ``ValueError`` names the first member that is not a subgroup of the
         space's module, since its rows would be read mod r in the wrong
-        coordinates.  Part 2 is streamed: the minor rows of each nonempty
-        block are built once, and for each combination of one block per q
-        the CRT of their rows is cut from the submodule so far and dropped.
-        The first q's block is cut in slices of as many bases as keep a cut
-        within the size of the largest chart, so memory holds the rows of
-        one block of each other q's, never their product with the first; at
-        prime-power r a block is one slice.  Part 3 is one cut by one minor
-        row per added basis.  A cut that cuts nothing costs one product.
+        coordinates.  Part 2 is cut one slice (``_slices``) at a time, by
+        the slice's minor rows, and stops once the submodule so far lies in
+        the chart's floor: span(e) for ``isotropic_bicyclics``, {0} for
+        ``all_bicyclics``.  The stop is exact: the intersection lies in the
+        submodule so far, and every form of the floor kills every chart
+        basis (an isotropic basis has e(x, y) = 0 mod r), so no later slice
+        can cut it.  Part 3 is one cut by one minor row per added basis,
+        after any stop, since an added basis need not be isotropic.  A cut
+        that cuts nothing costs one product.
         """
         space, r = self.space, self.space.r
         rows = []
@@ -399,19 +410,13 @@ class BicyclicFamily:
                 )
             rows.append(_generator_rows(space, member))
         sub = _cut(space, np.vstack(rows)) if rows else None
-        if self._charts:
-            # the minor rows of a lifted basis are lifted too (a CRT unit is
-            # idempotent), so a combination's rows are the CRT of its blocks'
-            minors = [
-                [_basis_rows(B, r) for B in blocks if len(B)] for blocks in self._charts
-            ]
-            # a cut lists no more rows than the largest chart has bases, unless
-            # one basis of the first q with a block of each other q's has more
-            most = max(sum(map(len, blocks)) for blocks in minors)
-            for outer, *inner in product(*minors):
-                step = max(1, most // prod(map(len, inner)))
-                for k in range(0, len(outer), step):
-                    sub = _cut(space, _crt([outer[k : k + step], *inner], r), sub)
+        if self._count:
+            iso = self._tag == "isotropic-pair"
+            floor = (FormSubmodule.weil_span if iso else FormSubmodule.trivial)(space)
+            for B in self._slices():
+                sub = _cut(space, _basis_rows(B, r), sub)
+                if sub.is_submodule_of(floor):
+                    break
         if self._added:
             sub = _cut(space, _basis_rows(np.array(self._added, dtype=np.int64), r), sub)
         return sub if sub is not None else FormSubmodule.full(space)
@@ -533,13 +538,11 @@ def _members_of(space: SymplecticSpace, B: np.ndarray) -> tuple[Subgroup, ...]:
     return tuple(members)
 
 
-def _chart(
-    space: SymplecticSpace, p: int, q: int, isotropic: bool
-) -> list[np.ndarray]:
+def _chart(space: SymplecticSpace, p: int, q: int, isotropic: bool) -> np.ndarray:
     """Bases (x, y) of the free rank-2 summands of (Z/q)^(2g), q = p^k, one
-    per summand (isotropic ones only when ``isotropic``), as one
-    n_b x 2 x 2g block per pivot pair (c1, c2), in order, each block
-    ordered lexicographically (and empty when no summand has those pivots).
+    per summand (isotropic ones only when ``isotropic``), as one n x 2 x 2g
+    array ordered by pivot pair (c1, c2) and, within a pivot pair,
+    lexicographically.
 
     Reduced mod p, a summand is a plane with pivot columns c1 < c2, and it
     has exactly one basis with x_c1 = y_c2 = 1, x_c2 = y_c1 = 0, x_j = 0
@@ -563,14 +566,13 @@ def _chart(
         else:
             i, j = np.divmod(np.arange(len(X) * len(Y)), len(Y))
         blocks.append(np.stack([X[i], Y[j]], axis=1))
-    return blocks
+    return np.concatenate(blocks)
 
 
 def _crt(lifted, r: int) -> np.ndarray:
-    """Bases over Z/r, or their minor rows, from one array of bases (or of
-    minor rows) per prime power q of r, each lifted by the CRT unit of q
-    (1 mod q, 0 mod r / q): every combination of one entry per array,
-    summed mod r, the first array outermost."""
+    """Bases over Z/r from one array of bases per prime power q of r, each
+    lifted by the CRT unit of q (1 mod q, 0 mod r / q): every combination
+    of one basis per array, summed mod r, the first array outermost."""
     bases = np.zeros((1, *lifted[0].shape[1:]), dtype=np.int64)
     for B in lifted:
         bases = ((bases[:, None] + B[None]) % r).reshape(-1, *B.shape[1:])
@@ -601,10 +603,10 @@ def _enumerate_bicyclics(
         count *= planes * (q // p) ** (4 * g - 4 - iso) if planes else 0
     if count > cap:
         raise CapExceededError(f"family of {count} members exceeds cap {cap}")
-    charts = []
-    for p, q, unit in prime_powers:
-        charts.append(tuple(unit * B % r for B in _chart(space, p, q, isotropic_only)))
-    listed = prod(sum(map(len, blocks)) for blocks in charts)
+    charts = tuple(
+        unit * _chart(space, p, q, isotropic_only) % r for p, q, unit in prime_powers
+    )
+    listed = prod(map(len, charts))
     if listed != count:
         kind = "isotropic" if isotropic_only else "all"
         raise RuntimeError(
@@ -612,7 +614,7 @@ def _enumerate_bicyclics(
             f"bases, not the {count} members of the closed form"
         )
     family = BicyclicFamily(space, (), ())
-    family._charts, family._count = tuple(charts), count
+    family._charts, family._count = charts, count
     family._tag = "isotropic-pair" if isotropic_only else "bicyclic-pair"
     return family
 
@@ -645,14 +647,14 @@ def bogomolov_intersection(
     With an explicit family, every form is cut by each part of the family
     in turn (an empty family leaves the whole form module): the stacked
     generator-pair rows of the members given by hand, the minor rows of an
-    enumerator's chart bases one chart block at a time, and one minor row
-    per basis ``with_pair`` added.  The intersection is computed on first
-    use and cached on the family, so a second call costs nothing, and a
-    family grown by ``with_pair`` after an intersection costs one small cut
-    of the cached one by the new basis's row.  ``cap`` is unused with an
-    explicit family: its enumerator already charged it.  ``ValueError`` if
-    the family belongs to another space or holds a subgroup of another
-    module.
+    enumerator's chart bases one slice at a time until the cut reaches the
+    chart's floor, and one minor row per basis ``with_pair`` added.  The
+    intersection is computed on first use and cached on the family, so a
+    second call costs nothing, and a family grown by ``with_pair`` after an
+    intersection costs one small cut of the cached one by the new basis's
+    row.  ``cap`` is unused with an explicit family: its enumerator already
+    charged it.  ``ValueError`` if the family belongs to another space or
+    holds a subgroup of another module.
 
     With ``family=None`` the isotropic bicyclic family is never
     materialized.  A member contributes exactly the constraint of one

@@ -702,14 +702,14 @@ def test_families_list_no_table(monkeypatch):
 )
 def test_family_intersection_matches_generator_rows(g, r):
     # an enumerated family holds its chart and nothing built from it; its
-    # cut by the minor rows of the chart bases, block by block on first use,
-    # is the same intersection as the one stacked cut by the generator-pair
+    # cut by the minor rows of the chart bases, a slice at a time on first
+    # use, is the same intersection as the one stacked cut by the generator-pair
     # rows of a family built by hand from the same members, and len counts
     # those members
     sp = SymplecticSpace(g=g, r=r)
     for enumerate_family, isotropic in FAMILIES:
         fam = enumerate_family(sp)
-        built = {"members", "provenance", "_bases", "_keys", "_intersection"}
+        built = {"members", "provenance", "_keys", "_intersection"}
         assert not built & fam.__dict__.keys()
         streamed = bogomolov_intersection(sp, fam)
         assert not built - {"_intersection"} & fam.__dict__.keys()
@@ -725,12 +725,55 @@ def _refuse_to_build(*args, **kwargs):
 @pytest.mark.parametrize("g, r", [(2, 4), (2, 6), (2, 12), (3, 2)])
 def test_family_len_and_intersection_build_no_member(monkeypatch, g, r):
     # len is the count of chart bases and the intersection is cut from their
-    # minor rows, each offered once: at a prime power r one cut per nonempty
-    # pivot block, and at composite r no cut lists more rows than the
-    # largest chart has bases, unless it is one basis of the first prime
-    # power's chart with one block of each other's; neither goes through
-    # _members_of or builds a Subgroup
+    # minor rows a slice at a time until the cut lies in the chart's floor:
+    # each basis is offered at most once, no cut lists more rows than a
+    # slice, or than one basis of the first prime power's chart with every
+    # basis of the others', and the stopped cut is the intersection over
+    # every member; neither goes through _members_of or builds a Subgroup
     sp = SymplecticSpace(g=g, r=r)
+    cut, basis_rows, offered, bases = brauer._cut, brauer._basis_rows, [], []
+
+    def counted_cut(space, rows, sub=None):
+        offered.append(len(rows))
+        return cut(space, rows, sub)
+
+    def recorded_basis_rows(B, n):
+        bases.extend(tuple(map(tuple, xy)) for xy in B.tolist())
+        return basis_rows(B, n)
+
+    monkeypatch.setattr(brauer, "_cut", counted_cut)
+    monkeypatch.setattr(brauer, "_basis_rows", recorded_basis_rows)
+    monkeypatch.setattr(brauer, "_members_of", _refuse_to_build)
+    monkeypatch.setattr(Subgroup, "__init__", _refuse_to_build)
+    stopped = []
+    for enumerate_family, isotropic in FAMILIES:
+        offered.clear()
+        bases.clear()
+        fam = enumerate_family(sp)
+        assert len(fam) == bicyclic_count(g, r, isotropic=isotropic)
+        inter = bogomolov_intersection(sp, fam)
+        want = FormSubmodule.weil_span(sp) if isotropic else FormSubmodule.trivial(sp)
+        assert inter == want
+        assert len(set(bases)) == len(bases) == sum(offered) <= len(fam)
+        one_outer = prod(map(len, fam._charts[1:]))
+        assert max(offered) <= max(brauer._SLICE, one_outer)
+        assert "members" not in fam.__dict__
+        stopped.append((fam, inter))
+    monkeypatch.undo()
+    for fam, inter in stopped:
+        stacked = BicyclicFamily(sp, fam.members, fam.provenance)
+        assert inter == bogomolov_intersection(sp, stacked)
+
+
+@pytest.mark.parametrize("r", [4, 6])
+def test_an_added_basis_is_cut_after_the_chart_stops(monkeypatch, r):
+    # the isotropic chart's cut stops at span(e) before its last basis, but
+    # a basis that with_pair added need not be isotropic: (a_1, b_1) is not,
+    # and its minor row cuts e
+    sp = SymplecticSpace(g=2, r=r)
+    fam = isotropic_bicyclics(sp)
+    wider = fam.with_pair(sp.a(1), sp.b(1))
+    assert "_intersection" not in fam.__dict__.keys() | wider.__dict__.keys()
     cut, offered = brauer._cut, []
 
     def counted_cut(space, rows, sub=None):
@@ -738,22 +781,9 @@ def test_family_len_and_intersection_build_no_member(monkeypatch, g, r):
         return cut(space, rows, sub)
 
     monkeypatch.setattr(brauer, "_cut", counted_cut)
-    monkeypatch.setattr(brauer, "_members_of", _refuse_to_build)
-    monkeypatch.setattr(Subgroup, "__init__", _refuse_to_build)
-    for enumerate_family, isotropic in FAMILIES:
-        offered.clear()
-        fam = enumerate_family(sp)
-        assert len(fam) == bicyclic_count(g, r, isotropic=isotropic)
-        inter = bogomolov_intersection(sp, fam)
-        want = FormSubmodule.weil_span(sp) if isotropic else FormSubmodule.trivial(sp)
-        assert inter == want
-        sizes = [[len(B) for B in blocks if len(B)] for blocks in fam._charts]
-        if len(sizes) == 1:
-            assert offered == sizes[0]
-        one_outer = prod(max(blocks) for blocks in sizes[1:])
-        assert max(offered) <= max(max(map(sum, sizes)), one_outer)
-        assert sum(offered) == len(fam)
-        assert "members" not in fam.__dict__
+    assert bogomolov_intersection(sp, wider) == FormSubmodule.trivial(sp)
+    *chart, added = offered
+    assert added == 1 and sum(chart) < len(fam)
 
 
 def test_a_chart_that_drops_a_basis_is_a_runtime_error(monkeypatch):
@@ -762,10 +792,7 @@ def test_a_chart_that_drops_a_basis_is_a_runtime_error(monkeypatch):
     chart = brauer._chart
 
     def short_chart(*args):
-        blocks = chart(*args)
-        k = next(k for k, block in enumerate(blocks) if len(block))
-        blocks[k] = blocks[k][1:]
-        return blocks
+        return chart(*args)[1:]
 
     monkeypatch.setattr(brauer, "_chart", short_chart)
     sp = SymplecticSpace(g=2, r=4)
@@ -920,7 +947,8 @@ def test_family_canonicalizes_once_per_member(monkeypatch):
     for enumerate_family in (isotropic_bicyclics, all_bicyclics):
         fam = enumerate_family(sp)
         assert len(fam.members) == len(fam)
-        rows = [minor_vector(x, y, 4) for x, y in fam._bases.tolist()]
+        bases = np.concatenate(list(fam._slices())).tolist()
+        rows = [minor_vector(x, y, 4) for x, y in bases]
         non_units = sum(gcd(_leading_minor(row), 4) != 1 for row in rows)
         assert calls == [(2, sp.dim)] * non_units
         assert 0 < non_units < len(fam)
@@ -1049,7 +1077,7 @@ def test_chart_key_names_the_span_at_r_6(x, y, change):
 def test_every_chart_basis_is_its_own_key(g, r):
     # the key is the enumerator's basis: _chart's, lifted by the same CRT unit
     sp = SymplecticSpace(g=g, r=r)
-    bases = all_bicyclics(sp)._bases.tolist()
+    bases = np.concatenate(list(all_bicyclics(sp)._slices())).tolist()
     assert len(bases) == bicyclic_count(g, r, isotropic=False)
     for xy in bases:
         assert brauer._chart_key(sp, xy) == tuple(map(tuple, xy))
@@ -1450,7 +1478,7 @@ def test_with_pair_on_an_enumerated_family_builds_no_generator_rows(
     monkeypatch.setattr(brauer, "_generator_rows", _refuse_generator_rows)
     monkeypatch.setattr(brauer, "_members_of", _refuse_to_build)
     monkeypatch.setattr(Subgroup, "__init__", _refuse_to_build)
-    x, y = map(sp.element, fam._bases[0].tolist())
+    x, y = map(sp.element, next(fam._slices())[0].tolist())
     assert fam.with_pair(x, y) is fam
     assert fam.with_pair(y, x + y) is fam
     x, y = sp.a(1), sp.b(1) + sp.a(2)  # e(x, y) = 1: not an isotropic member

@@ -1,10 +1,13 @@
-"""``BicyclicFamily`` is the one family class, and one function builds members.
+"""``BicyclicFamily`` is the one family class, one function builds members
+and one generator produces chart bases.
 
 A family given by hand, enumerated from a chart or grown by ``with_pair``
 is the same class with up to three parts.  A private subclass per way of
 building one would bring back a second ``len``, ``members`` and
-intersection to keep in step, and a ``Subgroup`` built outside
-``_members_of`` would be a second member builder.
+intersection to keep in step, a ``Subgroup`` built outside
+``_members_of`` would be a second member builder, and a ``_crt`` call
+outside ``BicyclicFamily._slices`` would be a second producer of the
+chart's bases (or of their minor rows) for members and the intersection.
 """
 
 import ast
@@ -33,20 +36,33 @@ def test_no_class_subclasses_bicyclic_family():
     assert not subclasses, subclasses
 
 
-def test_brauer_builds_a_subgroup_only_in_members_of():
+def _call_sites(name: str) -> list[str]:
+    """``scope:line`` of each call of ``name`` in ``brauer.py``, the scope
+    being the enclosing classes and functions joined by dots."""
     tree = _tree()
     parent = {
         child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
     }
     sites = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _named(node.func, "Subgroup"):
-            scope = node
-            while scope in parent and not isinstance(scope, ast.FunctionDef):
+        if isinstance(node, ast.Call) and _named(node.func, name):
+            scope, names = node, []
+            while scope in parent:
                 scope = parent[scope]
-            where = scope.name if isinstance(scope, ast.FunctionDef) else "<module>"
-            sites.append(f"{where}:{node.lineno}")
+                if isinstance(scope, (ast.FunctionDef, ast.ClassDef)):
+                    names.append(scope.name)
+            sites.append(f"{'.'.join(reversed(names)) or '<module>'}:{node.lineno}")
+    return sites
+
+
+def test_brauer_builds_a_subgroup_only_in_members_of():
+    sites = _call_sites("Subgroup")
     assert len(sites) == 1 and sites[0].startswith("_members_of:"), sites
+
+
+def test_chart_bases_are_combined_only_in_slices():
+    sites = _call_sites("_crt")
+    assert len(sites) == 1 and sites[0].startswith("BicyclicFamily._slices:"), sites
 
 
 def test_no_family_is_built_through_its_instance_dict():
