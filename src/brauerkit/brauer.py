@@ -185,12 +185,23 @@ def _minor_rows(X: np.ndarray, Y: np.ndarray, r: int) -> np.ndarray:
     return (X[..., I] * Y[..., J] - X[..., J] * Y[..., I]) % r
 
 
-def _generator_rows(space: SymplecticSpace, subgroup: Subgroup) -> np.ndarray:
-    """Constraint rows of the pairs of canonical generators of ``subgroup``."""
-    # (Z/r)^(2g) is homocyclic: canonical generators are already coordinates
-    gens = _residues(subgroup.canonical_generators, space.r, space.dim)
-    a, b = _upper_pairs(len(gens))
-    return _minor_rows(gens[a], gens[b], space.r)
+def _generator_rows(space: SymplecticSpace, subgroups) -> np.ndarray:
+    """Constraint rows of the pairs of canonical generators of each of
+    ``subgroups``, stacked: one conversion and one ``_minor_rows`` for all
+    the subgroups with the same number of canonical generators."""
+    groups = {}
+    for subgroup in subgroups:
+        gens = subgroup.canonical_generators
+        groups.setdefault(len(gens), []).extend(gens)
+    rows = [np.zeros((0, space.form_rank), dtype=np.int64)]
+    for d, gens in groups.items():
+        if d < 2:
+            continue
+        # (Z/r)^(2g) is homocyclic: canonical generators are already coordinates
+        G = _residues(gens, space.r, space.dim).reshape(-1, d, space.dim)
+        a, b = _upper_pairs(d)
+        rows.append(_minor_rows(G[:, a], G[:, b], space.r).reshape(-1, space.form_rank))
+    return np.concatenate(rows)
 
 
 def _cut(
@@ -281,7 +292,7 @@ def restriction_kernel(space: SymplecticSpace, subgroup: Subgroup) -> FormSubmod
     """
     if subgroup.parent != space.group:
         raise ValueError("subgroup does not sit in the space's module")
-    return _cut(space, _generator_rows(space, subgroup))
+    return _cut(space, _generator_rows(space, [subgroup]))
 
 
 class BicyclicFamily:
@@ -401,15 +412,13 @@ class BicyclicFamily:
         that cuts nothing costs one product.
         """
         space, r = self.space, self.space.r
-        rows = []
         for k, member in enumerate(self._given):
             if member.parent != space.group:
                 raise ValueError(
                     f"member {k} ({self._given_tags[k]}) is a subgroup of "
                     f"{member.parent}, not of the space's module {space.group}"
                 )
-            rows.append(_generator_rows(space, member))
-        sub = _cut(space, np.vstack(rows)) if rows else None
+        sub = _cut(space, _generator_rows(space, self._given)) if self._given else None
         if self._count:
             iso = self._tag == "isotropic-pair"
             floor = (FormSubmodule.weil_span if iso else FormSubmodule.trivial)(space)

@@ -14,11 +14,16 @@ The Howell form is built column by column (Howell 1986; Storjohann and
 Mulders, ESA 1998): a pivot row clears its column in every other row in one
 vectorized update, so the Python-level steps number the pivot columns.
 Kernels and solutions come from back-substitution on a Howell form
-(``howell_kernel``), one pivot row at a time from the last; ``solve_mod``
-runs it on the Howell form of [A | c].  Entries stay in [0, n) between
-steps, so a product is below (n-1)^2, a sum of two (a row combination)
-below 2(n-1)^2, and a back-substitution update (a residue times a residue
-plus a residue) below n^2: exact in int64 while that is below 2^63, that is
+(``howell_kernel``): one step per pivot above 1, from the last, then one
+step for every unit pivot at once, since a unit pivot's column is zero
+above it; ``solve_mod`` runs it on the Howell form of [A | c].  Its
+entries stay in [0, n) between steps, so an update (a residue times a
+residue plus a residue) is below n^2, and a row combination by extended
+gcds below 2(n-1)^2: exact in int64 while that is below 2^63, that is for
+n <= 2^31.  ``howell_form`` delays its reduction mod n: a column step
+subtracts a term in [0, (n-1)^2] from the entries it leaves unreduced, so
+after j steps they lie in [-j(n-1)^2, n), and the whole matrix is reduced
+once j reaches ``_headroom(n)`` = (2^63 - 1 - n) // (n-1)^2, at least 2
 for n <= 2^31.  That is the package's one int64 limit: caller input enters
 every Z/n routine through one conversion, ``_residues``, which raises
 ``ModulusTooLargeError`` for larger n rather than wrap around, and
@@ -255,16 +260,25 @@ def _residues(A, n: int, width: int | None = None) -> np.ndarray:
     return M % n
 
 
+def _headroom(n: int) -> int:
+    """How many terms in [0, (n-1)^2] a residue in [0, n) can gain, or lose,
+    and stay exact in int64: (2^63 - 1 - n) // (n - 1)^2.
+
+    Two at n = 2^31, the largest modulus ``_check_modulus`` accepts, 32 at
+    2^29 - 3 and about 10^15 at 97.
+    """
+    return (2**63 - 1 - n) // (n - 1) ** 2
+
+
 def _matmul_mod(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
     """(A @ B) mod n for int64 matrices with entries in [0, n), exact.
 
     A term is below (n - 1)^2, so the inner dimension is summed in chunks of
-    (2^63 - 1 - n) // (n - 1)^2 terms, reduced mod n between chunks: one
-    product at small n, two terms per step at n = 2^31, the largest modulus
-    ``_check_modulus`` accepts.
+    ``_headroom(n)`` terms, reduced mod n between chunks: one product at
+    small n, two terms per step at n = 2^31.
     """
     _check_modulus(n)
-    step = (2**63 - 1 - n) // (n - 1) ** 2
+    step = _headroom(n)
     out = A[:, :step] @ B[:step] % n
     for i in range(step, A.shape[1], step):
         out = (out + A[:, i : i + step] @ B[i : i + step]) % n
@@ -299,23 +313,42 @@ def howell_form(A, n: int) -> np.ndarray:
     the first row with gcd(entry, n) = g, else a combination of rows by
     extended gcds.  One update clears column c below it and reduces it
     above; its annihilator (n/g) * pivot joins the remaining rows.  Zero
-    rows are looked for only while more rows than columns remain, when some
-    of them must vanish, and the rest are dropped once at the end.
+    rows are looked for only while more than twice as many rows as columns
+    remain, so a tall input still sheds them early and a near-square one
+    pays no full reduction per column for the look; the rest are dropped
+    once at the end.
+
+    Reduction mod n is delayed.  Each step reduces only column c and the
+    pivot row, so the update subtracts a quotient below n/g times a residue,
+    a term in [0, (n-1)^2], and after j updates every entry lies in
+    [-j(n-1)^2, n).  The whole matrix is reduced when j reaches
+    ``_headroom(n)``, which keeps that exact in int64, and before the steps
+    that read more than column c: the extended-gcd combination, the skip of
+    zero columns and the zero-row prune.  Column c itself needs no final
+    reduction: the rows below lose exact multiples of g, and the rows above
+    keep their residue mod g, which g | n makes that of their residue mod n.
     """
     M = _residues(A, n)
     k = M.shape[1]
+    room = _headroom(n)
     # M[:t] holds the pivot rows found so far; M[t:] the remaining rows,
-    # which are zero in every column before c
-    t = c = 0
+    # which are zero in every column before c; M[:, c:] has taken j updates
+    # since it was last reduced
+    t = c = j = 0
     while t < M.shape[0] and c < k:
-        if M.shape[0] - t > k - c:
+        if M.shape[0] - t > 2 * (k - c):
+            j = _reduce(M[:, c:], n, j)
             keep = M[t:, c:].any(axis=1)
             if not keep.all():
                 M = np.concatenate([M[:t], M[t:][keep]])
                 if t == M.shape[0]:
                     break
+        if j:
+            # one remainder costs less than _reduce on a single column
+            M[:, c] %= n
         vals = M[t:, c].tolist()
         if not any(vals):
+            j = _reduce(M[:, c:], n, j)
             live = M[t:, c:].any(axis=0)
             if not live.any():
                 break
@@ -326,6 +359,7 @@ def howell_form(A, n: int) -> np.ndarray:
         if h is None:
             # no entry generates the column's ideal; s, u mod n keep the
             # products below (n-1)^2
+            j = _reduce(M[:, c:], n, j)
             p = M[t]
             for r in M[t + 1 :]:
                 if gcd(int(p[c]), n) == g:
@@ -335,24 +369,34 @@ def howell_form(A, n: int) -> np.ndarray:
             M = np.concatenate([M[:t], p[None], M[t:]])
         else:
             # p (a unit times its row) replaces that row; row t moves there
-            p = M[t + h].copy()
+            p = M[t + h] % n
             M[t + h] = M[t]
         a = int(p[c])
         if a != g:
             p = (_unit_multiplier(a, n) * p) % n
-        # clear column c below slot t and reduce it above: quotient times
-        # entry is below (n-1)^2, and floor division by a scalar is numpy's
-        # fast path back to [0, n).  Slot t then takes p.
+        # clear column c below slot t and reduce it above, each row losing
+        # a quotient below n/g times p, a term in [0, (n-1)^2]; floor
+        # division by a scalar is numpy's fast path.  Slot t then takes p.
         S = M[:, c:]
         S -= S[:, :1] // g * p[c:]
-        S -= (S // n) * n
         M[t] = p
         if g > 1:
             M = np.concatenate([M, ((n // g) * p % n)[None]])
         t += 1
         c += 1
+        j += 1
+        if j == room:
+            j = _reduce(M[:, c:], n, j)
     # every row past t is zero: each column was cleared below its pivot
-    return M[:t]
+    return M[:t] % n
+
+
+def _reduce(S: np.ndarray, n: int, j: int) -> int:
+    """Reduce the int64 block ``S`` into [0, n) in place unless it has taken
+    no update (j = 0) since its last reduction; 0, the count after it."""
+    if j:
+        S -= (S // n) * n
+    return 0
 
 
 def _pivots(H: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -440,14 +484,19 @@ def howell_kernel(H, n: int, rhs=None):
 
     There is one seed e_f per non-pivot column f and one seed (n/p) e_c per
     pivot p > 1 in column c; the particular solution starts as the zero seed
-    with residual -rhs.  From the last pivot row up, each seed's pivot
-    coordinate is set to -(residual / p) mod n/p, and that column times
-    H[:i, c] is added into the residuals of the rows above.  The Howell
-    property puts (n/p) h_i in the span of the rows below, which every seed
-    already satisfies, so p divides each seed's residual; ``ValueError`` if
-    not, since ``H`` is then no Howell form.  Subtracting the e_f seeds, then
-    the pivot seeds from the last pivot up, reduces any kernel vector to 0,
-    so the seeds span the kernel.
+    with residual -rhs.  From the last pivot row up, over the pivots p > 1,
+    each seed's pivot coordinate is set to -(residual / p) mod n/p, and
+    that column times H[:i, c] is added into the residuals of the rows
+    above.  The Howell property puts (n/p) h_i in the span of the rows
+    below, which every seed already satisfies, so p divides each seed's
+    residual; ``ValueError`` if not, since ``H`` is then no Howell form.
+    Entries above a pivot are reduced modulo it, so a unit pivot's column is
+    zero above it and its row adds nothing to the residuals above: every
+    unit pivot coordinate is set to -residual mod n in one step at the end
+    (``ValueError`` if such a column is nonzero above its pivot).  At prime
+    n that step is the whole solve.  Subtracting the e_f seeds, then the
+    pivot seeds from the last pivot up, reduces any kernel vector to 0, so
+    the seeds span the kernel.
     """
     H = _residues(H, n)
     t, k = H.shape
@@ -458,6 +507,10 @@ def howell_kernel(H, n: int, rhs=None):
     if b.size != t:
         raise DimensionMismatchError(f"rhs has length {b.size}, matrix has {t} rows")
     cols, piv = _pivots(H, n)
+    unit = piv == 1
+    # a unit pivot's column is e_i, nonzero only at its own pivot
+    if np.count_nonzero(H[:, cols[unit]]) != np.count_nonzero(unit):
+        raise ValueError(f"not a Howell form over Z/{n}")
     pivotal = np.zeros(k, dtype=bool)
     pivotal[cols] = True
     free = np.flatnonzero(~pivotal)
@@ -469,7 +522,7 @@ def howell_kernel(H, n: int, rhs=None):
     X[np.arange(s), seed_cols] = scale
     R = np.vstack([H[:, seed_cols].T * scale[:, None] % n, -b[None] % n])
     solvable = True
-    for i in reversed(range(t)):
+    for i in reversed(np.flatnonzero(~unit).tolist()):
         c, p = cols[i], int(piv[i])
         d = R[:, i]
         bad = d % p != 0
@@ -480,6 +533,9 @@ def howell_kernel(H, n: int, rhs=None):
         # only the pivot seed of row i is nonzero here, and its delta is 0
         X[:, c] += delta
         R[:, :i] = (R[:, :i] + delta[:, None] * H[:i, c]) % n
+    # a unit pivot row adds delta * H[:i, c] = 0 to every residual above, so
+    # those rows are solved together once the others are done
+    X[:, cols[unit]] = -R[:, unit] % n
     return (X[s] if solvable else None), X[:s]
 
 

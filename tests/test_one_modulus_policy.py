@@ -1,9 +1,10 @@
 """Every int64 exactness decision lives in ``zmodlinalg``.
 
 The Z/r routines share one limit, n <= 2^31, checked by
-``zmodlinalg._check_modulus``.  A ``raise ModulusTooLargeError`` or a
-``2**63`` bound in any other module would be a second limit to keep in
-step with it.
+``zmodlinalg._check_modulus``, and one headroom, the residue products an
+int64 entry can take between reductions mod n, ``zmodlinalg._headroom``.
+A ``raise ModulusTooLargeError`` or a ``2**63`` bound anywhere else would
+be a second limit to keep in step with them.
 """
 
 import ast
@@ -39,6 +40,16 @@ def test_int64_limit_is_decided_only_in_zmodlinalg():
                 sites.append(f"{path.name}:{node.lineno}")
     outside = [site for site in sites if not site.startswith("zmodlinalg.py:")]
     assert sites and not outside, outside
+    # within zmodlinalg, 2**63 is read only by the limit and the headroom,
+    # and _matmul_mod and howell_form take the headroom from _headroom
+    tree = ast.parse((PACKAGE / "zmodlinalg.py").read_text(encoding="utf-8"))
+    funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    owners = {f.name for f in funcs if any(map(_is_two_to_the_63, ast.walk(f)))}
+    inside = [n for f in funcs for n in ast.walk(f) if _is_two_to_the_63(n)]
+    every = [node for node in ast.walk(tree) if _is_two_to_the_63(node)]
+    assert owners == {"_check_modulus", "_headroom"} and len(inside) == len(every)
+    users = {f.name for f in funcs if f.name != "_headroom" and _uses(f, "_headroom")}
+    assert users == {"_matmul_mod", "howell_form"}
 
 
 def _uses(tree, name: str) -> list:

@@ -232,7 +232,9 @@ def _combined_rows(R, count, n, rng):
 def test_howell_dense_wide_matches_rref():
     # dense inputs of the size the stacked explicit intersection builds
     rng = np.random.default_rng(41)
-    for n in (97, 2**31 - 1):
+    # 2^29 - 3 is prime with int64 headroom 32: howell_form reduces the
+    # whole matrix mid-run, every 32 columns
+    for n in (97, 2**29 - 3, 2**31 - 1):
         full = rng.integers(0, n, size=(140, 120))
         R = rng.integers(0, n, size=(100, 120))
         deficient = np.vstack([R, _combined_rows(R, 41, n, rng)])[rng.permutation(141)]
@@ -276,7 +278,7 @@ def _unimodular_mix(M, n, rng):
     return M
 
 
-@pytest.mark.parametrize("n", [12, 360, 2**31])
+@pytest.mark.parametrize("n", [12, 360, 2**30, 2**31])
 def test_howell_invariants_and_canonicity(n):
     rng = np.random.default_rng(n % 1000 + 7)
     for M in _howell_inputs(n, rng):
@@ -485,6 +487,27 @@ def test_howell_kernel_wide_form(n):
     assert ((Hobj.dot(particular.astype(object)) - rhs) % n == 0).all()
 
 
+@pytest.mark.parametrize("n", [2, 97, 2**31 - 1])
+def test_howell_kernel_at_a_prime_is_one_vector_per_free_column(n):
+    # over a field the Howell form is the reduced row echelon form, every
+    # pivot is 1, and the kernel is e_f - sum_i H[i, f] e_(c_i) for each
+    # free column f, in increasing f
+    rng = np.random.default_rng(59)
+    for shape in ((1, 1), (3, 7), (6, 6), (12, 20)):
+        M = rng.integers(0, n, size=shape)
+        M[:, rng.integers(0, shape[1])] = 0
+        H = howell_form(M, n)
+        cols = [int(np.flatnonzero(row)[0]) for row in H]
+        free = [f for f in range(shape[1]) if f not in cols]
+        expected = np.zeros((len(free), shape[1]), dtype=np.int64)
+        for j, f in enumerate(free):
+            expected[j, f] = 1
+            expected[j, cols] = -H[:, f] % n
+        particular, kernel = howell_kernel(H, n)
+        assert kernel.tolist() == expected.tolist()
+        assert particular.tolist() == [0] * shape[1]
+
+
 def test_howell_kernel_unsolvable_and_rejected():
     # 2x = 1 has no solution mod 4; the kernel {0, 2} is still returned
     particular, kernel = howell_kernel([[2]], 4, [1])
@@ -497,6 +520,9 @@ def test_howell_kernel_unsolvable_and_rejected():
         howell_kernel([[1, 0], [1, 1]], 6)
     with pytest.raises(ValueError):
         howell_kernel([[1, 0], [0, 0]], 6)
+    # echelon but not reduced: the unit pivot of row 1 has a 1 above it
+    with pytest.raises(ValueError, match="not a Howell form"):
+        howell_kernel([[1, 1, 0], [0, 1, 1]], 5)
     with pytest.raises(DimensionMismatchError):
         howell_kernel([[1, 0]], 6, [1, 2])
     with pytest.raises(ModulusTooLargeError):
