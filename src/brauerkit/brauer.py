@@ -64,7 +64,8 @@ __all__ = [
 MODE_ALL_PAIRS = "all-pairs"
 MODE_PRIMITIVE_PAIRS = "primitive-pairs"
 
-# chart bases per cut: a small point reaches its floor within the first slice
+# bases of one prime power's chart per cut: a small point reaches its floor
+# within the first slice
 _SLICE = 96
 
 
@@ -303,23 +304,23 @@ class BicyclicFamily:
     1. the ``Subgroup`` members given by hand (``BicyclicFamily(space,
        members, provenance)``);
     2. an enumerator's chart (``_enumerate_bicyclics``): for each prime
-       power q of r, the bases of ``_chart`` lifted to Z/r, whose members
-       are the CRT combinations of one basis per q, the first q's bases
-       outermost, read a slice at a time from ``_slices``;
+       power q of r, the bases of ``_chart`` over Z/q, whose members are
+       the CRT combinations of one basis per q, the first q's outermost;
     3. the chart bases of the pairs that ``with_pair`` added, in order.
 
     A (Z/r)^2 summand is named by its chart basis (``_chart_key``), the one
     basis of it that ``_chart`` lists.  ``len`` and the intersection need
-    no member: ``members`` builds those of parts 2 and 3 from the slices
-    and the added bases on first read (``_members_of``).  Families compare
-    and hash by (space, members, provenance), so a grown or enumerated
-    family equals the family built by hand from its members.
+    no member: ``members`` builds those of parts 2 and 3 from ``_bases`` on
+    first read (``_members_of``).  Families compare and hash by (space,
+    members, provenance), so a grown or enumerated family equals the
+    family built by hand from its members.
 
     The intersection of the members' restriction kernels is computed on
     first use and cached (``bogomolov_intersection`` returns it).  A form
     kills span(x, y) iff it kills (x, y), so a chart basis contributes one
-    constraint row, its minor row; a member given by hand contributes the
-    generator-pair rows of its canonical generators.
+    constraint row, its minor row, cut over Z/q for its own q; a member
+    given by hand contributes the generator-pair rows of its canonical
+    generators.
     """
 
     def __init__(self, space: SymplecticSpace, members, provenance):
@@ -350,28 +351,25 @@ class BicyclicFamily:
 
     @cached_property
     def members(self) -> tuple[Subgroup, ...]:
-        added = np.array(self._added, dtype=np.int64).reshape(-1, 2, self.space.dim)
-        bases = np.concatenate([*self._slices(), added])
-        return self._given + _members_of(self.space, bases)
+        return self._given + _members_of(self.space, self._bases())
 
     @cached_property
     def provenance(self) -> tuple[str, ...]:
         added = ("user-supplied",) * len(self._added)
         return self._given_tags + (self._tag,) * self._count + added
 
-    def _slices(self):
-        """The chart bases of part 2 over Z/r, in member order, in slices of
-        at most ``_SLICE``: the CRT (``_crt``) of a slice of the first q's
-        chart with every basis of the other q's charts, or of one first-q
-        basis when that combination alone is larger.  Nothing when the chart
-        is empty or there is none (an isotropic chart at g = 1 lists no
-        basis, so the other charts' product may be 0)."""
-        if not self._count:
-            return
-        first, *rest = self._charts
-        step = max(1, _SLICE // prod(map(len, rest)))
-        for k in range(0, len(first), step):
-            yield _crt([first[k : k + step], *rest], self.space.r)
+    def _bases(self) -> np.ndarray:
+        """The bases of parts 2 and 3 over Z/r, in member order, as one
+        n x 2 x 2g array: every combination of one chart basis per q, each
+        lifted by the CRT unit of q (1 mod q, 0 mod r / q) and summed mod r,
+        the first q's bases outermost, then the added bases.  The one place
+        a Z/r chart basis is formed."""
+        r, d = self.space.r, self.space.dim
+        bases = np.zeros((1 if self._count else 0, 2, d), dtype=np.int64)
+        for (_, _, unit), chart in zip(_prime_powers(r), self._charts):
+            bases = ((bases[:, None] + unit * chart[None]) % r).reshape(-1, 2, d)
+        added = np.array(self._added, dtype=np.int64).reshape(-1, 2, d)
+        return np.concatenate([bases, added])
 
     @cached_property
     def _keys(self) -> frozenset:
@@ -398,34 +396,46 @@ class BicyclicFamily:
     def _intersection(self) -> FormSubmodule:
         """The parts cut in order (``_cut``), from every form.
 
-        Part 1 is one cut by the stacked generator-pair rows of its members;
-        ``ValueError`` names the first member that is not a subgroup of the
-        space's module, since its rows would be read mod r in the wrong
-        coordinates.  Part 2 is cut one slice (``_slices``) at a time, by
-        the slice's minor rows, and stops once the submodule so far lies in
-        the chart's floor: span(e) for ``isotropic_bicyclics``, {0} for
-        ``all_bicyclics``.  The stop is exact: the intersection lies in the
-        submodule so far, and every form of the floor kills every chart
-        basis (an isotropic basis has e(x, y) = 0 mod r), so no later slice
-        can cut it.  Part 3 is one cut by one minor row per added basis,
-        after any stop, since an added basis need not be isotropic.  A cut
-        that cuts nothing costs one product.
+        Only ``_enumerate_bicyclics`` sets a chart, on an empty family, so
+        parts 1 and 2 never coexist.  Part 1 is one cut by the stacked
+        generator-pair rows of its members; ``ValueError`` names the first
+        member that is not a subgroup of the space's module.  Part 2 is cut
+        one prime power q at a time over ``SymplecticSpace(g, q)``, by the
+        minor rows of ``_SLICE`` of q's chart bases per cut, until the cut
+        lies in the chart's floor mod q: span(e) for ``isotropic_bicyclics``,
+        {0} for ``all_bicyclics``.  The stop is exact: the intersection lies
+        in the cut so far, and the floor kills every chart basis (an
+        isotropic one has e(x, y) = 0 mod q).  A form kills a CRT sum of
+        bases (b_q) iff it kills each b_q mod q, and with ``_count`` > 0
+        every chart is nonempty, so part 2 is spanned by the per-q cuts
+        lifted by their CRT units (at prime-power r, the one cut).  Part 3
+        is one cut by one minor row per added basis, after any stop, since
+        an added basis need not be isotropic.  A cut that cuts nothing costs
+        one product.
         """
-        space, r = self.space, self.space.r
-        for k, member in enumerate(self._given):
-            if member.parent != space.group:
-                raise ValueError(
-                    f"member {k} ({self._given_tags[k]}) is a subgroup of "
-                    f"{member.parent}, not of the space's module {space.group}"
-                )
-        sub = _cut(space, _generator_rows(space, self._given)) if self._given else None
-        if self._count:
+        space, r, sub = self.space, self.space.r, None
+        if self._given:
+            for k, member in enumerate(self._given):
+                if member.parent != space.group:
+                    raise ValueError(
+                        f"member {k} ({self._given_tags[k]}) is a subgroup of "
+                        f"{member.parent}, not of the space's module {space.group}"
+                    )
+            sub = _cut(space, _generator_rows(space, self._given))
+        elif self._count:
             iso = self._tag == "isotropic-pair"
-            floor = (FormSubmodule.weil_span if iso else FormSubmodule.trivial)(space)
-            for B in self._slices():
-                sub = _cut(space, _basis_rows(B, r), sub)
-                if sub.is_submodule_of(floor):
-                    break
+            lifts = []
+            for (_, q, unit), chart in zip(_prime_powers(r), self._charts):
+                sq = space if q == r else SymplecticSpace(space.g, q)
+                floor = (FormSubmodule.weil_span if iso else FormSubmodule.trivial)(sq)
+                sub = None
+                for k in range(0, len(chart), _SLICE):
+                    sub = _cut(sq, _basis_rows(chart[k : k + _SLICE], q), sub)
+                    if sub.is_submodule_of(floor):
+                        break
+                lifts.append(unit * sub._matrix % r)
+            if len(lifts) > 1:
+                sub = FormSubmodule.from_rows(space, np.concatenate(lifts))
         if self._added:
             sub = _cut(space, _basis_rows(np.array(self._added, dtype=np.int64), r), sub)
         return sub if sub is not None else FormSubmodule.full(space)
@@ -466,7 +476,7 @@ def _chart_key(space: SymplecticSpace, rows) -> tuple[tuple[int, ...], ...]:
     """The chart basis (x, y) of the (Z/r)^2 summand spanned by ``rows``,
     coordinate sequences, in Python ints: for each prime power q of r, the
     one basis ``_chart`` lists for the summand mod q, lifted by the CRT unit
-    of q as ``_enumerate_bicyclics`` lifts it.
+    of q as ``BicyclicFamily._bases`` lifts it.
 
     For each p, take the first pair of rows and the first minor (c1, c2) of
     it, in lexicographic (``upper_index_pairs``) order, that is a unit mod
@@ -578,16 +588,6 @@ def _chart(space: SymplecticSpace, p: int, q: int, isotropic: bool) -> np.ndarra
     return np.concatenate(blocks)
 
 
-def _crt(lifted, r: int) -> np.ndarray:
-    """Bases over Z/r from one array of bases per prime power q of r, each
-    lifted by the CRT unit of q (1 mod q, 0 mod r / q): every combination
-    of one basis per array, summed mod r, the first array outermost."""
-    bases = np.zeros((1, *lifted[0].shape[1:]), dtype=np.int64)
-    for B in lifted:
-        bases = ((bases[:, None] + B[None]) % r).reshape(-1, *B.shape[1:])
-    return bases
-
-
 def _enumerate_bicyclics(
     space: SymplecticSpace, isotropic_only: bool, cap: int
 ) -> BicyclicFamily:
@@ -612,9 +612,7 @@ def _enumerate_bicyclics(
         count *= planes * (q // p) ** (4 * g - 4 - iso) if planes else 0
     if count > cap:
         raise CapExceededError(f"family of {count} members exceeds cap {cap}")
-    charts = tuple(
-        unit * _chart(space, p, q, isotropic_only) % r for p, q, unit in prime_powers
-    )
+    charts = tuple(_chart(space, p, q, isotropic_only) for p, q, _ in prime_powers)
     listed = prod(map(len, charts))
     if listed != count:
         kind = "isotropic" if isotropic_only else "all"
@@ -655,15 +653,16 @@ def bogomolov_intersection(
 
     With an explicit family, every form is cut by each part of the family
     in turn (an empty family leaves the whole form module): the stacked
-    generator-pair rows of the members given by hand, the minor rows of an
-    enumerator's chart bases one slice at a time until the cut reaches the
-    chart's floor, and one minor row per basis ``with_pair`` added.  The
-    intersection is computed on first use and cached on the family, so a
-    second call costs nothing, and a family grown by ``with_pair`` after an
-    intersection costs one small cut of the cached one by the new basis's
-    row.  ``cap`` is unused with an explicit family: its enumerator already
-    charged it.  ``ValueError`` if the family belongs to another space or
-    holds a subgroup of another module.
+    generator-pair rows of the members given by hand, or an enumerator's
+    chart, cut over Z/q for each prime power q of r by q's minor rows a
+    slice at a time until that cut reaches the chart's floor, the per-q
+    cuts summed by CRT; then one minor row per basis ``with_pair`` added.
+    The intersection is computed on first use and cached on the family, so
+    a second call costs nothing, and a family grown by ``with_pair`` after
+    an intersection costs one small cut of the cached one by the new
+    basis's row.  ``cap`` is unused with an explicit family: its enumerator
+    already charged it.  ``ValueError`` if the family belongs to another
+    space or holds a subgroup of another module.
 
     With ``family=None`` the isotropic bicyclic family is never
     materialized.  A member contributes exactly the constraint of one

@@ -18,7 +18,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .finab import FinAbGroup, GroupElement, Subgroup, subgroup_from_generators
-from .zmodlinalg import DimensionMismatchError, solve_mod
+from .zmodlinalg import DimensionMismatchError, howell_form, howell_kernel
 
 __all__ = [
     "SymplecticSpace",
@@ -174,7 +174,7 @@ def radical(b: AltForm) -> Subgroup:
     """Subgroup {x : b(x, y) = 0 for all y}."""
     space = b.space
     A = b.full_matrix()
-    _, kernel = solve_mod(A, np.zeros(space.dim, dtype=np.int64), space.r)
+    _, kernel = howell_kernel(howell_form(A, space.r), space.r)
     gens = [space.element(row) for row in kernel]
     return subgroup_from_generators(space.group, gens)
 

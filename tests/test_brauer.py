@@ -64,6 +64,7 @@ def test_form_submodule_constructors():
     assert span.order == 4
     assert span.rank == 1
     assert span.contains_vector(weil_form(sp).vector())
+    assert span.contains(weil_form(sp))
     assert span.contains_vector((2, 0, 0, 0, 0, 2))
     assert not span.contains_vector((1, 0, 0, 0, 0, 0))
     assert triv.is_submodule_of(span)
@@ -722,14 +723,30 @@ def _refuse_to_build(*args, **kwargs):
     raise RuntimeError("a family member was built")
 
 
-@pytest.mark.parametrize("g, r", [(2, 4), (2, 6), (2, 12), (3, 2)])
-def test_family_len_and_intersection_build_no_member(monkeypatch, g, r):
-    # len is the count of chart bases and the intersection is cut from their
-    # minor rows a slice at a time until the cut lies in the chart's floor:
-    # each basis is offered at most once, no cut lists more rows than a
-    # slice, or than one basis of the first prime power's chart with every
-    # basis of the others', and the stopped cut is the intersection over
-    # every member; neither goes through _members_of or builds a Subgroup
+def _refuse_z_r_bases(*args, **kwargs):
+    raise RuntimeError("a chart basis over Z/r was formed")
+
+
+@pytest.mark.parametrize(
+    "g, r, families",
+    [
+        pytest.param(2, 4, FAMILIES, id="2-4"),
+        pytest.param(2, 6, FAMILIES, id="2-6"),
+        pytest.param(2, 12, FAMILIES, id="2-12"),
+        pytest.param(3, 2, FAMILIES, id="3-2"),
+        # two odd prime powers, 6,240 members
+        pytest.param(2, 15, FAMILIES[:1], id="isotropic-2-15"),
+    ],
+)
+def test_family_len_and_intersection_build_no_member(monkeypatch, g, r, families):
+    # len is the count of chart bases, and the intersection cuts each prime
+    # power q's chart on its own, over Z/q, by the minor rows of a slice of
+    # its bases at a time until the cut lies in the chart's floor: no basis
+    # is offered twice for one q (a basis can repeat across q), no q more
+    # than its chart's bases, no cut lists more rows than a slice, and the
+    # stopped cut is the intersection over every member; neither forms a
+    # chart basis over Z/r (_bases), goes through _members_of or builds a
+    # Subgroup
     sp = SymplecticSpace(g=g, r=r)
     cut, basis_rows, offered, bases = brauer._cut, brauer._basis_rows, [], []
 
@@ -738,15 +755,16 @@ def test_family_len_and_intersection_build_no_member(monkeypatch, g, r):
         return cut(space, rows, sub)
 
     def recorded_basis_rows(B, n):
-        bases.extend(tuple(map(tuple, xy)) for xy in B.tolist())
+        bases.extend((n, tuple(map(tuple, xy))) for xy in B.tolist())
         return basis_rows(B, n)
 
     monkeypatch.setattr(brauer, "_cut", counted_cut)
     monkeypatch.setattr(brauer, "_basis_rows", recorded_basis_rows)
+    monkeypatch.setattr(BicyclicFamily, "_bases", _refuse_z_r_bases)
     monkeypatch.setattr(brauer, "_members_of", _refuse_to_build)
     monkeypatch.setattr(Subgroup, "__init__", _refuse_to_build)
     stopped = []
-    for enumerate_family, isotropic in FAMILIES:
+    for enumerate_family, isotropic in families:
         offered.clear()
         bases.clear()
         fam = enumerate_family(sp)
@@ -754,9 +772,12 @@ def test_family_len_and_intersection_build_no_member(monkeypatch, g, r):
         inter = bogomolov_intersection(sp, fam)
         want = FormSubmodule.weil_span(sp) if isotropic else FormSubmodule.trivial(sp)
         assert inter == want
-        assert len(set(bases)) == len(bases) == sum(offered) <= len(fam)
-        one_outer = prod(map(len, fam._charts[1:]))
-        assert max(offered) <= max(brauer._SLICE, one_outer)
+        assert len(set(bases)) == len(bases) == sum(offered)
+        qs = [q for _, q, _ in brauer._prime_powers(r)]
+        chart_len = {q: len(chart) for q, chart in zip(qs, fam._charts)}
+        for q, n in Counter(q for q, _ in bases).items():
+            assert n <= chart_len[q]
+        assert max(offered) <= brauer._SLICE
         assert "members" not in fam.__dict__
         stopped.append((fam, inter))
     monkeypatch.undo()
@@ -784,6 +805,27 @@ def test_an_added_basis_is_cut_after_the_chart_stops(monkeypatch, r):
     assert bogomolov_intersection(sp, wider) == FormSubmodule.trivial(sp)
     *chart, added = offered
     assert added == 1 and sum(chart) < len(fam)
+
+
+@pytest.mark.parametrize(
+    "r, heads", [(6, (1, 3)), (12, (3, 1)), (15, (2, 5))], ids=["6", "12", "15"]
+)
+def test_a_partial_chart_is_the_crt_sum_of_its_per_q_cuts(r, heads):
+    # an enumerated chart always cuts to its floor mod every q, where the CRT
+    # units make no difference; a chart cut short in a different place per q
+    # leaves per-q cuts that differ, and their lifts must still sum to the
+    # intersection over the members
+    sp = SymplecticSpace(g=2, r=r)
+    fam = BicyclicFamily(sp, (), ())
+    fam._charts = tuple(
+        brauer._chart(sp, p, q, False)[:k]
+        for (p, q, _), k in zip(brauer._prime_powers(r), heads)
+    )
+    fam._tag, fam._count = "bicyclic-pair", prod(heads)
+    inter = bogomolov_intersection(sp, fam)
+    assert FormSubmodule.trivial(sp) != inter != FormSubmodule.full(sp)
+    stacked = BicyclicFamily(sp, fam.members, fam.provenance)
+    assert inter == bogomolov_intersection(sp, stacked)
 
 
 def test_a_chart_that_drops_a_basis_is_a_runtime_error(monkeypatch):
@@ -947,7 +989,7 @@ def test_family_canonicalizes_once_per_member(monkeypatch):
     for enumerate_family in (isotropic_bicyclics, all_bicyclics):
         fam = enumerate_family(sp)
         assert len(fam.members) == len(fam)
-        bases = np.concatenate(list(fam._slices())).tolist()
+        bases = fam._bases().tolist()
         rows = [minor_vector(x, y, 4) for x, y in bases]
         non_units = sum(gcd(_leading_minor(row), 4) != 1 for row in rows)
         assert calls == [(2, sp.dim)] * non_units
@@ -1077,7 +1119,7 @@ def test_chart_key_names_the_span_at_r_6(x, y, change):
 def test_every_chart_basis_is_its_own_key(g, r):
     # the key is the enumerator's basis: _chart's, lifted by the same CRT unit
     sp = SymplecticSpace(g=g, r=r)
-    bases = np.concatenate(list(all_bicyclics(sp)._slices())).tolist()
+    bases = all_bicyclics(sp)._bases().tolist()
     assert len(bases) == bicyclic_count(g, r, isotropic=False)
     for xy in bases:
         assert brauer._chart_key(sp, xy) == tuple(map(tuple, xy))
@@ -1169,6 +1211,22 @@ def test_with_pair_dedupes_a_family_built_by_hand(r):
         fam.with_pair(sp.a(1), 2 * sp.a(2))
     with pytest.raises(ValueError, match=r"member 3 \(foreign\)"):
         bogomolov_intersection(sp, wider)
+
+
+def test_a_member_of_order_r_squared_that_is_no_summand_is_its_own_key():
+    # Z/2 x Z/2 x Z/4 has order 16 = r^2 at r = 4 but no unit minor mod 2, so
+    # it has no chart basis and is keyed by itself
+    sp = SymplecticSpace(g=2, r=4)
+    gens = [sp.element(v) for v in ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0))]
+    member = subgroup_from_generators(sp.group, gens)
+    assert member.order == 16 and sorted(member.invariant_factors()) == [2, 2, 4]
+    assert brauer._member_key(sp, member) is member
+    fam = BicyclicFamily(sp, (member,), ("by-hand",))
+    wider = fam.with_pair(sp.a(1), sp.b(1))
+    assert len(wider) == 2 and wider.members[0] == member
+    stacked = BicyclicFamily(sp, wider.members, wider.provenance)
+    inter = bogomolov_intersection(sp, wider)
+    assert inter == bogomolov_intersection(sp, stacked) and inter.order == 512
 
 
 def test_with_pair_checks_the_group_then_the_modulus(monkeypatch):
@@ -1478,7 +1536,7 @@ def test_with_pair_on_an_enumerated_family_builds_no_generator_rows(
     monkeypatch.setattr(brauer, "_generator_rows", _refuse_generator_rows)
     monkeypatch.setattr(brauer, "_members_of", _refuse_to_build)
     monkeypatch.setattr(Subgroup, "__init__", _refuse_to_build)
-    x, y = map(sp.element, next(fam._slices())[0].tolist())
+    x, y = map(sp.element, fam._bases()[0].tolist())
     assert fam.with_pair(x, y) is fam
     assert fam.with_pair(y, x + y) is fam
     x, y = sp.a(1), sp.b(1) + sp.a(2)  # e(x, y) = 1: not an isotropic member

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from brute import bicyclic_count
 
 from brauerkit import brauer, cli
 from brauerkit.brauer import FormSubmodule, InclusionReport
@@ -362,6 +363,23 @@ def test_bogomolov_all_family(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "family=all members=35 |G'|=1" in out
+
+
+def test_bogomolov_families_at_a_composite_r(capsys):
+    # (3, 6) has two prime powers; the member counts are the closed forms of
+    # tests/brute.py, not brauerkit's own
+    members = bicyclic_count(3, 6, isotropic=False)
+    code = main(["bogomolov", "--family", "all", "--g", "3", "--r", "6"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out == f"g=3 r=6 family=all members={members} |G'|=1 rank=0\n"
+    assert members == 7168161
+    members = bicyclic_count(3, 6, isotropic=True)
+    code = main(["bogomolov", "--explicit", "--g", "3", "--r", "6"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.startswith(f"g=3 r=6 family=isotropic members={members} |G'|=6 ")
+    assert out.endswith(" equals-pairing-span=yes\n") and members == 1146600
 
 
 def test_components_table(capsys):

@@ -1,13 +1,14 @@
 """``BicyclicFamily`` is the one family class, one function builds members
-and one generator produces chart bases.
+and only ``members`` forms chart bases over Z/r.
 
 A family given by hand, enumerated from a chart or grown by ``with_pair``
 is the same class with up to three parts.  A private subclass per way of
 building one would bring back a second ``len``, ``members`` and
 intersection to keep in step, a ``Subgroup`` built outside
-``_members_of`` would be a second member builder, and a ``_crt`` call
-outside ``BicyclicFamily._slices`` would be a second producer of the
-chart's bases (or of their minor rows) for members and the intersection.
+``_members_of`` would be a second member builder, and a ``_bases`` call
+outside ``BicyclicFamily.members`` would form the chart's bases over Z/r
+somewhere else: the intersection cuts each prime power's chart over Z/q
+and never needs them.
 """
 
 import ast
@@ -60,9 +61,9 @@ def test_brauer_builds_a_subgroup_only_in_members_of():
     assert len(sites) == 1 and sites[0].startswith("_members_of:"), sites
 
 
-def test_chart_bases_are_combined_only_in_slices():
-    sites = _call_sites("_crt")
-    assert len(sites) == 1 and sites[0].startswith("BicyclicFamily._slices:"), sites
+def test_chart_bases_over_z_r_are_formed_only_for_members():
+    sites = _call_sites("_bases")
+    assert len(sites) == 1 and sites[0].startswith("BicyclicFamily.members:"), sites
 
 
 def test_no_family_is_built_through_its_instance_dict():
