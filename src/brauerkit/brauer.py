@@ -152,7 +152,7 @@ class FormSubmodule:
     def is_submodule_of(self, other: FormSubmodule) -> bool:
         if other.space != self.space:
             raise ValueError("submodules of different spaces")
-        return all(other.contains_vector(row) for row in self.generators)
+        return not howell_reduce(other._matrix, self._matrix, self.space.r).any()
 
     def vectors(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
         """Every coefficient vector in the span, sorted.
@@ -308,12 +308,14 @@ class BicyclicFamily:
        the CRT combinations of one basis per q, the first q's outermost;
     3. the chart bases of the pairs that ``with_pair`` added, in order.
 
-    A (Z/r)^2 summand is named by its chart basis (``_chart_key``), the one
-    basis of it that ``_chart`` lists.  ``len`` and the intersection need
-    no member: ``members`` builds those of parts 2 and 3 from ``_bases`` on
-    first read (``_members_of``).  Families compare and hash by (space,
-    members, provenance), so a grown or enumerated family equals the
-    family built by hand from its members.
+    ``with_pair`` names the span of a pair by its chart basis
+    (``_chart_key``), the one basis of it that ``_chart`` lists, and
+    matches a member given by hand as the ``Subgroup`` it is.  ``len``,
+    ``hash`` and the intersection need no member: ``members`` builds those
+    of parts 2 and 3 from ``_bases`` on first read (``_members_of``).
+    Families compare by (space, members, provenance), so a grown or
+    enumerated family equals the family built by hand from its members,
+    and hash by (space, len), which equal families share.
 
     The intersection of the members' restriction kernels is computed on
     first use and cached (``bogomolov_intersection`` returns it).  A form
@@ -347,7 +349,8 @@ class BicyclicFamily:
         ) == (other.members, other.provenance)
 
     def __hash__(self):
-        return hash((self.space, self.members, self.provenance))
+        # what __eq__ compares first, so no member is built
+        return hash((self.space, len(self)))
 
     @cached_property
     def members(self) -> tuple[Subgroup, ...]:
@@ -373,11 +376,10 @@ class BicyclicFamily:
 
     @cached_property
     def _keys(self) -> frozenset:
-        """The dedupe set of parts 1 and 3: one key per member given by hand
-        (``_member_key``) and the added bases.  Part 2 is its chart's
-        definition (``_charted``)."""
-        given = frozenset([_member_key(self.space, m) for m in self._given])
-        return given | frozenset(self._added)
+        """The dedupe set of parts 1 and 3: the members given by hand, as
+        ``Subgroup`` values, and the added chart bases.  Part 2 is its
+        chart's definition (``_charted``)."""
+        return frozenset(self._given) | frozenset(self._added)
 
     def _charted(self, key) -> bool:
         """Whether part 2 holds the summand with chart basis ``key``:
@@ -402,16 +404,17 @@ class BicyclicFamily:
         member that is not a subgroup of the space's module.  Part 2 is cut
         one prime power q at a time over ``SymplecticSpace(g, q)``, by the
         minor rows of ``_SLICE`` of q's chart bases per cut, until the cut
-        lies in the chart's floor mod q: span(e) for ``isotropic_bicyclics``,
-        {0} for ``all_bicyclics``.  The stop is exact: the intersection lies
-        in the cut so far, and the floor kills every chart basis (an
-        isotropic one has e(x, y) = 0 mod q).  A form kills a CRT sum of
-        bases (b_q) iff it kills each b_q mod q, and with ``_count`` > 0
-        every chart is nonempty, so part 2 is spanned by the per-q cuts
-        lifted by their CRT units (at prime-power r, the one cut).  Part 3
-        is one cut by one minor row per added basis, after any stop, since
-        an added basis need not be isotropic.  A cut that cuts nothing costs
-        one product.
+        has the order of the chart's floor mod q: q for span(e)
+        (``isotropic_bicyclics``), 1 for {0} (``all_bicyclics``).  The stop
+        is exact: the floor kills every chart basis (an isotropic one has
+        e(x, y) = 0 mod q), so it lies in every cut, and a cut of its order
+        is the floor, which the cuts still to come leave as it is.  A form
+        kills a CRT sum of bases (b_q) iff it kills each b_q mod q, and with
+        ``_count`` > 0 every chart is nonempty, so part 2 is spanned by the
+        per-q cuts lifted by their CRT units (at prime-power r, the one
+        cut).  Part 3 is one cut by one minor row per added basis, after any
+        stop, since an added basis need not be isotropic.  A cut that cuts
+        nothing costs one product.
         """
         space, r, sub = self.space, self.space.r, None
         if self._given:
@@ -427,11 +430,10 @@ class BicyclicFamily:
             lifts = []
             for (_, q, unit), chart in zip(_prime_powers(r), self._charts):
                 sq = space if q == r else SymplecticSpace(space.g, q)
-                floor = (FormSubmodule.weil_span if iso else FormSubmodule.trivial)(sq)
                 sub = None
                 for k in range(0, len(chart), _SLICE):
                     sub = _cut(sq, _basis_rows(chart[k : k + _SLICE], q), sub)
-                    if sub.is_submodule_of(floor):
+                    if sub.order == (q if iso else 1):
                         break
                 lifts.append(unit * sub._matrix % r)
             if len(lifts) > 1:
@@ -449,8 +451,11 @@ class BicyclicFamily:
         module, then ``ModulusTooLargeError`` for r > 2^31, then
         ``ValueError`` unless the pair spans (Z/r)^2.  The pair is named by
         its chart basis (``_chart_key``, in Python ints), and this family
-        comes back unchanged if it already holds that summand (``_keys``,
-        ``_charted``).  Otherwise the grown family has this family's parts
+        comes back unchanged if it already holds that summand: the basis is
+        an added one (``_keys``) or in the chart (``_charted``), or, when
+        there are members given by hand, the member it spans
+        (``_members_of``) is one of them, compared as a canonical
+        ``Subgroup``.  Otherwise the grown family has this family's parts
         and the new basis added; no member or minor row is built until one
         is read.  If this family's intersection is already computed, the
         grown family's is seeded from it: this intersection cut by the new
@@ -463,6 +468,8 @@ class BicyclicFamily:
         key = _chart_key(space, (sigma.coords, tau.coords))
         if key in self._keys or self._charted(key):
             return self
+        if self._given and _members_of(space, np.array([key]))[0] in self._keys:
+            return self
         grown = BicyclicFamily(space, self._given, self._given_tags)
         grown._charts, grown._tag, grown._count = self._charts, self._tag, self._count
         grown._added, grown._keys = self._added + (key,), self._keys | {key}
@@ -472,28 +479,26 @@ class BicyclicFamily:
         return grown
 
 
-def _chart_key(space: SymplecticSpace, rows) -> tuple[tuple[int, ...], ...]:
-    """The chart basis (x, y) of the (Z/r)^2 summand spanned by ``rows``,
-    coordinate sequences, in Python ints: for each prime power q of r, the
-    one basis ``_chart`` lists for the summand mod q, lifted by the CRT unit
-    of q as ``BicyclicFamily._bases`` lifts it.
+def _chart_key(space: SymplecticSpace, pair) -> tuple[tuple[int, ...], ...]:
+    """The chart basis (x', y') of the (Z/r)^2 summand spanned by ``pair``
+    = (x, y), coordinate sequences, in Python ints: for each prime power q
+    of r, the one basis ``_chart`` lists for the summand mod q, lifted by
+    the CRT unit of q as ``BicyclicFamily._bases`` lifts it.
 
-    For each p, take the first pair of rows and the first minor (c1, c2) of
-    it, in lexicographic (``upper_index_pairs``) order, that is a unit mod
-    p: (c1, c2) are the pivot columns of the summand mod p, since the
-    minors of any basis are a multiple of those of its reduced echelon
-    basis.  That pair times the inverse of its 2 x 2 block at (c1, c2), mod
-    q, spans the same summand, is the identity at (c1, c2), and is the
-    echelon basis mod p, so 0 mod p before its pivots: it is the chart
-    basis.  ``ValueError`` if some p has no unit minor (the rows span no
-    (Z/r)^2 summand).
+    For each p, take the first minor (c1, c2) of the pair, in lexicographic
+    (``upper_index_pairs``) order, that is a unit mod p: (c1, c2) are the
+    pivot columns of the summand mod p, since the minors of any basis are a
+    multiple of those of its reduced echelon basis.  The pair times the
+    inverse of its 2 x 2 block at (c1, c2), mod q, spans the same summand,
+    is the identity at (c1, c2), and is the echelon basis mod p, so 0 mod p
+    before its pivots: it is the chart basis.  ``ValueError`` if some p has
+    no unit minor (the pair spans no (Z/r)^2 summand).
     """
-    r, key = space.r, ()
+    r, (x, y), key = space.r, pair, ()
     for p, q, unit in _prime_powers(r):
         pivot = next(
             (
-                (x, y, c1, c2)
-                for x, y in combinations(rows, 2)
+                (c1, c2)
                 for c1, c2 in combinations(range(space.dim), 2)
                 if (x[c1] * y[c2] - x[c2] * y[c1]) % p
             ),
@@ -501,7 +506,7 @@ def _chart_key(space: SymplecticSpace, rows) -> tuple[tuple[int, ...], ...]:
         )
         if pivot is None:
             raise ValueError("pair does not generate a (Z/r)^2 subgroup")
-        x, y, c1, c2 = pivot
+        c1, c2 = pivot
         s = pow(x[c1] * y[c2] - x[c2] * y[c1], -1, q)
         inverse = ((y[c2] * s % q, -x[c2] * s % q), (-y[c1] * s % q, x[c1] * s % q))
         part = tuple(
@@ -516,21 +521,6 @@ def _chart_key(space: SymplecticSpace, rows) -> tuple[tuple[int, ...], ...]:
             )
         key = part
     return key
-
-
-def _member_key(space: SymplecticSpace, member: Subgroup):
-    """The dedupe key of a member given by hand: its chart basis
-    (``_chart_key`` of its canonical generators) when it sits in the space's
-    module, has order r^2 and has a unit-minor pair of canonical generators
-    for each p, which makes it the summand that pair spans; else the member
-    itself.  A free summand can have a Howell form of three rows, none of
-    whose pairs spans it, so the pair is searched for."""
-    if member.parent == space.group and member.order == space.r**2:
-        try:
-            return _chart_key(space, member.canonical_generators)
-        except ValueError:
-            pass
-    return member
 
 
 def _basis_rows(B: np.ndarray, r: int) -> np.ndarray:

@@ -287,6 +287,7 @@ def cmd_bogomolov(args, cap: int) -> int:
             if args.family == "all":
                 fam = all_bicyclics(space, cap)
                 gprime = bogomolov_intersection(space, fam, cap)
+                ok &= gprime == FormSubmodule.trivial(space)
                 print(
                     f"g={g} r={r} family=all members={len(fam)} "
                     f"|G'|={gprime.order} rank={gprime.rank}"
@@ -305,15 +306,16 @@ def cmd_bogomolov(args, cap: int) -> int:
             print(f"g={g} r={r} skipped: {exc}")
             skipped = True
             continue
-        e_vec = weil_form(space).vector()
-        e_in = gprime.contains_vector(e_vec)
+        e_span = FormSubmodule.weil_span(space)
+        e_in = gprime.contains_vector(e_span.generators[0])
         subset = gprime.is_submodule_of(g_prim)
+        equal = gprime == e_span
         ok &= e_in and subset
         print(
             f"g={g} r={r} family=isotropic members={members} |G'|={gprime.order} "
             f"e-in-G'={'yes' if e_in else 'no'} "
             f"G'-in-G={'yes' if subset else 'no'} "
-            f"equals-pairing-span={'yes' if gprime.order == r and e_in else 'no'}"
+            f"equals-pairing-span={'yes' if equal else 'no'}"
         )
     return _exit_code(ok, skipped)
 

@@ -235,8 +235,9 @@ def _residues(A, n: int, width: int | None = None) -> np.ndarray:
     M = np.asarray(A)
     if M.dtype != np.int64:
         if M.dtype.kind == "u":
-            # reduced in its own dtype first, so entries above 2^63 stay exact
-            M = M % M.dtype.type(n)
+            # reduced in uint64 first, which holds every n <= 2^31 (a small
+            # dtype need not) and keeps entries above 2^63 exact
+            M = M.astype(np.uint64) % np.uint64(n)
         elif not M.size:
             M = np.zeros(M.shape, dtype=np.int64)
         elif M.dtype.kind not in "bi":

@@ -786,6 +786,52 @@ def test_family_len_and_intersection_build_no_member(monkeypatch, g, r, families
         assert inter == bogomolov_intersection(sp, stacked)
 
 
+@pytest.mark.parametrize(
+    "enumerate_family, g, r, cuts",
+    [
+        (all_bicyclics, 3, 5, {5: 814}),
+        (all_bicyclics, 3, 6, {2: 2, 3: 23}),
+        (isotropic_bicyclics, 3, 7, {7: 1222}),
+    ],
+    ids=["all-3-5", "all-3-6", "isotropic-3-7"],
+)
+def test_each_prime_power_stops_at_the_first_cut_of_its_floor(
+    monkeypatch, enumerate_family, g, r, cuts
+):
+    # q's slices are cut until the cut first has the floor's order (q for
+    # span(e), 1 for {0}); the counts pinned here are those at which a test
+    # of the cut against the floor submodule stopped
+    sp = SymplecticSpace(g=g, r=r)
+    fam = enumerate_family(sp)
+    cut, orders = brauer._cut, {}
+
+    def recorded_cut(space, rows, sub=None):
+        out = cut(space, rows, sub)
+        orders.setdefault(space.r, []).append(out.order)
+        return out
+
+    monkeypatch.setattr(brauer, "_cut", recorded_cut)
+    bogomolov_intersection(sp, fam)
+    assert {q: len(seen) for q, seen in orders.items()} == cuts
+    for q, seen in orders.items():
+        floor = q if enumerate_family is isotropic_bicyclics else 1
+        assert seen[-1] == floor and min(seen[:-1]) > floor
+
+
+def test_hashing_a_family_builds_no_member(monkeypatch):
+    # a family hashes by (space, len), which equal families share
+    monkeypatch.setattr(brauer, "_members_of", _refuse_to_build)
+    for enumerate_family, g, r in [(all_bicyclics, 3, 4), (isotropic_bicyclics, 2, 6)]:
+        sp = SymplecticSpace(g=g, r=r)
+        fam = enumerate_family(sp)
+        hash(fam)
+        assert "members" not in fam.__dict__
+    monkeypatch.undo()
+    sp = SymplecticSpace(g=2, r=6)
+    fam = isotropic_bicyclics(sp)
+    assert hash(fam) == hash(BicyclicFamily(sp, fam.members, fam.provenance))
+
+
 @pytest.mark.parametrize("r", [4, 6])
 def test_an_added_basis_is_cut_after_the_chart_stops(monkeypatch, r):
     # the isotropic chart's cut stops at span(e) before its last basis, but
@@ -1188,10 +1234,11 @@ _THREE_ROW_PAIRS = {
 
 @pytest.mark.parametrize("r", [6, 12])
 def test_with_pair_dedupes_a_family_built_by_hand(r):
-    # a member given by hand is keyed by its chart basis when it is a
-    # (Z/r)^2 summand of the space's module, three-row Howell form or not,
-    # and by itself otherwise; a pair spanning a member leaves the family
-    # as it is, and a foreign member is still named by the intersection
+    # a pair is matched to a member given by hand as the canonical Subgroup
+    # it spans, three-row Howell form or not; a pair spanning a member
+    # leaves the family as it is, a member that is no (Z/r)^2 summand of
+    # the space's module matches no pair, and a foreign member is still
+    # named by the intersection
     sp = SymplecticSpace(g=2, r=r)
     x, y = map(sp.element, _THREE_ROW_PAIRS[r])
     three_rows = subgroup_from_generators(sp.group, [x, y])
@@ -1220,8 +1267,8 @@ def test_a_member_of_order_r_squared_that_is_no_summand_is_its_own_key():
     gens = [sp.element(v) for v in ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0))]
     member = subgroup_from_generators(sp.group, gens)
     assert member.order == 16 and sorted(member.invariant_factors()) == [2, 2, 4]
-    assert brauer._member_key(sp, member) is member
     fam = BicyclicFamily(sp, (member,), ("by-hand",))
+    assert member in fam._keys
     wider = fam.with_pair(sp.a(1), sp.b(1))
     assert len(wider) == 2 and wider.members[0] == member
     stacked = BicyclicFamily(sp, wider.members, wider.provenance)

@@ -365,6 +365,29 @@ def test_bogomolov_all_family(capsys):
     assert "family=all members=35 |G'|=1" in out
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["--family", "all"], "g=2 r=2 family=all members=35 |G'|=64 rank=6"),
+        (
+            ["--explicit"],
+            "g=2 r=2 family=isotropic members=15 |G'|=64 e-in-G'=yes G'-in-G=no "
+            "equals-pairing-span=no",
+        ),
+    ],
+    ids=["all", "isotropic"],
+)
+def test_bogomolov_fails_on_a_wrong_intersection(capsys, monkeypatch, argv, line):
+    # an intersection of every form is neither {0} (the all family's G')
+    # nor span(e) (the isotropic family's)
+    monkeypatch.setattr(
+        cli, "bogomolov_intersection", lambda space, *_: FormSubmodule.full(space)
+    )
+    code = main(["bogomolov", "--g", "2", "--r", "2", *argv])
+    assert code == EXIT_VIOLATION
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_bogomolov_families_at_a_composite_r(capsys):
     # (3, 6) has two prime powers; the member counts are the closed forms of
     # tests/brute.py, not brauerkit's own

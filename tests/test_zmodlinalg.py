@@ -256,8 +256,9 @@ def _check_howell_invariants(H, n):
 
 
 def _howell_inputs(n, rng):
-    """Random matrices over Z/n: uniform, built from divisors of n, and (for
-    n = 2^31) full of n - 1 and n - 2^k entries, the largest residues."""
+    """Random matrices over Z/n: uniform, built from divisors of n, (for
+    n = 2^31) full of n - 1 and n - 2^k entries, the largest residues, and
+    dense 10 x 40 ones."""
     divisors = np.array([d for d in (1, 2, 3, 4, 5, 8, 9, 12, 2**16, 2**30) if n % d == 0])
     for _ in range(12):
         shape = (int(rng.integers(1, 30)), int(rng.integers(1, 20)))
@@ -265,6 +266,8 @@ def _howell_inputs(n, rng):
         scale = divisors[rng.integers(0, len(divisors), size=shape)]
         yield scale * rng.integers(0, n, size=shape) % n
         yield (n - scale) * rng.integers(0, 2, size=shape)
+    for _ in range(6):
+        yield rng.integers(0, n, size=(10, 40))
 
 
 def _unimodular_mix(M, n, rng):
@@ -278,7 +281,9 @@ def _unimodular_mix(M, n, rng):
     return M
 
 
-@pytest.mark.parametrize("n", [12, 360, 2**30, 2**31])
+# 2^31 - 2 is composite with int64 headroom 2, so a dense 40-column input
+# is reduced whole every other column
+@pytest.mark.parametrize("n", [12, 360, 2**30, 2**31 - 2, 2**31])
 def test_howell_invariants_and_canonicity(n):
     rng = np.random.default_rng(n % 1000 + 7)
     for M in _howell_inputs(n, rng):
@@ -571,6 +576,45 @@ def test_integers_of_any_size_reduce_exactly(routine):
     want = _plain(_each_caller_input(1)[routine]())
     for entry in (2**70 + 2, 5 - 2**70, 2**63 + 3, np.uint64(2**63 + 3)):
         assert _plain(_each_caller_input(entry)[routine]()) == want
+
+
+@pytest.mark.parametrize(
+    "dtype, n",
+    [(np.uint8, 1000), (np.uint16, 70000), (np.uint32, 2**31), (np.uint64, 2**31)],
+)
+def test_unsigned_input_reduces_past_its_dtype(dtype, n):
+    # n does not fit a uint8 or uint16; uint32 and uint64 entries run past
+    # the largest modulus.  Each answer is that of the same Python ints.
+    top = int(np.iinfo(dtype).max)
+
+    def lift(v):  # the largest entry of the dtype that is v mod n
+        return v + n * ((top - v) // n)
+
+    M = np.array([[top, 7, 3], [3, top - 1, 2]], dtype=dtype)
+    unit_rows = np.array([[1, 0, top], [0, 1, top]], dtype=dtype)
+    # a Howell form of span 4: pivot n/4, and 4 times the row is 0
+    quarter = np.array([[lift(n // 4), lift(0), lift(n // 4)]], dtype=dtype)
+    c = np.array([top, 3], dtype=dtype)
+
+    def each(f):
+        return {
+            "howell_form": howell_form(f(M), n),
+            "howell_reduce": howell_reduce(f(unit_rows), f(M), n),
+            "howell_kernel": howell_kernel(f(unit_rows), n, f(c)),
+            "solve_mod": solve_mod(f(M), f(c), n),
+            "howell_span": howell_span(f(quarter), n),
+            "howell_span_order": howell_span_order(f(quarter), n),
+        }
+
+    got = each(lambda A: A)
+    want = each(lambda A: A.astype(object))
+    assert {k: _plain(v) for k, v in got.items()} == {
+        k: _plain(v) for k, v in want.items()
+    }
+    arrays = [v for v in got.values() if isinstance(v, np.ndarray)]
+    arrays += [a for v in got.values() if isinstance(v, tuple) for a in v]
+    assert arrays and all(a.dtype == np.int64 for a in arrays)
+    assert got["howell_span_order"] == len(got["howell_span"]) == 4
 
 
 def test_empty_inputs_of_any_dtype_are_accepted():
