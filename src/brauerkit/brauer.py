@@ -315,7 +315,9 @@ class BicyclicFamily:
     of parts 2 and 3 from ``_bases`` on first read (``_members_of``).
     Families compare by (space, members, provenance), so a grown or
     enumerated family equals the family built by hand from its members,
-    and hash by (space, len), which equal families share.
+    and hash by (space, len), which equal families share.  Two families
+    with the same parts are equal with no member built; members are
+    compared only when the parts differ.
 
     The intersection of the members' restriction kernels is computed on
     first use and cached (``bogomolov_intersection`` returns it).  A form
@@ -343,10 +345,17 @@ class BicyclicFamily:
     def __eq__(self, other):
         if not isinstance(other, BicyclicFamily):
             return NotImplemented
-        return (self.space, len(self)) == (other.space, len(other)) and (
-            self.members,
-            self.provenance,
-        ) == (other.members, other.provenance)
+        if (self.space, len(self)) != (other.space, len(other)):
+            return False
+        # equal parts hold equal members and provenance, with none built
+        parts = (self._given, self._given_tags, self._tag, self._added)
+        if (
+            parts == (other._given, other._given_tags, other._tag, other._added)
+            and len(self._charts) == len(other._charts)
+            and all(map(np.array_equal, self._charts, other._charts))
+        ):
+            return True
+        return (self.members, self.provenance) == (other.members, other.provenance)
 
     def __hash__(self):
         # what __eq__ compares first, so no member is built
@@ -489,12 +498,16 @@ def _chart_key(space: SymplecticSpace, pair) -> tuple[tuple[int, ...], ...]:
     (``upper_index_pairs``) order, that is a unit mod p: (c1, c2) are the
     pivot columns of the summand mod p, since the minors of any basis are a
     multiple of those of its reduced echelon basis.  The pair times the
-    inverse of its 2 x 2 block at (c1, c2), mod q, spans the same summand,
-    is the identity at (c1, c2), and is the echelon basis mod p, so 0 mod p
-    before its pivots: it is the chart basis.  ``ValueError`` if some p has
-    no unit minor (the pair spans no (Z/r)^2 summand).
+    inverse a_q of its 2 x 2 block at (c1, c2), mod q, spans the same
+    summand, is the identity at (c1, c2), and is the echelon basis mod p,
+    so 0 mod p before its pivots: it is the chart basis mod q.  The blocks
+    are combined first, A = sum of unit_q * a_q mod r, which is a_q mod
+    every q, so the pair is mapped through A once, in one pass over its
+    coordinates.  ``ValueError`` if some p has no unit minor (the pair
+    spans no (Z/r)^2 summand).
     """
-    r, (x, y), key = space.r, pair, ()
+    r, (x, y) = space.r, pair
+    a = b = c = d = 0
     for p, q, unit in _prime_powers(r):
         pivot = next(
             (
@@ -507,20 +520,13 @@ def _chart_key(space: SymplecticSpace, pair) -> tuple[tuple[int, ...], ...]:
         if pivot is None:
             raise ValueError("pair does not generate a (Z/r)^2 subgroup")
         c1, c2 = pivot
-        s = pow(x[c1] * y[c2] - x[c2] * y[c1], -1, q)
-        inverse = ((y[c2] * s % q, -x[c2] * s % q), (-y[c1] * s % q, x[c1] * s % q))
-        part = tuple(
-            [
-                tuple([unit * ((a * xk + b * yk) % q) for xk, yk in zip(x, y)])
-                for a, b in inverse
-            ]
-        )
-        if key:  # the lifted parts summed mod r; with one q, unit is 1
-            part = tuple(
-                [tuple([(u + v) % r for u, v in zip(k, w)]) for k, w in zip(key, part)]
-            )
-        key = part
-    return key
+        # unit * (v mod q) = unit * v mod r, as unit is 0 mod r / q
+        s = unit * pow(x[c1] * y[c2] - x[c2] * y[c1], -1, q)
+        a, b, c, d = a + y[c2] * s, b - x[c2] * s, c - y[c1] * s, d + x[c1] * s
+    inverse = ((a % r, b % r), (c % r, d % r))
+    return tuple(
+        [tuple([(u * xk + v * yk) % r for xk, yk in zip(x, y)]) for u, v in inverse]
+    )
 
 
 def _basis_rows(B: np.ndarray, r: int) -> np.ndarray:

@@ -146,7 +146,7 @@ class GroupElement:
                 f"element has {len(self.coords)} coordinates, group has rank {len(facs)}"
             )
         object.__setattr__(
-            self, "coords", tuple(int(c) % d for c, d in zip(self.coords, facs))
+            self, "coords", tuple([int(c) % d for c, d in zip(self.coords, facs)])
         )
 
     def _check_same_parent(self, other: GroupElement):

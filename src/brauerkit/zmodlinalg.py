@@ -13,6 +13,11 @@ elimination, and every Z/n routine runs on it.
 The Howell form is built column by column (Howell 1986; Storjohann and
 Mulders, ESA 1998): a pivot row clears its column in every other row in one
 vectorized update, so the Python-level steps number the pivot columns.
+``howell_form`` keeps its working matrix transposed, one C-contiguous row
+per column, so that update, the reduction of the columns still to come and
+the read of a column all run over contiguous memory; its input and output
+are plain row-major matrices.  A column's pivot is its first unit when it
+has one, and only a column with no unit pays for the gcd of its entries.
 Kernels and solutions come from back-substitution on a Howell form
 (``howell_kernel``): one step per pivot above 1, from the last, then one
 step for every unit pivot at once, since a unit pivot's column is zero
@@ -309,11 +314,16 @@ def howell_form(A, n: int) -> np.ndarray:
     reduced modulo it.  A span of size s in (Z/n)^k comes out with pivots
     p_i such that s = prod(n // p_i).
 
-    Columns go in increasing order, skipping those zero in every remaining
-    row.  The pivot of column c has entry g = gcd(n, column): a unit times
-    the first row with gcd(entry, n) = g, else a combination of rows by
-    extended gcds.  One update clears column c below it and reduces it
-    above; its annihilator (n/g) * pivot joins the remaining rows.  Zero
+    The working matrix is stored transposed, k x rows and C-contiguous, so
+    a column of the matrix is one contiguous row of it and so is every row
+    of the update below.  Columns go in increasing order, skipping those
+    zero in every remaining row.  The pivot of column c has entry
+    g = gcd(n, column): a unit times the first row with gcd(entry, n) = g,
+    else a combination of rows by extended gcds.  That row is the first
+    whose entry is a unit when there is one (g = 1, the quotients need no
+    division); only a column with no unit has its gcd taken.  One update
+    clears column c below it and reduces it above; its annihilator
+    (n/g) * pivot joins the remaining rows.  Zero
     rows are looked for only while more than twice as many rows as columns
     remain, so a tall input still sheds them early and a near-square one
     pays no full reduction per column for the look; the rest are dropped
@@ -329,67 +339,74 @@ def howell_form(A, n: int) -> np.ndarray:
     reduction: the rows below lose exact multiples of g, and the rows above
     keep their residue mod g, which g | n makes that of their residue mod n.
     """
-    M = _residues(A, n)
-    k = M.shape[1]
+    # T is the working matrix transposed, C-contiguous: column c of the
+    # matrix is the row T[c], and row i its column T[:, i]
+    T = np.ascontiguousarray(_residues(A, n).T)
+    k = T.shape[0]
     room = _headroom(n)
-    # M[:t] holds the pivot rows found so far; M[t:] the remaining rows,
-    # which are zero in every column before c; M[:, c:] has taken j updates
-    # since it was last reduced
+    # T[:, :t] holds the pivot rows found so far; T[:, t:] the remaining
+    # rows, which are zero in every column before c; T[c:] has taken j
+    # updates since it was last reduced
     t = c = j = 0
-    while t < M.shape[0] and c < k:
-        if M.shape[0] - t > 2 * (k - c):
-            j = _reduce(M[:, c:], n, j)
-            keep = M[t:, c:].any(axis=1)
+    while t < T.shape[1] and c < k:
+        if T.shape[1] - t > 2 * (k - c):
+            j = _reduce(T[c:], n, j)
+            keep = T[c:, t:].any(axis=0)
             if not keep.all():
-                M = np.concatenate([M[:t], M[t:][keep]])
-                if t == M.shape[0]:
+                T = np.concatenate([T[:, :t], T[:, t:][:, keep]], axis=1)
+                if t == T.shape[1]:
                     break
         if j:
             # one remainder costs less than _reduce on a single column
-            M[:, c] %= n
-        vals = M[t:, c].tolist()
+            T[c] %= n
+        vals = T[c, t:].tolist()
         if not any(vals):
-            j = _reduce(M[:, c:], n, j)
-            live = M[t:, c:].any(axis=0)
+            j = _reduce(T[c:], n, j)
+            live = T[c:, t:].any(axis=1)
             if not live.any():
                 break
             c += int(live.argmax())
-            vals = M[t:, c].tolist()
-        g = gcd(n, *vals)
-        h = next((i for i, v in enumerate(vals) if gcd(v, n) == g), None)
+            vals = T[c, t:].tolist()
+        # a unit generates the whole ring, so the first unit is the first
+        # row with gcd(entry, n) = gcd(n, column)
+        g = 1
+        h = next((i for i, v in enumerate(vals) if gcd(v, n) == 1), None)
+        if h is None:
+            g = gcd(n, *vals)
+            h = next((i for i, v in enumerate(vals) if gcd(v, n) == g), None)
         if h is None:
             # no entry generates the column's ideal; s, u mod n keep the
             # products below (n-1)^2
-            j = _reduce(M[:, c:], n, j)
-            p = M[t]
-            for r in M[t + 1 :]:
+            j = _reduce(T[c:], n, j)
+            p = T[:, t]
+            for r in T[:, t + 1 :].T:
                 if gcd(int(p[c]), n) == g:
                     break
                 _, s, u = _xgcd(int(p[c]), int(r[c]))
                 p = ((s % n) * p + (u % n) * r) % n
-            M = np.concatenate([M[:t], p[None], M[t:]])
+            T = np.concatenate([T[:, :t], p[:, None], T[:, t:]], axis=1)
         else:
             # p (a unit times its row) replaces that row; row t moves there
-            p = M[t + h] % n
-            M[t + h] = M[t]
+            p = T[:, t + h] % n
+            T[:, t + h] = T[:, t]
         a = int(p[c])
         if a != g:
             p = (_unit_multiplier(a, n) * p) % n
         # clear column c below slot t and reduce it above, each row losing
-        # a quotient below n/g times p, a term in [0, (n-1)^2]; floor
-        # division by a scalar is numpy's fast path.  Slot t then takes p.
-        S = M[:, c:]
-        S -= S[:, :1] // g * p[c:]
-        M[t] = p
+        # a quotient below n/g times p, a term in [0, (n-1)^2]; every row
+        # of the update is contiguous.  Slot t then takes p.
+        S = T[c:]
+        S -= p[c:, None] * (S[:1] // g if g > 1 else S[:1])
+        T[:, t] = p
         if g > 1:
-            M = np.concatenate([M, ((n // g) * p % n)[None]])
+            T = np.concatenate([T, ((n // g) * p % n)[:, None]], axis=1)
         t += 1
         c += 1
         j += 1
         if j == room:
-            j = _reduce(M[:, c:], n, j)
+            j = _reduce(T[c:], n, j)
     # every row past t is zero: each column was cleared below its pivot
-    return M[:t] % n
+    return np.ascontiguousarray((T[:, :t] % n).T)
 
 
 def _reduce(S: np.ndarray, n: int, j: int) -> int:

@@ -832,6 +832,30 @@ def test_hashing_a_family_builds_no_member(monkeypatch):
     assert hash(fam) == hash(BicyclicFamily(sp, fam.members, fam.provenance))
 
 
+@pytest.mark.parametrize(
+    "enumerate_family, g, r",
+    [(all_bicyclics, 3, 4), (isotropic_bicyclics, 2, 6)],
+    ids=["all-3-4", "isotropic-2-6"],
+)
+def test_families_with_the_same_parts_are_equal_with_no_member_built(
+    monkeypatch, enumerate_family, g, r
+):
+    # two enumerations of one point hold the same parts, and so do the two
+    # families they grow by one pair, so each pair is equal with no member
+    # built; (a_1, b_1) is added to the isotropic family, and all_bicyclics
+    # already holds it
+    monkeypatch.setattr(brauer, "_members_of", _refuse_to_build)
+    sp = SymplecticSpace(g=g, r=r)
+    fam, again = enumerate_family(sp), enumerate_family(sp)
+    assert fam == again and again == fam
+    x, y = sp.a(1), sp.b(1)
+    grown, grown_again = fam.with_pair(x, y), again.with_pair(x, y)
+    assert grown == grown_again
+    assert len(grown) == len(fam) + (enumerate_family is isotropic_bicyclics)
+    for f in (fam, again, grown, grown_again):
+        assert "members" not in f.__dict__
+
+
 @pytest.mark.parametrize("r", [4, 6])
 def test_an_added_basis_is_cut_after_the_chart_stops(monkeypatch, r):
     # the isotropic chart's cut stops at span(e) before its last basis, but
@@ -1123,7 +1147,7 @@ def test_plane_refuses_a_pair_that_is_not_bicyclic():
             fam.with_pair(x, y)
 
 
-@pytest.mark.parametrize("g, r", [(2, 4), (2, 6), (2, 9), (2, 12), (3, 6)])
+@pytest.mark.parametrize("g, r", [(2, 4), (2, 6), (2, 9), (2, 12), (3, 6), (2, 30)])
 def test_chart_key_matches_span_closure(g, r):
     # the naive oracle: equal keys exactly when the span closures are equal,
     # and the key is a basis of the span it names
@@ -1161,7 +1185,7 @@ def test_chart_key_names_the_span_at_r_6(x, y, change):
     assert set(span_closure(key, r)) == set(span_closure([x, y], r))
 
 
-@pytest.mark.parametrize("g, r", [(2, 3), (2, 4), (2, 6), (3, 2)])
+@pytest.mark.parametrize("g, r", [(2, 3), (2, 4), (2, 6), (3, 2), (2, 10)])
 def test_every_chart_basis_is_its_own_key(g, r):
     # the key is the enumerator's basis: _chart's, lifted by the same CRT unit
     sp = SymplecticSpace(g=g, r=r)

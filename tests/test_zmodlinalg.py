@@ -296,6 +296,45 @@ def test_howell_invariants_and_canonicity(n):
         assert np.array_equal(howell_form(-M % n, n), H)
 
 
+def _layouts(M):
+    """Views and copies equal to ``M`` in other memory layouts: Fortran
+    order, a transposed view and a view with negative strides."""
+    yield np.asfortranarray(M)
+    yield np.ascontiguousarray(M.T).T
+    yield np.ascontiguousarray(M[::-1, ::-1])[::-1, ::-1]
+
+
+@pytest.mark.parametrize("n", [12, 97, 2**31 - 2, 2**31])
+def test_memory_layout_does_not_change_a_result(n):
+    # howell_form works on a transposed copy of its input; every Z/n
+    # routine gives what it gives on the C-ordered copy, and howell_form
+    # returns a C-contiguous int64 array
+    rng = np.random.default_rng(n % 1000 + 13)
+    for M in _howell_inputs(n, rng):
+        H = howell_form(M, n)
+        assert H.dtype == np.int64 and H.flags.c_contiguous
+        c = rng.integers(0, n, size=len(M))
+        rhs = rng.integers(0, n, size=len(H))
+        want = (
+            _plain(howell_kernel(H, n, rhs)),
+            _plain(solve_mod(M, M[:, 0].copy(), n)),
+            _plain(solve_mod(M, c, n)),
+            howell_reduce(H, M, n).tolist(),
+        )
+        layouts = zip(_layouts(M), _layouts(H), _layouts(c[None]), _layouts(rhs[None]))
+        for A, B, v, b in layouts:
+            out = howell_form(A, n)
+            assert out.dtype == np.int64 and out.flags.c_contiguous
+            assert np.array_equal(out, H)
+            got = (
+                _plain(howell_kernel(B, n, b[0])),
+                _plain(solve_mod(A, A[:, 0], n)),
+                _plain(solve_mod(A, v[0], n)),
+                howell_reduce(B, A, n).tolist(),
+            )
+            assert got == want
+
+
 def _padded_inputs(n, rng):
     """Tall and wide matrices over Z/n whose rows are interleaved with zero
     rows, repeated rows and multiples of rows (by units and non-units); a
