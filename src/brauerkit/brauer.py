@@ -226,7 +226,7 @@ def _cut(
         P = _matmul_mod(N, K.T, r)
         if not P.any():
             return sub
-    _, C = howell_kernel(howell_form(P, r), r)
+    C = howell_kernel(howell_form(P, r), r)
     return FormSubmodule.from_rows(space, C if K is None else _matmul_mod(C, K, r))
 
 

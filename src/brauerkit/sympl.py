@@ -174,7 +174,7 @@ def radical(b: AltForm) -> Subgroup:
     """Subgroup {x : b(x, y) = 0 for all y}."""
     space = b.space
     A = b.full_matrix()
-    _, kernel = howell_kernel(howell_form(A, space.r), space.r)
+    kernel = howell_kernel(howell_form(A, space.r), space.r)
     gens = [space.element(row) for row in kernel]
     return subgroup_from_generators(space.group, gens)
 

@@ -18,18 +18,18 @@ per column, so that update, the reduction of the columns still to come and
 the read of a column all run over contiguous memory; its input and output
 are plain row-major matrices.  A column's pivot is its first unit when it
 has one, and only a column with no unit pays for the gcd of its entries.
-Kernels and solutions come from back-substitution on a Howell form
-(``howell_kernel``): one step per pivot above 1, from the last, then one
-step for every unit pivot at once, since a unit pivot's column is zero
-above it; ``solve_mod`` runs it on the Howell form of [A | c].  Its
-entries stay in [0, n) between steps, so an update (a residue times a
-residue plus a residue) is below n^2, and a row combination by extended
-gcds below 2(n-1)^2: exact in int64 while that is below 2^63, that is for
-n <= 2^31.  ``howell_form`` delays its reduction mod n: a column step
-subtracts a term in [0, (n-1)^2] from the entries it leaves unreduced, so
-after j steps they lie in [-j(n-1)^2, n), and the whole matrix is reduced
-once j reaches ``_headroom(n)`` = (2^63 - 1 - n) // (n-1)^2, at least 2
-for n <= 2^31.  That is the package's one int64 limit: caller input enters
+Kernels come from back-substitution on a Howell form (``howell_kernel``):
+one step per pivot above 1, from the last, then one step for every unit
+pivot at once, since a unit pivot's column is zero above it; ``solve_mod``
+reads a particular solution off the kernel of [A | -c].  Its entries stay
+in [0, n) between steps, so an update (a residue times a residue plus a
+residue) is below n^2, and a row combination by extended gcds below
+2(n-1)^2: exact in int64 while that is below 2^63, that is for n <= 2^31.
+``howell_form`` delays its reduction mod n: a column step subtracts a term
+in [0, (n-1)^2] from the entries it leaves unreduced, so after j steps
+they lie in [-j(n-1)^2, n), and the whole matrix is reduced once j reaches
+``_headroom(n)`` = (2^63 - 1 - n) // (n-1)^2, at least 2 for n <= 2^31.
+That is the package's one int64 limit: caller input enters
 every Z/n routine through one conversion, ``_residues``, which raises
 ``ModulusTooLargeError`` for larger n rather than wrap around, and
 products of residue matrices go through ``_matmul_mod``, summed in chunks
@@ -492,38 +492,27 @@ def howell_reduce(H, rows, n: int) -> np.ndarray:
     return R
 
 
-def howell_kernel(H, n: int, rhs=None):
-    """Solve H @ x == rhs over Z/n by back-substitution on a Howell form ``H``.
+def howell_kernel(H, n: int) -> np.ndarray:
+    """Rows generating {x : H @ x == 0 mod n}, by back-substitution on a
+    Howell form ``H`` over Z/n (not in Howell form themselves).
 
-    Returns ``(particular, kernel)``: ``kernel`` rows generate
-    {x : H @ x == 0 mod n} (not in Howell form), and ``particular`` solves
-    H @ x == rhs, or is ``None`` when that has no solution (``rhs`` defaults
-    to zero).
-
-    There is one seed e_f per non-pivot column f and one seed (n/p) e_c per
-    pivot p > 1 in column c; the particular solution starts as the zero seed
-    with residual -rhs.  From the last pivot row up, over the pivots p > 1,
-    each seed's pivot coordinate is set to -(residual / p) mod n/p, and
-    that column times H[:i, c] is added into the residuals of the rows
-    above.  The Howell property puts (n/p) h_i in the span of the rows
-    below, which every seed already satisfies, so p divides each seed's
-    residual; ``ValueError`` if not, since ``H`` is then no Howell form.
-    Entries above a pivot are reduced modulo it, so a unit pivot's column is
-    zero above it and its row adds nothing to the residuals above: every
-    unit pivot coordinate is set to -residual mod n in one step at the end
-    (``ValueError`` if such a column is nonzero above its pivot).  At prime
-    n that step is the whole solve.  Subtracting the e_f seeds, then the
-    pivot seeds from the last pivot up, reduces any kernel vector to 0, so
-    the seeds span the kernel.
+    There is one seed e_f per non-pivot column f, in increasing f, then one
+    seed (n/p) e_c per pivot p > 1 in column c, in increasing c.  From the
+    last pivot row up, over the pivots p > 1, each seed's pivot coordinate
+    is set to -(residual / p) mod n/p, and that column times H[:i, c] is
+    added into the residuals of the rows above.  The Howell property puts
+    (n/p) h_i in the span of the rows below, which every seed already
+    satisfies, so p divides each seed's residual; ``ValueError`` if not,
+    since ``H`` is then no Howell form.  Entries above a pivot are reduced
+    modulo it, so a unit pivot's column is zero above it and its row adds
+    nothing to the residuals above: every unit pivot coordinate is set to
+    -residual mod n in one step at the end (``ValueError`` if such a column
+    is nonzero above its pivot).  At prime n that step is the whole solve.
+    Subtracting the e_f seeds, then the pivot seeds from the last pivot up,
+    reduces any kernel vector to 0, so the seeds span the kernel.
     """
     H = _residues(H, n)
-    t, k = H.shape
-    if rhs is None:
-        b = np.zeros(t, dtype=np.int64)
-    else:
-        b = _residues(np.reshape(rhs, (1, -1)), n)[0]
-    if b.size != t:
-        raise DimensionMismatchError(f"rhs has length {b.size}, matrix has {t} rows")
+    k = H.shape[1]
     cols, piv = _pivots(H, n)
     unit = piv == 1
     # a unit pivot's column is e_i, nonzero only at its own pivot
@@ -534,19 +523,15 @@ def howell_kernel(H, n: int, rhs=None):
     free = np.flatnonzero(~pivotal)
     seed_cols = np.concatenate([free, cols[piv > 1]])
     scale = np.concatenate([np.ones(free.size, dtype=np.int64), n // piv[piv > 1]])
-    s = seed_cols.size
-    # rows of X are the seeds, the particular solution last; R their residuals
-    X = np.zeros((s + 1, k), dtype=np.int64)
-    X[np.arange(s), seed_cols] = scale
-    R = np.vstack([H[:, seed_cols].T * scale[:, None] % n, -b[None] % n])
-    solvable = True
+    # rows of X are the seeds; R their residuals
+    X = np.zeros((seed_cols.size, k), dtype=np.int64)
+    X[np.arange(seed_cols.size), seed_cols] = scale
+    R = H[:, seed_cols].T * scale[:, None] % n
     for i in reversed(np.flatnonzero(~unit).tolist()):
         c, p = cols[i], int(piv[i])
         d = R[:, i]
-        bad = d % p != 0
-        if bad[:s].any():
+        if (d % p).any():
             raise ValueError(f"not a Howell form over Z/{n}")
-        solvable = solvable and not bad[s]
         delta = -(d // p) % (n // p)
         # only the pivot seed of row i is nonzero here, and its delta is 0
         X[:, c] += delta
@@ -554,7 +539,7 @@ def howell_kernel(H, n: int, rhs=None):
     # a unit pivot row adds delta * H[:i, c] = 0 to every residual above, so
     # those rows are solved together once the others are done
     X[:, cols[unit]] = -R[:, unit] % n
-    return (X[s] if solvable else None), X[:s]
+    return X
 
 
 def solve_mod(A, c, n: int):
@@ -565,17 +550,21 @@ def solve_mod(A, c, n: int):
     system has no solution.  A system with no equations has the identity
     kernel.
 
-    The Howell form of [A | c] has the same solutions as A x = c.  A row that
-    leads in the c column reads 0 = nonzero, so there is no solution;
-    otherwise its first k columns are a Howell form of A and back-substitution
-    (``howell_kernel``) against its last column gives both answers.
+    The solutions are the kernel vectors of [A | -c] that end in 1
+    (Storjohann and Mulders 1998).  A row of its Howell form that leads in
+    the last column reads 0 = nonzero, so there is no solution; otherwise
+    that column is free, and of the seeds ``howell_kernel`` returns, its
+    own, (x, 1) with A x = c, is the only one nonzero there.  The others
+    end in 0 and span the kernel of A.
     """
     A = _residues(A, n)
     m, k = A.shape
     cvec = _residues(np.reshape(c, (1, -1)), n)[0]
     if cvec.size != m:
         raise DimensionMismatchError(f"rhs has length {cvec.size}, matrix has {m} rows")
-    H = howell_form(np.hstack([A, cvec[:, None]]), n)
+    H = howell_form(np.hstack([A, -cvec[:, None] % n]), n)
     if H.shape[0] and not H[-1, :k].any():
         return None
-    return howell_kernel(H[:, :k], n, H[:, k])
+    X = howell_kernel(H, n)
+    last = X[:, k] != 0
+    return X[last][0, :k], X[~last, :k]

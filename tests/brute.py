@@ -184,3 +184,47 @@ def bicyclic_count(g: int, r: int, isotropic: bool) -> int:
             total *= planes * p ** ((k - 1) * d)
         p += 1
     return total
+
+
+def translation_orbit_count(r: int, d: int) -> int:
+    """Orbits of x -> x + d on Z/r, each walked until it closes."""
+    seen: set[int] = set()
+    orbits = 0
+    for x in range(r):
+        if x in seen:
+            continue
+        orbits += 1
+        while x not in seen:
+            seen.add(x)
+            x = (x + d) % r
+    return orbits
+
+
+def multiples_index(r: int, d: int) -> int:
+    """Index of dZ/r in Z/r: r over the number of distinct multiples of d."""
+    return r // len({k * d % r for k in range(r)})
+
+
+def cyclic_hom_count(coords, factors, r: int) -> int:
+    """Homomorphisms from the cyclic group generated by ``coords`` to Z/r,
+    listed by the image y of the generator: k*coords -> k*y is well defined
+    iff y is killed by the generator's order."""
+    order = element_order_brute(coords, factors)
+    return sum(1 for y in range(r) if order * y % r == 0)
+
+
+def consecutive_sum_mod(r: int) -> int:
+    """The sum of k over 0 <= k < r, taken mod r one term at a time."""
+    total = 0
+    for k in range(r):
+        total = (total + k) % r
+    return total
+
+
+def halving_solution_counts(taus, m: int) -> list[int]:
+    """For each tau in (Z/m)^k, how many x in (Z/m)^k have 2x + tau = 0,
+    by one scan of every x against every tau."""
+    T = np.asarray(taus, dtype=np.int64)
+    k = T.shape[1]
+    X = np.array(list(product(range(m), repeat=k)), dtype=np.int64)
+    return ((2 * X[None] + T[:, None]) % m == 0).all(axis=2).sum(axis=1).tolist()

@@ -10,12 +10,20 @@ bounds are asserted alongside the mathematical content.
 """
 
 import time
-from math import gcd
 
 import numpy as np
 import pytest
 
-from brute import span_closure, symplectic_value, vanishing_forms
+from brute import (
+    consecutive_sum_mod,
+    cyclic_hom_count,
+    halving_solution_counts,
+    multiples_index,
+    span_closure,
+    symplectic_value,
+    translation_orbit_count,
+    vanishing_forms,
+)
 from brauerkit.brauer import (
     MODE_ALL_PAIRS,
     MODE_PRIMITIVE_PAIRS,
@@ -32,6 +40,7 @@ from brauerkit.covers import (
     picard_quotient_order,
     prym_component_count,
     quotient_component_count,
+    twisted_norm_exponent,
 )
 from brauerkit.finab import FinAbGroup, element_order
 from brauerkit.sympl import SymplecticSpace, eval_form, weil_form
@@ -151,20 +160,29 @@ def test_criterion_4_component_count_table(announce):
     for r in range(2, 13):
         group = FinAbGroup((r,) * 4)
         tau = group.element([1, 0, 0, 0])
+        homs = cyclic_hom_count(tau.coords, group.invariant_factors, r)
+        twist = twisted_norm_exponent(r)
+        if twist != consecutive_sum_mod(r):
+            failures.append((r, twist))
         for d in range(r):
             model = CoverModel.from_tau(tau, d)
-            prym = prym_component_count(model)
-            quot = quotient_component_count(model)
-            pic = picard_quotient_order(r, d)
-            if not (prym == r and quot == gcd(r, d) and pic == quot):
-                failures.append((r, d, prym, quot, pic))
+            got = (
+                prym_component_count(model),
+                quotient_component_count(model),
+                picard_quotient_order(r, d),
+            )
+            want = (homs, translation_orbit_count(r, d), multiples_index(r, d))
+            if got != want:
+                failures.append((r, d, got, want))
             checked += 1
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 1.0
     announce(
         f"criterion 4: {'PASS' if ok else 'FAIL'} "
-        f"({checked} (r, d) pairs: component counts r and gcd(r, d), with the "
-        f"two gcd routes agreeing; {elapsed:.2f}s)"
+        f"({checked} (r, d) pairs: Prym, quotient and Picard counts against "
+        f"the listed homomorphisms <tau> -> Z/r, orbits of x -> x + d and "
+        f"multiples of d; twist exponents against the sum of k < r; "
+        f"{elapsed:.2f}s)"
     )
     assert not failures, failures
     assert elapsed < 1.0, elapsed
@@ -177,6 +195,7 @@ def test_criterion_5_fixed_locus_counts(announce):
     for g in (2, 3):
         group = FinAbGroup((4,) * (2 * g))
         expected = 2 ** (2 * g)
+        taus, counts = [], []
         for coords in np.ndindex(*([2] * (2 * g))):
             tau = group.element([2 * c for c in coords])
             if element_order(tau) != 2:
@@ -184,21 +203,22 @@ def test_criterion_5_fixed_locus_counts(announce):
             count = fixed_locus_count_r2(g, tau)
             if count not in (0, expected):
                 failures.append((g, tau.coords, count))
-            if g == 2:
-                brute = sum(
-                    1
-                    for x in np.ndindex(*([4] * 4))
-                    if all((2 * xi + ti) % 4 == 0 for xi, ti in zip(x, tau.coords))
-                )
-                if brute != count:
-                    failures.append((g, tau.coords, count, brute))
+            taus.append(tau.coords)
+            counts.append(count)
             checked += 1
+        brute = halving_solution_counts(taus, 4)
+        failures += [
+            (g, tau, count, b)
+            for tau, count, b in zip(taus, counts, brute)
+            if count != b
+        ]
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 5.0
     announce(
         f"criterion 5: {'PASS' if ok else 'FAIL'} "
         f"({checked} order-2 classes in (Z/4)^(2g), g in (2, 3): every count "
-        f"in (0, 2^(2g)), brute-forced over 256 points at g=2; {elapsed:.1f}s)"
+        f"in (0, 2^(2g)), brute-forced over 256 points at g=2 and 4,096 at "
+        f"g=3; {elapsed:.1f}s)"
     )
     assert not failures, failures
     assert elapsed < 5.0, elapsed

@@ -316,7 +316,8 @@ def test_memory_layout_does_not_change_a_result(n):
         c = rng.integers(0, n, size=len(M))
         rhs = rng.integers(0, n, size=len(H))
         want = (
-            _plain(howell_kernel(H, n, rhs)),
+            howell_kernel(H, n).tolist(),
+            _plain(solve_mod(H, rhs, n)),
             _plain(solve_mod(M, M[:, 0].copy(), n)),
             _plain(solve_mod(M, c, n)),
             howell_reduce(H, M, n).tolist(),
@@ -327,7 +328,8 @@ def test_memory_layout_does_not_change_a_result(n):
             assert out.dtype == np.int64 and out.flags.c_contiguous
             assert np.array_equal(out, H)
             got = (
-                _plain(howell_kernel(B, n, b[0])),
+                howell_kernel(B, n).tolist(),
+                _plain(solve_mod(B, b[0], n)),
                 _plain(solve_mod(A, A[:, 0], n)),
                 _plain(solve_mod(A, v[0], n)),
                 howell_reduce(B, A, n).tolist(),
@@ -448,6 +450,58 @@ def test_solve_mod_exhaustive_z6():
             assert len(brute) == len(span)
 
 
+# Systems whose Howell forms have pivots above 1, with the exact
+# (particular, kernel) solve_mod returns; a particular coordinate at a pivot
+# p is fixed only mod n/p, so these pin which of its p representatives
+# comes back
+_PINNED_SOLUTIONS = [
+    ([[2, 1], [0, 2]], [3, 2], 4, ([1, 1], [[2, 0], [1, 2]])),
+    (
+        [[2, 0, 1], [0, 2, 2]],
+        [3, 0],
+        4,
+        ([1, 1, 1], [[2, 0, 0], [0, 2, 0], [1, 0, 2]]),
+    ),
+    ([[2, 1], [0, 2]], [1, 1], 4, None),
+    (
+        [[4, 6, 3], [8, 2, 9]],
+        [5, 3],
+        12,
+        ([2, 1, 1], [[3, 0, 0], [0, 6, 0], [0, 3, 2]]),
+    ),
+    ([[6, 4], [3, 8]], [2, 1], 12, ([3, 2], [[4, 0], [0, 3]])),
+    ([[6, 4], [3, 8]], [1, 0], 12, None),
+    (
+        [[6, 4, 9], [12, 18, 3], [0, 6, 24]],
+        [29, 27, 18],
+        36,
+        ([5, 11, 7], [[6, 0, 0], [0, 18, 0], [0, 0, 12]]),
+    ),
+    ([[4, 10]], [30], 36, ([5, 1], [[9, 0], [4, 2]])),
+    (
+        [[2, 6, 1], [4, 0, 2]],
+        [35, 34],
+        2**31 - 2,
+        ([8, 3, 1], [[1073741823, 0, 0], [0, 357913941, 0], [1073741822, 0, 2]]),
+    ),
+    (
+        [[6, 24690], [0, 14]],
+        [1073902380, 1073741914],
+        2**31 - 2,
+        ([255652827, 76695851], [[357913941, 0], [153391689, 153391689]]),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "A, c, n, want",
+    _PINNED_SOLUTIONS,
+    ids=[f"n{case[2]}-{i}" for i, case in enumerate(_PINNED_SOLUTIONS)],
+)
+def test_solve_mod_pins_its_representatives(A, c, n, want):
+    assert _plain(solve_mod(A, c, n)) == want
+
+
 def _annihilator(rows, n: int, k: int) -> set[tuple[int, ...]]:
     """Every x in (Z/n)^k with v . x = 0 for each listed row v, by brute force."""
     X = np.array(list(itertools.product(range(n), repeat=k)), dtype=np.int64)
@@ -459,15 +513,17 @@ def _check_kernel_against_brute(M, n):
     k = M.shape[1]
     H = howell_form(M, n)
     span = span_closure(H, n)
-    particular, kernel = howell_kernel(H, n)
-    assert not particular.any()
+    kernel = howell_kernel(H, n)
     assert kernel.shape[1] == k
     ann = _annihilator(span, n, k)
     assert span_closure(kernel, n) == ann
     assert howell_span_order(howell_form(kernel, n), n) == n**k // len(span)
+    particular, again = solve_mod(H, np.zeros(len(H), dtype=np.int64), n)
+    assert not particular.any()
+    assert np.array_equal(again, kernel)
     # a right-hand side in the image of H: the particular solution solves it
     rhs = H @ (np.arange(1, k + 1) % n) % n
-    particular, again = howell_kernel(H, n, rhs)
+    particular, again = solve_mod(H, rhs, n)
     assert np.array_equal(H @ particular % n, rhs)
     assert np.array_equal(again, kernel)
 
@@ -517,7 +573,7 @@ def test_howell_kernel_wide_form(n):
         assert H.shape == (120, 120) and max(pivots) > 1
     else:
         assert H.shape == (119, 120) and max(pivots) == 1
-    particular, kernel = howell_kernel(H, n)
+    kernel = howell_kernel(H, n)
     assert kernel.shape[0] >= 1
     Hobj = H.astype(object)
     for v in kernel:
@@ -527,7 +583,7 @@ def test_howell_kernel_wide_form(n):
     assert order * howell_span_order(H, n) == n**120
     x = rng.integers(0, n, size=120).astype(object)
     rhs = Hobj.dot(x) % n
-    particular, _ = howell_kernel(H, n, rhs.astype(np.int64))
+    particular, _ = solve_mod(H, rhs.astype(np.int64), n)
     assert ((Hobj.dot(particular.astype(object)) - rhs) % n == 0).all()
 
 
@@ -547,16 +603,15 @@ def test_howell_kernel_at_a_prime_is_one_vector_per_free_column(n):
         for j, f in enumerate(free):
             expected[j, f] = 1
             expected[j, cols] = -H[:, f] % n
-        particular, kernel = howell_kernel(H, n)
-        assert kernel.tolist() == expected.tolist()
+        assert howell_kernel(H, n).tolist() == expected.tolist()
+        particular, _ = solve_mod(H, np.zeros(len(H), dtype=np.int64), n)
         assert particular.tolist() == [0] * shape[1]
 
 
 def test_howell_kernel_unsolvable_and_rejected():
-    # 2x = 1 has no solution mod 4; the kernel {0, 2} is still returned
-    particular, kernel = howell_kernel([[2]], 4, [1])
-    assert particular is None
-    assert span_closure(kernel, 4) == {(0,), (2,)}
+    # 2x = 1 has no solution mod 4; the kernel of 2x is {0, 2}
+    assert solve_mod([[2]], [1], 4) is None
+    assert span_closure(howell_kernel([[2]], 4), 4) == {(0,), (2,)}
     # increasing pivots, but the annihilator row (0, 2) of (2, 1) is missing
     with pytest.raises(ValueError):
         howell_kernel([[2, 1]], 4)
@@ -568,12 +623,13 @@ def test_howell_kernel_unsolvable_and_rejected():
     with pytest.raises(ValueError, match="not a Howell form"):
         howell_kernel([[1, 1, 0], [0, 1, 1]], 5)
     with pytest.raises(DimensionMismatchError):
-        howell_kernel([[1, 0]], 6, [1, 2])
+        solve_mod([[1, 0]], [1, 2], 6)
     with pytest.raises(ModulusTooLargeError):
         howell_kernel([[1, 0]], 2**31 + 1)
-    particular, kernel = howell_kernel(np.zeros((0, 3), dtype=np.int64), 6)
-    assert particular.tolist() == [0, 0, 0]
+    kernel = howell_kernel(np.zeros((0, 3), dtype=np.int64), 6)
     assert kernel.tolist() == np.eye(3, dtype=int).tolist()
+    particular, _ = solve_mod(np.zeros((0, 3), dtype=np.int64), [], 6)
+    assert particular.tolist() == [0, 0, 0]
 
 
 def _each_caller_input(entry):
@@ -584,7 +640,6 @@ def _each_caller_input(entry):
         "howell_reduce basis": lambda: howell_reduce(row, [[1, 2]], 5),
         "howell_reduce rows": lambda: howell_reduce([[1, 0]], row, 5),
         "howell_kernel": lambda: howell_kernel(row, 5),
-        "howell_kernel rhs": lambda: howell_kernel([[1, 0]], 5, [entry]),
         "solve_mod": lambda: solve_mod(row, [1], 5),
         "solve_mod rhs": lambda: solve_mod([[1, 0]], [entry], 5),
         "howell_span": lambda: howell_span(row, 5),
@@ -639,8 +694,9 @@ def test_unsigned_input_reduces_past_its_dtype(dtype, n):
         return {
             "howell_form": howell_form(f(M), n),
             "howell_reduce": howell_reduce(f(unit_rows), f(M), n),
-            "howell_kernel": howell_kernel(f(unit_rows), n, f(c)),
+            "howell_kernel": howell_kernel(f(unit_rows), n),
             "solve_mod": solve_mod(f(M), f(c), n),
+            "solve_mod unit rows": solve_mod(f(unit_rows), f(c), n),
             "howell_span": howell_span(f(quarter), n),
             "howell_span_order": howell_span_order(f(quarter), n),
         }
@@ -662,7 +718,7 @@ def test_empty_inputs_of_any_dtype_are_accepted():
         assert howell_form(empty, 6).shape == (0, 3)
         assert howell_reduce(empty, [[7, 3, 1]], 6).tolist() == [[1, 3, 1]]
         assert howell_span_order(empty, 6) == 1
-        assert howell_kernel(empty, 6)[1].tolist() == np.eye(3, dtype=int).tolist()
+        assert howell_kernel(empty, 6).tolist() == np.eye(3, dtype=int).tolist()
         assert solve_mod(empty, np.zeros(0, dtype=dtype), 6)[0].tolist() == [0, 0, 0]
 
 
