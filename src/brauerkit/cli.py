@@ -32,8 +32,8 @@ import stat
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
-from functools import partial
+from dataclasses import fields, replace
+from functools import cache, partial
 from itertools import product
 from math import gcd
 
@@ -112,6 +112,12 @@ _genus_range = partial(parse_range, least=1)
 _modulus_range = partial(parse_range, least=2)
 
 
+def _range(text: str) -> tuple[int, ...]:
+    """``parse_range`` with no floor, looked up when an argument is parsed
+    (the cached parser holds this function, not ``parse_range``)."""
+    return parse_range(text)
+
+
 def _verify_pair(args: tuple[int, int, int, str]):
     """Verify one (g, r) point; returns (g, r, payload, elapsed ms)."""
     g, r, cap, mode = args
@@ -124,47 +130,51 @@ def _verify_pair(args: tuple[int, int, int, str]):
     return g, r, payload, (time.perf_counter() - t0) * 1000.0
 
 
-def _cover_fields(g: int, r: int, d: int) -> dict:
+def _cover_fields(g: int, r: int, ds) -> list[dict]:
+    """The cover fields (``COVER_KEYS``) of (g, r) at each d in ``ds``.  The
+    covering class, its kernel and the Prym count depend on (g, r) alone, so
+    they are built once; only the quotient side is computed per d."""
     tau = FinAbGroup((r,) * (2 * g)).element([1] + [0] * (2 * g - 1))
-    model = CoverModel.from_tau(tau, d)
-    values = (
-        prym_component_count(model),
-        quotient_component_count(model),
-        picard_quotient_order(r, d),
-        twisted_norm_exponent(r),
-    )
-    return dict(zip(COVER_KEYS, values))
+    model = CoverModel.from_tau(tau, 0)
+    prym, twist = prym_component_count(model), twisted_norm_exponent(r)
+    return [
+        dict(zip(COVER_KEYS, (
+            prym,
+            quotient_component_count(replace(model, d=d)),
+            picard_quotient_order(r, d),
+            twist,
+        )))
+        for d in ds
+    ]
 
 
 def _build_records(args, cap: int) -> tuple[list[dict], int]:
     pair_args = [(g, r, cap, args.mode) for g, r in sorted(set(product(args.g, args.r)))]
     if args.jobs > 1 and len(pair_args) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts every worker at once, so start no more than points
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(pair_args))) as pool:
             outcomes = list(pool.map(_verify_pair, pair_args))
     else:
         outcomes = [_verify_pair(point) for point in pair_args]
-    results = {(g, r): payload for g, r, payload, _ in outcomes}
-    timings = {(g, r): ms for g, r, _, ms in outcomes}
 
+    # a point's verify fields, flags and timing are the same at every d
+    ds = sorted(args.d)
     records = []
     first_violation: str | None = None
     any_skipped = False
-    for g, r, d in sorted(product(args.g, args.r, args.d)):
-        payload = results[(g, r)]
-        record: dict = {"g": g, "r": r, "d": d}
+    for g, r, payload, ms in outcomes:
         if "cap_exceeded" in payload:
             any_skipped = True
-            record["status"] = "skipped-cap"
-            record.update({key: None for key in VERIFY_KEYS})
+            verified = {"status": "skipped-cap", **dict.fromkeys(VERIFY_KEYS)}
         else:
-            record["status"] = "ok"
-            record.update({key: payload[key] for key in VERIFY_KEYS})
-            for flag, value in InclusionReport(**payload).inclusion_flags().items():
-                if not value and first_violation is None:
-                    first_violation = f"{flag} at g={g} r={r} d={d}"
-        record.update(_cover_fields(g, r, d))
-        record["timing_ms"] = round(timings[(g, r)], 3) if args.timings else None
-        records.append(record)
+            verified = {"status": "ok", **{key: payload[key] for key in VERIFY_KEYS}}
+            flags = InclusionReport(**payload).inclusion_flags()
+            failed = [flag for flag, value in flags.items() if not value]
+            if failed and first_violation is None:
+                first_violation = f"{failed[0]} at g={g} r={r} d={ds[0]}"
+        timing = round(ms, 3) if args.timings else None
+        for d, cover in zip(ds, _cover_fields(g, r, ds)):
+            records.append({"g": g, "r": r, "d": d, **verified, **cover, "timing_ms": timing})
     if first_violation is not None:
         print(f"violation: {first_violation}", file=sys.stderr)
     return records, _exit_code(first_violation is None, any_skipped)
@@ -323,11 +333,12 @@ def cmd_bogomolov(args, cap: int) -> int:
 def cmd_components(args, _cap) -> int:
     ok = True
     print("r d prym quotient l twist")
-    for r, d in sorted(product(args.r, args.d)):
-        cover = _cover_fields(1, r, d)
-        prym, quot, pic = cover["prym_components"], cover["quotient_components"], cover["l"]
-        ok &= quot == pic == gcd(r, d) and prym == r
-        print(f"{r} {d} {prym} {quot} {pic} {cover['twist_exponent']}")
+    ds = sorted(args.d)
+    for r in sorted(args.r):
+        for d, cover in zip(ds, _cover_fields(1, r, ds)):
+            prym, quot, pic = cover["prym_components"], cover["quotient_components"], cover["l"]
+            ok &= quot == pic == gcd(r, d) and prym == r
+            print(f"{r} {d} {prym} {quot} {pic} {cover['twist_exponent']}")
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -544,10 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="inclusion checks over a (g, r, d) grid")
-    table.set_defaults(run=cmd_table)
     table.add_argument("--g", type=_genus_range, default="2..3")
     table.add_argument("--r", type=_modulus_range, default="2..5")
-    table.add_argument("--d", type=parse_range, default="0..2")
+    table.add_argument("--d", type=_range, default="0..2")
     table.add_argument(
         "--mode",
         choices=[MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS, "both"],
@@ -566,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     vg = sub.add_parser("verify-g", help="isotropic-vanishing submodule checks")
-    vg.set_defaults(run=cmd_verify_g)
     vg.add_argument("--g", type=_genus_range, default="2")
     vg.add_argument("--r", type=_modulus_range, default="2..5")
     vg.add_argument(
@@ -577,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     vg.add_argument("--cap", type=int, default=None)
 
     bg = sub.add_parser("bogomolov", help="intersected restriction kernels")
-    bg.set_defaults(run=cmd_bogomolov)
     bg.add_argument("--g", type=_genus_range, default="2")
     bg.add_argument("--r", type=_modulus_range, default="2..3")
     bg.add_argument("--family", choices=["isotropic", "all"], default="isotropic")
@@ -589,12 +597,10 @@ def build_parser() -> argparse.ArgumentParser:
     bg.add_argument("--cap", type=int, default=None)
 
     comp = sub.add_parser("components", help="covering-side component counts")
-    comp.set_defaults(run=cmd_components)
     comp.add_argument("--r", type=_modulus_range, default="2..12")
-    comp.add_argument("--d", type=parse_range, default="0..11")
+    comp.add_argument("--d", type=_range, default="0..11")
 
     st = sub.add_parser("selftest", help="deterministic property suites")
-    st.set_defaults(run=cmd_selftest)
     st.add_argument("--seed", type=int, default=0)
     st.add_argument(
         "--inject-fault",
@@ -607,15 +613,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's one parser, built on its first call: building one makes a help
+# formatter per argument, which costs more than a small table.  Parsing
+# leaves the parser as it was.  main looks up the command, the command the
+# library functions it calls, and --d's type parse_range, when they run, as
+# a new parser per call did, so a patch of one of them still holds.
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cap = _resolve_cap(args.cap) if "cap" in args else None
     except ValueError as exc:
         print(f"brauerkit: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    run = {
+        "table": cmd_table,
+        "verify-g": cmd_verify_g,
+        "bogomolov": cmd_bogomolov,
+        "components": cmd_components,
+        "selftest": cmd_selftest,
+    }[args.command]
     try:
-        return args.run(args, cap)
+        return run(args, cap)
     except ModulusTooLargeError as exc:
         print(f"brauerkit: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from brute import bicyclic_count
 
-from brauerkit import brauer, cli
+from brauerkit import brauer, cli, covers, sympl
 from brauerkit.brauer import FormSubmodule, InclusionReport
 from brauerkit.cli import (
     CSV_COLUMNS,
@@ -483,3 +483,111 @@ def test_cap_env_var_read_only_by_commands_with_cap(raw, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "cap" in captured.err.lower()
+
+
+def _golden_table_json():
+    case = GOLDEN_CASES["table-json"]
+    return case["argv"], (GOLDEN / "table-json.stdout").read_bytes().decode("utf-8")
+
+
+def test_main_builds_its_parser_once():
+    main(["components", "--r", "2", "--d", "0"])
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_a_usage_error_leaves_the_shared_parser_as_it_was(capsys, monkeypatch):
+    monkeypatch.delenv("BRAUERKIT_CAP", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--g", "abc"])
+    assert exc.value.code == EXIT_CONFIG
+    capsys.readouterr()
+    argv, golden = _golden_table_json()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == golden
+
+
+def test_a_patch_after_the_parser_is_built_still_holds(capsys, monkeypatch):
+    # the shared parser holds neither the commands nor the library functions
+    # they call, so patching cli after an earlier main call still takes effect
+    main(["components", "--r", "2", "--d", "0"])
+    capsys.readouterr()
+    ranges = []
+
+    def recorded_range(text, least=None):
+        ranges.append(text)
+        return parse_range(text, least)
+
+    monkeypatch.setattr(cli, "cmd_components", lambda args, cap: 7)
+    monkeypatch.setattr(cli, "parse_range", recorded_range)
+    assert main(["components", "--r", "2", "--d", "0..3"]) == 7
+    assert ranges == ["0..3"]
+    monkeypatch.undo()
+    real_verify = cli.verify_main_inclusions
+
+    def no_e_in_gprime(space, cap, mode):
+        report = real_verify(space, cap, mode)
+        return InclusionReport(**{**report.as_dict(), "e_in_gprime": False})
+
+    def capped(space, mode, cap):
+        raise CapExceededError("patched")
+
+    monkeypatch.setattr(cli, "verify_main_inclusions", no_e_in_gprime)
+    assert main(["table", "--g", "2", "--r", "2", "--d", "0..1"]) == EXIT_VIOLATION
+    assert capsys.readouterr().err == "violation: e_in_gprime at g=2 r=2 d=0\n"
+    monkeypatch.setattr(cli, "compute_G", capped)
+    assert main(["verify-g", "--g", "2", "--r", "2", "--mode", "all-pairs"]) == EXIT_CAP
+    assert capsys.readouterr().out == "g=2 r=2 mode=all-pairs skipped: patched\n"
+
+
+@pytest.mark.parametrize(
+    "argv, points",
+    [
+        (["table", "--g", "2..3", "--r", "2..3", "--d", "0..2"], 4),
+        (["components", "--r", "2..12", "--d", "0..11"], 11),
+    ],
+)
+def test_one_cover_model_per_point(argv, points, capsys, monkeypatch):
+    # the covering class and its kernel subgroup depend on (g, r) alone, so
+    # they are built once per point, not once per d
+    calls = []
+
+    def counted(parent, gens):
+        calls.append(parent)
+        return real(parent, gens)
+
+    real = covers.subgroup_from_generators
+    for module in (covers, cli, sympl):
+        monkeypatch.setattr(module, "subgroup_from_generators", counted)
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == points
+
+
+@pytest.mark.parametrize("jobs, points, workers", [(64, 2, 2), (2, 4, 2)])
+def test_the_jobs_pool_starts_no_more_workers_than_points(
+    jobs, points, workers, capsys, monkeypatch
+):
+    # a stand-in pool that records its size and starts no process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    argv = ["table", "--g", "2", "--r", f"2..{points + 1}", "--d", "0"]
+    assert main(argv) == EXIT_OK
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert main([*argv, "--jobs", str(jobs)]) == EXIT_OK
+    assert capsys.readouterr().out == serial
+    assert sizes == [workers]
