@@ -22,10 +22,9 @@ Howell form, so every result is canonical and runs are deterministic.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from math import gcd, prod
 
 import numpy as np
@@ -68,9 +67,6 @@ MODE_PRIMITIVE_PAIRS = "primitive-pairs"
 # bases of one prime power's chart per cut: a small point reaches its floor
 # within the first slice
 _SLICE = 96
-
-# held while with_pair claims the next entry of a shared store of added bases
-_GROWING = threading.Lock()
 
 
 @cache
@@ -311,11 +307,6 @@ class BicyclicFamily:
        power q of r, the bases of ``_chart`` over Z/q, whose members are
        the CRT combinations of one basis per q, the first q's outermost;
     3. the chart bases of the pairs that ``with_pair`` added, in order.
-       A ``with_pair`` chain shares one append-only store of them
-       (``_added_at``, basis -> position), of which each family owns the
-       first ``_n``; so growing a family copies none of its bases, unless
-       it is grown from a family that is no longer the store's tip, which
-       copies its own bases into a new store first.
 
     ``with_pair`` names the span of a pair by its chart basis
     (``_chart_key``), the one basis of it that ``_chart`` lists, and
@@ -343,10 +334,10 @@ class BicyclicFamily:
         self.space = space
         self._given, self._given_tags = members, provenance
         self._charts, self._tag, self._count = (), "", 0
-        self._added_at, self._n = {}, 0
+        self._added = ()
 
     def __len__(self) -> int:
-        return len(self._given) + self._count + self._n
+        return len(self._given) + self._count + len(self._added)
 
     def __iter__(self):
         return iter(self.members)
@@ -376,13 +367,8 @@ class BicyclicFamily:
 
     @cached_property
     def provenance(self) -> tuple[str, ...]:
-        added = ("user-supplied",) * self._n
+        added = ("user-supplied",) * len(self._added)
         return self._given_tags + (self._tag,) * self._count + added
-
-    @property
-    def _added(self) -> tuple:
-        """Part 3: this family's own prefix of the shared store."""
-        return tuple(islice(self._added_at, self._n))
 
     def _bases(self) -> np.ndarray:
         """The bases of parts 2 and 3 over Z/r, in member order, as one
@@ -398,11 +384,11 @@ class BicyclicFamily:
         return np.concatenate([bases, added])
 
     @cached_property
-    def _given_keys(self) -> frozenset:
-        """The dedupe set of part 1: the members given by hand, as
-        ``Subgroup`` values.  Part 2's is its chart's definition
-        (``_charted``), part 3's the positions in ``_added_at``."""
-        return frozenset(self._given)
+    def _keys(self) -> frozenset:
+        """The dedupe set of parts 1 and 3: the members given by hand, as
+        ``Subgroup`` values, and the added chart bases.  Part 2 is its
+        chart's definition (``_charted``)."""
+        return frozenset(self._given) | frozenset(self._added)
 
     def _charted(self, key) -> bool:
         """Whether part 2 holds the summand with chart basis ``key``:
@@ -475,36 +461,27 @@ class BicyclicFamily:
         ``ValueError`` unless the pair spans (Z/r)^2.  The pair is named by
         its chart basis (``_chart_key``, in Python ints), and this family
         comes back unchanged if it already holds that summand: the basis is
-        an added one (a position below ``_n`` in ``_added_at``) or in the
-        chart (``_charted``), or, when there are members given by hand, the
-        member it spans (``_members_of``) is one of them (``_given_keys``),
-        compared as a canonical ``Subgroup``.  Otherwise the grown family
-        has this family's parts and the new basis added, in constant time
-        along a chain; no member or minor row is built until one is read.
-        If this family's intersection is already computed, the grown
-        family's is seeded from it: this intersection cut by the new basis's
-        one minor row, in place of cutting by every part.
+        an added one (``_keys``) or in the chart (``_charted``), or, when
+        there are members given by hand, the member it spans
+        (``_members_of``) is one of them, compared as a canonical
+        ``Subgroup``.  Otherwise the grown family has this family's parts
+        and the new basis added; no member or minor row is built until one
+        is read.  If this family's intersection is already computed, the
+        grown family's is seeded from it: this intersection cut by the new
+        basis's one minor row, in place of cutting by every part.
         """
         space = self.space
         if sigma.parent != space.group or tau.parent != space.group:
             raise ValueError("generator belongs to a different group")
         _check_modulus(space.r)
         key = _chart_key(space, (sigma.coords, tau.coords))
-        at, n = self._added_at, self._n
-        if at.get(key, n) < n or self._charted(key):
+        if key in self._keys or self._charted(key):
             return self
-        if self._given and _members_of(space, np.array([key]))[0] in self._given_keys:
+        if self._given and _members_of(space, np.array([key]))[0] in self._keys:
             return self
         grown = BicyclicFamily(space, self._given, self._given_tags)
-        if "_given_keys" in vars(self):
-            grown._given_keys = self._given_keys
         grown._charts, grown._tag, grown._count = self._charts, self._tag, self._count
-        with _GROWING:
-            # entry n of the store is another family's unless it is this key
-            if len(at) > n and at.get(key) != n:
-                at = dict(islice(at.items(), n))
-            at.setdefault(key, n)
-        grown._added_at, grown._n = at, n + 1
+        grown._added, grown._keys = self._added + (key,), self._keys | {key}
         if "_intersection" in vars(self):
             rows = _basis_rows(np.array([key], dtype=np.int64), space.r)
             grown._intersection = _cut(space, rows, self._intersection)

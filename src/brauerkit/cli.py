@@ -112,12 +112,6 @@ _genus_range = partial(parse_range, least=1)
 _modulus_range = partial(parse_range, least=2)
 
 
-def _range(text: str) -> tuple[int, ...]:
-    """``parse_range`` with no floor, looked up when an argument is parsed
-    (the cached parser holds this function, not ``parse_range``)."""
-    return parse_range(text)
-
-
 def _verify_pair(args: tuple[int, int, int, str]):
     """Verify one (g, r) point; returns (g, r, payload, elapsed ms)."""
     g, r, cap, mode = args
@@ -555,9 +549,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="inclusion checks over a (g, r, d) grid")
+    table.set_defaults(run="cmd_table")
     table.add_argument("--g", type=_genus_range, default="2..3")
     table.add_argument("--r", type=_modulus_range, default="2..5")
-    table.add_argument("--d", type=_range, default="0..2")
+    table.add_argument("--d", type=parse_range, default="0..2")
     table.add_argument(
         "--mode",
         choices=[MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS, "both"],
@@ -576,6 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     vg = sub.add_parser("verify-g", help="isotropic-vanishing submodule checks")
+    vg.set_defaults(run="cmd_verify_g")
     vg.add_argument("--g", type=_genus_range, default="2")
     vg.add_argument("--r", type=_modulus_range, default="2..5")
     vg.add_argument(
@@ -586,6 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     vg.add_argument("--cap", type=int, default=None)
 
     bg = sub.add_parser("bogomolov", help="intersected restriction kernels")
+    bg.set_defaults(run="cmd_bogomolov")
     bg.add_argument("--g", type=_genus_range, default="2")
     bg.add_argument("--r", type=_modulus_range, default="2..3")
     bg.add_argument("--family", choices=["isotropic", "all"], default="isotropic")
@@ -597,10 +594,12 @@ def build_parser() -> argparse.ArgumentParser:
     bg.add_argument("--cap", type=int, default=None)
 
     comp = sub.add_parser("components", help="covering-side component counts")
+    comp.set_defaults(run="cmd_components")
     comp.add_argument("--r", type=_modulus_range, default="2..12")
-    comp.add_argument("--d", type=_range, default="0..11")
+    comp.add_argument("--d", type=parse_range, default="0..11")
 
     st = sub.add_parser("selftest", help="deterministic property suites")
+    st.set_defaults(run="cmd_selftest")
     st.add_argument("--seed", type=int, default=0)
     st.add_argument(
         "--inject-fault",
@@ -615,9 +614,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 # main's one parser, built on its first call: building one makes a help
 # formatter per argument, which costs more than a small table.  Parsing
-# leaves the parser as it was.  main looks up the command, the command the
-# library functions it calls, and --d's type parse_range, when they run, as
-# a new parser per call did, so a patch of one of them still holds.
+# leaves the parser as it was.  The parser names each command (run), and
+# main looks it up when it runs, as the command looks up the library
+# functions it calls, so a patch of one of them still holds.
 _parser = cache(build_parser)
 
 
@@ -628,15 +627,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"brauerkit: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    run = {
-        "table": cmd_table,
-        "verify-g": cmd_verify_g,
-        "bogomolov": cmd_bogomolov,
-        "components": cmd_components,
-        "selftest": cmd_selftest,
-    }[args.command]
     try:
-        return run(args, cap)
+        return globals()[args.run](args, cap)
     except ModulusTooLargeError as exc:
         print(f"brauerkit: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,8 +2,6 @@ import ast
 import dataclasses
 import random
 import re
-import sys
-import threading
 from collections import Counter
 from itertools import combinations, product
 from functools import cache
@@ -1295,7 +1293,7 @@ def test_a_member_of_order_r_squared_that_is_no_summand_is_its_own_key():
     member = subgroup_from_generators(sp.group, gens)
     assert member.order == 16 and sorted(member.invariant_factors()) == [2, 2, 4]
     fam = BicyclicFamily(sp, (member,), ("by-hand",))
-    assert member in fam._given_keys
+    assert member in fam._keys
     wider = fam.with_pair(sp.a(1), sp.b(1))
     assert len(wider) == 2 and wider.members[0] == member
     stacked = BicyclicFamily(sp, wider.members, wider.provenance)
@@ -1619,7 +1617,7 @@ def test_with_pair_on_an_enumerated_family_builds_no_generator_rows(
     assert "_intersection" in wider.__dict__
     assert not {"members", "provenance"} & (fam.__dict__.keys() | wider.__dict__.keys())
     # the chart is tested by its definition: no chart basis is in a key set
-    assert not (fam._given_keys or fam._added) and len(wider._added) == 1
+    assert not fam._keys and len(wider._keys) == 1
     monkeypatch.undo()
     stacked = BicyclicFamily(sp, wider.members, wider.provenance)
     assert bogomolov_intersection(sp, wider) == bogomolov_intersection(sp, stacked)
@@ -1647,7 +1645,7 @@ def test_with_pair_on_an_enumerated_family_is_a_chart_membership_test(g, r):
             assert (fam.with_pair(x, y) is fam) == (span in members), (x, y)
             kept[span in members] += 1
         assert kept[True] and bool(kept[False]) == isotropic, kept
-        assert not (fam._given_keys or fam._added)
+        assert not fam._keys
 
 
 def test_growing_a_family_with_a_foreign_member_still_names_it(monkeypatch):
@@ -1814,86 +1812,3 @@ def test_report_as_dict_is_asdict_in_a_fresh_dict(mode):
     assert d is not rep.as_dict()
     d["g"] = 99
     assert rep.as_dict()["g"] == 2
-
-
-def _chain(parent, pairs):
-    for x, y in pairs:
-        parent = parent.with_pair(x, y)
-    return parent
-
-
-def test_families_branched_from_one_parent_see_only_their_own_bases():
-    # a with_pair chain shares one store of added bases; a family grown from
-    # a parent that is no longer the store's tip copies its own bases first
-    sp = SymplecticSpace(g=2, r=7)
-    pairs = [(sp.a(1) + k * sp.a(2), sp.b(1)) for k in range(6)]
-    parent = _chain(BicyclicFamily(sp, (), ()), pairs[:3])
-    bogomolov_intersection(sp, parent)  # so each branch's cut is seeded
-    left = parent.with_pair(*pairs[3])  # the parent is the store's tip
-    right = parent.with_pair(*pairs[4])  # it is not: right copies
-    again = parent.with_pair(*pairs[3])  # the store's next entry: shared
-    assert left._added_at is parent._added_at is again._added_at
-    assert right._added_at is not parent._added_at
-    cases = [
-        (parent, pairs[:3]),
-        (left, pairs[:4]),
-        (again, pairs[:4]),
-        (right, pairs[:3] + [pairs[4]]),
-        (left.with_pair(*pairs[5]), pairs[:4] + [pairs[5]]),
-        (right.with_pair(*pairs[5]), pairs[:3] + [pairs[4], pairs[5]]),
-        (parent.with_pair(*pairs[5]), pairs[:3] + [pairs[5]]),
-    ]
-    assert left == again and left != right
-    for fam, own in cases:
-        assert len(fam) == len(own)
-        assert fam.members == tuple(subgroup_from_generators(sp.group, p) for p in own)
-        assert fam.provenance == ("user-supplied",) * len(own)
-        by_hand = BicyclicFamily(sp, fam.members, fam.provenance)
-        assert fam == by_hand and hash(fam) == hash(by_hand)
-        assert bogomolov_intersection(sp, fam) == bogomolov_intersection(sp, by_hand)
-        assert all(fam.with_pair(*p) is fam for p in own)
-        others = [p for p in pairs if p not in own]
-        assert all(len(fam.with_pair(*p)) == len(own) + 1 for p in others)
-
-
-def test_a_with_pair_chain_shares_one_store():
-    # growing a chain copies no added basis: every family of it reads a
-    # prefix of one store
-    sp = SymplecticSpace(g=2, r=10007)
-    chain = [BicyclicFamily(sp, (), ())]
-    for k in range(300):
-        chain.append(chain[-1].with_pair(sp.a(1) + k * sp.a(2), sp.b(1)))
-    assert len({id(fam._added_at) for fam in chain}) == 1
-    assert [len(fam) for fam in chain] == list(range(301))
-    assert chain[-1]._added[:100] == chain[100]._added
-
-
-def test_with_pair_from_many_threads_keeps_each_familys_bases():
-    # threads that grow one parent at once each get their own bases
-    sp = SymplecticSpace(g=2, r=1009)
-    parent = BicyclicFamily(sp, (), ()).with_pair(sp.a(1), sp.a(2))
-    threads, rounds = 4, 150
-    failures, done = [], []
-
-    def grow(t):
-        for k in range(rounds):
-            j = 2 * (t * rounds + k) + 1
-            ps = [(sp.a(1) + j * sp.a(2), sp.b(1)), (sp.a(1) + (j + 1) * sp.a(2), sp.b(1))]
-            fam = _chain(parent, ps)
-            want = tuple(brauer._chart_key(sp, (x.coords, y.coords)) for x, y in ps)
-            if fam._added != parent._added + want:
-                failures.append((t, k))
-        done.append(t)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=grow, args=(t,)) for t in range(threads)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(w.is_alive() for w in workers)
-    assert sorted(done) == list(range(threads)) and failures == []
