@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from math import gcd, prod
+from operator import mul
 
 import numpy as np
 
@@ -64,26 +65,68 @@ __all__ = [
 MODE_ALL_PAIRS = "all-pairs"
 MODE_PRIMITIVE_PAIRS = "primitive-pairs"
 
-# bases of one prime power's chart per cut: a small point reaches its floor
-# within the first slice
-_SLICE = 96
+# the bases of Miller-Rabin: with all of them, a strong probable prime below
+# 3.3 * 10^24 is prime
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to every base of ``_WITNESSES``, for n > 41 with no
+    factor among them: exact below 3.3 * 10^24, a strong probable-prime
+    test past it."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _factor(n: int) -> list[int]:
+    """The prime factors of n >= 1 with multiplicity, unordered: the primes
+    of ``_WITNESSES`` by division, then Pollard's rho (x -> x^2 + c, Floyd's
+    cycle) splits each composite part left."""
+    factors = []
+    for p in _WITNESSES:
+        while n % p == 0:
+            n //= p
+            factors.append(p)
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if _is_prime(m):
+            factors.append(m)
+            continue
+        d, c = m, 0
+        while d == m:  # a c whose cycle closes mod m as a whole: take the next
+            x = y = 2
+            d, c = 1, c + 1
+            while d == 1:
+                x = (x * x + c) % m
+                y = (y * y + c) % m
+                y = (y * y + c) % m
+                d = gcd(x - y, m)
+        parts += [d, m // d]
+    return factors
 
 
 @cache
 def _prime_powers(n: int) -> tuple[tuple[int, int, int], ...]:
     """(p, q, u) for each prime power q = p^k exactly dividing n, p
     ascending, u the CRT unit of q (1 mod q, 0 mod n / q); cached, since
-    every ``with_pair`` call reads it."""
-    out, m, p = [], n, 2
-    while m > 1:
-        if p * p > m:
-            p = m  # what is left is prime
-        q = 1
-        while m % p == 0:
-            m, q = m // p, q * p
-        if q > 1:
-            out.append((p, q, (n // q) * pow(n // q, -1, q) % n))
-        p += 1
+    every ``with_pair`` call reads it.  The primes come from ``_factor``."""
+    factors, out = _factor(n), []
+    for p in sorted(set(factors)):
+        q = p ** factors.count(p)
+        out.append((p, q, (n // q) * pow(n // q, -1, q) % n))
     return tuple(out)
 
 
@@ -303,21 +346,24 @@ class BicyclicFamily:
 
     1. the ``Subgroup`` members given by hand (``BicyclicFamily(space,
        members, provenance)``);
-    2. an enumerator's chart (``_enumerate_bicyclics``): for each prime
-       power q of r, the bases of ``_chart`` over Z/q, whose members are
-       the CRT combinations of one basis per q, the first q's outermost;
+    2. an enumerator's chart (``_enumerate_bicyclics``), held as its tag
+       and closed-form count alone, since the chart is a function of
+       (space, tag): for each prime power q of r, the bases that
+       ``_block`` lists over Z/q, whose members are the CRT combinations
+       of one basis per q, the first q's outermost;
     3. the chart bases of the pairs that ``with_pair`` added, in order.
 
     ``with_pair`` names the span of a pair by its chart basis
-    (``_chart_key``), the one basis of it that ``_chart`` lists, and
+    (``_chart_key``), the one basis of it that the chart lists, and
     matches a member given by hand as the ``Subgroup`` it is.  ``len``,
     ``hash`` and the intersection need no member: ``members`` builds those
-    of parts 2 and 3 from ``_bases`` on first read (``_members_of``).
-    Families compare by (space, members, provenance), so a grown or
-    enumerated family equals the family built by hand from its members,
-    and hash by (space, len), which equal families share.  Two families
-    with the same parts are equal with no member built; members are
-    compared only when the parts differ.
+    of parts 2 and 3 from ``_bases`` on first read (``_members_of``), and
+    only there is a chart listed whole (``_chart``) and its listed count
+    checked against ``len``.  Families compare by (space, members,
+    provenance), so a grown or enumerated family equals the family built
+    by hand from its members, and hash by (space, len), which equal
+    families share.  Two families with the same parts are equal with no
+    member built; members are compared only when the parts differ.
 
     The intersection of the members' restriction kernels is computed on
     first use and cached (``bogomolov_intersection`` returns it).  A form
@@ -333,7 +379,7 @@ class BicyclicFamily:
             raise ValueError("one provenance tag per member")
         self.space = space
         self._given, self._given_tags = members, provenance
-        self._charts, self._tag, self._count = (), "", 0
+        self._tag, self._count = "", 0
         self._added = ()
 
     def __len__(self) -> int:
@@ -349,11 +395,7 @@ class BicyclicFamily:
             return False
         # equal parts hold equal members and provenance, with none built
         parts = (self._given, self._given_tags, self._tag, self._added)
-        if (
-            parts == (other._given, other._given_tags, other._tag, other._added)
-            and len(self._charts) == len(other._charts)
-            and all(map(np.array_equal, self._charts, other._charts))
-        ):
+        if parts == (other._given, other._given_tags, other._tag, other._added):
             return True
         return (self.members, self.provenance) == (other.members, other.provenance)
 
@@ -375,11 +417,24 @@ class BicyclicFamily:
         n x 2 x 2g array: every combination of one chart basis per q, each
         lifted by the CRT unit of q (1 mod q, 0 mod r / q) and summed mod r,
         the first q's bases outermost, then the added bases.  The one place
-        a Z/r chart basis is formed."""
-        r, d = self.space.r, self.space.dim
+        a Z/r chart basis is formed, and the one reader of whole charts
+        (``_chart``): a count of chart bases that differs from the closed
+        form, ``_count``, is a bug (``RuntimeError`` naming the family, g
+        and r)."""
+        space, r, d = self.space, self.space.r, self.space.dim
         bases = np.zeros((1 if self._count else 0, 2, d), dtype=np.int64)
-        for (_, _, unit), chart in zip(_prime_powers(r), self._charts):
-            bases = ((bases[:, None] + unit * chart[None]) % r).reshape(-1, 2, d)
+        if self._count:
+            iso = self._tag == "isotropic-pair"
+            prime_powers = _prime_powers(r)
+            charts = [_chart(space, p, q, iso) for p, q, _ in prime_powers]
+            if (listed := prod(map(len, charts))) != self._count:
+                raise RuntimeError(
+                    f"the {'isotropic' if iso else 'all'} bicyclic chart at "
+                    f"g = {space.g}, r = {r} lists {listed} bases, not the "
+                    f"{self._count} members of the closed form"
+                )
+            for (_, _, unit), chart in zip(prime_powers, charts):
+                bases = ((bases[:, None] + unit * chart[None]) % r).reshape(-1, 2, d)
         added = np.array(self._added, dtype=np.int64).reshape(-1, 2, d)
         return np.concatenate([bases, added])
 
@@ -395,7 +450,7 @@ class BicyclicFamily:
         ``all_bicyclics`` holds every (Z/r)^2 summand and
         ``isotropic_bicyclics`` those with e(x, y) = 0 mod r, since a span is
         isotropic iff its basis is."""
-        if not self._charts:
+        if not self._count:
             return False
         if self._tag != "isotropic-pair":
             return True
@@ -412,18 +467,25 @@ class BicyclicFamily:
         generator-pair rows of its members; ``ValueError`` names the first
         member that is not a subgroup of the space's module.  Part 2 is cut
         one prime power q at a time over ``SymplecticSpace(g, q)``, by the
-        minor rows of ``_SLICE`` of q's chart bases per cut, until the cut
-        has the order of the chart's floor mod q: q for span(e)
-        (``isotropic_bicyclics``), 1 for {0} (``all_bicyclics``).  The stop
-        is exact: the floor kills every chart basis (an isotropic one has
-        e(x, y) = 0 mod q), so it lies in every cut, and a cut of its order
-        is the floor, which the cuts still to come leave as it is.  A form
-        kills a CRT sum of bases (b_q) iff it kills each b_q mod q, and with
-        ``_count`` > 0 every chart is nonempty, so part 2 is spanned by the
-        per-q cuts lifted by their CRT units (at prime-power r, the one
-        cut).  Part 3 is one cut by one minor row per added basis, after any
-        stop, since an added basis need not be isotropic.  A cut that cuts
-        nothing costs one product.
+        minor rows of a slice of 2 * form_rank of q's chart bases per cut,
+        read in ``_read``'s order (a small-entry sample round-robin over the
+        pivot blocks, then the rest of the chart in member order), until the
+        cut has the order of the chart's floor mod q: q for span(e)
+        (``isotropic_bicyclics``), 1 for {0} (``all_bicyclics``).  The floor
+        is the kernel of form_rank - 1 independent rows (isotropic) or
+        form_rank (all), so a slice of twice that reaches it from a good
+        sample in one cut, and stays a near-square Howell input, which a
+        fixed slice much taller than its form_rank columns is not.  The
+        stop is exact, and the read order changes no value: the floor
+        kills every chart basis (an isotropic one has e(x, y) = 0 mod q), so
+        it lies in every cut, and a cut of its order is the floor, which the
+        cuts still to come leave as it is.  A form kills a CRT sum of bases
+        (b_q) iff it kills each b_q mod q, and with ``_count`` > 0 every
+        chart is nonempty, so part 2 is spanned by the per-q cuts lifted by
+        their CRT units (at prime-power r, the one cut).  Part 3 is one cut
+        by one minor row per added basis, after any stop, since an added
+        basis need not be isotropic.  A cut that cuts nothing costs one
+        product.
         """
         space, r, sub = self.space, self.space.r, None
         if self._given:
@@ -436,12 +498,14 @@ class BicyclicFamily:
             sub = _cut(space, _generator_rows(space, self._given))
         elif self._count:
             iso = self._tag == "isotropic-pair"
-            lifts = []
-            for (_, q, unit), chart in zip(_prime_powers(r), self._charts):
+            step, lifts = 2 * space.form_rank, []
+            for p, q, unit in _prime_powers(r):
                 sq = space if q == r else SymplecticSpace(space.g, q)
-                sub = None
-                for k in range(0, len(chart), _SLICE):
-                    sub = _cut(sq, _basis_rows(chart[k : k + _SLICE], q), sub)
+                bases, sub = _read(space.dim, p, q, iso), None
+                for chunk in iter(lambda: list(islice(bases, step)), []):
+                    # through _residues, which refuses q > 2^31 first
+                    B = _residues([x + y for x, y in chunk], q, 2 * space.dim)
+                    sub = _cut(sq, _basis_rows(B.reshape(-1, 2, space.dim), q), sub)
                     if sub.order == (q if iso else 1):
                         break
                 lifts.append(unit * sub._matrix % r)
@@ -480,7 +544,7 @@ class BicyclicFamily:
         if self._given and _members_of(space, np.array([key]))[0] in self._keys:
             return self
         grown = BicyclicFamily(space, self._given, self._given_tags)
-        grown._charts, grown._tag, grown._count = self._charts, self._tag, self._count
+        grown._tag, grown._count = self._tag, self._count
         grown._added, grown._keys = self._added + (key,), self._keys | {key}
         if "_intersection" in vars(self):
             rows = _basis_rows(np.array([key], dtype=np.int64), space.r)
@@ -553,54 +617,142 @@ def _members_of(space: SymplecticSpace, B: np.ndarray) -> tuple[Subgroup, ...]:
     return tuple(members)
 
 
-def _chart(space: SymplecticSpace, p: int, q: int, isotropic: bool) -> np.ndarray:
-    """Bases (x, y) of the free rank-2 summands of (Z/q)^(2g), q = p^k, one
-    per summand (isotropic ones only when ``isotropic``), as one n x 2 x 2g
-    array ordered by pivot pair (c1, c2) and, within a pivot pair,
-    lexicographically.
+def _entries(d: int, c: int, z: int, before, after) -> list:
+    """The entries, per coordinate, of a chart row with 1 at c and 0 at z:
+    ``before`` before c, ``after`` elsewhere."""
+    row = [before] * c + [(1,)] + [after] * (d - c - 1)
+    row[z] = (0,)
+    return row
+
+
+def _lex(entries):
+    """The tuples of the product of ``entries``, lexicographically, last
+    coordinate fastest; unlike ``itertools.product`` it copies no range, so
+    a row over Z/q with q = 2^31 - 1 costs nothing until it is read."""
+    if not entries:
+        yield ()
+        return
+    *head, last = entries
+    for prefix in _lex(head):
+        for v in last:
+            yield (*prefix, v)
+
+
+def _solve(a: int, b: int, m: int, q: int) -> range:
+    """The t in mZ/q with a t = b mod q, ascending: t = m s, and (a m) s = b
+    has a solution iff h = gcd(a m, q) divides b, then one s mod q / h."""
+    h = gcd(a * m, q)
+    if b % h:
+        return range(0)
+    n = q // h
+    return range(m * (b // h * pow(a * m // h, -1, n) % n), q, m * n)
+
+
+def _block(d: int, p: int, q: int, c1: int, c2: int, isotropic: bool, small=None):
+    """The bases (x, y), coordinate tuples, of the chart of (Z/q)^d with
+    pivot columns c1 < c2, q = p^k (isotropic ones only when
+    ``isotropic``), x outermost, each row lexicographic over its
+    ``_entries``: without ``small``, every basis in member order, each free
+    entry over its whole range; with it, the sample of the bases whose free
+    entries are drawn from ``small`` = (entries before the row's pivot,
+    entries after it), as ``_read`` passes them.
 
     Reduced mod p, a summand is a plane with pivot columns c1 < c2, and it
     has exactly one basis with x_c1 = y_c2 = 1, x_c2 = y_c1 = 0, x_j = 0
     mod p for j < c1 and y_j = 0 mod p for j < c2; every other entry is
     free.  That is the Schubert-cell chart of Gr(2, 2g) read over Z/q.
+
+    An isotropic y is not filtered from the y's of x: e(x, y) is linear in
+    y, with coefficient +-x_j^1 at y_j (j^1 the partner of j, a_i <-> b_i),
+    so one free coordinate s of y is solved for (``_solve``) from the
+    others.  In member order s is the last, which keeps the order and
+    yields every solution; the sample takes the s whose x_s^1 m_s has the
+    least gcd with q, a unit wherever x allows one, and its least solution,
+    so no scan of y's comes back empty.  An x with no isotropic y at all
+    (x_c2^1, the coefficient at y_c2 = 1, not a multiple of that gcd) is
+    skipped with no y read, and the one block with no isotropic basis,
+    (c1, c2) = (2g - 1, 2g) counted from 1, yields nothing with no x read.
     """
+    if small:
+        lex, (before, after) = (lambda entries: product(*entries)), small
+    else:
+        lex, before, after = _lex, range(0, q, p), range(q)
+    X, Y = _entries(d, c1, c2, before, after), _entries(d, c2, c1, before, after)
+    if not isotropic:
+        for x in lex(X):
+            for y in lex(Y):
+                yield x, y
+        return
+    if (c1, c2) == (d - 2, d - 1):
+        return  # every other entry is a multiple of p, so e(x, y) = 1 mod p
+    free = [j for j in range(d) if j != c1 and j != c2]
+    steps = [p if j < c2 else 1 for j in free]
+    for x in lex(X):
+        gains = [gcd(x[j ^ 1] * m, q) for j, m in zip(free, steps)]
+        least = min(gains)
+        if x[c2 ^ 1] % least:
+            continue
+        k = len(free) - 1 - (gains[::-1].index(least) if small else 0)
+        s, m = free[k], steps[k]
+        a, xa, xb = (x[s ^ 1] if s % 2 else -x[s ^ 1]), x[::2], x[1::2]
+        for y in lex(Y[:s] + [(0,)] + Y[s + 1 :]):
+            e = sum(map(mul, xa, y[1::2])) - sum(map(mul, xb, y[::2]))
+            for t in _solve(a, -e, m, q):
+                yield x, (*y[:s], t, *y[s + 1 :])
+                if small:
+                    break
+
+
+def _chart(space: SymplecticSpace, p: int, q: int, isotropic: bool) -> np.ndarray:
+    """The whole chart of q = p^k (isotropic bases only when
+    ``isotropic``), in member order, as one n x 2 x 2g array: the blocks of
+    ``_block`` by pivot pair (c1, c2), each in member order.  Only
+    ``BicyclicFamily._bases``, for ``members``, lists a chart whole."""
     d = space.dim
-    C = weil_form(space).full_matrix()
+    blocks = (_block(d, p, q, c1, c2, isotropic) for c1, c2 in combinations(range(d), 2))
+    return np.array(list(chain.from_iterable(blocks)), dtype=np.int64).reshape(-1, 2, d)
 
-    def rows(c: int, z: int) -> np.ndarray:
-        # 1 at c, 0 at z, a multiple of p before c, anything after
-        entries = [range(0, q, p) if j < c else range(q) for j in range(d)]
-        entries[c], entries[z] = (1,), (0,)
-        return np.array(list(product(*entries)), dtype=np.int64)
 
-    blocks = []
-    for c1, c2 in combinations(range(d), 2):
-        X, Y = rows(c1, c2), rows(c2, c1)
-        if isotropic:
-            i, j = np.nonzero((X @ C % q) @ Y.T % q == 0)
-        else:
-            i, j = np.divmod(np.arange(len(X) * len(Y)), len(Y))
-        blocks.append(np.stack([X[i], Y[j]], axis=1))
-    return np.concatenate(blocks)
+def _read(d: int, p: int, q: int, isotropic: bool):
+    """The bases of q's chart in the order the cut reads them, each once:
+    the small-entry samples of the pivot blocks (``_block``), whose free
+    entries are 0, m and -m alone, m = p before a row's pivot and 1 after
+    it, one basis of each block in turn until each block's sample runs
+    out, then the rest of every block in member order.  Nothing is listed
+    ahead of its read."""
+    pivots = list(combinations(range(d), 2))
+    small = tuple(tuple(dict.fromkeys((0, m, -m % q))) for m in (p % q, 1))
+    samples = [_block(d, p, q, c1, c2, isotropic, small) for c1, c2 in pivots]
+    offered = set()
+    while samples:
+        for sample in tuple(samples):
+            if (basis := next(sample, None)) is None:
+                samples.remove(sample)
+            else:
+                offered.add(basis)
+                yield basis
+    for c1, c2 in pivots:
+        for basis in _block(d, p, q, c1, c2, isotropic):
+            if basis not in offered:
+                yield basis
 
 
 def _enumerate_bicyclics(
     space: SymplecticSpace, isotropic_only: bool, cap: int
 ) -> BicyclicFamily:
-    """The family listed from the chart of each prime power q = p^k exactly
-    dividing r (``_chart``), kept as its chart (part 2 of a
-    ``BicyclicFamily``): no element pair, member or minor row is listed.
+    """The family of the chart of each prime power q = p^k exactly
+    dividing r, kept as part 2 of a ``BicyclicFamily``: its tag and its
+    closed-form member count, which is its ``len``.  Nothing is listed: the
+    cut reads each q's chart lazily (``_read``), and ``members`` lists it
+    whole (``_chart``), checking its count there.
 
-    The cap is charged with the closed-form member count before any chart
-    is listed (``CapExceededError`` past it).  The count of chart bases,
-    the product over q of each chart's size, is the family's ``len``; one
-    that differs from the closed form is a bug (``RuntimeError`` naming the
-    family, g and r).
+    The cap is charged with the closed-form member count
+    (``CapExceededError`` past it).
     """
     r, g, n = space.r, space.g, space.dim
     iso = int(isotropic_only)
-    prime_powers, count = _prime_powers(r), 1
-    for p, q, _ in prime_powers:
+    count = 1
+    for p, q, _ in _prime_powers(r):
         # F_p^n has (p^n - 1)(p^(n-1) - 1) / ((p - 1)(p^2 - 1)) planes, with
         # p^(n-2) for p^(n-1) the isotropic ones (none at g = 1); each lifts
         # to p^((k-1)d) summands over Z/q, d = 4g - 4, or 4g - 5 if isotropic
@@ -608,16 +760,8 @@ def _enumerate_bicyclics(
         count *= planes * (q // p) ** (4 * g - 4 - iso) if planes else 0
     if count > cap:
         raise CapExceededError(f"family of {count} members exceeds cap {cap}")
-    charts = tuple(_chart(space, p, q, isotropic_only) for p, q, _ in prime_powers)
-    listed = prod(map(len, charts))
-    if listed != count:
-        kind = "isotropic" if isotropic_only else "all"
-        raise RuntimeError(
-            f"the {kind} bicyclic chart at g = {g}, r = {r} lists {listed} "
-            f"bases, not the {count} members of the closed form"
-        )
     family = BicyclicFamily(space, (), ())
-    family._charts, family._count = charts, count
+    family._count = count
     family._tag = "isotropic-pair" if isotropic_only else "bicyclic-pair"
     return family
 
@@ -651,8 +795,11 @@ def bogomolov_intersection(
     in turn (an empty family leaves the whole form module): the stacked
     generator-pair rows of the members given by hand, or an enumerator's
     chart, cut over Z/q for each prime power q of r by q's minor rows a
-    slice at a time until that cut reaches the chart's floor, the per-q
-    cuts summed by CRT; then one minor row per basis ``with_pair`` added.
+    slice of 2 * form_rank bases at a time, read lazily, small-entry sample
+    first, until that cut reaches the chart's floor, the per-q cuts summed
+    by CRT; then one minor row per basis ``with_pair`` added.  No chart is
+    listed whole, so a family far past the default cap, enumerated with a
+    raised cap, is cut in a few slices.
     The intersection is computed on first use and cached on the family, so
     a second call costs nothing, and a family grown by ``with_pair`` after
     an intersection costs one small cut of the cached one by the new

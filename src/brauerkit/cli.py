@@ -31,7 +31,6 @@ import os
 import stat
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from functools import cache, partial
 from itertools import product
@@ -145,6 +144,9 @@ def _cover_fields(g: int, r: int, ds) -> list[dict]:
 def _build_records(args, cap: int) -> tuple[list[dict], int]:
     pair_args = [(g, r, cap, args.mode) for g, r in sorted(set(product(args.g, args.r)))]
     if args.jobs > 1 and len(pair_args) > 1:
+        # imported here, so that importing cli loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool starts every worker at once, so start no more than points
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(pair_args))) as pool:
             outcomes = list(pool.map(_verify_pair, pair_args))

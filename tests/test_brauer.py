@@ -3,7 +3,7 @@ import dataclasses
 import random
 import re
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from functools import cache
 from math import gcd, prod
 
@@ -740,14 +740,15 @@ def _refuse_z_r_bases(*args, **kwargs):
     ],
 )
 def test_family_len_and_intersection_build_no_member(monkeypatch, g, r, families):
-    # len is the count of chart bases, and the intersection cuts each prime
+    # len is the closed-form count, and the intersection cuts each prime
     # power q's chart on its own, over Z/q, by the minor rows of a slice of
-    # its bases at a time until the cut lies in the chart's floor: no basis
-    # is offered twice for one q (a basis can repeat across q), no q more
-    # than its chart's bases, no cut lists more rows than a slice, and the
-    # stopped cut is the intersection over every member; neither forms a
-    # chart basis over Z/r (_bases), goes through _members_of or builds a
-    # Subgroup
+    # 2 * form_rank of its bases at a time until the cut lies in the chart's
+    # floor: no basis is offered twice for one q (a basis can repeat across
+    # q), no q more than its chart's bases (the closed form over Z/q), no
+    # cut lists more rows than a slice, and the stopped cut is the
+    # intersection over every member; neither lists a chart whole
+    # (_chart), forms a chart basis over Z/r (_bases), goes through
+    # _members_of or builds a Subgroup
     sp = SymplecticSpace(g=g, r=r)
     cut, basis_rows, offered, bases = brauer._cut, brauer._basis_rows, [], []
 
@@ -762,6 +763,7 @@ def test_family_len_and_intersection_build_no_member(monkeypatch, g, r, families
     monkeypatch.setattr(brauer, "_cut", counted_cut)
     monkeypatch.setattr(brauer, "_basis_rows", recorded_basis_rows)
     monkeypatch.setattr(BicyclicFamily, "_bases", _refuse_z_r_bases)
+    monkeypatch.setattr(brauer, "_chart", _refuse_to_chart)
     monkeypatch.setattr(brauer, "_members_of", _refuse_to_build)
     monkeypatch.setattr(Subgroup, "__init__", _refuse_to_build)
     stopped = []
@@ -774,11 +776,9 @@ def test_family_len_and_intersection_build_no_member(monkeypatch, g, r, families
         want = FormSubmodule.weil_span(sp) if isotropic else FormSubmodule.trivial(sp)
         assert inter == want
         assert len(set(bases)) == len(bases) == sum(offered)
-        qs = [q for _, q, _ in brauer._prime_powers(r)]
-        chart_len = {q: len(chart) for q, chart in zip(qs, fam._charts)}
         for q, n in Counter(q for q, _ in bases).items():
-            assert n <= chart_len[q]
-        assert max(offered) <= brauer._SLICE
+            assert n <= bicyclic_count(g, q, isotropic=isotropic)
+        assert max(offered) <= 2 * sp.form_rank
         assert "members" not in fam.__dict__
         stopped.append((fam, inter))
     monkeypatch.undo()
@@ -790,18 +790,20 @@ def test_family_len_and_intersection_build_no_member(monkeypatch, g, r, families
 @pytest.mark.parametrize(
     "enumerate_family, g, r, cuts",
     [
-        (all_bicyclics, 3, 5, {5: 814}),
-        (all_bicyclics, 3, 6, {2: 2, 3: 23}),
-        (isotropic_bicyclics, 3, 7, {7: 1222}),
+        (all_bicyclics, 3, 5, {5: 1}),
+        (all_bicyclics, 3, 6, {2: 1, 3: 1}),
+        (isotropic_bicyclics, 3, 7, {7: 1}),
+        (isotropic_bicyclics, 3, 6, {2: 1, 3: 1}),
     ],
-    ids=["all-3-5", "all-3-6", "isotropic-3-7"],
+    ids=["all-3-5", "all-3-6", "isotropic-3-7", "isotropic-3-6"],
 )
 def test_each_prime_power_stops_at_the_first_cut_of_its_floor(
     monkeypatch, enumerate_family, g, r, cuts
 ):
     # q's slices are cut until the cut first has the floor's order (q for
-    # span(e), 1 for {0}); the counts pinned here are those at which a test
-    # of the cut against the floor submodule stopped
+    # span(e), 1 for {0}); the small-entry sample reaches it in the first
+    # slice, where the chart read in member order took 814, 2 + 23 and
+    # 1,222 slices of 96 bases
     sp = SymplecticSpace(g=g, r=r)
     fam = enumerate_family(sp)
     cut, orders = brauer._cut, {}
@@ -816,7 +818,100 @@ def test_each_prime_power_stops_at_the_first_cut_of_its_floor(
     assert {q: len(seen) for q, seen in orders.items()} == cuts
     for q, seen in orders.items():
         floor = q if enumerate_family is isotropic_bicyclics else 1
-        assert seen[-1] == floor and min(seen[:-1]) > floor
+        assert seen[-1] == floor and all(order > floor for order in seen[:-1])
+
+
+def test_a_cut_short_of_its_floor_reads_on(monkeypatch):
+    # with no sample, the chart is read in member order alone, and the first
+    # slices of isotropic (2, 5), all in the first pivot block, leave more
+    # than span(e): the cut reads on, every cut before the last above the
+    # floor, and stops at the first that reaches it
+    block = brauer._block
+
+    def no_sample(d, p, q, c1, c2, isotropic, small=None):
+        return islice(block(d, p, q, c1, c2, isotropic, small), 0 if small else None)
+
+    monkeypatch.setattr(brauer, "_block", no_sample)
+    sp = SymplecticSpace(g=2, r=5)
+    cut, orders = brauer._cut, []
+
+    def recorded_cut(space, rows, sub=None):
+        out = cut(space, rows, sub)
+        orders.append(out.order)
+        return out
+
+    monkeypatch.setattr(brauer, "_cut", recorded_cut)
+    assert bogomolov_intersection(sp, isotropic_bicyclics(sp)) == FormSubmodule.weil_span(sp)
+    assert len(orders) > 1 and orders[-1] == 5
+    assert all(order > 5 for order in orders[:-1])
+
+
+_FAMILY_POINTS = [
+    (isotropic_bicyclics, 2, 2),
+    (all_bicyclics, 2, 2),
+    (isotropic_bicyclics, 2, 3),
+    (all_bicyclics, 2, 3),
+    (isotropic_bicyclics, 2, 4),
+    (all_bicyclics, 2, 4),
+    (isotropic_bicyclics, 3, 2),
+    (all_bicyclics, 3, 2),
+    (isotropic_bicyclics, 2, 5),
+]
+
+
+@pytest.mark.parametrize("enumerate_family, g, r", _FAMILY_POINTS)
+def test_each_family_workload_point_reaches_its_floor_in_one_cut(
+    monkeypatch, enumerate_family, g, r
+):
+    # the nine points of the family benchmark: one cut of one slice, 2 *
+    # form_rank bases, is the floor
+    sp = SymplecticSpace(g=g, r=r)
+    cut, offered = brauer._cut, []
+
+    def counted_cut(space, rows, sub=None):
+        offered.append(len(rows))
+        return cut(space, rows, sub)
+
+    monkeypatch.setattr(brauer, "_cut", counted_cut)
+    inter = bogomolov_intersection(sp, enumerate_family(sp))
+    iso = enumerate_family is isotropic_bicyclics
+    assert inter == (FormSubmodule.weil_span(sp) if iso else FormSubmodule.trivial(sp))
+    assert offered == [2 * sp.form_rank]
+
+
+@pytest.mark.parametrize(
+    "enumerate_family, g, r, want",
+    [
+        # 3.18 * 10^8 members: the default cap refuses it
+        pytest.param(all_bicyclics, 4, 5, FormSubmodule.trivial, id="all-4-5"),
+        # 980,400 members
+        pytest.param(isotropic_bicyclics, 3, 7, FormSubmodule.weil_span, id="isotropic-3-7"),
+        pytest.param(isotropic_bicyclics, 3, 97, FormSubmodule.weil_span, id="isotropic-3-97"),
+        pytest.param(all_bicyclics, 3, 97, FormSubmodule.trivial, id="all-3-97"),
+        # 3^14 x rows in the sample of the last pivot block, which has no
+        # isotropic basis and is skipped unread
+        pytest.param(isotropic_bicyclics, 8, 9, FormSubmodule.weil_span, id="isotropic-8-9"),
+    ],
+)
+def test_a_lazy_chart_reaches_its_floor_with_no_chart_listed(
+    monkeypatch, enumerate_family, g, r, want
+):
+    # the cut reads the chart as it goes, so a family whose chart could not
+    # be listed whole is cut to its floor in at most two cuts
+    monkeypatch.setattr(brauer, "_chart", _refuse_to_chart)
+    sp = SymplecticSpace(g=g, r=r)
+    cut, cuts = brauer._cut, []
+
+    def counted_cut(space, rows, sub=None):
+        cuts.append(len(rows))
+        return cut(space, rows, sub)
+
+    monkeypatch.setattr(brauer, "_cut", counted_cut)
+    fam = enumerate_family(sp, cap=10**100)
+    # _count, not len: len() cannot return the 9.8 * 10^25 members at (8, 9)
+    assert fam._count == bicyclic_count(g, r, isotropic=enumerate_family is isotropic_bicyclics)
+    assert bogomolov_intersection(sp, fam) == want(sp)
+    assert 1 <= len(cuts) <= 2
 
 
 def test_hashing_a_family_builds_no_member(monkeypatch):
@@ -881,17 +976,22 @@ def test_an_added_basis_is_cut_after_the_chart_stops(monkeypatch, r):
 @pytest.mark.parametrize(
     "r, heads", [(6, (1, 3)), (12, (3, 1)), (15, (2, 5))], ids=["6", "12", "15"]
 )
-def test_a_partial_chart_is_the_crt_sum_of_its_per_q_cuts(r, heads):
+def test_a_partial_chart_is_the_crt_sum_of_its_per_q_cuts(monkeypatch, r, heads):
     # an enumerated chart always cuts to its floor mod every q, where the CRT
     # units make no difference; a chart cut short in a different place per q
-    # leaves per-q cuts that differ, and their lifts must still sum to the
-    # intersection over the members
+    # (the head of its first pivot block, in member order, read by both the
+    # cut and members) leaves per-q cuts that differ, and their lifts must
+    # still sum to the intersection over the members
     sp = SymplecticSpace(g=2, r=r)
+    head = {q: k for (_, q, _), k in zip(brauer._prime_powers(r), heads)}
+    block = brauer._block
+
+    def short_block(d, p, q, c1, c2, isotropic, small=None):
+        k = head[q] if (c1, c2) == (0, 1) else 0
+        return islice(block(d, p, q, c1, c2, isotropic), k)
+
+    monkeypatch.setattr(brauer, "_block", short_block)
     fam = BicyclicFamily(sp, (), ())
-    fam._charts = tuple(
-        brauer._chart(sp, p, q, False)[:k]
-        for (p, q, _), k in zip(brauer._prime_powers(r), heads)
-    )
     fam._tag, fam._count = "bicyclic-pair", prod(heads)
     inter = bogomolov_intersection(sp, fam)
     assert FormSubmodule.trivial(sp) != inter != FormSubmodule.full(sp)
@@ -900,7 +1000,8 @@ def test_a_partial_chart_is_the_crt_sum_of_its_per_q_cuts(r, heads):
 
 
 def test_a_chart_that_drops_a_basis_is_a_runtime_error(monkeypatch):
-    # len is the listed count; one that misses the closed form is a bug,
+    # len is the closed form and nothing is listed at enumeration; members
+    # lists each chart whole, and a listed count that misses len is a bug,
     # raised, not asserted, and named
     chart = brauer._chart
 
@@ -912,12 +1013,14 @@ def test_a_chart_that_drops_a_basis_is_a_runtime_error(monkeypatch):
     for enumerate_family, isotropic in FAMILIES:
         kind = "isotropic" if isotropic else "all"
         count = bicyclic_count(2, 4, isotropic=isotropic)
+        fam = enumerate_family(sp)
+        assert len(fam) == count
         message = (
             rf"^the {kind} bicyclic chart at g = 2, r = 4 lists {count - 1} "
             rf"bases, not the {count} members of the closed form$"
         )
         with pytest.raises(RuntimeError, match=message):
-            enumerate_family(sp)
+            fam.members
 
 
 def _bicyclic_pairs(g: int, r: int):
@@ -1812,3 +1915,67 @@ def test_report_as_dict_is_asdict_in_a_fresh_dict(mode):
     assert d is not rep.as_dict()
     d["g"] = 99
     assert rep.as_dict()["g"] == 2
+
+
+def _trial_division_prime_powers(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(p, q, u) of ``brauer._prime_powers`` by trial division: the oracle."""
+    out, m, p = [], n, 2
+    while m > 1:
+        if p * p > m:
+            p = m  # what is left is prime
+        q = 1
+        while m % p == 0:
+            m, q = m // p, q * p
+        if q > 1:
+            out.append((p, q, (n // q) * pow(n // q, -1, q) % n))
+        p += 1
+    return tuple(out)
+
+
+def test_prime_powers_match_trial_division_up_to_10_5():
+    factor = brauer._prime_powers.__wrapped__  # uncached, so the cache stays small
+    for n in range(1, 10**5 + 1):
+        assert factor(n) == _trial_division_prime_powers(n), n
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        {10**14 + 31: 1},
+        {2**61 - 1: 1},
+        {2**89 - 1: 1},
+        {10**7 + 19: 1, 10**7 + 79: 1},
+        {2**31 - 1: 1, 10**12 + 39: 1},
+        {97: 1, 2**31 - 1: 2},
+        {2: 64},
+        {3: 40, 10**6 + 3: 1, 10**6 + 33: 1},
+    ],
+    ids=lambda factors: "*".join(f"{p}^{k}" for p, k in factors.items()),
+)
+def test_prime_powers_of_known_factorizations_past_10_14(factors):
+    n = prod(p**k for p, k in factors.items())
+    want = tuple(
+        (p, p**k, (n // p**k) * pow(n // p**k, -1, p**k) % n)
+        for p, k in sorted(factors.items())
+    )
+    assert brauer._prime_powers.__wrapped__(n) == want
+
+
+def test_a_family_at_a_large_prime_is_refused_by_its_count_at_once(monkeypatch):
+    # the cap is charged through the factorization of r, which takes no
+    # trial division up to sqrt(r)
+    monkeypatch.setattr(brauer, "_chart", _refuse_to_chart)
+    sp = SymplecticSpace(g=2, r=10**14 + 31)
+    with pytest.raises(CapExceededError, match=r"^family of \d+ members exceeds cap"):
+        isotropic_bicyclics(sp)
+
+
+@pytest.mark.parametrize("r", [2**31 + 11, 2**61 - 1, 10**30 + 57])
+def test_a_family_past_the_int64_limit_is_refused_by_its_cut(monkeypatch, r):
+    # with a cap raised past its count, the chart is read lazily and the
+    # first slice's conversion refuses the modulus, typed
+    monkeypatch.setattr(brauer, "_chart", _refuse_to_chart)
+    sp = SymplecticSpace(g=2, r=r)
+    fam = isotropic_bicyclics(sp, cap=10**200)
+    with pytest.raises(ModulusTooLargeError):
+        bogomolov_intersection(sp, fam)

@@ -1,4 +1,8 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -556,6 +560,18 @@ def test_one_cover_model_per_point(argv, points, capsys, monkeypatch):
     assert len(calls) == points
 
 
+def test_importing_cli_loads_no_process_pool():
+    # the pool is imported only by table --jobs N > 1, so a fresh process
+    # that imports cli has not loaded multiprocessing
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = "import sys, brauerkit.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("jobs, points, workers", [(64, 2, 2), (2, 4, 2)])
 def test_the_jobs_pool_starts_no_more_workers_than_points(
     jobs, points, workers, capsys, monkeypatch
@@ -579,7 +595,7 @@ def test_the_jobs_pool_starts_no_more_workers_than_points(
     argv = ["table", "--g", "2", "--r", f"2..{points + 1}", "--d", "0"]
     assert main(argv) == EXIT_OK
     serial = capsys.readouterr().out
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert main([*argv, "--jobs", str(jobs)]) == EXIT_OK
     assert capsys.readouterr().out == serial
     assert sizes == [workers]

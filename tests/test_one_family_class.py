@@ -1,6 +1,6 @@
 """``BicyclicFamily`` is the one family class, one function builds members,
-only ``members`` forms chart bases over Z/r and only ``with_pair`` maps a
-pair to its chart basis.
+only ``members`` forms chart bases over Z/r or lists a chart whole, and
+only ``with_pair`` maps a pair to its chart basis.
 
 A family given by hand, enumerated from a chart or grown by ``with_pair``
 is the same class with up to three parts.  A private subclass per way of
@@ -9,7 +9,9 @@ intersection to keep in step, a ``Subgroup`` built outside
 ``_members_of`` would be a second member builder, and a ``_bases`` call
 outside ``BicyclicFamily.members`` would form the chart's bases over Z/r
 somewhere else: the intersection cuts each prime power's chart over Z/q
-and never needs them.  A ``_chart_key`` call outside ``with_pair`` would
+and never needs them.  A ``_chart`` call outside ``_bases`` would list a
+whole chart that the intersection reads lazily, sample first, a slice at
+a time.  A ``_chart_key`` call outside ``with_pair`` would
 map a member given by hand into key space again, where ``with_pair``
 matches the ``Subgroup`` a new key spans against the members instead.
 """
@@ -67,6 +69,11 @@ def test_brauer_builds_a_subgroup_only_in_members_of():
 def test_chart_bases_over_z_r_are_formed_only_for_members():
     sites = _call_sites("_bases")
     assert len(sites) == 1 and sites[0].startswith("BicyclicFamily.members:"), sites
+
+
+def test_a_chart_is_listed_whole_only_for_members():
+    sites = _call_sites("_chart")
+    assert len(sites) == 1 and sites[0].startswith("BicyclicFamily._bases:"), sites
 
 
 def test_only_with_pair_names_a_pair_by_its_chart_basis():
