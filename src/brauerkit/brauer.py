@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations
 from math import gcd, prod
 from operator import mul
 
@@ -316,16 +316,24 @@ def compute_G(
         raise CapExceededError(f"{pairs} witness pairs exceed cap {cap}")
     G = _cut(space, _minor_rows(*_witness_pairs(space), r))
     if G.order != r:
-        e = FormSubmodule.weil_span(space)
-        outside = next((v for v in G.generators if not e.contains_vector(v)), None)
-        where = (
+        raise _off_floor(
+            G,
+            FormSubmodule.weil_span(space),
             f"the {mode} witness cut left {G.order} forms, not span(e), at "
-            f"g = {space.g}, r = {r}"
+            f"g = {space.g}, r = {r}",
         )
-        if outside is None:
-            raise RuntimeError(f"{where}: e = {e.generators[0]} is outside the cut")
-        raise RuntimeError(f"{where}: generator {outside} is outside span(e)")
     return G
+
+
+def _off_floor(cut: FormSubmodule, floor: FormSubmodule, where: str) -> RuntimeError:
+    """The error for a cut that should be ``floor``, span(e) or {0}, and is
+    not: ``where``, then a generator of the cut outside the floor, or e if
+    there is none (the cut lies below span(e))."""
+    outside = next((v for v in cut.generators if not floor.contains_vector(v)), None)
+    if outside is None:
+        return RuntimeError(f"{where}: e = {floor.generators[0]} is outside the cut")
+    name = "span(e)" if floor.rank else "{0}"
+    return RuntimeError(f"{where}: generator {outside} is outside {name}")
 
 
 def restriction_kernel(space: SymplecticSpace, subgroup: Subgroup) -> FormSubmodule:
@@ -355,22 +363,22 @@ class BicyclicFamily:
 
     ``with_pair`` names the span of a pair by its chart basis
     (``_chart_key``), the one basis of it that the chart lists, and
-    matches a member given by hand as the ``Subgroup`` it is.  ``len``,
+    matches a member given by hand as the ``Subgroup`` it is.  ``size``,
     ``hash`` and the intersection need no member: ``members`` builds those
     of parts 2 and 3 from ``_bases`` on first read (``_members_of``), and
     only there is a chart listed whole (``_chart``) and its listed count
-    checked against ``len``.  Families compare by (space, members,
+    checked against ``size``.  Families compare by (space, members,
     provenance), so a grown or enumerated family equals the family built
-    by hand from its members, and hash by (space, len), which equal
+    by hand from its members, and hash by (space, size), which equal
     families share.  Two families with the same parts are equal with no
     member built; members are compared only when the parts differ.
 
     The intersection of the members' restriction kernels is computed on
     first use and cached (``bogomolov_intersection`` returns it).  A form
-    kills span(x, y) iff it kills (x, y), so a chart basis contributes one
-    constraint row, its minor row, cut over Z/q for its own q; a member
-    given by hand contributes the generator-pair rows of its canonical
-    generators.
+    kills span(x, y) iff it kills (x, y), so an added basis contributes
+    one constraint row, its minor row, and a member given by hand the
+    generator-pair rows of its canonical generators; a chart is cut by
+    the rows of its block heads alone (``_intersection``).
     """
 
     def __init__(self, space: SymplecticSpace, members, provenance):
@@ -382,8 +390,17 @@ class BicyclicFamily:
         self._tag, self._count = "", 0
         self._added = ()
 
-    def __len__(self) -> int:
+    @property
+    def size(self) -> int:
+        """The number of members, a Python int: the members given by hand,
+        the chart's closed-form count and the added bases.  ``len``
+        returns it too, but Python's ``len`` raises ``OverflowError`` past
+        2^63 - 1, which a chart can pass (``all_bicyclics`` at g = 8,
+        r = 9 has about 10^26 members)."""
         return len(self._given) + self._count + len(self._added)
+
+    def __len__(self) -> int:
+        return self.size
 
     def __iter__(self):
         return iter(self.members)
@@ -391,7 +408,7 @@ class BicyclicFamily:
     def __eq__(self, other):
         if not isinstance(other, BicyclicFamily):
             return NotImplemented
-        if (self.space, len(self)) != (other.space, len(other)):
+        if (self.space, self.size) != (other.space, other.size):
             return False
         # equal parts hold equal members and provenance, with none built
         parts = (self._given, self._given_tags, self._tag, self._added)
@@ -401,7 +418,7 @@ class BicyclicFamily:
 
     def __hash__(self):
         # what __eq__ compares first, so no member is built
-        return hash((self.space, len(self)))
+        return hash((self.space, self.size))
 
     @cached_property
     def members(self) -> tuple[Subgroup, ...]:
@@ -465,25 +482,30 @@ class BicyclicFamily:
         Only ``_enumerate_bicyclics`` sets a chart, on an empty family, so
         parts 1 and 2 never coexist.  Part 1 is one cut by the stacked
         generator-pair rows of its members; ``ValueError`` names the first
-        member that is not a subgroup of the space's module.  Part 2 is cut
-        one prime power q at a time over ``SymplecticSpace(g, q)``, by the
-        minor rows of a slice of 2 * form_rank of q's chart bases per cut,
-        read in ``_read``'s order (a small-entry sample round-robin over the
-        pivot blocks, then the rest of the chart in member order), until the
-        cut has the order of the chart's floor mod q: q for span(e)
-        (``isotropic_bicyclics``), 1 for {0} (``all_bicyclics``).  The floor
-        is the kernel of form_rank - 1 independent rows (isotropic) or
-        form_rank (all), so a slice of twice that reaches it from a good
-        sample in one cut, and stays a near-square Howell input, which a
-        fixed slice much taller than its form_rank columns is not.  The
-        stop is exact, and the read order changes no value: the floor
-        kills every chart basis (an isotropic one has e(x, y) = 0 mod q), so
-        it lies in every cut, and a cut of its order is the floor, which the
-        cuts still to come leave as it is.  A form kills a CRT sum of bases
-        (b_q) iff it kills each b_q mod q, and with ``_count`` > 0 every
-        chart is nonempty, so part 2 is spanned by the per-q cuts lifted by
-        their CRT units (at prime-power r, the one cut).  Part 3 is one cut
-        by one minor row per added basis, after any stop, since an added
+        member that is not a subgroup of the space's module.  Part 2 is
+        the chart's floor over Z/r: span(e) (``isotropic_bicyclics``) or
+        {0} (``all_bicyclics``).  The floor kills every chart basis (an
+        isotropic one has e(x, y) = 0), and for each prime power q one cut
+        over ``SymplecticSpace(g, q)`` by the minor rows of the block
+        heads, the first basis ``_block`` lists for each pivot pair
+        (c1, c2), reaches it:
+
+        * all: the head is (e_c1, e_c2), whose minor row is the unit
+          vector at (c1, c2), so the heads cut to {0};
+        * isotropic, (c1, c2) not a pair (a_i, b_i): the head is
+          (e_c1, e_c2), a unit row at every coefficient off the diagonal;
+        * isotropic, (a_i, b_i) with i < g: the head is
+          (a_i + b_g, b_i + a_g), whose row is e_(a_i b_i) - e_(a_g b_g)
+          modulo the unit rows; (a_g, b_g) has no isotropic basis.
+
+        So a form that kills the isotropic heads is 0 off the diagonal and
+        constant on it, a multiple of e.  A form mod r is in the floor iff
+        it is mod every q, so part 2 is the floor over Z/r once each q's
+        cut is checked; a cut that is not the floor is a bug
+        (``RuntimeError`` naming the family, g, q, the cut's order and a
+        generator outside the floor, or e if the cut lies below it).  The
+        heads go through ``_residues``, which refuses q > 2^31 first.
+        Part 3 is one cut by one minor row per added basis, since an added
         basis need not be isotropic.  A cut that cuts nothing costs one
         product.
         """
@@ -497,20 +519,22 @@ class BicyclicFamily:
                     )
             sub = _cut(space, _generator_rows(space, self._given))
         elif self._count:
-            iso = self._tag == "isotropic-pair"
-            step, lifts = 2 * space.form_rank, []
-            for p, q, unit in _prime_powers(r):
+            iso, d = self._tag == "isotropic-pair", space.dim
+            floor = FormSubmodule.weil_span if iso else FormSubmodule.trivial
+            for p, q, _ in _prime_powers(r):
                 sq = space if q == r else SymplecticSpace(space.g, q)
-                bases, sub = _read(space.dim, p, q, iso), None
-                for chunk in iter(lambda: list(islice(bases, step)), []):
-                    # through _residues, which refuses q > 2^31 first
-                    B = _residues([x + y for x, y in chunk], q, 2 * space.dim)
-                    sub = _cut(sq, _basis_rows(B.reshape(-1, 2, space.dim), q), sub)
-                    if sub.order == (q if iso else 1):
-                        break
-                lifts.append(unit * sub._matrix % r)
-            if len(lifts) > 1:
-                sub = FormSubmodule.from_rows(space, np.concatenate(lifts))
+                pivots = combinations(range(d), 2)
+                heads = [next(_block(d, p, q, c1, c2, iso), None) for c1, c2 in pivots]
+                B = _residues([x + y for x, y in filter(None, heads)], q, 2 * d)
+                cut, want = _cut(sq, _basis_rows(B.reshape(-1, 2, d), q)), floor(sq)
+                if cut != want:
+                    raise _off_floor(
+                        cut,
+                        want,
+                        f"the {'isotropic' if iso else 'all'} bicyclic heads at "
+                        f"g = {space.g}, q = {q} cut to {cut.order} forms",
+                    )
+            sub = floor(space)
         if self._added:
             sub = _cut(space, _basis_rows(np.array(self._added, dtype=np.int64), r), sub)
         return sub if sub is not None else FormSubmodule.full(space)
@@ -648,14 +672,11 @@ def _solve(a: int, b: int, m: int, q: int) -> range:
     return range(m * (b // h * pow(a * m // h, -1, n) % n), q, m * n)
 
 
-def _block(d: int, p: int, q: int, c1: int, c2: int, isotropic: bool, small=None):
+def _block(d: int, p: int, q: int, c1: int, c2: int, isotropic: bool):
     """The bases (x, y), coordinate tuples, of the chart of (Z/q)^d with
     pivot columns c1 < c2, q = p^k (isotropic ones only when
-    ``isotropic``), x outermost, each row lexicographic over its
-    ``_entries``: without ``small``, every basis in member order, each free
-    entry over its whole range; with it, the sample of the bases whose free
-    entries are drawn from ``small`` = (entries before the row's pivot,
-    entries after it), as ``_read`` passes them.
+    ``isotropic``), in member order: x outermost, each row lexicographic
+    over its ``_entries``, each free entry over its whole range.
 
     Reduced mod p, a summand is a plane with pivot columns c1 < c2, and it
     has exactly one basis with x_c1 = y_c2 = 1, x_c2 = y_c1 = 0, x_j = 0
@@ -664,43 +685,35 @@ def _block(d: int, p: int, q: int, c1: int, c2: int, isotropic: bool, small=None
 
     An isotropic y is not filtered from the y's of x: e(x, y) is linear in
     y, with coefficient +-x_j^1 at y_j (j^1 the partner of j, a_i <-> b_i),
-    so one free coordinate s of y is solved for (``_solve``) from the
-    others.  In member order s is the last, which keeps the order and
-    yields every solution; the sample takes the s whose x_s^1 m_s has the
-    least gcd with q, a unit wherever x allows one, and its least solution,
-    so no scan of y's comes back empty.  An x with no isotropic y at all
-    (x_c2^1, the coefficient at y_c2 = 1, not a multiple of that gcd) is
-    skipped with no y read, and the one block with no isotropic basis,
-    (c1, c2) = (2g - 1, 2g) counted from 1, yields nothing with no x read.
+    so the last free coordinate s of y is solved for (``_solve``) from the
+    others, which keeps the order and yields every solution.  An x with no
+    isotropic y at all (x_c2^1, the coefficient at y_c2 = 1, not a
+    multiple of the least gcd of q and a free coefficient) is skipped with
+    no y read, and the one block with no isotropic basis, (c1, c2) =
+    (2g - 1, 2g) counted from 1, yields nothing with no x read.  The first
+    basis of a block, its head, is read lazily (``_lex``) even at
+    q = 2^31 - 1.
     """
-    if small:
-        lex, (before, after) = (lambda entries: product(*entries)), small
-    else:
-        lex, before, after = _lex, range(0, q, p), range(q)
+    before, after = range(0, q, p), range(q)
     X, Y = _entries(d, c1, c2, before, after), _entries(d, c2, c1, before, after)
     if not isotropic:
-        for x in lex(X):
-            for y in lex(Y):
+        for x in _lex(X):
+            for y in _lex(Y):
                 yield x, y
         return
     if (c1, c2) == (d - 2, d - 1):
         return  # every other entry is a multiple of p, so e(x, y) = 1 mod p
     free = [j for j in range(d) if j != c1 and j != c2]
     steps = [p if j < c2 else 1 for j in free]
-    for x in lex(X):
-        gains = [gcd(x[j ^ 1] * m, q) for j, m in zip(free, steps)]
-        least = min(gains)
-        if x[c2 ^ 1] % least:
+    s, m = free[-1], steps[-1]
+    for x in _lex(X):
+        if x[c2 ^ 1] % min(gcd(x[j ^ 1] * step, q) for j, step in zip(free, steps)):
             continue
-        k = len(free) - 1 - (gains[::-1].index(least) if small else 0)
-        s, m = free[k], steps[k]
         a, xa, xb = (x[s ^ 1] if s % 2 else -x[s ^ 1]), x[::2], x[1::2]
-        for y in lex(Y[:s] + [(0,)] + Y[s + 1 :]):
+        for y in _lex(Y[:s] + [(0,)] + Y[s + 1 :]):
             e = sum(map(mul, xa, y[1::2])) - sum(map(mul, xb, y[::2]))
             for t in _solve(a, -e, m, q):
                 yield x, (*y[:s], t, *y[s + 1 :])
-                if small:
-                    break
 
 
 def _chart(space: SymplecticSpace, p: int, q: int, isotropic: bool) -> np.ndarray:
@@ -713,38 +726,15 @@ def _chart(space: SymplecticSpace, p: int, q: int, isotropic: bool) -> np.ndarra
     return np.array(list(chain.from_iterable(blocks)), dtype=np.int64).reshape(-1, 2, d)
 
 
-def _read(d: int, p: int, q: int, isotropic: bool):
-    """The bases of q's chart in the order the cut reads them, each once:
-    the small-entry samples of the pivot blocks (``_block``), whose free
-    entries are 0, m and -m alone, m = p before a row's pivot and 1 after
-    it, one basis of each block in turn until each block's sample runs
-    out, then the rest of every block in member order.  Nothing is listed
-    ahead of its read."""
-    pivots = list(combinations(range(d), 2))
-    small = tuple(tuple(dict.fromkeys((0, m, -m % q))) for m in (p % q, 1))
-    samples = [_block(d, p, q, c1, c2, isotropic, small) for c1, c2 in pivots]
-    offered = set()
-    while samples:
-        for sample in tuple(samples):
-            if (basis := next(sample, None)) is None:
-                samples.remove(sample)
-            else:
-                offered.add(basis)
-                yield basis
-    for c1, c2 in pivots:
-        for basis in _block(d, p, q, c1, c2, isotropic):
-            if basis not in offered:
-                yield basis
-
-
 def _enumerate_bicyclics(
     space: SymplecticSpace, isotropic_only: bool, cap: int
 ) -> BicyclicFamily:
     """The family of the chart of each prime power q = p^k exactly
     dividing r, kept as part 2 of a ``BicyclicFamily``: its tag and its
-    closed-form member count, which is its ``len``.  Nothing is listed: the
-    cut reads each q's chart lazily (``_read``), and ``members`` lists it
-    whole (``_chart``), checking its count there.
+    closed-form member count, which is its ``size``.  Nothing is listed:
+    the cut reads the head of each of q's pivot blocks alone (``_block``),
+    and ``members`` lists the chart whole (``_chart``), checking its count
+    there.
 
     The cap is charged with the closed-form member count
     (``CapExceededError`` past it).
@@ -794,12 +784,12 @@ def bogomolov_intersection(
     With an explicit family, every form is cut by each part of the family
     in turn (an empty family leaves the whole form module): the stacked
     generator-pair rows of the members given by hand, or an enumerator's
-    chart, cut over Z/q for each prime power q of r by q's minor rows a
-    slice of 2 * form_rank bases at a time, read lazily, small-entry sample
-    first, until that cut reaches the chart's floor, the per-q cuts summed
-    by CRT; then one minor row per basis ``with_pair`` added.  No chart is
-    listed whole, so a family far past the default cap, enumerated with a
-    raised cap, is cut in a few slices.
+    chart, whose intersection is its floor, span(e) or {0}, checked for
+    each prime power q of r by one cut over Z/q by the minor rows of at
+    most form_rank block heads (``BicyclicFamily._intersection``); then
+    one minor row per basis ``with_pair`` added.  No chart is listed
+    whole, so a family far past the default cap, enumerated with a raised
+    cap, costs one small cut per q.
     The intersection is computed on first use and cached on the family, so
     a second call costs nothing, and a family grown by ``with_pair`` after
     an intersection costs one small cut of the cached one by the new

@@ -295,7 +295,7 @@ def cmd_bogomolov(args, cap: int) -> int:
                 gprime = bogomolov_intersection(space, fam, cap)
                 ok &= gprime == FormSubmodule.trivial(space)
                 print(
-                    f"g={g} r={r} family=all members={len(fam)} "
+                    f"g={g} r={r} family=all members={fam.size} "
                     f"|G'|={gprime.order} rank={gprime.rank}"
                 )
                 continue
@@ -303,7 +303,7 @@ def cmd_bogomolov(args, cap: int) -> int:
             if args.explicit:
                 fam = isotropic_bicyclics(space, cap)
                 gprime = bogomolov_intersection(space, fam, cap)
-                members = str(len(fam))
+                members = str(fam.size)
             else:
                 # the implicit family's G' is the primitive-pairs G
                 gprime = g_prim

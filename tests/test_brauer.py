@@ -3,7 +3,7 @@ import dataclasses
 import random
 import re
 from collections import Counter
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from functools import cache
 from math import gcd, prod
 
@@ -704,8 +704,8 @@ def test_families_list_no_table(monkeypatch):
 )
 def test_family_intersection_matches_generator_rows(g, r):
     # an enumerated family holds its chart and nothing built from it; its
-    # cut by the minor rows of the chart bases, a slice at a time on first
-    # use, is the same intersection as the one stacked cut by the generator-pair
+    # intersection, checked by a cut by the minor rows of its block heads on
+    # first use, is the same intersection as the one stacked cut by the generator-pair
     # rows of a family built by hand from the same members, and len counts
     # those members
     sp = SymplecticSpace(g=g, r=r)
@@ -741,12 +741,11 @@ def _refuse_z_r_bases(*args, **kwargs):
 )
 def test_family_len_and_intersection_build_no_member(monkeypatch, g, r, families):
     # len is the closed-form count, and the intersection cuts each prime
-    # power q's chart on its own, over Z/q, by the minor rows of a slice of
-    # 2 * form_rank of its bases at a time until the cut lies in the chart's
-    # floor: no basis is offered twice for one q (a basis can repeat across
-    # q), no q more than its chart's bases (the closed form over Z/q), no
-    # cut lists more rows than a slice, and the stopped cut is the
-    # intersection over every member; neither lists a chart whole
+    # power q's chart on its own, over Z/q, once, by the minor rows of its
+    # block heads: no basis is offered twice for one q (a basis can repeat
+    # across q), no q more than its chart's bases (the closed form over
+    # Z/q), no cut lists more rows than the form rank, and the checked
+    # floor is the intersection over every member; neither lists a chart whole
     # (_chart), forms a chart basis over Z/r (_bases), goes through
     # _members_of or builds a Subgroup
     sp = SymplecticSpace(g=g, r=r)
@@ -778,7 +777,8 @@ def test_family_len_and_intersection_build_no_member(monkeypatch, g, r, families
         assert len(set(bases)) == len(bases) == sum(offered)
         for q, n in Counter(q for q, _ in bases).items():
             assert n <= bicyclic_count(g, q, isotropic=isotropic)
-        assert max(offered) <= 2 * sp.form_rank
+        assert len(offered) == len(brauer._prime_powers(r))
+        assert max(offered) <= sp.form_rank
         assert "members" not in fam.__dict__
         stopped.append((fam, inter))
     monkeypatch.undo()
@@ -800,10 +800,9 @@ def test_family_len_and_intersection_build_no_member(monkeypatch, g, r, families
 def test_each_prime_power_stops_at_the_first_cut_of_its_floor(
     monkeypatch, enumerate_family, g, r, cuts
 ):
-    # q's slices are cut until the cut first has the floor's order (q for
-    # span(e), 1 for {0}); the small-entry sample reaches it in the first
-    # slice, where the chart read in member order took 814, 2 + 23 and
-    # 1,222 slices of 96 bases
+    # each q is cut once, by its block heads, to the floor's order (q for
+    # span(e), 1 for {0}), where the chart read in member order took 814,
+    # 2 + 23 and 1,222 slices of 96 bases
     sp = SymplecticSpace(g=g, r=r)
     fam = enumerate_family(sp)
     cut, orders = brauer._cut, {}
@@ -819,31 +818,6 @@ def test_each_prime_power_stops_at_the_first_cut_of_its_floor(
     for q, seen in orders.items():
         floor = q if enumerate_family is isotropic_bicyclics else 1
         assert seen[-1] == floor and all(order > floor for order in seen[:-1])
-
-
-def test_a_cut_short_of_its_floor_reads_on(monkeypatch):
-    # with no sample, the chart is read in member order alone, and the first
-    # slices of isotropic (2, 5), all in the first pivot block, leave more
-    # than span(e): the cut reads on, every cut before the last above the
-    # floor, and stops at the first that reaches it
-    block = brauer._block
-
-    def no_sample(d, p, q, c1, c2, isotropic, small=None):
-        return islice(block(d, p, q, c1, c2, isotropic, small), 0 if small else None)
-
-    monkeypatch.setattr(brauer, "_block", no_sample)
-    sp = SymplecticSpace(g=2, r=5)
-    cut, orders = brauer._cut, []
-
-    def recorded_cut(space, rows, sub=None):
-        out = cut(space, rows, sub)
-        orders.append(out.order)
-        return out
-
-    monkeypatch.setattr(brauer, "_cut", recorded_cut)
-    assert bogomolov_intersection(sp, isotropic_bicyclics(sp)) == FormSubmodule.weil_span(sp)
-    assert len(orders) > 1 and orders[-1] == 5
-    assert all(order > 5 for order in orders[:-1])
 
 
 _FAMILY_POINTS = [
@@ -863,8 +837,9 @@ _FAMILY_POINTS = [
 def test_each_family_workload_point_reaches_its_floor_in_one_cut(
     monkeypatch, enumerate_family, g, r
 ):
-    # the nine points of the family benchmark: one cut of one slice, 2 *
-    # form_rank bases, is the floor
+    # the nine points of the family benchmark: one cut by the block heads,
+    # one per pivot block (form_rank of them, the isotropic family's last
+    # block being empty), is the floor
     sp = SymplecticSpace(g=g, r=r)
     cut, offered = brauer._cut, []
 
@@ -876,7 +851,7 @@ def test_each_family_workload_point_reaches_its_floor_in_one_cut(
     inter = bogomolov_intersection(sp, enumerate_family(sp))
     iso = enumerate_family is isotropic_bicyclics
     assert inter == (FormSubmodule.weil_span(sp) if iso else FormSubmodule.trivial(sp))
-    assert offered == [2 * sp.form_rank]
+    assert offered == [sp.form_rank - iso]
 
 
 @pytest.mark.parametrize(
@@ -888,16 +863,16 @@ def test_each_family_workload_point_reaches_its_floor_in_one_cut(
         pytest.param(isotropic_bicyclics, 3, 7, FormSubmodule.weil_span, id="isotropic-3-7"),
         pytest.param(isotropic_bicyclics, 3, 97, FormSubmodule.weil_span, id="isotropic-3-97"),
         pytest.param(all_bicyclics, 3, 97, FormSubmodule.trivial, id="all-3-97"),
-        # 3^14 x rows in the sample of the last pivot block, which has no
-        # isotropic basis and is skipped unread
+        # 9.8 * 10^25 members; the last pivot block has no isotropic basis
+        # and is skipped with no x read
         pytest.param(isotropic_bicyclics, 8, 9, FormSubmodule.weil_span, id="isotropic-8-9"),
     ],
 )
 def test_a_lazy_chart_reaches_its_floor_with_no_chart_listed(
     monkeypatch, enumerate_family, g, r, want
 ):
-    # the cut reads the chart as it goes, so a family whose chart could not
-    # be listed whole is cut to its floor in at most two cuts
+    # the cut reads each block's head alone, so a family whose chart could
+    # not be listed whole is checked at its floor in one cut
     monkeypatch.setattr(brauer, "_chart", _refuse_to_chart)
     sp = SymplecticSpace(g=g, r=r)
     cut, cuts = brauer._cut, []
@@ -908,10 +883,11 @@ def test_a_lazy_chart_reaches_its_floor_with_no_chart_listed(
 
     monkeypatch.setattr(brauer, "_cut", counted_cut)
     fam = enumerate_family(sp, cap=10**100)
-    # _count, not len: len() cannot return the 9.8 * 10^25 members at (8, 9)
-    assert fam._count == bicyclic_count(g, r, isotropic=enumerate_family is isotropic_bicyclics)
+    # size, not len: len() cannot return the 9.8 * 10^25 members at (8, 9)
+    iso = enumerate_family is isotropic_bicyclics
+    assert fam.size == bicyclic_count(g, r, isotropic=iso)
     assert bogomolov_intersection(sp, fam) == want(sp)
-    assert 1 <= len(cuts) <= 2
+    assert cuts == [sp.form_rank - iso]
 
 
 def test_hashing_a_family_builds_no_member(monkeypatch):
@@ -954,7 +930,7 @@ def test_families_with_the_same_parts_are_equal_with_no_member_built(
 
 @pytest.mark.parametrize("r", [4, 6])
 def test_an_added_basis_is_cut_after_the_chart_stops(monkeypatch, r):
-    # the isotropic chart's cut stops at span(e) before its last basis, but
+    # the isotropic chart's cut is span(e) from its block heads alone, but
     # a basis that with_pair added need not be isotropic: (a_1, b_1) is not,
     # and its minor row cuts e
     sp = SymplecticSpace(g=2, r=r)
@@ -973,30 +949,133 @@ def test_an_added_basis_is_cut_after_the_chart_stops(monkeypatch, r):
     assert added == 1 and sum(chart) < len(fam)
 
 
-@pytest.mark.parametrize(
-    "r, heads", [(6, (1, 3)), (12, (3, 1)), (15, (2, 5))], ids=["6", "12", "15"]
-)
-def test_a_partial_chart_is_the_crt_sum_of_its_per_q_cuts(monkeypatch, r, heads):
-    # an enumerated chart always cuts to its floor mod every q, where the CRT
-    # units make no difference; a chart cut short in a different place per q
-    # (the head of its first pivot block, in member order, read by both the
-    # cut and members) leaves per-q cuts that differ, and their lifts must
-    # still sum to the intersection over the members
-    sp = SymplecticSpace(g=2, r=r)
-    head = {q: k for (_, q, _), k in zip(brauer._prime_powers(r), heads)}
+@pytest.mark.parametrize("r, short", [(6, 3), (12, 4), (15, 5)], ids=["6", "12", "15"])
+def test_a_chart_cut_short_at_one_prime_power_is_a_runtime_error(monkeypatch, r, short):
+    # an enumerated chart's heads cut to its floor mod every q; with every
+    # block but the first empty at one q, that q's cut keeps every form
+    # with 0 at (a_1, b_1), and the error names that q, the cut's order and
+    # a generator outside {0}
     block = brauer._block
 
-    def short_block(d, p, q, c1, c2, isotropic, small=None):
-        k = head[q] if (c1, c2) == (0, 1) else 0
-        return islice(block(d, p, q, c1, c2, isotropic), k)
+    def short_block(d, p, q, c1, c2, isotropic):
+        return block(d, p, q, c1, c2, isotropic) if q != short or c1 + c2 == 1 else iter(())
 
     monkeypatch.setattr(brauer, "_block", short_block)
-    fam = BicyclicFamily(sp, (), ())
-    fam._tag, fam._count = "bicyclic-pair", prod(heads)
-    inter = bogomolov_intersection(sp, fam)
-    assert FormSubmodule.trivial(sp) != inter != FormSubmodule.full(sp)
-    stacked = BicyclicFamily(sp, fam.members, fam.provenance)
-    assert inter == bogomolov_intersection(sp, stacked)
+    sp = SymplecticSpace(g=2, r=r)
+    message = (
+        rf"^the all bicyclic heads at g = 2, q = {short} cut to {short**5} forms: "
+        r"generator \(.*\) is outside \{0\}$"
+    )
+    with pytest.raises(RuntimeError, match=message):
+        bogomolov_intersection(sp, all_bicyclics(sp))
+
+
+def _closed_form_head(g: int, c1: int, c2: int, isotropic: bool):
+    """The first basis of pivot block (c1, c2) in member order, from the
+    basis convention alone (a_i, b_i at coordinates 2i - 2, 2i - 1): the
+    pair (e_c1, e_c2), except that the isotropic head of (a_i, b_i), i < g,
+    is (a_i + b_g, b_i + a_g), and (a_g, b_g) has none."""
+    d = 2 * g
+
+    def e(*coords):
+        return tuple(int(j in coords) for j in range(d))
+
+    if not isotropic or c1 % 2 or c2 != c1 + 1:
+        return e(c1), e(c2)
+    return None if c2 == d - 1 else (e(c1, d - 1), e(c2, d - 2))
+
+
+@pytest.mark.parametrize(
+    "p, q", [(2, 2), (3, 3), (2, 4), (3, 9), (5, 25), (97, 97), (2**31 - 1, 2**31 - 1)]
+)
+def test_block_heads_are_the_closed_form_bases(p, q):
+    # the intersection cuts a chart by these heads alone: each is the closed
+    # form, isotropic in plain ints when the family is, and its own chart
+    # basis
+    for g in range(1, 9):
+        sp = SymplecticSpace(g=g, r=q)
+        for isotropic in (True, False):
+            for c1, c2 in combinations(range(2 * g), 2):
+                head = next(brauer._block(2 * g, p, q, c1, c2, isotropic), None)
+                assert head == _closed_form_head(g, c1, c2, isotropic), (g, c1, c2)
+                if head is None:
+                    continue
+                if isotropic:
+                    assert symplectic_value(*head, q) == 0
+                assert brauer._chart_key(sp, head) == head
+
+
+@pytest.mark.parametrize(
+    "enumerate_family, kind, floor, name",
+    [
+        (isotropic_bicyclics, "isotropic", 5, r"span\(e\)"),
+        (all_bicyclics, "all", 1, r"\{0\}"),
+    ],
+    ids=["isotropic", "all"],
+)
+def test_a_dropped_block_head_is_a_runtime_error(
+    monkeypatch, enumerate_family, kind, floor, name
+):
+    # with no head for the block of (a_1, a_2), coefficient 1, that
+    # coefficient is free: the cut is 5 times the floor, and the error names
+    # the unit form there
+    block = brauer._block
+
+    def dropped(d, p, q, c1, c2, isotropic):
+        return iter(()) if (c1, c2) == (0, 2) else block(d, p, q, c1, c2, isotropic)
+
+    monkeypatch.setattr(brauer, "_block", dropped)
+    sp = SymplecticSpace(g=3, r=5)
+    message = (
+        rf"^the {kind} bicyclic heads at g = 3, q = 5 cut to {5 * floor} forms: "
+        rf"generator \(.*\) is outside {name}$"
+    )
+    with pytest.raises(RuntimeError, match=message) as raised:
+        bogomolov_intersection(sp, enumerate_family(sp))
+    named = re.search(r"generator (\(.*?\))", str(raised.value)).group(1)
+    assert ast.literal_eval(named) == tuple(int(k == 1) for k in range(sp.form_rank))
+
+
+@pytest.mark.parametrize(
+    "swapped, tail",
+    [
+        ((0, 1), r"cut to 3 forms: generator \(0, 0, 0, 0, 0, 1\) is outside span\(e\)"),
+        ((2, 3), r"cut to 1 forms: e = \(1, 0, 0, 0, 0, 1\) is outside the cut"),
+    ],
+    ids=["a1-b1", "a2-b2"],
+)
+def test_a_non_isotropic_head_is_a_runtime_error(monkeypatch, swapped, tail):
+    # the all chart's head of (a_1, b_1) kills e_(a_1 b_1): the cut is
+    # span(e_(a_2 b_2)), as many forms as span(e) but not span(e); the head
+    # (a_2, b_2) given to the block that has no isotropic basis kills
+    # e_(a_2 b_2) as well, so the cut is {0}, below span(e), and the error
+    # names e
+    block = brauer._block
+
+    def swap(d, p, q, c1, c2, isotropic):
+        return block(d, p, q, c1, c2, isotropic and (c1, c2) != swapped)
+
+    monkeypatch.setattr(brauer, "_block", swap)
+    sp = SymplecticSpace(g=2, r=3)
+    message = rf"^the isotropic bicyclic heads at g = 2, q = 3 {tail}$"
+    with pytest.raises(RuntimeError, match=message):
+        bogomolov_intersection(sp, isotropic_bicyclics(sp))
+
+
+def test_a_family_past_the_int64_limit_has_a_size_a_hash_and_equality():
+    # (8, 9) has about 10^26 members: size is the closed form as a Python
+    # int, hash and == read it, and only len() is past Python's limit
+    sp = SymplecticSpace(g=8, r=9)
+    families = []
+    for enumerate_family, isotropic in FAMILIES:
+        fam, again = enumerate_family(sp, cap=10**30), enumerate_family(sp, cap=10**30)
+        assert fam.size == bicyclic_count(8, 9, isotropic) > 2**63 - 1
+        assert fam == again and hash(fam) == hash(again)
+        with pytest.raises(OverflowError):
+            len(fam)
+        families.append(fam)
+    assert families[0] != families[1]
+    assert "members" not in families[0].__dict__ | families[1].__dict__
 
 
 def test_a_chart_that_drops_a_basis_is_a_runtime_error(monkeypatch):
@@ -1972,8 +2051,8 @@ def test_a_family_at_a_large_prime_is_refused_by_its_count_at_once(monkeypatch):
 
 @pytest.mark.parametrize("r", [2**31 + 11, 2**61 - 1, 10**30 + 57])
 def test_a_family_past_the_int64_limit_is_refused_by_its_cut(monkeypatch, r):
-    # with a cap raised past its count, the chart is read lazily and the
-    # first slice's conversion refuses the modulus, typed
+    # with a cap raised past its count, the block heads are read lazily and
+    # their conversion refuses the modulus, typed
     monkeypatch.setattr(brauer, "_chart", _refuse_to_chart)
     sp = SymplecticSpace(g=2, r=r)
     fam = isotropic_bicyclics(sp, cap=10**200)

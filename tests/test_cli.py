@@ -409,6 +409,22 @@ def test_bogomolov_families_at_a_composite_r(capsys):
     assert out.endswith(" equals-pairing-span=yes\n") and members == 1146600
 
 
+def test_bogomolov_families_past_the_int64_limit(capsys):
+    # (8, 9) has about 10^26 members, which len() cannot return; the report
+    # prints the closed form of tests/brute.py and exits 0
+    cap = ["--cap", str(10**30), "--g", "8", "--r", "9"]
+    members = bicyclic_count(8, 9, isotropic=False)
+    code = main(["bogomolov", "--family", "all", *cap])
+    assert code == EXIT_OK and members > 2**63
+    assert capsys.readouterr().out == f"g=8 r=9 family=all members={members} |G'|=1 rank=0\n"
+    members = bicyclic_count(8, 9, isotropic=True)
+    code = main(["bogomolov", "--explicit", *cap])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK and members > 2**63
+    assert out.startswith(f"g=8 r=9 family=isotropic members={members} |G'|=9 ")
+    assert out.endswith(" equals-pairing-span=yes\n")
+
+
 def test_components_table(capsys):
     code = main(["components", "--r", "2..4", "--d", "0..2"])
     out = capsys.readouterr().out.strip().split("\n")

@@ -1,9 +1,10 @@
-"""The benchmark's own `witness` checks, run as a test.
+"""The benchmark's own checks, run as tests.
 
 ``perfbench/workloads.py`` checks every result against values it derives
-without brauerkit.  This test loads that file unchanged and runs one op per
-(g, r), so a wrong explicit intersection fails here rather than only as a
-lower ``ok_rate`` in a benchmark run.
+without brauerkit.  These tests load that file unchanged and run every
+``family`` and ``scan`` op and one ``witness`` op per (g, r), so a wrong
+intersection or report fails here rather than only as a lower ``ok_rate``
+in a benchmark run.
 """
 
 import importlib.util
@@ -29,5 +30,19 @@ def test_witness_ops_pass_the_benchmark_checks(tmp_path):
     # routines are exact in int64 only up to r = 2^31
     ops = [op for (g, r), op in sorted(first.items()) if r <= 2**31 - 1]
     assert len(ops) == 12
+    for op in ops:
+        op.check(op.run())
+
+
+def test_family_ops_pass_the_benchmark_checks(tmp_path):
+    ops = _load_workloads().build("family", SEED, str(tmp_path))
+    assert len(ops) == 9
+    for op in ops:
+        op.check(op.run())
+
+
+def test_scan_ops_pass_the_benchmark_checks(tmp_path):
+    ops = _load_workloads().build("scan", SEED, str(tmp_path))
+    assert len(ops) == 7
     for op in ops:
         op.check(op.run())
