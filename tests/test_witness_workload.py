@@ -10,6 +10,8 @@ in a benchmark run.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 SEED = 3
 
@@ -34,15 +36,9 @@ def test_witness_ops_pass_the_benchmark_checks(tmp_path):
         op.check(op.run())
 
 
-def test_family_ops_pass_the_benchmark_checks(tmp_path):
-    ops = _load_workloads().build("family", SEED, str(tmp_path))
-    assert len(ops) == 9
-    for op in ops:
-        op.check(op.run())
-
-
-def test_scan_ops_pass_the_benchmark_checks(tmp_path):
-    ops = _load_workloads().build("scan", SEED, str(tmp_path))
-    assert len(ops) == 7
+@pytest.mark.parametrize("workload, count", [("family", 9), ("scan", 7)])
+def test_every_op_passes_the_benchmark_checks(tmp_path, workload, count):
+    ops = _load_workloads().build(workload, SEED, str(tmp_path))
+    assert len(ops) == count
     for op in ops:
         op.check(op.run())
