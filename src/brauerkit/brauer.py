@@ -24,9 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from math import gcd, prod
-from operator import mul
 
 import numpy as np
 
@@ -168,8 +167,10 @@ class FormSubmodule:
         return cls(space, (), 1)
 
     @classmethod
+    @cache
     def weil_span(cls, space: SymplecticSpace) -> FormSubmodule:
-        # e is 1 at (a_1, b_1), index 0: the one row is its own Howell form
+        # e is 1 at (a_1, b_1), index 0: the one row is its own Howell form;
+        # built once per space, since every floor check compares with it
         return cls(space, (weil_form(space).vector(),), space.r)
 
     @property
@@ -296,17 +297,18 @@ def compute_G(
     ``all-pairs`` constrains by every pair (x, y) with e(x, y) = 0;
     ``primitive-pairs`` only by those pairs whose span is (Z/r)^2.
 
-    Both are one cut (``_cut``) of every form by the minor rows of the
-    witness pairs W (``_witness_pairs``).  Each pair of W is isotropic with
-    a unit minor, so W lies in the selected pairs of either mode, and a
-    form that kills W vanishes on every pair of basis vectors but the
-    (a_i, b_i), where it takes one value: the cut is span(e).  Every
-    isotropic pair is killed by e, so span(e) <= G <= cut(W) = span(e) in
-    both modes.  A cut of any other order is a bug (``RuntimeError`` naming
-    the mode, g, r and a generator outside span(e), or e if the cut is
-    smaller).  No group element is listed: the cap is charged with the
-    witness pairs, ``CapExceededError`` when there are more than ``cap``,
-    after ``ModulusTooLargeError`` for r > 2^31 (``_check_modulus``).
+    Both are one cut of every form by the minor rows of the witness pairs
+    W (``_witness_pairs``), checked against span(e) (``_cut_to_floor``).
+    Each pair of W is isotropic with a unit minor, so W lies in the
+    selected pairs of either mode, and a form that kills W vanishes on
+    every pair of basis vectors but the (a_i, b_i), where it takes one
+    value: the cut is span(e).  Every isotropic pair is killed by e, so
+    span(e) <= G <= cut(W) = span(e) in both modes.  A cut of any other
+    value is a bug (``RuntimeError`` naming the mode, g, r, the cut's
+    order and a generator outside span(e), or e if the cut is smaller).
+    No group element is listed: the cap is charged with the witness
+    pairs, ``CapExceededError`` when there are more than ``cap``, after
+    ``ModulusTooLargeError`` for r > 2^31 (``_check_modulus``).
     """
     if mode not in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
         raise ValueError(f"unknown mode {mode!r}")
@@ -314,26 +316,31 @@ def compute_G(
     _check_modulus(r)
     if (pairs := 5 * space.g * (space.g - 1) // 2) > cap:
         raise CapExceededError(f"{pairs} witness pairs exceed cap {cap}")
-    G = _cut(space, _minor_rows(*_witness_pairs(space), r))
-    if G.order != r:
-        raise _off_floor(
-            G,
-            FormSubmodule.weil_span(space),
-            f"the {mode} witness cut left {G.order} forms, not span(e), at "
-            f"g = {space.g}, r = {r}",
-        )
-    return G
+    return _cut_to_floor(
+        space,
+        _minor_rows(*_witness_pairs(space), r),
+        FormSubmodule.weil_span(space),
+        f"the {mode} witness pairs at g = {space.g}, r = {r}",
+    )
 
 
-def _off_floor(cut: FormSubmodule, floor: FormSubmodule, where: str) -> RuntimeError:
-    """The error for a cut that should be ``floor``, span(e) or {0}, and is
-    not: ``where``, then a generator of the cut outside the floor, or e if
-    there is none (the cut lies below span(e))."""
+def _cut_to_floor(
+    space: SymplecticSpace, rows, floor: FormSubmodule, where: str
+) -> FormSubmodule:
+    """One cut of every form by ``rows`` (``_cut``) that must reach
+    ``floor``, span(e) or {0}, compared by value.  A cut that is not the
+    floor is a bug: ``RuntimeError`` naming ``where``, the cut's order and
+    a generator of the cut outside the floor, or e if there is none (the
+    cut lies below span(e))."""
+    cut = _cut(space, rows)
+    if cut == floor:
+        return cut
     outside = next((v for v in cut.generators if not floor.contains_vector(v)), None)
     if outside is None:
-        return RuntimeError(f"{where}: e = {floor.generators[0]} is outside the cut")
-    name = "span(e)" if floor.rank else "{0}"
-    return RuntimeError(f"{where}: generator {outside} is outside {name}")
+        why = f"e = {floor.generators[0]} is outside the cut"
+    else:
+        why = f"generator {outside} is outside {'span(e)' if floor.rank else '{0}'}"
+    raise RuntimeError(f"{where} cut to {cut.order} forms: {why}")
 
 
 def restriction_kernel(space: SymplecticSpace, subgroup: Subgroup) -> FormSubmodule:
@@ -357,7 +364,7 @@ class BicyclicFamily:
     2. an enumerator's chart (``_enumerate_bicyclics``), held as its tag
        and closed-form count alone, since the chart is a function of
        (space, tag): for each prime power q of r, the bases that
-       ``_block`` lists over Z/q, whose members are the CRT combinations
+       ``_chart`` lists over Z/q, whose members are the CRT combinations
        of one basis per q, the first q's outermost;
     3. the chart bases of the pairs that ``with_pair`` added, in order.
 
@@ -378,7 +385,8 @@ class BicyclicFamily:
     kills span(x, y) iff it kills (x, y), so an added basis contributes
     one constraint row, its minor row, and a member given by hand the
     generator-pair rows of its canonical generators; a chart is cut by
-    the rows of its block heads alone (``_intersection``).
+    the rows of its block heads alone, written down (``_heads``), with no
+    chart listed (``_intersection``).
     """
 
     def __init__(self, space: SymplecticSpace, members, provenance):
@@ -487,8 +495,8 @@ class BicyclicFamily:
         {0} (``all_bicyclics``).  The floor kills every chart basis (an
         isotropic one has e(x, y) = 0), and for each prime power q one cut
         over ``SymplecticSpace(g, q)`` by the minor rows of the block
-        heads, the first basis ``_block`` lists for each pivot pair
-        (c1, c2), reaches it:
+        heads (``_heads``), the first basis ``_chart`` lists for each
+        pivot pair (c1, c2), the same at every q, reaches it:
 
         * all: the head is (e_c1, e_c2), whose minor row is the unit
           vector at (c1, c2), so the heads cut to {0};
@@ -501,10 +509,10 @@ class BicyclicFamily:
         So a form that kills the isotropic heads is 0 off the diagonal and
         constant on it, a multiple of e.  A form mod r is in the floor iff
         it is mod every q, so part 2 is the floor over Z/r once each q's
-        cut is checked; a cut that is not the floor is a bug
-        (``RuntimeError`` naming the family, g, q, the cut's order and a
-        generator outside the floor, or e if the cut lies below it).  The
-        heads go through ``_residues``, which refuses q > 2^31 first.
+        cut is checked by value (``_cut_to_floor``, which names the
+        family, g, q, the cut's order and a generator outside the floor,
+        or e if the cut lies below it).  The heads go through
+        ``_residues``, which refuses q > 2^31 first.
         Part 3 is one cut by one minor row per added basis, since an added
         basis need not be isotropic.  A cut that cuts nothing costs one
         product.
@@ -519,21 +527,14 @@ class BicyclicFamily:
                     )
             sub = _cut(space, _generator_rows(space, self._given))
         elif self._count:
-            iso, d = self._tag == "isotropic-pair", space.dim
+            iso, g, d = self._tag == "isotropic-pair", space.g, space.dim
             floor = FormSubmodule.weil_span if iso else FormSubmodule.trivial
-            for p, q, _ in _prime_powers(r):
-                sq = space if q == r else SymplecticSpace(space.g, q)
-                pivots = combinations(range(d), 2)
-                heads = [next(_block(d, p, q, c1, c2, iso), None) for c1, c2 in pivots]
-                B = _residues([x + y for x, y in filter(None, heads)], q, 2 * d)
-                cut, want = _cut(sq, _basis_rows(B.reshape(-1, 2, d), q)), floor(sq)
-                if cut != want:
-                    raise _off_floor(
-                        cut,
-                        want,
-                        f"the {'isotropic' if iso else 'all'} bicyclic heads at "
-                        f"g = {space.g}, q = {q} cut to {cut.order} forms",
-                    )
+            heads, kind = [x + y for x, y in _heads(d, iso)], "isotropic" if iso else "all"
+            for _, q, _ in _prime_powers(r):
+                sq = space if q == r else SymplecticSpace(g, q)
+                rows = _basis_rows(_residues(heads, q, 2 * d).reshape(-1, 2, d), q)
+                where = f"the {kind} bicyclic heads at g = {g}, q = {q}"
+                _cut_to_floor(sq, rows, floor(sq), where)
             sub = floor(space)
         if self._added:
             sub = _cut(space, _basis_rows(np.array(self._added, dtype=np.int64), r), sub)
@@ -641,89 +642,70 @@ def _members_of(space: SymplecticSpace, B: np.ndarray) -> tuple[Subgroup, ...]:
     return tuple(members)
 
 
-def _entries(d: int, c: int, z: int, before, after) -> list:
-    """The entries, per coordinate, of a chart row with 1 at c and 0 at z:
-    ``before`` before c, ``after`` elsewhere."""
-    row = [before] * c + [(1,)] + [after] * (d - c - 1)
-    row[z] = (0,)
-    return row
+def _heads(d: int, isotropic: bool) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The head of each pivot block (c1, c2) of a chart of (Z/q)^d, its
+    first basis in member order (``_chart``), in pivot order, the same at
+    every q: (e_c1, e_c2), the block's basis with every free entry 0.  An
+    isotropic head must have e(x, y) = 0, which only the pairs (a_i, b_i)
+    break: for i < g the first isotropic x is a_i + b_g, the last free
+    entry set to 1, and its first isotropic y is b_i + a_g; (a_g, b_g) has
+    no isotropic basis, since every entry before its pivots is a multiple
+    of p, so e(x, y) = 1 mod p."""
+    heads = []
+    for c1, c2 in combinations(range(d), 2):
+        x, y = [0] * d, [0] * d
+        x[c1] = y[c2] = 1
+        if isotropic and c2 == c1 ^ 1:
+            if c2 == d - 1:
+                continue
+            x[d - 1] = y[d - 2] = 1
+        heads.append((tuple(x), tuple(y)))
+    return heads
 
 
-def _lex(entries):
-    """The tuples of the product of ``entries``, lexicographically, last
-    coordinate fastest; unlike ``itertools.product`` it copies no range, so
-    a row over Z/q with q = 2^31 - 1 costs nothing until it is read."""
-    if not entries:
-        yield ()
-        return
-    *head, last = entries
-    for prefix in _lex(head):
-        for v in last:
-            yield (*prefix, v)
+# the most (x, y) pairs one step of ``_chart`` tests for isotropy at once
+_STEP = 1 << 20
 
 
-def _solve(a: int, b: int, m: int, q: int) -> range:
-    """The t in mZ/q with a t = b mod q, ascending: t = m s, and (a m) s = b
-    has a solution iff h = gcd(a m, q) divides b, then one s mod q / h."""
-    h = gcd(a * m, q)
-    if b % h:
-        return range(0)
-    n = q // h
-    return range(m * (b // h * pow(a * m // h, -1, n) % n), q, m * n)
-
-
-def _block(d: int, p: int, q: int, c1: int, c2: int, isotropic: bool):
-    """The bases (x, y), coordinate tuples, of the chart of (Z/q)^d with
-    pivot columns c1 < c2, q = p^k (isotropic ones only when
-    ``isotropic``), in member order: x outermost, each row lexicographic
-    over its ``_entries``, each free entry over its whole range.
+def _chart(space: SymplecticSpace, p: int, q: int, isotropic: bool) -> np.ndarray:
+    """Bases (x, y) of the free rank-2 summands of (Z/q)^(2g), q = p^k, one
+    per summand (isotropic ones only when ``isotropic``), in member order,
+    as one n x 2 x 2g array: by pivot pair (c1, c2), then x, then y, each
+    lexicographic, last coordinate fastest.  Only
+    ``BicyclicFamily._bases``, for ``members``, lists a chart.
 
     Reduced mod p, a summand is a plane with pivot columns c1 < c2, and it
     has exactly one basis with x_c1 = y_c2 = 1, x_c2 = y_c1 = 0, x_j = 0
     mod p for j < c1 and y_j = 0 mod p for j < c2; every other entry is
     free.  That is the Schubert-cell chart of Gr(2, 2g) read over Z/q.
 
-    An isotropic y is not filtered from the y's of x: e(x, y) is linear in
-    y, with coefficient +-x_j^1 at y_j (j^1 the partner of j, a_i <-> b_i),
-    so the last free coordinate s of y is solved for (``_solve``) from the
-    others, which keeps the order and yields every solution.  An x with no
-    isotropic y at all (x_c2^1, the coefficient at y_c2 = 1, not a
-    multiple of the least gcd of q and a free coefficient) is skipped with
-    no y read, and the one block with no isotropic basis, (c1, c2) =
-    (2g - 1, 2g) counted from 1, yields nothing with no x read.  The first
-    basis of a block, its head, is read lazily (``_lex``) even at
-    q = 2^31 - 1.
+    A block's X and Y are built from their entry ranges, and an isotropic
+    block keeps the pairs with X C Y^T = 0 mod q, C the pairing's matrix
+    mod q, taking X in steps of at most ``_STEP`` pairs, so that no
+    product outgrows a fixed size however large the block.
     """
-    before, after = range(0, q, p), range(q)
-    X, Y = _entries(d, c1, c2, before, after), _entries(d, c2, c1, before, after)
-    if not isotropic:
-        for x in _lex(X):
-            for y in _lex(Y):
-                yield x, y
-        return
-    if (c1, c2) == (d - 2, d - 1):
-        return  # every other entry is a multiple of p, so e(x, y) = 1 mod p
-    free = [j for j in range(d) if j != c1 and j != c2]
-    steps = [p if j < c2 else 1 for j in free]
-    s, m = free[-1], steps[-1]
-    for x in _lex(X):
-        if x[c2 ^ 1] % min(gcd(x[j ^ 1] * step, q) for j, step in zip(free, steps)):
-            continue
-        a, xa, xb = (x[s ^ 1] if s % 2 else -x[s ^ 1]), x[::2], x[1::2]
-        for y in _lex(Y[:s] + [(0,)] + Y[s + 1 :]):
-            e = sum(map(mul, xa, y[1::2])) - sum(map(mul, xb, y[::2]))
-            for t in _solve(a, -e, m, q):
-                yield x, (*y[:s], t, *y[s + 1 :])
-
-
-def _chart(space: SymplecticSpace, p: int, q: int, isotropic: bool) -> np.ndarray:
-    """The whole chart of q = p^k (isotropic bases only when
-    ``isotropic``), in member order, as one n x 2 x 2g array: the blocks of
-    ``_block`` by pivot pair (c1, c2), each in member order.  Only
-    ``BicyclicFamily._bases``, for ``members``, lists a chart whole."""
     d = space.dim
-    blocks = (_block(d, p, q, c1, c2, isotropic) for c1, c2 in combinations(range(d), 2))
-    return np.array(list(chain.from_iterable(blocks)), dtype=np.int64).reshape(-1, 2, d)
+    C = weil_form(space).full_matrix() % q
+
+    def rows(c: int, z: int) -> np.ndarray:
+        # 1 at c, 0 at z, a multiple of p before c, anything after
+        entries = [
+            np.array([int(j == c)]) if j in (c, z) else np.arange(0, q, p if j < c else 1)
+            for j in range(d)
+        ]
+        return np.stack(np.meshgrid(*entries, indexing="ij"), axis=-1).reshape(-1, d)
+
+    blocks = []
+    for c1, c2 in combinations(range(d), 2):
+        X, Y = rows(c1, c2), rows(c2, c1)
+        if not isotropic:
+            blocks.append(np.stack([X.repeat(len(Y), 0), np.tile(Y, (len(X), 1))], 1))
+            continue
+        XC, step = _matmul_mod(X, C, q), max(1, _STEP // len(Y))
+        for s in range(0, len(X), step):
+            i, j = np.nonzero(_matmul_mod(XC[s : s + step], Y.T, q) == 0)
+            blocks.append(np.stack([X[s + i], Y[j]], 1))
+    return np.concatenate(blocks)
 
 
 def _enumerate_bicyclics(
@@ -732,9 +714,9 @@ def _enumerate_bicyclics(
     """The family of the chart of each prime power q = p^k exactly
     dividing r, kept as part 2 of a ``BicyclicFamily``: its tag and its
     closed-form member count, which is its ``size``.  Nothing is listed:
-    the cut reads the head of each of q's pivot blocks alone (``_block``),
-    and ``members`` lists the chart whole (``_chart``), checking its count
-    there.
+    the cut reads the written-down head of each of q's pivot blocks alone
+    (``_heads``), and ``members`` lists the chart whole (``_chart``),
+    checking its count there.
 
     The cap is charged with the closed-form member count
     (``CapExceededError`` past it).
@@ -784,12 +766,12 @@ def bogomolov_intersection(
     With an explicit family, every form is cut by each part of the family
     in turn (an empty family leaves the whole form module): the stacked
     generator-pair rows of the members given by hand, or an enumerator's
-    chart, whose intersection is its floor, span(e) or {0}, checked for
-    each prime power q of r by one cut over Z/q by the minor rows of at
-    most form_rank block heads (``BicyclicFamily._intersection``); then
-    one minor row per basis ``with_pair`` added.  No chart is listed
-    whole, so a family far past the default cap, enumerated with a raised
-    cap, costs one small cut per q.
+    chart, whose intersection is its floor, span(e) or {0}, checked by
+    value for each prime power q of r by one cut over Z/q by the minor
+    rows of at most form_rank block heads, written down in closed form
+    (``BicyclicFamily._intersection``); then one minor row per basis
+    ``with_pair`` added.  No chart is listed, so a family far past the
+    default cap, enumerated with a raised cap, costs one small cut per q.
     The intersection is computed on first use and cached on the family, so
     a second call costs nothing, and a family grown by ``with_pair`` after
     an intersection costs one small cut of the cached one by the new

@@ -5,10 +5,22 @@ evaluation, additive closures grown one element at a time.  No canonical
 forms, no solvers, no shortcuts shared with the package under test.
 """
 
-from itertools import product
-from math import gcd
+from itertools import permutations, product
+from math import gcd, prod
 
 import numpy as np
+
+
+def permutation_det(M) -> int:
+    """Determinant by the Leibniz formula: the sum over every permutation
+    of the product it picks, signed by its number of inversions; 1 for
+    the 0 x 0 matrix."""
+    M = [[int(v) for v in row] for row in M]
+    n, total = len(M), 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(M[i][perm[i]] for i in range(n))
+    return total
 
 
 def element_order_brute(coords, factors) -> int:

@@ -336,7 +336,7 @@ def test_scan_raises_if_the_shell_ends_before_the_stop(monkeypatch):
     sp = SymplecticSpace(g=2, r=3)
     e_span = FormSubmodule.weil_span(sp)
     for mode in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
-        message = rf"{mode} witness cut left 9 forms, .* g = 2, r = 3: generator "
+        message = rf"^the {mode} witness pairs at g = 2, r = 3 cut to 9 forms: generator "
         with pytest.raises(RuntimeError, match=message) as raised:
             compute_G(sp, mode)
         named = re.search(r"generator (\(.*?\))", str(raised.value)).group(1)
@@ -360,8 +360,33 @@ def test_scan_names_e_if_the_cut_is_smaller_than_span_e(monkeypatch):
     e = weil_form(sp).vector()
     for mode in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
         message = (
-            rf"{mode} witness cut left 1 forms, .* g = 2, r = 3: "
-            rf"e = {re.escape(str(e))} is outside the cut"
+            rf"^the {mode} witness pairs at g = 2, r = 3 cut to 1 forms: "
+            rf"e = {re.escape(str(e))} is outside the cut$"
+        )
+        with pytest.raises(RuntimeError, match=message):
+            compute_G(sp, mode)
+
+
+def test_a_witness_cut_of_the_floor_order_but_not_its_value_is_a_runtime_error(
+    monkeypatch,
+):
+    # with (a_1, b_1) in place of the last mixed pair (a_1 + a_2, b_1 - b_2)
+    # the cut is span(e_(a_2 b_2)): r forms, as many as span(e), but not
+    # span(e), so a check by order alone would return it
+    witness_pairs = brauer._witness_pairs
+
+    def swapped_last_mixed_pair(space):
+        X, Y = witness_pairs(space)
+        X, Y = X.copy(), Y.copy()
+        X[-1], Y[-1] = np.eye(space.dim, dtype=np.int64)[:2]
+        return X, Y
+
+    monkeypatch.setattr(brauer, "_witness_pairs", swapped_last_mixed_pair)
+    sp = SymplecticSpace(g=2, r=5)
+    for mode in (MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS):
+        message = (
+            rf"^the {mode} witness pairs at g = 2, r = 5 cut to 5 forms: "
+            r"generator \(0, 0, 0, 0, 0, 1\) is outside span\(e\)$"
         )
         with pytest.raises(RuntimeError, match=message):
             compute_G(sp, mode)
@@ -863,16 +888,16 @@ def test_each_family_workload_point_reaches_its_floor_in_one_cut(
         pytest.param(isotropic_bicyclics, 3, 7, FormSubmodule.weil_span, id="isotropic-3-7"),
         pytest.param(isotropic_bicyclics, 3, 97, FormSubmodule.weil_span, id="isotropic-3-97"),
         pytest.param(all_bicyclics, 3, 97, FormSubmodule.trivial, id="all-3-97"),
-        # 9.8 * 10^25 members; the last pivot block has no isotropic basis
-        # and is skipped with no x read
+        # 9.8 * 10^25 members; the last pivot block has no isotropic basis,
+        # so no head
         pytest.param(isotropic_bicyclics, 8, 9, FormSubmodule.weil_span, id="isotropic-8-9"),
     ],
 )
 def test_a_lazy_chart_reaches_its_floor_with_no_chart_listed(
     monkeypatch, enumerate_family, g, r, want
 ):
-    # the cut reads each block's head alone, so a family whose chart could
-    # not be listed whole is checked at its floor in one cut
+    # the cut takes each block's written-down head alone, so a family whose
+    # chart could not be listed is checked at its floor in one cut
     monkeypatch.setattr(brauer, "_chart", _refuse_to_chart)
     sp = SymplecticSpace(g=g, r=r)
     cut, cuts = brauer._cut, []
@@ -951,16 +976,16 @@ def test_an_added_basis_is_cut_after_the_chart_stops(monkeypatch, r):
 
 @pytest.mark.parametrize("r, short", [(6, 3), (12, 4), (15, 5)], ids=["6", "12", "15"])
 def test_a_chart_cut_short_at_one_prime_power_is_a_runtime_error(monkeypatch, r, short):
-    # an enumerated chart's heads cut to its floor mod every q; with every
-    # block but the first empty at one q, that q's cut keeps every form
-    # with 0 at (a_1, b_1), and the error names that q, the cut's order and
-    # a generator outside {0}
-    block = brauer._block
+    # an enumerated chart's heads cut to its floor mod every q; with the
+    # cut over Z/q given the first head's row alone at one q, that q's cut
+    # keeps every form with 0 at (a_1, b_1), and the error names that q,
+    # the cut's order and a generator outside {0}
+    cut = brauer._cut
 
-    def short_block(d, p, q, c1, c2, isotropic):
-        return block(d, p, q, c1, c2, isotropic) if q != short or c1 + c2 == 1 else iter(())
+    def short_cut(space, rows, sub=None):
+        return cut(space, rows[:1] if space.r == short else rows, sub)
 
-    monkeypatch.setattr(brauer, "_block", short_block)
+    monkeypatch.setattr(brauer, "_cut", short_cut)
     sp = SymplecticSpace(g=2, r=r)
     message = (
         rf"^the all bicyclic heads at g = 2, q = {short} cut to {short**5} forms: "
@@ -985,24 +1010,37 @@ def _closed_form_head(g: int, c1: int, c2: int, isotropic: bool):
     return None if c2 == d - 1 else (e(c1, d - 1), e(c2, d - 2))
 
 
+def _block_firsts(chart: np.ndarray, p: int) -> list:
+    """The first basis of each pivot block of a listed chart, in order; a
+    basis's pivot pair is its first minor that is a unit mod p."""
+    X, Y = chart[:, 0], chart[:, 1]
+    I, J = np.triu_indices(chart.shape[2], 1)
+    units = (X[:, I] * Y[:, J] - X[:, J] * Y[:, I]) % p != 0
+    _, first = np.unique(units.argmax(axis=1), return_index=True)
+    return [tuple(map(tuple, xy)) for xy in chart[np.sort(first)].tolist()]
+
+
 @pytest.mark.parametrize(
     "p, q", [(2, 2), (3, 3), (2, 4), (3, 9), (5, 25), (97, 97), (2**31 - 1, 2**31 - 1)]
 )
 def test_block_heads_are_the_closed_form_bases(p, q):
     # the intersection cuts a chart by these heads alone: each is the closed
     # form, isotropic in plain ints when the family is, and its own chart
-    # basis
+    # basis; where the chart can be listed (q < 100, up to 10^5 bases), the
+    # heads are the first basis of each of its pivot blocks
     for g in range(1, 9):
         sp = SymplecticSpace(g=g, r=q)
         for isotropic in (True, False):
-            for c1, c2 in combinations(range(2 * g), 2):
-                head = next(brauer._block(2 * g, p, q, c1, c2, isotropic), None)
-                assert head == _closed_form_head(g, c1, c2, isotropic), (g, c1, c2)
-                if head is None:
-                    continue
+            pivots = combinations(range(2 * g), 2)
+            want = [h for c1, c2 in pivots if (h := _closed_form_head(g, c1, c2, isotropic))]
+            heads = brauer._heads(2 * g, isotropic)
+            assert heads == want, (g, isotropic)
+            for head in heads:
                 if isotropic:
                     assert symplectic_value(*head, q) == 0
                 assert brauer._chart_key(sp, head) == head
+            if q < 100 and bicyclic_count(g, q, isotropic) <= 10**5:
+                assert _block_firsts(brauer._chart(sp, p, q, isotropic), p) == heads
 
 
 @pytest.mark.parametrize(
@@ -1019,12 +1057,12 @@ def test_a_dropped_block_head_is_a_runtime_error(
     # with no head for the block of (a_1, a_2), coefficient 1, that
     # coefficient is free: the cut is 5 times the floor, and the error names
     # the unit form there
-    block = brauer._block
+    heads, a1_a2 = brauer._heads, _closed_form_head(3, 0, 2, False)
 
-    def dropped(d, p, q, c1, c2, isotropic):
-        return iter(()) if (c1, c2) == (0, 2) else block(d, p, q, c1, c2, isotropic)
+    def dropped(d, isotropic):
+        return [head for head in heads(d, isotropic) if head != a1_a2]
 
-    monkeypatch.setattr(brauer, "_block", dropped)
+    monkeypatch.setattr(brauer, "_heads", dropped)
     sp = SymplecticSpace(g=3, r=5)
     message = (
         rf"^the {kind} bicyclic heads at g = 3, q = 5 cut to {5 * floor} forms: "
@@ -1050,16 +1088,39 @@ def test_a_non_isotropic_head_is_a_runtime_error(monkeypatch, swapped, tail):
     # (a_2, b_2) given to the block that has no isotropic basis kills
     # e_(a_2 b_2) as well, so the cut is {0}, below span(e), and the error
     # names e
-    block = brauer._block
+    def swap(d, isotropic):
+        heads = (
+            _closed_form_head(d // 2, c1, c2, isotropic and (c1, c2) != swapped)
+            for c1, c2 in combinations(range(d), 2)
+        )
+        return [head for head in heads if head]
 
-    def swap(d, p, q, c1, c2, isotropic):
-        return block(d, p, q, c1, c2, isotropic and (c1, c2) != swapped)
-
-    monkeypatch.setattr(brauer, "_block", swap)
+    monkeypatch.setattr(brauer, "_heads", swap)
     sp = SymplecticSpace(g=2, r=3)
     message = rf"^the isotropic bicyclic heads at g = 2, q = 3 {tail}$"
     with pytest.raises(RuntimeError, match=message):
         bogomolov_intersection(sp, isotropic_bicyclics(sp))
+
+
+def test_a_chart_listing_tests_isotropy_in_bounded_steps(monkeypatch):
+    # at isotropic (2, 37) a pivot block has 37^2 x's and 37^2 y's, more
+    # pairs than one step may test: every product is at most _STEP pairs,
+    # and the stepped listing is the one taken in a single step
+    assert 37**4 > brauer._STEP
+    sp = SymplecticSpace(g=2, r=37)
+    matmul_mod, sizes = brauer._matmul_mod, []
+
+    def recorded(A, B, n):
+        out = matmul_mod(A, B, n)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(brauer, "_matmul_mod", recorded)
+    stepped = brauer._chart(sp, 37, 37, True)
+    assert max(sizes) <= brauer._STEP < sum(sizes)
+    assert len(stepped) == bicyclic_count(2, 37, isotropic=True)
+    monkeypatch.setattr(brauer, "_STEP", 37**4)
+    assert np.array_equal(brauer._chart(sp, 37, 37, True), stepped)
 
 
 def test_a_family_past_the_int64_limit_has_a_size_a_hash_and_equality():

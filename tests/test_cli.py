@@ -123,6 +123,17 @@ def test_unwritable_out_is_refused_before_any_point(tmp_path, monkeypatch, capsy
     assert blocker.read_text() == "" and not (tmp_path / "missing").exists()
 
 
+def test_an_out_path_that_is_a_directory_is_config_error(tmp_path, capsys):
+    # the directory's parent is writable, so the run gets past the up-front
+    # check and fails only when it opens the path
+    argv = ["table", "--g", "2", "--r", "2", "--d", "0", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"brauerkit: cannot write {tmp_path}: Is a directory\n"
+    assert tmp_path.is_dir() and not any(tmp_path.iterdir())
+
+
 def test_bad_jobs_is_config_error(capsys):
     code = main(["table", "--g", "2", "--r", "2", "--d", "0", "--jobs", "0"])
     assert code == EXIT_CONFIG
@@ -586,6 +597,21 @@ def test_importing_cli_loads_no_process_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_python_dash_m_runs_the_cli():
+    # __main__ hands argv to main and its return to the exit status: the
+    # stored components run, byte for byte, exit 0
+    case = GOLDEN_CASES["components"]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-m", "brauerkit", *case["argv"]],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+    )
+    assert out.returncode == case["exit"] == 0
+    assert out.stderr.decode() == case["stderr"]
+    assert out.stdout == (GOLDEN / "components.stdout").read_bytes()
 
 
 @pytest.mark.parametrize("jobs, points, workers", [(64, 2, 2), (2, 4, 2)])

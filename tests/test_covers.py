@@ -26,6 +26,17 @@ def test_from_tau_reads_order():
     assert m.kernel_subgroup.order == 2
 
 
+@pytest.mark.parametrize(
+    "r, g, message",
+    [(0, 2, "cover degree must be >= 1, got 0"), (4, 0, "genus must be >= 1, got 0")],
+)
+def test_cover_model_refuses_a_degree_or_genus_below_1(r, g, message):
+    G = FinAbGroup((4,) * 4)
+    K = subgroup_from_generators(G, [G.element([1, 0, 0, 0])])
+    with pytest.raises(ValueError, match=message):
+        CoverModel(r=r, g=g, d=0, kernel_subgroup=K)
+
+
 def test_from_tau_requires_even_rank():
     with pytest.raises(BadModelError):
         CoverModel.from_tau(FinAbGroup((4, 4, 4)).element([1, 0, 0]), 0)

@@ -24,6 +24,34 @@ from brauerkit.finab import (
 )
 
 
+def test_an_element_of_the_wrong_rank_is_refused():
+    with pytest.raises(ValueError, match="element has 1 coordinates, group has rank 2"):
+        FinAbGroup((2, 2)).element((1,))
+
+
+def test_elements_of_another_group_are_refused():
+    G, H = FinAbGroup((4, 4)), FinAbGroup((2, 2))
+    x, foreign = G.element((1, 0)), H.element((1, 0))
+    sub = subgroup_from_generators(G, [x])
+    with pytest.raises(ValueError, match="element belongs to a different group"):
+        sub.contains(foreign)
+    with pytest.raises(ValueError, match="generator belongs to a different group"):
+        subgroup_from_generators(G, [x, foreign])
+    with pytest.raises(ValueError, match="elements belong to different groups"):
+        is_bicyclic_rr(x, foreign, 4)
+    with pytest.raises(ValueError, match="target belongs to a different group"):
+        count_solutions(G, 2, foreign)
+
+
+def test_homocyclic_needs_equal_factors_and_the_trivial_group_prints_0():
+    assert not FinAbGroup((2, 4)).is_homocyclic()
+    assert not FinAbGroup((2, 4)).is_homocyclic(4)
+    assert FinAbGroup((4, 4)).is_homocyclic(4)
+    assert not FinAbGroup(()).is_homocyclic()
+    assert str(FinAbGroup(())) == "0"
+    assert str(FinAbGroup((2, 4))) == "Z/2 x Z/4"
+
+
 def test_group_validation():
     with pytest.raises(ValueError):
         FinAbGroup((4, 2))  # chain must ascend

@@ -10,9 +10,9 @@ intersection to keep in step, a ``Subgroup`` built outside
 outside ``BicyclicFamily.members`` would form the chart's bases over Z/r
 somewhere else: the intersection cuts each prime power's chart over Z/q
 and never needs them.  A ``_chart`` call outside ``_bases`` would list a
-whole chart, where the intersection reads each pivot block's head alone,
-and a ``_block`` call outside ``_chart`` and the intersection would be a
-third reader of a chart.  A ``_chart_key`` call outside ``with_pair`` would
+whole chart, where the intersection cuts by each pivot block's head
+alone, written down by ``_heads``, and a ``_heads`` call outside the
+intersection would be a second user of those heads.  A ``_chart_key`` call outside ``with_pair`` would
 map a member given by hand into key space again, where ``with_pair``
 matches the ``Subgroup`` a new key spans against the members instead.
 """
@@ -77,9 +77,9 @@ def test_a_chart_is_listed_whole_only_for_members():
     assert len(sites) == 1 and sites[0].startswith("BicyclicFamily._bases:"), sites
 
 
-def test_a_block_is_read_only_by_chart_and_the_intersection():
-    scopes = sorted(site.split(":")[0] for site in _call_sites("_block"))
-    assert scopes == ["BicyclicFamily._intersection", "_chart"], scopes
+def test_block_heads_are_read_only_by_the_intersection():
+    scopes = [site.split(":")[0] for site in _call_sites("_heads")]
+    assert scopes == ["BicyclicFamily._intersection"], scopes
 
 
 def test_only_with_pair_names_a_pair_by_its_chart_basis():

@@ -1,0 +1,82 @@
+"""Both floors are checked by one routine, by value.
+
+``compute_G`` cuts every form by the witness pairs and the enumerated
+families cut each prime power's forms by their block heads; each cut must
+be its floor, span(e) or {0}.  ``_cut_to_floor`` makes that cut, compares
+it with the floor by value and raises the one error for a miss.  A second
+site that builds an "is outside" error would be a second floor check to
+keep in step, and one that compared orders alone would pass a cut of the
+floor's order that is not the floor.  The chart's lazy generator
+(``_block``, ``_lex``, ``_solve``) is gone: the heads are written down.
+"""
+
+import ast
+from pathlib import Path
+
+BRAUER = Path(__file__).resolve().parent.parent / "src" / "brauerkit" / "brauer.py"
+
+
+def _parse():
+    """The module's tree and a map from each node to its parent."""
+    tree = ast.parse(BRAUER.read_text(encoding="utf-8"), filename=str(BRAUER))
+    parent = {
+        child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+    }
+    return tree, parent
+
+
+def _scope(parent, node) -> str:
+    """The enclosing classes and functions of ``node``, joined by dots."""
+    names = []
+    while node in parent:
+        node = parent[node]
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+    return ".".join(reversed(names)) or "<module>"
+
+
+def _docstrings(tree) -> set:
+    return {
+        node.body[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def test_the_floor_routine_has_two_callers():
+    tree, parent = _parse()
+    scopes = sorted(
+        _scope(parent, node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_cut_to_floor"
+    )
+    assert scopes == ["BicyclicFamily._intersection", "compute_G"], scopes
+
+
+def test_only_the_floor_routine_words_an_off_floor_error():
+    tree, parent = _parse()
+    docstrings = _docstrings(tree)
+    sites = sorted(
+        f"{_scope(parent, node)}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and "is outside" in node.value
+        and node not in docstrings
+    )
+    assert sites and all(site.startswith("_cut_to_floor:") for site in sites), sites
+
+
+def test_no_lazy_chart_generator_remains():
+    tree, _ = _parse()
+    names = {
+        node.id if isinstance(node, ast.Name) else node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.FunctionDef))
+    }
+    assert not names & {"_block", "_lex", "_solve", "_entries", "_off_floor"}

@@ -33,6 +33,9 @@ def test_space_validation():
         SymplecticSpace(g=2, r=1)
     with pytest.raises(IndexError):
         SymplecticSpace(g=2, r=3).a(3)
+    for i in (0, 3):
+        with pytest.raises(IndexError, match=f"b-index {i} outside 1..2"):
+            SymplecticSpace(g=2, r=3).b(i)
 
 
 def test_upper_index_pairs_order():
@@ -51,6 +54,20 @@ def test_altform_coeff_validation():
     assert form.vector() == (3,)
     with pytest.raises(ValueError):
         AltForm.from_vector(sp, [1, 2])
+
+
+def test_altform_refuses_a_bad_matrix_and_a_sum_across_spaces():
+    sp = SymplecticSpace(g=1, r=4)
+    with pytest.raises(DimensionMismatchError, match="must be 2x2"):
+        AltForm(sp, ((0, 1),))
+    with pytest.raises(DimensionMismatchError, match="must be 2x2"):
+        AltForm(sp, ((0, 1, 0), (0, 0, 0)))
+    with pytest.raises(ValueError, match="strictly upper triangular"):
+        AltForm(sp, ((0, 1), (3, 0)))
+    with pytest.raises(ValueError, match="strictly upper triangular"):
+        AltForm(sp, ((1, 1), (0, 0)))
+    with pytest.raises(DimensionMismatchError, match="forms on different spaces"):
+        weil_form(sp) + weil_form(SymplecticSpace(g=1, r=2))
 
 
 def test_altform_vector_roundtrip():

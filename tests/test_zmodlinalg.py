@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import rref_mod_prime, span_closure
+from brute import permutation_det, rref_mod_prime, span_closure
 from brauerkit.zmodlinalg import (
     DimensionMismatchError,
     ModulusTooLargeError,
@@ -105,6 +105,29 @@ def test_det_matches_cofactor_expansion():
 
 def test_det_singular():
     assert det_int([[1, 2], [2, 4]]) == 0
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        [[0, 1], [0, 2]],
+        [[1, 2, 3], [0, 0, 5], [0, 0, 7]],
+        [[0, 1], [1, 0]],
+        [[0, 0, 1], [0, 2, 0], [3, 0, 0]],
+        [[0, 2, 1, 0], [0, 0, 3, 1], [4, 1, 0, 0], [0, 5, 0, 0]],
+    ],
+    ids=["zero-column", "zero-column-below", "swap", "two-swaps", "swap-4"],
+)
+def test_det_pivot_search_matches_permutation_expansion(M):
+    # a zero pivot is swapped for the first nonzero entry below it, or the
+    # column has none and the matrix is singular
+    assert det_int(M) == permutation_det(M)
+
+
+def test_det_of_the_empty_matrix_and_a_non_square_one():
+    assert det_int(np.zeros((0, 0), dtype=np.int64)) == 1 == permutation_det([])
+    with pytest.raises(DimensionMismatchError, match="2x3"):
+        det_int([[1, 2, 3], [4, 5, 6]])
 
 
 def test_howell_single_row_already_canonical():
