@@ -297,15 +297,17 @@ def compute_G(
     ``all-pairs`` constrains by every pair (x, y) with e(x, y) = 0;
     ``primitive-pairs`` only by those pairs whose span is (Z/r)^2.
 
-    Both are one cut of every form by the minor rows of the witness pairs
-    W (``_witness_pairs``), checked against span(e) (``_cut_to_floor``).
-    Each pair of W is isotropic with a unit minor, so W lies in the
-    selected pairs of either mode, and a form that kills W vanishes on
-    every pair of basis vectors but the (a_i, b_i), where it takes one
-    value: the cut is span(e).  Every isotropic pair is killed by e, so
-    span(e) <= G <= cut(W) = span(e) in both modes.  A cut of any other
-    value is a bug (``RuntimeError`` naming the mode, g, r, the cut's
-    order and a generator outside span(e), or e if the cut is smaller).
+    Both are the cut of every form by the minor rows of the witness pairs
+    W (``_witness_pairs``), verified to be span(e) with no kernel solved
+    (``_cut_to_floor``: one Howell form of the rows for the cut's order,
+    one product for containment).  Each pair of W is isotropic with a
+    unit minor, so W lies in the selected pairs of either mode, and a
+    form that kills W vanishes on every pair of basis vectors but the
+    (a_i, b_i), where it takes one value: the cut is span(e).  Every
+    isotropic pair is killed by e, so span(e) <= G <= cut(W) = span(e)
+    in both modes.  A cut of any other value is a bug (``RuntimeError``
+    naming the mode, g, r, the cut's order and a generator outside
+    span(e), or e if the cut is smaller).
     No group element is listed: the cap is charged with the witness
     pairs, ``CapExceededError`` when there are more than ``cap``, after
     ``ModulusTooLargeError`` for r > 2^31 (``_check_modulus``).
@@ -327,14 +329,24 @@ def compute_G(
 def _cut_to_floor(
     space: SymplecticSpace, rows, floor: FormSubmodule, where: str
 ) -> FormSubmodule:
-    """One cut of every form by ``rows`` (``_cut``) that must reach
-    ``floor``, span(e) or {0}, compared by value.  A cut that is not the
-    floor is a bug: ``RuntimeError`` naming ``where``, the cut's order and
-    a generator of the cut outside the floor, or e if there is none (the
-    cut lies below span(e))."""
-    cut = _cut(space, rows)
+    """``floor``, span(e) or {0}, once it is verified to be the forms that
+    every row kills: no kernel is solved.  With N the rows over Z/r and m
+    the form rank, |ker N| |span N| = r^m (Smith form), so the floor is
+    ker N by value iff r^m / |span N|, read off one Howell form of N, is
+    the floor's order and N kills the floor's generators (N floor^T = 0).
+    A miss is a bug: only then is the cut built (``_cut``), for a
+    ``RuntimeError`` naming ``where``, the cut's order and a generator of
+    the cut outside the floor, or e if there is none (the cut lies below
+    span(e)); a cut that is the floor after all is reported as such."""
+    r, N = space.r, _form_rows(space, rows)
+    if (
+        r**space.form_rank // _span_order(howell_form(N, r), r) == floor.order
+        and not _matmul_mod(N, floor._matrix.T, r).any()
+    ):
+        return floor
+    cut = _cut(space, N)
     if cut == floor:
-        return cut
+        raise RuntimeError(f"{where} cut to the floor, but the floor check missed it")
     outside = next((v for v in cut.generators if not floor.contains_vector(v)), None)
     if outside is None:
         why = f"e = {floor.generators[0]} is outside the cut"
@@ -485,7 +497,8 @@ class BicyclicFamily:
 
     @cached_property
     def _intersection(self) -> FormSubmodule:
-        """The parts cut in order (``_cut``), from every form.
+        """The parts cut in order from every form: the chart's floor is
+        verified (``_cut_to_floor``), the other parts cut (``_cut``).
 
         Only ``_enumerate_bicyclics`` sets a chart, on an empty family, so
         parts 1 and 2 never coexist.  Part 1 is one cut by the stacked
@@ -509,10 +522,11 @@ class BicyclicFamily:
         So a form that kills the isotropic heads is 0 off the diagonal and
         constant on it, a multiple of e.  A form mod r is in the floor iff
         it is mod every q, so part 2 is the floor over Z/r once each q's
-        cut is checked by value (``_cut_to_floor``, which names the
-        family, g, q, the cut's order and a generator outside the floor,
-        or e if the cut lies below it).  The heads go through
-        ``_residues``, which refuses q > 2^31 first.
+        heads are verified to cut to it, by one Howell form of their rows
+        and one product, with no kernel solved (``_cut_to_floor``; a miss
+        builds the cut and names the family, g, q, the cut's order and a
+        generator outside the floor, or e if the cut lies below it).  The
+        heads go through ``_residues``, which refuses q > 2^31 first.
         Part 3 is one cut by one minor row per added basis, since an added
         basis need not be isotropic.  A cut that cuts nothing costs one
         product.
@@ -766,12 +780,13 @@ def bogomolov_intersection(
     With an explicit family, every form is cut by each part of the family
     in turn (an empty family leaves the whole form module): the stacked
     generator-pair rows of the members given by hand, or an enumerator's
-    chart, whose intersection is its floor, span(e) or {0}, checked by
-    value for each prime power q of r by one cut over Z/q by the minor
-    rows of at most form_rank block heads, written down in closed form
+    chart, whose intersection is its floor, span(e) or {0}, verified for
+    each prime power q of r from the minor rows over Z/q of at most
+    form_rank block heads, written down in closed form: one Howell form
+    of those rows and one product, with no kernel solved
     (``BicyclicFamily._intersection``); then one minor row per basis
     ``with_pair`` added.  No chart is listed, so a family far past the
-    default cap, enumerated with a raised cap, costs one small cut per q.
+    default cap, enumerated with a raised cap, costs one small check per q.
     The intersection is computed on first use and cached on the family, so
     a second call costs nothing, and a family grown by ``with_pair`` after
     an intersection costs one small cut of the cached one by the new
@@ -783,8 +798,8 @@ def bogomolov_intersection(
     materialized.  A member contributes exactly the constraint of one
     generating pair, since on a bicyclic subgroup a form is determined by
     its value on any generating pair up to units, so this G' is the
-    primitive-pairs G and is computed as such: one cut by the witness
-    pairs (``compute_G``).
+    primitive-pairs G and is computed as such: the witness pairs' cut,
+    verified to be span(e) (``compute_G``).
     """
     if family is None:
         return compute_G(space, MODE_PRIMITIVE_PAIRS, cap)

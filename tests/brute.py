@@ -175,26 +175,26 @@ def bicyclic_count(g: int, r: int, isotropic: bool) -> int:
     (p^g + 1)(p^(g-1) + 1) are isotropic.  A plane mod p lifts to
     p^((k-1) d) free summands over Z/p^k, d the dimension of the smooth
     scheme of planes: 2(2g - 2) for all of them, 4g - 5 for the isotropic
-    ones.  The count over Z/r is the product over prime powers p^k || r.
+    ones.  The count over Z/r is the product over prime powers p^k || r,
+    found by trial division up to sqrt(r): what is left past it is prime.
     """
-    total = 1
-    p = 2
-    while r > 1:
-        k = 0
+    powers, p = {}, 2
+    while p * p <= r:
         while r % p == 0:
             r //= p
-            k += 1
-        if k:
-            if isotropic:
-                planes = gaussian_binomial(g, 2, p) * (p**g + 1) * (p ** (g - 1) + 1)
-                d = 4 * g - 5
-            else:
-                planes = gaussian_binomial(2 * g, 2, p)
-                d = 2 * (2 * g - 2)
-            if not planes:
-                return 0
-            total *= planes * p ** ((k - 1) * d)
+            powers[p] = powers.get(p, 0) + 1
         p += 1
+    if r > 1:
+        powers[r] = 1
+    total = 1
+    for p, k in powers.items():
+        if isotropic:
+            planes = gaussian_binomial(g, 2, p) * (p**g + 1) * (p ** (g - 1) + 1)
+            d = 4 * g - 5
+        else:
+            planes = gaussian_binomial(2 * g, 2, p)
+            d = 2 * (2 * g - 2)
+        total *= planes * p ** ((k - 1) * d)
     return total
 
 

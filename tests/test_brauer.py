@@ -293,20 +293,20 @@ def _refuse_to_list(*args, **kwargs):
 @pytest.mark.parametrize("g, r", [(2, 3), (3, 4), (4, 2), (4, 6)])
 @pytest.mark.parametrize("mode", [MODE_ALL_PAIRS, MODE_PRIMITIVE_PAIRS])
 def test_compute_g_is_one_cut_by_the_witness_rows(monkeypatch, g, r, mode):
-    # one cut of every form by the 5g(g - 1)/2 witness rows, with no group
-    # element listed
-    cut = brauer._cut
+    # one floor check of every form by the 5g(g - 1)/2 witness rows, with
+    # no group element listed
+    check = brauer._cut_to_floor
     calls = []
 
-    def counted(space, rows, sub=None):
-        calls.append((len(rows), sub))
-        return cut(space, rows, sub)
+    def counted(space, rows, floor, where):
+        calls.append((len(rows), floor))
+        return check(space, rows, floor, where)
 
-    monkeypatch.setattr(brauer, "_cut", counted)
+    monkeypatch.setattr(brauer, "_cut_to_floor", counted)
     monkeypatch.setattr(FinAbGroup, "coordinate_table", _refuse_to_list)
     sp = SymplecticSpace(g=g, r=r)
     assert compute_G(sp, mode) == FormSubmodule.weil_span(sp)
-    assert calls == [(5 * g * (g - 1) // 2, None)]
+    assert calls == [(5 * g * (g - 1) // 2, FormSubmodule.weil_span(sp))]
 
 
 def test_scan_at_genus_one_lists_no_element(monkeypatch):
@@ -765,26 +765,26 @@ def _refuse_z_r_bases(*args, **kwargs):
     ],
 )
 def test_family_len_and_intersection_build_no_member(monkeypatch, g, r, families):
-    # len is the closed-form count, and the intersection cuts each prime
+    # len is the closed-form count, and the intersection checks each prime
     # power q's chart on its own, over Z/q, once, by the minor rows of its
     # block heads: no basis is offered twice for one q (a basis can repeat
     # across q), no q more than its chart's bases (the closed form over
-    # Z/q), no cut lists more rows than the form rank, and the checked
+    # Z/q), no check lists more rows than the form rank, and the checked
     # floor is the intersection over every member; neither lists a chart whole
     # (_chart), forms a chart basis over Z/r (_bases), goes through
     # _members_of or builds a Subgroup
     sp = SymplecticSpace(g=g, r=r)
-    cut, basis_rows, offered, bases = brauer._cut, brauer._basis_rows, [], []
+    check, basis_rows, offered, bases = brauer._cut_to_floor, brauer._basis_rows, [], []
 
-    def counted_cut(space, rows, sub=None):
+    def counted_check(space, rows, floor, where):
         offered.append(len(rows))
-        return cut(space, rows, sub)
+        return check(space, rows, floor, where)
 
     def recorded_basis_rows(B, n):
         bases.extend((n, tuple(map(tuple, xy))) for xy in B.tolist())
         return basis_rows(B, n)
 
-    monkeypatch.setattr(brauer, "_cut", counted_cut)
+    monkeypatch.setattr(brauer, "_cut_to_floor", counted_check)
     monkeypatch.setattr(brauer, "_basis_rows", recorded_basis_rows)
     monkeypatch.setattr(BicyclicFamily, "_bases", _refuse_z_r_bases)
     monkeypatch.setattr(brauer, "_chart", _refuse_to_chart)
@@ -825,19 +825,19 @@ def test_family_len_and_intersection_build_no_member(monkeypatch, g, r, families
 def test_each_prime_power_stops_at_the_first_cut_of_its_floor(
     monkeypatch, enumerate_family, g, r, cuts
 ):
-    # each q is cut once, by its block heads, to the floor's order (q for
-    # span(e), 1 for {0}), where the chart read in member order took 814,
-    # 2 + 23 and 1,222 slices of 96 bases
+    # each q is checked once, by its block heads, at the floor's order (q
+    # for span(e), 1 for {0}), where the chart read in member order took
+    # 814, 2 + 23 and 1,222 slices of 96 bases
     sp = SymplecticSpace(g=g, r=r)
     fam = enumerate_family(sp)
-    cut, orders = brauer._cut, {}
+    check, orders = brauer._cut_to_floor, {}
 
-    def recorded_cut(space, rows, sub=None):
-        out = cut(space, rows, sub)
+    def recorded_check(space, rows, floor, where):
+        out = check(space, rows, floor, where)
         orders.setdefault(space.r, []).append(out.order)
         return out
 
-    monkeypatch.setattr(brauer, "_cut", recorded_cut)
+    monkeypatch.setattr(brauer, "_cut_to_floor", recorded_check)
     bogomolov_intersection(sp, fam)
     assert {q: len(seen) for q, seen in orders.items()} == cuts
     for q, seen in orders.items():
@@ -862,17 +862,17 @@ _FAMILY_POINTS = [
 def test_each_family_workload_point_reaches_its_floor_in_one_cut(
     monkeypatch, enumerate_family, g, r
 ):
-    # the nine points of the family benchmark: one cut by the block heads,
-    # one per pivot block (form_rank of them, the isotropic family's last
-    # block being empty), is the floor
+    # the nine points of the family benchmark: one floor check by the block
+    # heads, one per pivot block (form_rank of them, the isotropic family's
+    # last block being empty), passes
     sp = SymplecticSpace(g=g, r=r)
-    cut, offered = brauer._cut, []
+    check, offered = brauer._cut_to_floor, []
 
-    def counted_cut(space, rows, sub=None):
+    def counted_check(space, rows, floor, where):
         offered.append(len(rows))
-        return cut(space, rows, sub)
+        return check(space, rows, floor, where)
 
-    monkeypatch.setattr(brauer, "_cut", counted_cut)
+    monkeypatch.setattr(brauer, "_cut_to_floor", counted_check)
     inter = bogomolov_intersection(sp, enumerate_family(sp))
     iso = enumerate_family is isotropic_bicyclics
     assert inter == (FormSubmodule.weil_span(sp) if iso else FormSubmodule.trivial(sp))
@@ -896,17 +896,17 @@ def test_each_family_workload_point_reaches_its_floor_in_one_cut(
 def test_a_lazy_chart_reaches_its_floor_with_no_chart_listed(
     monkeypatch, enumerate_family, g, r, want
 ):
-    # the cut takes each block's written-down head alone, so a family whose
-    # chart could not be listed is checked at its floor in one cut
+    # the check takes each block's written-down head alone, so a family
+    # whose chart could not be listed is checked at its floor in one check
     monkeypatch.setattr(brauer, "_chart", _refuse_to_chart)
     sp = SymplecticSpace(g=g, r=r)
-    cut, cuts = brauer._cut, []
+    check, cuts = brauer._cut_to_floor, []
 
-    def counted_cut(space, rows, sub=None):
+    def counted_check(space, rows, floor, where):
         cuts.append(len(rows))
-        return cut(space, rows, sub)
+        return check(space, rows, floor, where)
 
-    monkeypatch.setattr(brauer, "_cut", counted_cut)
+    monkeypatch.setattr(brauer, "_cut_to_floor", counted_check)
     fam = enumerate_family(sp, cap=10**100)
     # size, not len: len() cannot return the 9.8 * 10^25 members at (8, 9)
     iso = enumerate_family is isotropic_bicyclics
@@ -977,15 +977,15 @@ def test_an_added_basis_is_cut_after_the_chart_stops(monkeypatch, r):
 @pytest.mark.parametrize("r, short", [(6, 3), (12, 4), (15, 5)], ids=["6", "12", "15"])
 def test_a_chart_cut_short_at_one_prime_power_is_a_runtime_error(monkeypatch, r, short):
     # an enumerated chart's heads cut to its floor mod every q; with the
-    # cut over Z/q given the first head's row alone at one q, that q's cut
-    # keeps every form with 0 at (a_1, b_1), and the error names that q,
-    # the cut's order and a generator outside {0}
-    cut = brauer._cut
+    # floor check over Z/q given the first head's row alone at one q, that
+    # q's cut keeps every form with 0 at (a_1, b_1), and the error names
+    # that q, the cut's order and a generator outside {0}
+    check = brauer._cut_to_floor
 
-    def short_cut(space, rows, sub=None):
-        return cut(space, rows[:1] if space.r == short else rows, sub)
+    def short_check(space, rows, floor, where):
+        return check(space, rows[:1] if space.r == short else rows, floor, where)
 
-    monkeypatch.setattr(brauer, "_cut", short_cut)
+    monkeypatch.setattr(brauer, "_cut_to_floor", short_check)
     sp = SymplecticSpace(g=2, r=r)
     message = (
         rf"^the all bicyclic heads at g = 2, q = {short} cut to {short**5} forms: "
@@ -993,6 +993,121 @@ def test_a_chart_cut_short_at_one_prime_power_is_a_runtime_error(monkeypatch, r,
     )
     with pytest.raises(RuntimeError, match=message):
         bogomolov_intersection(sp, all_bicyclics(sp))
+
+
+_SCAN_POINTS = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4)]
+
+
+@pytest.mark.parametrize(
+    "enumerate_family, g, r", [(None, g, r) for g, r in _SCAN_POINTS] + _FAMILY_POINTS
+)
+def test_a_floor_that_passes_takes_one_howell_form_per_prime_power_and_no_kernel(
+    monkeypatch, enumerate_family, g, r
+):
+    # the seven scan points check G at r, the nine family points the chart
+    # floor at each prime power q: each check is one Howell form of its
+    # rows, and no kernel is solved
+    calls = Counter()
+    for name in ("howell_form", "howell_kernel"):
+
+        def counted(*args, _name=name, _real=getattr(brauer, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(brauer, name, counted)
+    sp = SymplecticSpace(g=g, r=r)
+    if enumerate_family is None:
+        assert compute_G(sp) == FormSubmodule.weil_span(sp)
+        checks = 1
+    else:
+        iso = enumerate_family is isotropic_bicyclics
+        want = FormSubmodule.weil_span(sp) if iso else FormSubmodule.trivial(sp)
+        assert bogomolov_intersection(sp, enumerate_family(sp)) == want
+        checks = len(brauer._prime_powers(r))
+    assert calls == {"howell_form": checks}
+
+
+def _head_rows(sp, isotropic: bool) -> np.ndarray:
+    heads = np.array(brauer._heads(sp.dim, isotropic), dtype=np.int64)
+    return brauer._basis_rows(heads, sp.r)
+
+
+# rows that reach a floor, with that floor: the witness rows and the
+# isotropic heads reach span(e), the heads of every pivot block {0}
+_ROWS_AND_FLOORS = [
+    (lambda sp: brauer._minor_rows(*brauer._witness_pairs(sp), sp.r), FormSubmodule.weil_span),
+    (lambda sp: _head_rows(sp, True), FormSubmodule.weil_span),
+    (lambda sp: _head_rows(sp, False), FormSubmodule.trivial),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_floor_check_agrees_with_the_full_cut(data):
+    # rows that reach their floor, perturbed up to three times: a row
+    # dropped, repeated, scaled or replaced by random values.  The check
+    # returns the floor exactly when the full cut is the floor, and
+    # otherwise raises with the cut's order and its first generator
+    # outside the floor, or e when the cut lies below span(e)
+    g, r = data.draw(st.sampled_from([(2, 4), (2, 6), (2, 12), (3, 4), (3, 6), (2, 5), (3, 2)]))
+    sp = SymplecticSpace(g=g, r=r)
+    make_rows, make_floor = data.draw(st.sampled_from(_ROWS_AND_FLOORS))
+    rows, floor = make_rows(sp).tolist(), make_floor(sp)
+    for _ in range(data.draw(st.integers(0, 3))):
+        if not rows:
+            break
+        i = data.draw(st.integers(0, len(rows) - 1))
+        how = data.draw(st.sampled_from(["drop", "repeat", "scale", "replace"]))
+        if how == "drop":
+            del rows[i]
+        elif how == "repeat":
+            rows.insert(data.draw(st.integers(0, len(rows))), rows[i])
+        elif how == "scale":
+            c = data.draw(st.integers(0, r - 1))
+            rows[i] = [c * v % r for v in rows[i]]
+        else:
+            m = sp.form_rank
+            rows[i] = data.draw(st.lists(st.integers(0, r - 1), min_size=m, max_size=m))
+    where = f"the rows at g = {g}, r = {r}"
+    cut = brauer._cut(sp, rows)
+    if cut == floor:
+        assert brauer._cut_to_floor(sp, rows, floor, where) == floor
+        return
+    span = span_closure(floor.generators, r) if floor.rank else {(0,) * sp.form_rank}
+    outside = [v for v in cut.generators if v not in span]
+    if outside:
+        why = f"generator {outside[0]} is outside {'span(e)' if floor.rank else '{0}'}"
+    else:
+        why = f"e = {floor.generators[0]} is outside the cut"
+    message = f"{where} cut to {cut.order} forms: {why}"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        brauer._cut_to_floor(sp, rows, floor, where)
+
+
+@pytest.mark.parametrize("make_rows, make_floor", _ROWS_AND_FLOORS)
+def test_a_miss_whose_cut_is_the_floor_says_so(monkeypatch, make_rows, make_floor):
+    # a floor check that misses builds the cut to name what is off the
+    # floor; a cut that is the floor after all (here the containment
+    # product is made to read nonzero) is reported as such, for {0} too,
+    # which has no e to name
+    sp = SymplecticSpace(g=2, r=6)
+    rows, floor = make_rows(sp), make_floor(sp)
+    monkeypatch.setattr(brauer, "_matmul_mod", lambda A, B, n: np.ones((1, 1), dtype=np.int64))
+    message = r"^the rows cut to the floor, but the floor check missed it$"
+    with pytest.raises(RuntimeError, match=message):
+        brauer._cut_to_floor(sp, rows, floor, "the rows")
+
+
+@pytest.mark.parametrize("g, r", [(2, 2**31 - 1), (3, 10007)])
+def test_a_family_at_a_large_prime_has_the_closed_form_size_and_its_floor(g, r):
+    # the chart's count is the trial-division oracle's, and its floor is
+    # checked by one small Howell form, far past any listing
+    sp = SymplecticSpace(g=g, r=r)
+    for enumerate_family, isotropic in FAMILIES:
+        fam = enumerate_family(sp, cap=10**100)
+        assert fam.size == bicyclic_count(g, r, isotropic=isotropic)
+        want = FormSubmodule.weil_span(sp) if isotropic else FormSubmodule.trivial(sp)
+        assert bogomolov_intersection(sp, fam) == want
 
 
 def _closed_form_head(g: int, c1: int, c2: int, isotropic: bool):
@@ -1026,7 +1141,7 @@ def _block_firsts(chart: np.ndarray, p: int) -> list:
 def test_block_heads_are_the_closed_form_bases(p, q):
     # the intersection cuts a chart by these heads alone: each is the closed
     # form, isotropic in plain ints when the family is, and its own chart
-    # basis; where the chart can be listed (q < 100, up to 10^5 bases), the
+    # basis; where the chart can be listed (up to 10^5 bases), the
     # heads are the first basis of each of its pivot blocks
     for g in range(1, 9):
         sp = SymplecticSpace(g=g, r=q)
@@ -1039,7 +1154,7 @@ def test_block_heads_are_the_closed_form_bases(p, q):
                 if isotropic:
                     assert symplectic_value(*head, q) == 0
                 assert brauer._chart_key(sp, head) == head
-            if q < 100 and bicyclic_count(g, q, isotropic) <= 10**5:
+            if bicyclic_count(g, q, isotropic) <= 10**5:
                 assert _block_firsts(brauer._chart(sp, p, q, isotropic), p) == heads
 
 
@@ -1978,16 +2093,16 @@ def test_verify_report_g2_r4():
 
 
 def test_verify_main_inclusions_makes_one_witness_cut(monkeypatch):
-    # both modes of compute_G are the same cut, and G' is the
-    # primitive-pairs G: one cut serves all three
-    cut = brauer._cut
+    # both modes of compute_G are the same floor check, and G' is the
+    # primitive-pairs G: one check serves all three
+    check = brauer._cut_to_floor
     calls = []
 
     def counted(*args):
         calls.append(1)
-        return cut(*args)
+        return check(*args)
 
-    monkeypatch.setattr(brauer, "_cut", counted)
+    monkeypatch.setattr(brauer, "_cut_to_floor", counted)
     rep = verify_main_inclusions(SymplecticSpace(g=3, r=4))
     assert len(calls) == 1
     assert all(rep.inclusion_flags().values())

@@ -324,15 +324,16 @@ def test_verify_g_violation_outranks_a_later_capped_point(capsys, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["both", "all-pairs", "primitive-pairs"])
 def test_verify_g_makes_one_witness_cut_per_point(capsys, monkeypatch, mode):
-    # both modes are the same cut, so "both" cuts once and prints two lines
-    cut = brauer._cut
+    # both modes are the same floor check, so "both" checks once and prints
+    # two lines
+    check = brauer._cut_to_floor
     calls = []
 
-    def counted(space, rows, sub=None):
+    def counted(space, rows, floor, where):
         calls.append((space.g, space.r))
-        return cut(space, rows, sub)
+        return check(space, rows, floor, where)
 
-    monkeypatch.setattr(brauer, "_cut", counted)
+    monkeypatch.setattr(brauer, "_cut_to_floor", counted)
     code = main(["verify-g", "--g", "2..3", "--r", "2..4", "--mode", mode])
     lines = capsys.readouterr().out.splitlines()
     assert code == EXIT_OK

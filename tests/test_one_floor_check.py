@@ -1,13 +1,16 @@
 """Both floors are checked by one routine, by value.
 
-``compute_G`` cuts every form by the witness pairs and the enumerated
-families cut each prime power's forms by their block heads; each cut must
-be its floor, span(e) or {0}.  ``_cut_to_floor`` makes that cut, compares
-it with the floor by value and raises the one error for a miss.  A second
-site that builds an "is outside" error would be a second floor check to
-keep in step, and one that compared orders alone would pass a cut of the
-floor's order that is not the floor.  The chart's lazy generator
-(``_block``, ``_lex``, ``_solve``) is gone: the heads are written down.
+The cut of every form by the witness pairs (``compute_G``), and by each
+prime power's block heads (the enumerated families), must be its floor,
+span(e) or {0}.  ``_cut_to_floor`` verifies that without building the
+cut: one Howell form of the rows gives the cut's order, since
+|ker N| |span N| = r^m, and one product checks that the rows kill the
+floor, so no kernel is solved.  Only a miss builds the cut, to raise the
+one error.  A second site that builds an "is outside" error would be a
+second floor check to keep in step, and one that compared orders alone
+would pass a cut of the floor's order that is not the floor.  The chart's
+lazy generator (``_block``, ``_lex``, ``_solve``) is gone: the heads are
+written down.
 """
 
 import ast

@@ -1,9 +1,12 @@
 """Every kernel in the package comes from one routine, ``howell_kernel``.
 
-In ``brauer`` every kernel comes from one step, ``_cut``: the witness cut
-of ``compute_G``, restriction kernels and family intersections all cut a
-form submodule by constraint rows.  A second ``howell_kernel`` site in
-``brauer.py`` would be a second kernel path to keep in step.
+In ``brauer`` every kernel comes from one step, ``_cut``: restriction
+kernels and the hand-given and added parts of a family cut a form
+submodule by constraint rows.  The floors (``compute_G`` and an
+enumerated family's chart) are verified with no kernel solved, and only a
+floor check that misses builds its cut, through ``_cut``.  A second
+``howell_kernel`` site in ``brauer.py`` would be a second kernel path to
+keep in step.
 
 ``howell_kernel`` itself takes a Howell form and a modulus and returns the
 kernel, nothing else: ``solve_mod`` reads its particular solution off the
