@@ -6,13 +6,14 @@ table       inclusion checks over a (g, r, d) grid, emitted as JSON or CSV
 verify-g    the isotropic-vanishing submodule versus the pairing span
 bogomolov   intersected restriction kernels over a bicyclic family
 components  covering-side component counts and exponents
-selftest    deterministic property suites, seeded
+selftest    deterministic property suites, seeded, against ``brauerkit.oracle``
 
 Exit codes: 0 every checked flag holds, 1 some inclusion flag failed,
 2 unusable configuration (g < 1, r < 2, a modulus r > 2^31, the one
-int64 limit of the Z/r routines, ``ModulusTooLargeError``, and a
-``table --out`` file that cannot be written included), 3 what some point
-would list passed the cap (such records are marked skipped).
+int64 limit of the Z/r routines, ``ModulusTooLargeError``, a negative
+selftest seed, and a ``table --out`` file that cannot be written
+included), 3 what some point would list passed the cap (such records are
+marked skipped).
 
 table, verify-g and bogomolov take a cap on what one call lists (the
 witness pairs of G, the members of an explicit family), which can also be
@@ -60,10 +61,9 @@ from .finab import (
     CapExceededError,
     DEFAULT_ENUMERATION_CAP,
     FinAbGroup,
-    is_bicyclic_rr,
     subgroup_from_generators,
 )
-from .sympl import AltForm, SymplecticSpace, eval_form, radical, upper_index_pairs, weil_form
+from .sympl import AltForm, SymplecticSpace, eval_form, radical, weil_form
 from .zmodlinalg import (
     ModulusTooLargeError,
     det_int,
@@ -108,6 +108,13 @@ def parse_range(text: str, least: int | None = None) -> tuple[int, ...]:
 
 _genus_range = partial(parse_range, least=1)
 _modulus_range = partial(parse_range, least=2)
+
+
+def _seed(text: str) -> int:
+    """A selftest seed: numpy's generator takes no negative one."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"negative seed {text!r}")
+    return int(text)
 
 
 def _verify_pair(args: tuple[int, int, int, str]):
@@ -360,27 +367,20 @@ def _suite_smith(rng: np.random.Generator):
     return True, f"{cases} cases"
 
 
-def _brute_span(M, n: int) -> set[tuple[int, ...]]:
-    """The row span of ``M`` over Z/n as {c @ M : c in (Z/n)^rows}, by brute
-    force and without Howell forms: the oracle of the span suites."""
-    C = FinAbGroup((n,) * M.shape[0]).coordinate_table()
-    return set(map(tuple, (C @ M % n).tolist()))
-
-
 def _suite_howell(rng: np.random.Generator):
+    from .oracle import span_closure  # here, so that importing cli loads no oracle
     cases = 0
     for n in (2, 3, 4, 6, 8):
         for _ in range(24):
             rows = int(rng.integers(1, 4))
             cols = int(rng.integers(1, 5))
             M = rng.integers(0, n, size=(rows, cols))
-            H = howell_form(M, n)
-            if _brute_span(M, n) != _brute_span(H, n):
+            H, span = howell_form(M, n), span_closure(M, n)
+            if span != span_closure(H, n):
                 return False, f"span changed (n={n})"
             if not np.array_equal(howell_form(H, n), H):
                 return False, f"not idempotent (n={n})"
-            span = sorted(_brute_span(M, n))
-            extra = span[int(rng.integers(0, len(span)))]
+            extra = sorted(span)[int(rng.integers(0, len(span)))]
             M2 = np.vstack([M[::-1], np.array(extra, dtype=np.int64)])
             if not np.array_equal(howell_form(M2, n), H):
                 return False, f"same span, different form (n={n})"
@@ -389,6 +389,7 @@ def _suite_howell(rng: np.random.Generator):
 
 
 def _suite_solve(rng: np.random.Generator):
+    from .oracle import solutions, span_closure
     n = 6
     cases = 12
     for _ in range(cases):
@@ -396,8 +397,7 @@ def _suite_solve(rng: np.random.Generator):
         k = int(rng.integers(1, 5))
         A = rng.integers(0, n, size=(m, k))
         c = rng.integers(0, n, size=m)
-        X = FinAbGroup((n,) * k).coordinate_table()
-        brute = set(map(tuple, X[~((X @ A.T - c) % n).any(axis=1)].tolist()))
+        brute = solutions(A, c, n, k)
         res = solve_mod(A, c, n)
         if res is None:
             if brute:
@@ -408,7 +408,7 @@ def _suite_solve(rng: np.random.Generator):
             return False, "particular solution wrong"
         shifted = {
             tuple(((np.array(v) + x0) % n).tolist())
-            for v in _brute_span(kernel, n)
+            for v in span_closure(kernel, n)
         }
         if shifted != brute:
             return False, "kernel span wrong"
@@ -456,35 +456,12 @@ def _suite_nondegeneracy(_: np.random.Generator, fault: str | None = None):
     return True, f"{cases} cases"
 
 
-def _brute_vanishing_vectors(space: SymplecticSpace, require_bicyclic: bool):
-    """Filter every coefficient vector against every constraint pair directly."""
-    r = space.r
-    X = space.group.coordinate_table()
-    pairs = upper_index_pairs(space.dim)
-    e = weil_form(space)
-    rows = []
-    n = X.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            x, y = X[i], X[j]
-            if (sum(e.coeffs[a][b] * (x[a] * y[b] - x[b] * y[a]) for a, b in pairs)) % r:
-                continue
-            if require_bicyclic and not is_bicyclic_rr(
-                space.group.element(x), space.group.element(y), r
-            ):
-                continue
-            rows.append([(x[a] * y[b] - x[b] * y[a]) % r for a, b in pairs])
-    R = np.array(rows, dtype=np.int64).reshape(-1, space.form_rank)
-    F = FinAbGroup((r,) * space.form_rank).coordinate_table()
-    good = ~((F @ R.T) % r).any(axis=1)
-    return {tuple(v.tolist()) for v in F[good]}
-
-
 def _suite_submodules(_: np.random.Generator):
+    from .oracle import vanishing_forms
     for r in (2, 3):
         space = SymplecticSpace(g=2, r=r)
-        brute_all = _brute_vanishing_vectors(space, require_bicyclic=False)
-        brute_prim = _brute_vanishing_vectors(space, require_bicyclic=True)
+        brute_all = vanishing_forms(2, r, bicyclic_only=False)
+        brute_prim = vanishing_forms(2, r, bicyclic_only=True)
         if set(compute_G(space, MODE_ALL_PAIRS).vectors()) != brute_all:
             return False, f"all-pairs mismatch at r={r}"
         if set(compute_G(space, MODE_PRIMITIVE_PAIRS).vectors()) != brute_prim:
@@ -598,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("selftest", help="deterministic property suites")
     st.set_defaults(run="cmd_selftest")
-    st.add_argument("--seed", type=int, default=0)
+    st.add_argument("--seed", type=_seed, default=0)
     st.add_argument(
         "--inject-fault",
         choices=["weil-a1b1"],

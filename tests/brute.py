@@ -1,14 +1,15 @@
-"""Independent reference computations used to pin expected test values.
+"""Independent reference computations that only the tests use; the naive
+oracle they share with ``brauerkit selftest`` is ``brauerkit.oracle``.
 
-Everything here is deliberately naive: direct enumeration, direct formula
-evaluation, additive closures grown one element at a time.  No canonical
-forms, no solvers, no shortcuts shared with the package under test.
+Everything here is as naive: direct enumeration, direct formula
+evaluation, closed forms.  No canonical forms, no solvers, no shortcuts
+shared with the package under test.
 """
 
 from itertools import permutations, product
 from math import gcd, prod
 
-import numpy as np
+from brauerkit import oracle
 
 
 def permutation_det(M) -> int:
@@ -33,28 +34,10 @@ def element_order_brute(coords, factors) -> int:
     return k
 
 
-def span_closure(rows, n: int) -> set[tuple[int, ...]]:
-    """Additive closure of the given rows in (Z/n)^k."""
-    arr = np.asarray(rows, dtype=np.int64)
-    k = arr.shape[1] if arr.ndim == 2 else (len(rows[0]) if len(rows) else 0)
-    rows = [tuple(int(v) % n for v in row) for row in rows]
-    zero = (0,) * k
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        cur = frontier.pop()
-        for row in rows:
-            nxt = tuple((a + b) % n for a, b in zip(cur, row))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
-
-
 def torsion_counts(rows, n: int) -> dict[int, int]:
     """For each d | n, how many v in the span of ``rows`` over Z/n have
     d*v = 0, counted over the additive closure."""
-    span = span_closure(rows, n)
+    span = oracle.span_closure(rows, n)
     return {
         d: sum(all(d * c % n == 0 for c in v) for v in span)
         for d in range(1, n + 1)
@@ -80,35 +63,10 @@ def rref_mod_prime(rows, p: int) -> list[list[int]]:
     return out
 
 
-def pair_span_size(x, y, r: int) -> int:
-    """Number of distinct combinations a*x + b*y over Z/r."""
-    return len(
-        {
-            tuple((a * xi + b * yi) % r for xi, yi in zip(x, y))
-            for a in range(r)
-            for b in range(r)
-        }
-    )
-
-
-def symplectic_value(x, y, r: int) -> int:
-    """Standard pairing sum of x_{2i} y_{2i+1} - x_{2i+1} y_{2i}."""
-    g = len(x) // 2
-    return sum(x[2 * i] * y[2 * i + 1] - x[2 * i + 1] * y[2 * i] for i in range(g)) % r
-
-
-def minor_vector(x, y, r: int) -> tuple[int, ...]:
-    """All 2x2 minors (x_i y_j - x_j y_i) mod r, i < j in row order."""
-    d = len(x)
-    return tuple(
-        (x[i] * y[j] - x[j] * y[i]) % r for i in range(d) for j in range(i + 1, d)
-    )
-
-
 def plucker_key(x, y, r: int) -> tuple[int, ...]:
     """The 2x2 minors of (x, y) up to a unit of Z/r: the least of the
     tuples u * minors mod r over the units u."""
-    minors = minor_vector(x, y, r)
+    minors = oracle.minor_vector(x, y, r)
     return min(
         tuple(u * m % r for m in minors) for u in range(1, r) if gcd(u, r) == 1
     )
@@ -122,40 +80,21 @@ def count_k_solutions_brute(factors, k: int, target) -> int:
     return total
 
 
-def vanishing_forms(
-    g: int, r: int, isotropic_only: bool = True, bicyclic_only: bool = False
-) -> set[tuple[int, ...]]:
-    """Exhaustive filter: coefficient vectors killed by every selected pair.
-
-    A form vector c (one coefficient per index pair i < j) is kept iff
-    sum_k c_k * minor_k(x, y) = 0 mod r for every unordered element pair
-    (x, y) passing the isotropy / bicyclicity filters.  Cost is only
-    sensible while r^(2g) stays in the low tens of thousands.
-    """
-    dim = 2 * g
-    m = dim * (dim - 1) // 2
-    elems = [list(t) for t in product(range(r), repeat=dim)]
-    rows: set[tuple[int, ...]] = set()
-    for i, x in enumerate(elems):
-        for y in elems[i + 1 :]:
-            if isotropic_only and symplectic_value(x, y, r):
-                continue
-            if bicyclic_only and pair_span_size(x, y, r) != r * r:
-                continue
-            rows.add(minor_vector(x, y, r))
-    rows.discard((0,) * m)
-    R = np.array(sorted(rows), dtype=np.int64).reshape(len(rows), m)
-    forms = np.array(list(product(range(r), repeat=m)), dtype=np.int64)
-    kept: set[tuple[int, ...]] = set()
-    for start in range(0, len(forms), 2048):
-        F = forms[start : start + 2048]
-        if R.shape[0]:
-            ok = ~((F @ R.T) % r).any(axis=1)
-        else:
-            ok = np.ones(len(F), dtype=bool)
-        for v in F[ok]:
-            kept.add(tuple(int(c) for c in v))
-    return kept
+def prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, q) for each prime p dividing n, ascending, q its power exactly
+    dividing n, by trial division up to sqrt(n): what is left past it is
+    prime."""
+    out, p = [], 2
+    while p * p <= n:
+        q = 1
+        while n % p == 0:
+            n, q = n // p, q * p
+        if q > 1:
+            out.append((p, q))
+        p += 1
+    if n > 1:
+        out.append((n, n))
+    return out
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -175,26 +114,17 @@ def bicyclic_count(g: int, r: int, isotropic: bool) -> int:
     (p^g + 1)(p^(g-1) + 1) are isotropic.  A plane mod p lifts to
     p^((k-1) d) free summands over Z/p^k, d the dimension of the smooth
     scheme of planes: 2(2g - 2) for all of them, 4g - 5 for the isotropic
-    ones.  The count over Z/r is the product over prime powers p^k || r,
-    found by trial division up to sqrt(r): what is left past it is prime.
+    ones.  The count over Z/r is the product over prime powers q = p^k || r.
     """
-    powers, p = {}, 2
-    while p * p <= r:
-        while r % p == 0:
-            r //= p
-            powers[p] = powers.get(p, 0) + 1
-        p += 1
-    if r > 1:
-        powers[r] = 1
     total = 1
-    for p, k in powers.items():
+    for p, q in prime_powers(r):
         if isotropic:
             planes = gaussian_binomial(g, 2, p) * (p**g + 1) * (p ** (g - 1) + 1)
             d = 4 * g - 5
         else:
             planes = gaussian_binomial(2 * g, 2, p)
             d = 2 * (2 * g - 2)
-        total *= planes * p ** ((k - 1) * d)
+        total *= planes * (q // p) ** d
     return total
 
 
@@ -231,12 +161,3 @@ def consecutive_sum_mod(r: int) -> int:
     for k in range(r):
         total = (total + k) % r
     return total
-
-
-def halving_solution_counts(taus, m: int) -> list[int]:
-    """For each tau in (Z/m)^k, how many x in (Z/m)^k have 2x + tau = 0,
-    by one scan of every x against every tau."""
-    T = np.asarray(taus, dtype=np.int64)
-    k = T.shape[1]
-    X = np.array(list(product(range(m), repeat=k)), dtype=np.int64)
-    return ((2 * X[None] + T[:, None]) % m == 0).all(axis=2).sum(axis=1).tolist()

@@ -12,16 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brute import (
-    bicyclic_count,
-    minor_vector,
-    pair_span_size,
-    plucker_key,
-    rref_mod_prime,
-    span_closure,
-    symplectic_value,
-    vanishing_forms,
-)
+from brute import bicyclic_count, plucker_key, prime_powers, rref_mod_prime
 from brauerkit import brauer, finab
 from brauerkit.brauer import (
     MODE_ALL_PAIRS,
@@ -42,6 +33,14 @@ from brauerkit.finab import (
     Subgroup,
     is_bicyclic_rr,
     subgroup_from_generators,
+)
+from brauerkit.oracle import (
+    minor_vector,
+    pair_span_size,
+    solutions,
+    span_closure,
+    symplectic_value,
+    vanishing_forms,
 )
 from brauerkit.sympl import AltForm, SymplecticSpace, eval_form, weil_form
 from brauerkit.zmodlinalg import (
@@ -203,12 +202,6 @@ def test_span_filter_drops_exactly_rows_in_span():
             assert (~((rows @ K.T) % n).any(axis=1)).tolist() == want
 
 
-def _brute_cut(vectors, N, r):
-    """The vectors x of a list that every row of N kills: N x = 0 mod r."""
-    V = np.array(sorted(vectors), dtype=np.int64).reshape(len(vectors), -1)
-    return set(map(tuple, V[~((V @ N.T) % r).any(axis=1)].tolist()))
-
-
 @pytest.mark.parametrize(
     "g, r", [(1, 2), (1, 4), (1, 6), (1, 8), (1, 9), (1, 12)]
     + [(2, r) for r in range(2, 7)]
@@ -216,7 +209,6 @@ def _brute_cut(vectors, N, r):
 def test_cut_matches_brute_force(g, r):
     sp = SymplecticSpace(g=g, r=r)
     m = sp.form_rank
-    everything = list(product(range(r), repeat=m))
     rng = np.random.default_rng(100 * g + r)
     for _ in range(12):
         # scaling a generator by a random factor mod r gives torsion spans
@@ -224,21 +216,20 @@ def test_cut_matches_brute_force(g, r):
         gens = gens * rng.integers(1, r, size=(gens.shape[0], 1)) % r
         S = FormSubmodule.from_rows(sp, gens)
         K = np.array(S.generators, dtype=np.int64).reshape(-1, m)
-        inside = span_closure(K, r)
         N1, N2 = (rng.integers(0, r, size=(int(rng.integers(0, 3)), m)) for _ in "12")
-        cut1 = brauer._cut(sp, N1, S)
-        assert set(cut1.vectors()) == _brute_cut(inside, N1, r)
+        cut1, killed = brauer._cut(sp, N1, S), solutions(N1, 0, r, m)
+        assert set(cut1.vectors()) == killed & span_closure(K, r)
         # cutting twice is cutting once by the stacked rows
         assert brauer._cut(sp, N2, cut1) == brauer._cut(sp, np.vstack([N1, N2]), S)
         # rows that kill all of S, and no rows at all, return S itself
-        killers = sorted(_brute_cut(everything, K, r))
+        killers = sorted(solutions(K, 0, r, m))
         picks = rng.integers(0, len(killers), size=2)
         assert brauer._cut(sp, [killers[i] for i in picks], S) is S
         assert brauer._cut(sp, np.zeros((0, m), dtype=np.int64), S) is S
         assert brauer._cut(sp, [], S) is S
         # without a submodule, the kernel of N on every form
         ker = brauer._cut(sp, N1)
-        assert set(ker.vectors(cap=r**m)) == _brute_cut(everything, N1, r)
+        assert set(ker.vectors(cap=r**m)) == killed
         assert ker == brauer._cut(sp, N1, FormSubmodule.full(sp))
 
 
@@ -451,13 +442,10 @@ def test_witness_pairs_in_the_shell_kill_all_but_the_pairing_span(g, r):
         assert symplectic_value(x, y, r) == 0
         assert pair_span_size(x, y, r) == r * r
     rows = np.array([minor_vector(x, y, r) for x, y in pairs], dtype=np.int64)
-    forms = np.array(list(product(range(r), repeat=rows.shape[1])), dtype=np.int64)
-    killed = forms[~((forms @ rows.T) % r).any(axis=1)]
+    killed = solutions(rows, 0, r, rows.shape[1])
     d = 2 * g
     e = [int(i % 2 == 0 and j == i + 1) for i in range(d) for j in range(i + 1, d)]
-    assert set(map(tuple, killed.tolist())) == {
-        tuple(c * v for v in e) for c in range(r)
-    }
+    assert killed == {tuple(c * v for v in e) for c in range(r)}
 
 
 @pytest.mark.parametrize(
@@ -523,13 +511,7 @@ def test_restriction_kernel_frozen_a1_a2():
     for i, x in enumerate(members):
         for y in members[i + 1 :]:
             rows.add(minor_vector(x, y, 2))
-    rows.discard((0,) * 6)
-    R = np.array(sorted(rows), dtype=np.int64)
-    direct = set()
-    for vec in np.ndindex(*([2] * 6)):
-        if not (np.array(vec) @ R.T % 2).any():
-            direct.add(tuple(int(v) for v in vec))
-    assert set(ker.vectors()) == direct
+    assert set(ker.vectors()) == solutions(sorted(rows), 0, 2, 6)
 
 
 def test_restriction_kernel_contains_e_for_isotropic_members():
@@ -2172,25 +2154,14 @@ def test_report_as_dict_is_asdict_in_a_fresh_dict(mode):
     assert rep.as_dict()["g"] == 2
 
 
-def _trial_division_prime_powers(n: int) -> tuple[tuple[int, int, int], ...]:
-    """(p, q, u) of ``brauer._prime_powers`` by trial division: the oracle."""
-    out, m, p = [], n, 2
-    while m > 1:
-        if p * p > m:
-            p = m  # what is left is prime
-        q = 1
-        while m % p == 0:
-            m, q = m // p, q * p
-        if q > 1:
-            out.append((p, q, (n // q) * pow(n // q, -1, q) % n))
-        p += 1
-    return tuple(out)
-
-
 def test_prime_powers_match_trial_division_up_to_10_5():
     factor = brauer._prime_powers.__wrapped__  # uncached, so the cache stays small
     for n in range(1, 10**5 + 1):
-        assert factor(n) == _trial_division_prime_powers(n), n
+        # (p, q, u): each prime, its power q || n, and the CRT idempotent u
+        want = tuple(
+            (p, q, (n // q) * pow(n // q, -1, q) % n) for p, q in prime_powers(n)
+        )
+        assert factor(n) == want, n
 
 
 @pytest.mark.parametrize(

@@ -464,6 +464,38 @@ def test_selftest_fault_injection_names_suite(capsys):
     assert "selftest: FAIL (weil-nondegeneracy)" in out
 
 
+def _shifted(res, n):
+    """A ``solve_mod`` result with its particular solution moved by (1, ..., 1)."""
+    return res if res is None else ((res[0] + 1) % n, res[1])
+
+
+@pytest.mark.parametrize(
+    "name, fake, suite",
+    [
+        ("howell_form", lambda real: lambda M, n: real(M, n)[:-1], "howell-span-oracle"),
+        (
+            "solve_mod",
+            lambda real: lambda A, c, n: _shifted(real(A, c, n), n),
+            "solve-mod-exhaustive",
+        ),
+        (
+            "compute_G",
+            lambda real: lambda space, *args: FormSubmodule.full(space),
+            "brute-force-submodules",
+        ),
+    ],
+    ids=["howell_form", "solve_mod", "compute_G"],
+)
+def test_each_oracle_backed_suite_fails_on_a_wrong_answer(
+    name, fake, suite, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, name, fake(getattr(cli, name)))
+    assert main(["selftest", "--seed", "0"]) == EXIT_VIOLATION
+    out = capsys.readouterr().out
+    assert f"suite {suite}: FAIL" in out
+    assert f"selftest: FAIL ({suite})" in out
+
+
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = json.loads((GOLDEN / "meta.json").read_text(encoding="utf-8"))
 
@@ -488,6 +520,7 @@ def test_output_matches_golden(name, capsys, monkeypatch):
         ["verify-g", "--g", "2", "--r", "1"],
         ["bogomolov", "--g", "0..2", "--r", "2"],
         ["components", "--r", "1", "--d", "0"],
+        ["selftest", "--seed", "-1"],  # numpy's generator takes no negative seed
     ],
 )
 def test_g_below_one_or_r_below_two_is_usage_error(argv, capsys):
@@ -589,15 +622,15 @@ def test_one_cover_model_per_point(argv, points, capsys, monkeypatch):
 
 
 def test_importing_cli_loads_no_process_pool():
-    # the pool is imported only by table --jobs N > 1, so a fresh process
-    # that imports cli has not loaded multiprocessing
+    # the pool is imported only by table --jobs N > 1, and the oracle only by
+    # selftest, so a fresh process that imports cli has loaded neither
     src = str(Path(cli.__file__).resolve().parent.parent)
-    code = "import sys, brauerkit.cli; print('multiprocessing' in sys.modules)"
+    code = "import sys, brauerkit.cli; print(*sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert {"multiprocessing", "brauerkit.oracle"}.isdisjoint(out.stdout.split())
 
 
 def test_python_dash_m_runs_the_cli():

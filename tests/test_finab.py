@@ -6,7 +6,6 @@ import pytest
 from brute import (
     count_k_solutions_brute,
     element_order_brute,
-    pair_span_size,
     torsion_counts,
 )
 from brauerkit.finab import (
@@ -22,6 +21,7 @@ from brauerkit.finab import (
     is_primitive,
     subgroup_from_generators,
 )
+from brauerkit.oracle import pair_span_size
 
 
 def test_an_element_of_the_wrong_rank_is_refused():

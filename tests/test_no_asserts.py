@@ -5,18 +5,15 @@ library relies on must raise instead.
 """
 
 import ast
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "brauerkit"
+from guards import trees
 
 
 def test_library_has_no_assert_statements():
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Assert)
-        ]
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
     assert not found, f"assert statements in the library: {found}"

@@ -18,48 +18,23 @@ matches the ``Subgroup`` a new key spans against the members instead.
 """
 
 import ast
-from pathlib import Path
 
-BRAUER = Path(__file__).resolve().parent.parent / "src" / "brauerkit" / "brauer.py"
-
-
-def _tree():
-    return ast.parse(BRAUER.read_text(encoding="utf-8"), filename=str(BRAUER))
-
-
-def _named(node, name: str) -> bool:
-    return (isinstance(node, ast.Name) and node.id == name) or (
-        isinstance(node, ast.Attribute) and node.attr == name
-    )
+from guards import call_sites, named, parse
 
 
 def test_no_class_subclasses_bicyclic_family():
     subclasses = [
         node.name
-        for node in ast.walk(_tree())
+        for node in ast.walk(parse("brauer.py"))
         if isinstance(node, ast.ClassDef)
-        and any(_named(base, "BicyclicFamily") for base in node.bases)
+        and any(named(base, "BicyclicFamily") for base in node.bases)
     ]
     assert not subclasses, subclasses
 
 
 def _call_sites(name: str) -> list[str]:
-    """``scope:line`` of each call of ``name`` in ``brauer.py``, the scope
-    being the enclosing classes and functions joined by dots."""
-    tree = _tree()
-    parent = {
-        child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
-    }
-    sites = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _named(node.func, name):
-            scope, names = node, []
-            while scope in parent:
-                scope = parent[scope]
-                if isinstance(scope, (ast.FunctionDef, ast.ClassDef)):
-                    names.append(scope.name)
-            sites.append(f"{'.'.join(reversed(names)) or '<module>'}:{node.lineno}")
-    return sites
+    """``scope:line`` of each call of ``name`` in ``brauer.py``."""
+    return call_sites(parse("brauer.py"), name)
 
 
 def test_brauer_builds_a_subgroup_only_in_members_of():
@@ -91,7 +66,7 @@ def test_no_family_is_built_through_its_instance_dict():
     # a family's parts are plain attributes set by name, not written into
     # __dict__ or past a frozen dataclass
     sites = []
-    for node in ast.walk(_tree()):
+    for node in ast.walk(parse("brauer.py")):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -99,10 +74,10 @@ def test_no_family_is_built_through_its_instance_dict():
             isinstance(func, ast.Attribute)
             and func.attr == "update"
             and (
-                _named(func.value, "__dict__")
-                or isinstance(func.value, ast.Call) and _named(func.value.func, "vars")
+                named(func.value, "__dict__")
+                or isinstance(func.value, ast.Call) and named(func.value.func, "vars")
             )
         )
-        if dict_update or _named(func, "__setattr__"):
+        if dict_update or named(func, "__setattr__"):
             sites.append(node.lineno)
     assert not sites, sites

@@ -14,28 +14,8 @@ written down.
 """
 
 import ast
-from pathlib import Path
 
-BRAUER = Path(__file__).resolve().parent.parent / "src" / "brauerkit" / "brauer.py"
-
-
-def _parse():
-    """The module's tree and a map from each node to its parent."""
-    tree = ast.parse(BRAUER.read_text(encoding="utf-8"), filename=str(BRAUER))
-    parent = {
-        child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
-    }
-    return tree, parent
-
-
-def _scope(parent, node) -> str:
-    """The enclosing classes and functions of ``node``, joined by dots."""
-    names = []
-    while node in parent:
-        node = parent[node]
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.append(node.name)
-    return ".".join(reversed(names)) or "<module>"
+from guards import call_sites, parents, parse, scope
 
 
 def _docstrings(tree) -> set:
@@ -50,22 +30,17 @@ def _docstrings(tree) -> set:
 
 
 def test_the_floor_routine_has_two_callers():
-    tree, parent = _parse()
     scopes = sorted(
-        _scope(parent, node)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "_cut_to_floor"
+        site.split(":")[0] for site in call_sites(parse("brauer.py"), "_cut_to_floor")
     )
     assert scopes == ["BicyclicFamily._intersection", "compute_G"], scopes
 
 
 def test_only_the_floor_routine_words_an_off_floor_error():
-    tree, parent = _parse()
-    docstrings = _docstrings(tree)
+    tree = parse("brauer.py")
+    parent, docstrings = parents(tree), _docstrings(tree)
     sites = sorted(
-        f"{_scope(parent, node)}:{node.lineno}"
+        f"{scope(parent, node)}:{node.lineno}"
         for node in ast.walk(tree)
         if isinstance(node, ast.Constant)
         and isinstance(node.value, str)
@@ -76,7 +51,7 @@ def test_only_the_floor_routine_words_an_off_floor_error():
 
 
 def test_no_lazy_chart_generator_remains():
-    tree, _ = _parse()
+    tree = parse("brauer.py")
     names = {
         node.id if isinstance(node, ast.Name) else node.name
         for node in ast.walk(tree)

@@ -8,23 +8,17 @@ that order to keep in step.
 """
 
 import ast
-from pathlib import Path
+
+from guards import parse, trees
 
 from brauerkit import brauer, sympl
-
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "brauerkit"
-
-
-def _tree(name: str):
-    path = PACKAGE / name
-    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def test_triu_indices_appears_only_in_sympl():
     sites = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(_tree(path.name))
+        f"{name}:{node.lineno}"
+        for name, tree in trees()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "triu_indices"
     ]
     assert sites and all(site.startswith("sympl.py:") for site in sites), sites
@@ -33,7 +27,7 @@ def test_triu_indices_appears_only_in_sympl():
 def test_brauer_defines_no_upper_pairs():
     defined = [
         node.lineno
-        for node in ast.walk(_tree("brauer.py"))
+        for node in ast.walk(parse("brauer.py"))
         if isinstance(node, ast.FunctionDef) and node.name == "_upper_pairs"
     ]
     assert not defined, defined

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from brute import symplectic_value
 from brauerkit.finab import FinAbGroup
+from brauerkit.oracle import symplectic_value
 from brauerkit.sympl import (
     AltForm,
     SymplecticSpace,

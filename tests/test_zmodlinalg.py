@@ -1,11 +1,10 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import permutation_det, rref_mod_prime, span_closure
+from brute import permutation_det, rref_mod_prime
+from brauerkit.oracle import solutions, span_closure
 from brauerkit.zmodlinalg import (
     DimensionMismatchError,
     ModulusTooLargeError,
@@ -458,8 +457,7 @@ def test_solve_mod_exhaustive_z6():
             k = int(rng.integers(1, k_max + 1))
             A = rng.integers(0, n, size=(m, k))
             c = rng.integers(0, n, size=m)
-            X = np.array(list(itertools.product(range(n), repeat=k)), dtype=np.int64)
-            brute = set(map(tuple, X[~((X @ A.T - c) % n).any(axis=1)].tolist()))
+            brute = solutions(A, c, n, k)
             res = solve_mod(A, c, n)
             if res is None:
                 assert not brute
@@ -525,21 +523,13 @@ def test_solve_mod_pins_its_representatives(A, c, n, want):
     assert _plain(solve_mod(A, c, n)) == want
 
 
-def _annihilator(rows, n: int, k: int) -> set[tuple[int, ...]]:
-    """Every x in (Z/n)^k with v . x = 0 for each listed row v, by brute force."""
-    X = np.array(list(itertools.product(range(n), repeat=k)), dtype=np.int64)
-    V = np.array(sorted(rows), dtype=np.int64).reshape(-1, k)
-    return set(map(tuple, X[~((X @ V.T) % n).any(axis=1)].tolist()))
-
-
 def _check_kernel_against_brute(M, n):
     k = M.shape[1]
     H = howell_form(M, n)
     span = span_closure(H, n)
     kernel = howell_kernel(H, n)
     assert kernel.shape[1] == k
-    ann = _annihilator(span, n, k)
-    assert span_closure(kernel, n) == ann
+    assert span_closure(kernel, n) == solutions(sorted(span), 0, n, k)
     assert howell_span_order(howell_form(kernel, n), n) == n**k // len(span)
     particular, again = solve_mod(H, np.zeros(len(H), dtype=np.int64), n)
     assert not particular.any()
