@@ -612,24 +612,28 @@ def _chart_key(space: SymplecticSpace, pair) -> tuple[tuple[int, ...], ...]:
     r, (x, y) = space.r, pair
     a = b = c = d = 0
     for p, q, unit in _prime_powers(r):
-        pivot = next(
-            (
-                (c1, c2)
-                for c1, c2 in combinations(range(space.dim), 2)
-                if (x[c1] * y[c2] - x[c2] * y[c1]) % p
-            ),
-            None,
-        )
-        if pivot is None:
-            raise ValueError("pair does not generate a (Z/r)^2 subgroup")
-        c1, c2 = pivot
+        c1, c2, m = _unit_minor(x, y, p)
         # unit * (v mod q) = unit * v mod r, as unit is 0 mod r / q
-        s = unit * pow(x[c1] * y[c2] - x[c2] * y[c1], -1, q)
+        s = unit * pow(m, -1, q)
         a, b, c, d = a + y[c2] * s, b - x[c2] * s, c - y[c1] * s, d + x[c1] * s
-    inverse = ((a % r, b % r), (c % r, d % r))
-    return tuple(
-        [tuple([(u * xk + v * yk) % r for xk, yk in zip(x, y)]) for u, v in inverse]
+    a, b, c, d = a % r, b % r, c % r, d % r
+    return (
+        tuple([(a * xk + b * yk) % r for xk, yk in zip(x, y)]),
+        tuple([(c * xk + d * yk) % r for xk, yk in zip(x, y)]),
     )
+
+
+def _unit_minor(x, y, p: int) -> tuple[int, int, int]:
+    """(c1, c2, minor) of the first 2 x 2 minor of the pair (x, y), in
+    lexicographic (``upper_index_pairs``) order, that is a unit mod the
+    prime p; ``ValueError`` if there is none."""
+    for c1 in range(len(x)):
+        x1, y1 = x[c1], y[c1]
+        for c2 in range(c1 + 1, len(x)):
+            m = x1 * y[c2] - x[c2] * y1
+            if m % p:
+                return c1, c2, m
+    raise ValueError("pair does not generate a (Z/r)^2 subgroup")
 
 
 def _basis_rows(B: np.ndarray, r: int) -> np.ndarray:

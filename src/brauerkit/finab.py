@@ -1,11 +1,14 @@
 """Finite abelian groups in invariant-factor coordinates.
 
 A group is a product Z/d_1 x ... x Z/d_k with d_1 | d_2 | ... and every
-d_i >= 2; elements are coordinate tuples.  Subgroups are canonicalized by
-embedding the group into (Z/N)^k, N the exponent, scaling coordinate i by
-N/d_i, and taking the Howell form of the generator rows over Z/N.  Equal
-subgroups therefore have equal ``canonical_generators``, independent of the
-generating set they came from.
+d_i >= 2; elements are coordinate tuples.  Factors and coordinates are read
+through ``operator.index``, so Python ints, bools and numpy integers are
+taken as the Python ints they are, and a float, a str or a numpy float or
+bool is a ``TypeError`` rather than truncated.  Subgroups are
+canonicalized by embedding the group into (Z/N)^k, N the exponent, scaling
+coordinate i by N/d_i, and taking the Howell form of the generator rows
+over Z/N.  Equal subgroups therefore have equal ``canonical_generators``,
+independent of the generating set they came from.
 
 Any operation that has to walk a whole group refuses once the order passes
 an enumeration cap (default 10**7, always overridable per call).
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
 from math import gcd, lcm, prod
+from operator import index
 
 import numpy as np
 
@@ -66,7 +70,7 @@ class FinAbGroup:
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self):
-        facs = tuple(int(d) for d in self.invariant_factors)
+        facs = tuple(map(index, self.invariant_factors))
         object.__setattr__(self, "invariant_factors", facs)
         for d in facs:
             if d < 2:
@@ -140,14 +144,19 @@ class GroupElement:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        facs = self.parent.invariant_factors
-        if len(self.coords) != len(facs):
+        facs, coords = self.parent.invariant_factors, self.coords
+        if len(coords) != len(facs):
             raise ValueError(
-                f"element has {len(self.coords)} coordinates, group has rank {len(facs)}"
+                f"element has {len(coords)} coordinates, group has rank {len(facs)}"
             )
-        object.__setattr__(
-            self, "coords", tuple([int(c) % d for c, d in zip(self.coords, facs)])
-        )
+        if facs and facs[0] == facs[-1]:
+            # homocyclic, as d_1 | ... | d_k: one exponent reduces every
+            # coordinate
+            d = facs[0]
+            coords = tuple([c % d for c in map(index, coords)])
+        else:
+            coords = tuple([index(c) % d for c, d in zip(coords, facs)])
+        object.__setattr__(self, "coords", coords)
 
     def _check_same_parent(self, other: GroupElement):
         if self.parent != other.parent:

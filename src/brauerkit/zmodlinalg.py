@@ -33,7 +33,9 @@ That is the package's one int64 limit: caller input enters
 every Z/n routine through one conversion, ``_residues``, which raises
 ``ModulusTooLargeError`` for larger n rather than wrap around, and
 products of residue matrices go through ``_matmul_mod``, summed in chunks
-that stay below 2^63.
+that stay below 2^63.  For n <= 2^15 the same bounds hold below 2^31, so
+``howell_form`` keeps its working matrix in int32 there (``_work_dtype``),
+whose update costs less, and returns int64 like every other routine.
 """
 
 from __future__ import annotations
@@ -266,14 +268,24 @@ def _residues(A, n: int, width: int | None = None) -> np.ndarray:
     return M % n
 
 
-def _headroom(n: int) -> int:
+def _headroom(n: int, dtype=np.int64) -> int:
     """How many terms in [0, (n-1)^2] a residue in [0, n) can gain, or lose,
-    and stay exact in int64: (2^63 - 1 - n) // (n - 1)^2.
+    and stay exact in ``dtype``: (2^63 - 1 - n) // (n - 1)^2 in int64, and
+    (2^31 - 1 - n) // (n - 1)^2 in int32.
 
-    Two at n = 2^31, the largest modulus ``_check_modulus`` accepts, 32 at
-    2^29 - 3 and about 10^15 at 97.
+    In int64, two at n = 2^31, the largest modulus ``_check_modulus``
+    accepts, 32 at 2^29 - 3 and about 10^15 at 97.  In int32, two at
+    n = 2^15, one just past it and about 233,000 at 97.
     """
-    return (2**63 - 1 - n) // (n - 1) ** 2
+    top = 2**31 if dtype == np.int32 else 2**63
+    return (top - 1 - n) // (n - 1) ** 2
+
+
+def _work_dtype(n: int):
+    """The dtype of ``howell_form``'s working matrix over Z/n: int32 while
+    its headroom is at least 2, that is 2(n-1)^2 < 2^31 or n <= 2^15, the
+    rule ``_check_modulus`` applies to int64 at 2^31; else int64."""
+    return np.int32 if _headroom(n, np.int32) >= 2 else np.int64
 
 
 def _matmul_mod(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
@@ -333,17 +345,23 @@ def howell_form(A, n: int) -> np.ndarray:
     pivot row, so the update subtracts a quotient below n/g times a residue,
     a term in [0, (n-1)^2], and after j updates every entry lies in
     [-j(n-1)^2, n).  The whole matrix is reduced when j reaches
-    ``_headroom(n)``, which keeps that exact in int64, and before the steps
-    that read more than column c: the extended-gcd combination, the skip of
-    zero columns and the zero-row prune.  Column c itself needs no final
+    ``_headroom(n, work)``, which keeps that exact in the working dtype,
+    and before the steps that read more than column c: the extended-gcd
+    combination, whose two products sum below 2(n-1)^2, the skip of zero
+    columns and the zero-row prune.  The working dtype is int32 for
+    n <= 2^15, where that headroom is at least 2 and 2(n-1)^2 < 2^31, and
+    int64 above (``_work_dtype``); the input is cast with the transpose
+    copy and the output back to int64.  Column c itself needs no final
     reduction: the rows below lose exact multiples of g, and the rows above
     keep their residue mod g, which g | n makes that of their residue mod n.
     """
     # T is the working matrix transposed, C-contiguous: column c of the
     # matrix is the row T[c], and row i its column T[:, i]
-    T = np.ascontiguousarray(_residues(A, n).T)
+    M = _residues(A, n)
+    work = _work_dtype(n)
+    T = np.ascontiguousarray(M.T, dtype=work)
     k = T.shape[0]
-    room = _headroom(n)
+    room = _headroom(n, work)
     # T[:, :t] holds the pivot rows found so far; T[:, t:] the remaining
     # rows, which are zero in every column before c; T[c:] has taken j
     # updates since it was last reduced
@@ -406,11 +424,11 @@ def howell_form(A, n: int) -> np.ndarray:
         if j == room:
             j = _reduce(T[c:], n, j)
     # every row past t is zero: each column was cleared below its pivot
-    return np.ascontiguousarray((T[:, :t] % n).T)
+    return np.ascontiguousarray((T[:, :t] % n).T, dtype=np.int64)
 
 
 def _reduce(S: np.ndarray, n: int, j: int) -> int:
-    """Reduce the int64 block ``S`` into [0, n) in place unless it has taken
+    """Reduce the integer block ``S`` into [0, n) in place unless it has taken
     no update (j = 0) since its last reduction; 0, the count after it."""
     if j:
         S -= (S // n) * n

@@ -1526,6 +1526,44 @@ def test_chart_key_names_the_span_at_r_6(x, y, change):
     assert set(span_closure(key, r)) == set(span_closure([x, y], r))
 
 
+def _random_rebasings(sp, rng, count: int):
+    """``count`` triples (x, y, (x', y')) of a random pair spanning
+    (Z/r)^2, dense or sparse, and another basis of its span."""
+    r, out = sp.r, []
+    while len(out) < count:
+        sparse = len(out) % 2 == 1
+        x, y = (_draw_vector(rng, sp.dim, r, sparse) for _ in range(2))
+        if gcd(r, *minor_vector(x, y, r)) != 1:
+            continue
+        a, b, c, d = (rng.randrange(r) for _ in range(4))
+        if gcd(r, a * d - b * c) == 1:
+            out.append((x, y, _rebased(x, y, a, b, c, d, r)))
+    return out
+
+
+@pytest.mark.parametrize("r", [2**31 - 1, 30030, 10**12 + 39])
+def test_chart_key_is_a_fixed_point_and_basis_free(r):
+    # the key is a basis of the span it names, so it is its own key, and
+    # every basis of the span has that key; 30030 has six primes, and past
+    # 2^31, where with_pair refuses r, the key is still exact in Python ints
+    sp = SymplecticSpace(g=3, r=r)
+    for x, y, rebased in _random_rebasings(sp, random.Random(r), 40):
+        key = brauer._chart_key(sp, (x, y))
+        assert brauer._chart_key(sp, key) == key
+        assert brauer._chart_key(sp, rebased) == key
+
+
+@pytest.mark.parametrize("r", [2**31 - 1, 30030])
+def test_chart_key_spans_the_subgroup_of_its_pair(r):
+    # the canonical subgroup of the key is that of the pair
+    sp = SymplecticSpace(g=3, r=r)
+    for x, y, _ in _random_rebasings(sp, random.Random(r + 1), 20):
+        key = brauer._chart_key(sp, (x, y))
+        assert subgroup_from_generators(
+            sp.group, [sp.element(v) for v in key]
+        ) == subgroup_from_generators(sp.group, [sp.element(x), sp.element(y)])
+
+
 @pytest.mark.parametrize("g, r", [(2, 3), (2, 4), (2, 6), (3, 2), (2, 10)])
 def test_every_chart_basis_is_its_own_key(g, r):
     # the key is the enumerator's basis: _chart's, lifted by the same CRT unit

@@ -22,11 +22,37 @@ from brauerkit.finab import (
     subgroup_from_generators,
 )
 from brauerkit.oracle import pair_span_size
+from brauerkit.sympl import SymplecticSpace
 
 
 def test_an_element_of_the_wrong_rank_is_refused():
     with pytest.raises(ValueError, match="element has 1 coordinates, group has rank 2"):
         FinAbGroup((2, 2)).element((1,))
+
+
+@pytest.mark.parametrize("bad", [1.9, 2.0, "3", np.float64(2.0), np.True_, 1 + 0j])
+def test_non_integer_coordinates_and_factors_are_a_type_error(bad):
+    # read through operator.index, as the Z/n routines read their entries:
+    # truncated, 1.9 would read as 1 and "3" as 3
+    for factors in [(5, 5), (2, 4)]:  # homocyclic, then mixed factors
+        with pytest.raises(TypeError):
+            FinAbGroup(factors).element([0, bad])
+    with pytest.raises(TypeError):
+        FinAbGroup((bad, 4))
+    with pytest.raises(TypeError):
+        SymplecticSpace(g=2, r=5).element([bad, 3, 0, True])
+
+
+def test_integer_coordinates_and_factors_of_any_kind_are_accepted():
+    # Python ints of any size, Python bools and numpy integers
+    one = [True, np.int64(6), np.uint8(11), 2**70 + 1]
+    for factors in [(5, 5, 5, 5), (1 + 1, 10, 10, 20)]:
+        coords = FinAbGroup(factors).element(one).coords
+        assert coords == tuple(int(v) % d for v, d in zip(one, factors))
+        assert all(type(c) is int for c in coords)
+    G = FinAbGroup((np.int64(2), True + 3, np.uint16(8)))
+    assert G.invariant_factors == (2, 4, 8)
+    assert all(type(d) is int for d in G.invariant_factors)
 
 
 def test_elements_of_another_group_are_refused():
@@ -172,18 +198,25 @@ def test_subgroup_frozen_z4_square():
     assert got == {(0, 0), (2, 0), (0, 2), (2, 2)}
 
 
-def group_closure(G, gens):
-    """Orbit of 0 under adding generators; independent of Subgroup internals."""
-    seen = {G.zero().coords}
-    frontier = [G.zero()]
+def coordinate_closure(factors, gens) -> set[tuple[int, ...]]:
+    """The subgroup of Z/d_1 x ... x Z/d_k generated by the coordinate
+    tuples ``gens``: 0 and every sum reached by adding a generator, each
+    coordinate reduced mod its own factor d_i.  Plain tuples, so it shares
+    no arithmetic with ``GroupElement`` or ``Subgroup``."""
+    zero = (0,) * len(factors)
+    seen, frontier = {zero}, [zero]
     while frontier:
         cur = frontier.pop()
         for h in gens:
-            nxt = cur + h
-            if nxt.coords not in seen:
-                seen.add(nxt.coords)
+            nxt = tuple((a + b) % d for a, b, d in zip(cur, h, factors))
+            if nxt not in seen:
+                seen.add(nxt)
                 frontier.append(nxt)
     return seen
+
+
+def _random_coords(factors, rng, count: int) -> list[tuple[int, ...]]:
+    return [tuple(int(rng.integers(0, d)) for d in factors) for _ in range(count)]
 
 
 def test_subgroup_canonicalization_is_generator_independent():
@@ -191,31 +224,34 @@ def test_subgroup_canonicalization_is_generator_independent():
     for factors in [(4, 4), (2, 4, 8), (6, 6)]:
         G = FinAbGroup(factors)
         for _ in range(15):
-            gens = [
-                G.element([int(rng.integers(0, d)) for d in factors])
-                for _ in range(3)
-            ]
+            coords = _random_coords(factors, rng, 3)
+            gens = [G.element(c) for c in coords]
             S = subgroup_from_generators(G, gens)
             # shuffled, duplicated, and summed generators give the same subgroup
             alt = [gens[2], gens[0], gens[1], gens[0] + gens[1], gens[2]]
             T = subgroup_from_generators(G, alt)
             assert S == T
-            closure = group_closure(G, gens)
+            closure = coordinate_closure(factors, coords)
             assert S.order == len(closure)
             assert {e.coords for e in S.elements()} == closure
 
 
 def test_subgroup_elements_match_closure():
-    G = FinAbGroup((2, 4, 4))
-    gens = [G.element([1, 2, 0]), G.element([0, 2, 2])]
-    S = subgroup_from_generators(G, gens)
-    direct = set()
-    for a in range(2):
-        for b in range(4):
-            got = a * gens[0] + b * gens[1]
-            direct.add(got.coords)
-    assert {e.coords for e in S.elements()} == direct
-    assert S.order == len(direct)
+    # every a x + b y, in plain coordinates reduced per factor
+    for factors, (x, y) in [
+        ((2, 4, 4), ((1, 2, 0), (0, 2, 2))),
+        ((2, 4, 8), ((1, 3, 6), (0, 2, 4))),
+    ]:
+        G = FinAbGroup(factors)
+        S = subgroup_from_generators(G, [G.element(x), G.element(y)])
+        top = factors[-1]
+        direct = {
+            tuple((a * u + b * v) % d for u, v, d in zip(x, y, factors))
+            for a in range(top)
+            for b in range(top)
+        }
+        assert {e.coords for e in S.elements()} == direct
+        assert S.order == len(direct) == len(coordinate_closure(factors, [x, y]))
 
 
 def test_subgroup_in_non_homocyclic_group():
@@ -232,12 +268,9 @@ def test_subgroup_contains_matches_elements():
     for factors in [(4, 4), (2, 6), (2, 4, 4)]:
         G = FinAbGroup(factors)
         for _ in range(6):
-            gens = [
-                G.element([int(rng.integers(0, d)) for d in factors])
-                for _ in range(int(rng.integers(0, 3)))
-            ]
-            S = subgroup_from_generators(G, gens)
-            inside = group_closure(G, gens)
+            coords = _random_coords(factors, rng, int(rng.integers(0, 3)))
+            S = subgroup_from_generators(G, [G.element(c) for c in coords])
+            inside = coordinate_closure(factors, coords)
             for x in G.elements():
                 assert S.contains(x) == (x.coords in inside)
 

@@ -1,3 +1,5 @@
+from math import gcd, prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from brauerkit.zmodlinalg import (
     DimensionMismatchError,
     ModulusTooLargeError,
     _check_modulus,
+    _headroom,
+    _work_dtype,
     det_int,
     howell_form,
     howell_kernel,
@@ -417,6 +421,75 @@ def test_howell_no_unit_in_leading_column():
         _check_howell_invariants(H, n)
         assert span_closure(H, n) == span_closure(M, n)
     assert howell_form([[4, 1], [3, 0]], 12).tolist() == [[1, 1], [0, 3]]
+
+
+# howell_form works in int32 for n <= 2^15 (headroom 2 at 2^15) and in int64
+# above; these moduli sit on both sides of that bound
+INT32_EDGE_PRIMES = (32749, 32771)
+INT32_EDGE_COMPOSITES = {32766: (2, 3, 43, 127), 32768: (2,), 32770: (2, 5, 29, 113)}
+
+
+def test_int32_tier_ends_at_two_to_the_15():
+    # int32 while its headroom is 2, as int64's is at 2^31: there the
+    # extended-gcd combination, two products below (n-1)^2, stays below 2^31
+    assert _headroom(2**15, np.int32) == 2 and _headroom(2**15 + 1, np.int32) == 1
+    assert 2 * (2**15 - 1) ** 2 < 2**31 <= 2 * (2**15) ** 2
+    assert _headroom(2**31) == 2
+    assert _work_dtype(2) is _work_dtype(97) is _work_dtype(2**15) is np.int32
+    assert _work_dtype(2**15 + 1) is _work_dtype(2**31) is np.int64
+
+
+def _int32_edge_inputs(n, rng, primes=()):
+    """Matrices over Z/n: all-zero, tall, wide, dense with 12 columns (so
+    the whole matrix is reduced every other column, at headroom 2), and,
+    for each prime p of ``primes``, columns of multiples of p, so that the
+    ideal of a column has no generator in it at a composite n that is no
+    prime power, and the pivot is an extended-gcd combination."""
+    yield np.zeros((4, 5), dtype=np.int64)
+    yield rng.integers(0, n, size=(25, 4))
+    yield rng.integers(0, n, size=(3, 9))
+    yield rng.integers(0, n, size=(16, 12))
+    if primes:
+        for shape in ((6, 5), (12, 8), (20, 4)):
+            factor = rng.choice(primes, size=shape)
+            yield factor * rng.integers(0, n // max(primes), size=shape) % n
+
+
+@pytest.mark.parametrize("n", INT32_EDGE_PRIMES)
+def test_howell_at_primes_around_two_to_the_15_is_rref(n):
+    rng = np.random.default_rng(n)
+    for M in _int32_edge_inputs(n, rng):
+        H = howell_form(M, n)
+        assert H.dtype == np.int64
+        assert H.tolist() == rref_mod_prime(M.tolist(), n)
+
+
+def _smith_span_order(M, n: int) -> int:
+    """|row span of M over Z/n| from the Smith form of M over Z, in Python
+    ints: the span is the direct sum of the Z/(n / gcd(d_i, n))."""
+    if not len(M):
+        return 1
+    _, D, _ = smith_normal_form(M)
+    return prod(n // gcd(int(D[i, i]), n) for i in range(min(D.shape)))
+
+
+@pytest.mark.parametrize("n", sorted(INT32_EDGE_COMPOSITES))
+def test_howell_at_composites_around_two_to_the_15(n):
+    # the span of M and that of H contain each other: M reduces to 0 by H,
+    # and each row of H is a combination x M, checked in Python ints; the
+    # order of the span is read off the Smith form over Z
+    rng = np.random.default_rng(n)
+    for M in _int32_edge_inputs(n, rng, INT32_EDGE_COMPOSITES[n]):
+        H = howell_form(M, n)
+        assert H.dtype == np.int64
+        _check_howell_invariants(H, n)
+        assert howell_span_order(H, n) == _smith_span_order(M, n)
+        assert not howell_reduce(H, M, n).any()
+        for h in H.tolist():
+            x, _ = solve_mod(M.T, h, n)
+            combo = [sum(int(a) * int(v) for a, v in zip(x, col)) % n for col in M.T]
+            assert combo == h
+        assert np.array_equal(howell_form(_unimodular_mix(M, n, rng), n), H)
 
 
 def test_solve_mod_frozen_z4():
