@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import index
 
 import numpy as np
 
@@ -45,12 +46,15 @@ def upper_index_pairs(dim: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class SymplecticSpace:
-    """(Z/r)^{2g} with the hyperbolic basis convention above."""
+    """(Z/r)^{2g} with the hyperbolic basis convention above.  g and r are
+    read through ``operator.index`` and kept as Python ints."""
 
     g: int
     r: int
 
     def __post_init__(self):
+        object.__setattr__(self, "g", index(self.g))
+        object.__setattr__(self, "r", index(self.r))
         if self.g < 1:
             raise ValueError(f"genus must be >= 1, got {self.g}")
         if self.r < 2:
@@ -91,7 +95,8 @@ class SymplecticSpace:
 
 @dataclass(frozen=True)
 class AltForm:
-    """Alternating form stored by strictly upper triangular coefficients."""
+    """Alternating form stored by strictly upper triangular coefficients,
+    each read through ``operator.index`` (also from ``from_vector``)."""
 
     space: SymplecticSpace
     coeffs: tuple[tuple[int, ...], ...]
@@ -108,7 +113,7 @@ class AltForm:
             for j in range(i + 1):
                 if row[j]:
                     raise ValueError("coefficients must be strictly upper triangular")
-            reduced.append(tuple(int(v) % r for v in row))
+            reduced.append(tuple(index(v) % r for v in row))
         object.__setattr__(self, "coeffs", tuple(reduced))
 
     @classmethod
@@ -121,7 +126,7 @@ class AltForm:
             )
         mat = [[0] * space.dim for _ in range(space.dim)]
         for v, (i, j) in zip(vec, pairs):
-            mat[i][j] = int(v)
+            mat[i][j] = v
         return cls(space, tuple(map(tuple, mat)))
 
     def vector(self) -> tuple[int, ...]:

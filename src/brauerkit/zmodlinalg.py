@@ -41,6 +41,7 @@ whose update costs less, and returns int64 like every other routine.
 from __future__ import annotations
 
 from math import gcd, prod
+from operator import index
 
 import numpy as np
 
@@ -63,18 +64,20 @@ class DimensionMismatchError(ValueError):
 
 
 class ModulusTooLargeError(ValueError):
-    """The modulus is too large for exact int64 arithmetic: 2(n-1)^2 >= 2^63."""
+    """The modulus is too large for exact int64 arithmetic: its int64
+    headroom is below 2, that is n > 2^31."""
 
 
 def as_int_matrix(M) -> np.ndarray:
-    """Copy ``M`` into a fresh object-dtype array of Python ints."""
+    """Copy ``M`` into a fresh object-dtype array of Python ints, read
+    through ``operator.index``, so a non-integer entry is a ``TypeError``."""
     A = np.asarray(M)
     if A.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d matrix, got shape {A.shape}")
     out = np.empty(A.shape, dtype=object)
     for i in range(A.shape[0]):
         for j in range(A.shape[1]):
-            out[i, j] = int(A[i, j])
+            out[i, j] = index(A[i, j])
     return out
 
 
@@ -221,10 +224,11 @@ def det_int(M) -> int:
 
 
 def _check_modulus(n: int):
-    """Reject moduli the int64 Howell routines cannot handle exactly."""
+    """Reject moduli the int64 Howell routines cannot handle exactly: those
+    whose int64 headroom is below 2, that is n > 2^31."""
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    if 2 * (n - 1) ** 2 >= 2**63:
+    if _headroom(n) < 2:
         raise ModulusTooLargeError(
             f"modulus {n} is too large for exact int64 arithmetic (n <= 2^31)"
         )
@@ -335,11 +339,8 @@ def howell_form(A, n: int) -> np.ndarray:
     whose entry is a unit when there is one (g = 1, the quotients need no
     division); only a column with no unit has its gcd taken.  One update
     clears column c below it and reduces it above; its annihilator
-    (n/g) * pivot joins the remaining rows.  Zero
-    rows are looked for only while more than twice as many rows as columns
-    remain, so a tall input still sheds them early and a near-square one
-    pays no full reduction per column for the look; the rest are dropped
-    once at the end.
+    (n/g) * pivot joins the remaining rows.  The rows left past the last
+    pivot are zero and are dropped once at the end.
 
     Reduction mod n is delayed.  Each step reduces only column c and the
     pivot row, so the update subtracts a quotient below n/g times a residue,
@@ -347,13 +348,13 @@ def howell_form(A, n: int) -> np.ndarray:
     [-j(n-1)^2, n).  The whole matrix is reduced when j reaches
     ``_headroom(n, work)``, which keeps that exact in the working dtype,
     and before the steps that read more than column c: the extended-gcd
-    combination, whose two products sum below 2(n-1)^2, the skip of zero
-    columns and the zero-row prune.  The working dtype is int32 for
-    n <= 2^15, where that headroom is at least 2 and 2(n-1)^2 < 2^31, and
-    int64 above (``_work_dtype``); the input is cast with the transpose
-    copy and the output back to int64.  Column c itself needs no final
-    reduction: the rows below lose exact multiples of g, and the rows above
-    keep their residue mod g, which g | n makes that of their residue mod n.
+    combination, whose two products sum below 2(n-1)^2, and the skip of
+    zero columns.  The working dtype is int32 for n <= 2^15, where that
+    headroom is at least 2 and 2(n-1)^2 < 2^31, and int64 above
+    (``_work_dtype``); the input is cast with the transpose copy and the
+    output back to int64.  Column c itself needs no final reduction: the
+    rows below lose exact multiples of g, and the rows above keep their
+    residue mod g, which g | n makes that of their residue mod n.
     """
     # T is the working matrix transposed, C-contiguous: column c of the
     # matrix is the row T[c], and row i its column T[:, i]
@@ -367,13 +368,6 @@ def howell_form(A, n: int) -> np.ndarray:
     # updates since it was last reduced
     t = c = j = 0
     while t < T.shape[1] and c < k:
-        if T.shape[1] - t > 2 * (k - c):
-            j = _reduce(T[c:], n, j)
-            keep = T[c:, t:].any(axis=0)
-            if not keep.all():
-                T = np.concatenate([T[:, :t], T[:, t:][:, keep]], axis=1)
-                if t == T.shape[1]:
-                    break
         if j:
             # one remainder costs less than _reduce on a single column
             T[c] %= n

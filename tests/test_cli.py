@@ -456,14 +456,6 @@ def test_selftest_passes_and_is_deterministic(capsys):
     assert first == second
 
 
-def test_selftest_fault_injection_names_suite(capsys):
-    code = main(["selftest", "--seed", "0", "--inject-fault", "weil-a1b1"])
-    out = capsys.readouterr().out
-    assert code == EXIT_VIOLATION
-    assert "suite weil-nondegeneracy: FAIL" in out
-    assert "selftest: FAIL (weil-nondegeneracy)" in out
-
-
 def _shifted(res, n):
     """A ``solve_mod`` result with its particular solution moved by (1, ..., 1)."""
     return res if res is None else ((res[0] + 1) % n, res[1])
@@ -483,8 +475,10 @@ def _shifted(res, n):
             lambda real: lambda space, *args: FormSubmodule.full(space),
             "brute-force-submodules",
         ),
+        # the radical of the zero form, the whole group
+        ("radical", lambda real: lambda b: real(0 * b), "weil-nondegeneracy"),
     ],
-    ids=["howell_form", "solve_mod", "compute_G"],
+    ids=["howell_form", "solve_mod", "compute_G", "radical"],
 )
 def test_each_oracle_backed_suite_fails_on_a_wrong_answer(
     name, fake, suite, capsys, monkeypatch

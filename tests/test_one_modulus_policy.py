@@ -1,9 +1,9 @@
 """Every int64 and int32 exactness decision lives in ``zmodlinalg``.
 
-The Z/r routines share one limit, n <= 2^31, checked by
-``zmodlinalg._check_modulus``, and one headroom, the residue products an
-int64 or int32 entry can take between reductions mod n,
-``zmodlinalg._headroom``.  ``howell_form`` alone works in int32, for
+The Z/r routines share one headroom, the residue products an int64 or
+int32 entry can take between reductions mod n, ``zmodlinalg._headroom``,
+and one limit, n <= 2^31, checked by ``zmodlinalg._check_modulus`` as an
+int64 headroom of at least 2.  ``howell_form`` alone works in int32, for
 n <= 2^15, as ``_work_dtype`` picks it.  A ``raise ModulusTooLargeError``,
 a ``2**63`` or ``2**31`` bound, a division by (n - 1)^2 or an ``np.int32``
 anywhere else would be a second limit to keep in step with them.
@@ -64,16 +64,16 @@ def test_int64_limit_is_decided_only_in_zmodlinalg():
     ]
     outside = [site for site in sites if not site.startswith("zmodlinalg.py:")]
     assert sites and not outside, outside
-    # within zmodlinalg, 2**63 is read only by the limit and the headroom,
-    # and _matmul_mod and howell_form take the headroom from _headroom
+    # within zmodlinalg, 2**63 is read only by the headroom; the limit
+    # (headroom below 2), _matmul_mod and howell_form take it from _headroom
     tree = parse("zmodlinalg.py")
     funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
     owners = {f.name for f in funcs if any(map(_is_two_to_the_63, ast.walk(f)))}
     inside = [n for f in funcs for n in ast.walk(f) if _is_two_to_the_63(n)]
     every = [node for node in ast.walk(tree) if _is_two_to_the_63(node)]
-    assert owners == {"_check_modulus", "_headroom"} and len(inside) == len(every)
+    assert owners == {"_headroom"} and len(inside) == len(every)
     users = {f.name for f in funcs if f.name != "_headroom" and uses(f, "_headroom")}
-    assert users == {"_matmul_mod", "_work_dtype", "howell_form"}
+    assert users == {"_check_modulus", "_matmul_mod", "_work_dtype", "howell_form"}
 
 
 def test_int32_is_picked_only_by_work_dtype_and_headroom_only_by_headroom():

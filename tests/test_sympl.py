@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from brauerkit.brauer import FormSubmodule, compute_G
 from brauerkit.finab import FinAbGroup
 from brauerkit.oracle import symplectic_value
 from brauerkit.sympl import (
@@ -38,6 +39,29 @@ def test_space_validation():
             SymplecticSpace(g=2, r=3).b(i)
 
 
+@pytest.mark.parametrize(
+    "g, r", [(2, 5.0), (2, "5"), (2.0, 5), (2, np.float64(5)), (2, 5 + 0j)]
+)
+def test_non_integer_genus_or_modulus_is_a_type_error(g, r):
+    # read through operator.index, as finab reads invariant factors
+    with pytest.raises(TypeError):
+        SymplecticSpace(g, r)
+
+
+def test_numpy_genus_and_modulus_are_kept_as_python_ints():
+    sp = SymplecticSpace(np.int32(3), np.int64(7))
+    assert sp == SymplecticSpace(3, 7) and hash(sp) == hash(SymplecticSpace(3, 7))
+    assert type(sp.g) is int and type(sp.r) is int
+    assert SymplecticSpace(True, np.uint8(5)) == SymplecticSpace(1, 5)
+    # weil_span is cached per space and equal spaces share the entry, so a
+    # space built with a numpy r must leave a Python int order there
+    FormSubmodule.weil_span.cache_clear()
+    G = compute_G(SymplecticSpace(3, np.int64(7)))
+    again = compute_G(SymplecticSpace(3, 7))
+    assert G == again and type(G.order) is int and type(again.order) is int
+    assert again.order == 7
+
+
 def test_upper_index_pairs_order():
     assert upper_index_pairs(4) == [
         (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
@@ -54,6 +78,27 @@ def test_altform_coeff_validation():
     assert form.vector() == (3,)
     with pytest.raises(ValueError):
         AltForm.from_vector(sp, [1, 2])
+
+
+@pytest.mark.parametrize("bad", [1.9, 2.0, "3", np.float64(1.0), np.True_])
+def test_non_integer_form_coefficients_are_a_type_error(bad):
+    # truncated, 1.9 would read as 1 and "3" as 3
+    sp = SymplecticSpace(g=2, r=5)
+    with pytest.raises(TypeError):
+        AltForm.from_vector(sp, [bad, 0, 0, 0, 0, 0])
+    zero = (0, 0, 0, 0)
+    with pytest.raises(TypeError):
+        AltForm(sp, ((0, 0, 0, bad), zero, zero, zero))
+
+
+def test_integer_form_coefficients_of_any_kind_are_accepted():
+    sp = SymplecticSpace(g=2, r=5)
+    vec = [True, np.int64(6), np.uint8(11), 2**70 + 1, np.int8(-1), 0]
+    form = AltForm.from_vector(sp, vec)
+    assert form.vector() == tuple(int(v) % 5 for v in vec)
+    assert all(type(c) is int for c in form.vector())
+    numpy_row = np.arange(6, dtype=np.int16)
+    assert AltForm.from_vector(sp, numpy_row).vector() == (0, 1, 2, 3, 4, 0)
 
 
 def test_altform_refuses_a_bad_matrix_and_a_sum_across_spaces():

@@ -127,6 +127,24 @@ def test_det_pivot_search_matches_permutation_expansion(M):
     assert det_int(M) == permutation_det(M)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "3", np.float64(2.0)])
+def test_smith_and_det_refuse_non_integer_entries(bad):
+    # read through operator.index; truncated, 1.5 would read as 1
+    with pytest.raises(TypeError):
+        smith_normal_form([[bad, 2]])
+    with pytest.raises(TypeError):
+        det_int([[bad]])
+
+
+def test_smith_and_det_take_integers_of_any_kind():
+    M = np.array([[4, 6], [2, 8]], dtype=np.int16)
+    assert det_int(M) == 20 == det_int([[np.int64(4), 6], [np.uint8(2), 8]])
+    assert det_int([[2**70, 1], [0, True]]) == 2**70
+    _, D, _ = smith_normal_form(M)
+    assert D.tolist() == [[2, 0], [0, 10]]
+    assert all(type(v) is int for v in D.flat)
+
+
 def test_det_of_the_empty_matrix_and_a_non_square_one():
     assert det_int(np.zeros((0, 0), dtype=np.int64)) == 1 == permutation_det([])
     with pytest.raises(DimensionMismatchError, match="2x3"):
@@ -386,8 +404,7 @@ def _padded_inputs(n, rng):
 
 @pytest.mark.parametrize("n", [12, 30, 360, 2**31])
 def test_howell_zero_repeated_and_multiple_rows(n):
-    # zero rows are dropped early only while more rows than columns remain,
-    # so zero, repeated and dependent rows are met in every position
+    # zero, repeated and dependent rows, in every position
     rng = np.random.default_rng(n % 1000 + 11)
     for M in _padded_inputs(n, rng):
         H = howell_form(M, n)
@@ -473,23 +490,63 @@ def _smith_span_order(M, n: int) -> int:
     return prod(n // gcd(int(D[i, i]), n) for i in range(min(D.shape)))
 
 
+def _check_span_of(H, M, n):
+    """H spans what M spans over Z/n: M reduces to 0 by H, and each row of
+    H is a combination x U of the distinct rows U of M, checked in Python
+    ints; the order of the span is read off the Smith form of U over Z."""
+    U = np.unique(M, axis=0)
+    _check_howell_invariants(H, n)
+    assert howell_span_order(H, n) == _smith_span_order(U, n)
+    assert not howell_reduce(H, M, n).any()
+    for h in H.tolist():
+        x, _ = solve_mod(U.T, h, n)
+        combo = [sum(int(a) * int(v) for a, v in zip(x, col)) % n for col in U.T]
+        assert combo == h
+
+
 @pytest.mark.parametrize("n", sorted(INT32_EDGE_COMPOSITES))
 def test_howell_at_composites_around_two_to_the_15(n):
-    # the span of M and that of H contain each other: M reduces to 0 by H,
-    # and each row of H is a combination x M, checked in Python ints; the
-    # order of the span is read off the Smith form over Z
     rng = np.random.default_rng(n)
     for M in _int32_edge_inputs(n, rng, INT32_EDGE_COMPOSITES[n]):
         H = howell_form(M, n)
         assert H.dtype == np.int64
-        _check_howell_invariants(H, n)
-        assert howell_span_order(H, n) == _smith_span_order(M, n)
-        assert not howell_reduce(H, M, n).any()
-        for h in H.tolist():
-            x, _ = solve_mod(M.T, h, n)
-            combo = [sum(int(a) * int(v) for a, v in zip(x, col)) % n for col in M.T]
-            assert combo == h
+        _check_span_of(H, M, n)
         assert np.array_equal(howell_form(_unimodular_mix(M, n, rng), n), H)
+
+
+def _tall_inputs(n, rng):
+    """2,000 x 12 matrices over Z/n, most rows zero or repeated: the others
+    are copies of a few base rows times 1, 2, 3, -1 or n/d, d the least
+    prime of n below 7, so at composite n some are annihilator multiples
+    of others.  One base has its leading columns multiplied by d, one has
+    leading zero columns; the third, 12 uniform rows, is copied times 1 or
+    -1 only, which keeps the Smith form over Z of the distinct rows small."""
+    d = next((p for p in (2, 3, 5) if n % p == 0), 1)
+    few = (1, 2, 3, n - 1, n // d)
+    for base, scales in (
+        (rng.integers(0, n, size=(5, 12)) * np.repeat([d, 1], 6) % n, few),
+        (rng.integers(0, n, size=(5, 12)) * np.repeat([0, 1], [4, 8]), few),
+        (rng.integers(0, n, size=(12, 12)), (1, n - 1)),
+    ):
+        M = np.zeros((2000, 12), dtype=np.int64)
+        live = rng.integers(0, 2000, size=500)
+        scale = rng.choice(scales, size=(500, 1))
+        M[live] = base[rng.integers(0, len(base), size=500)] * scale % n
+        yield M
+
+
+@pytest.mark.parametrize("n", [12, 97, 2**15, 2**15 + 1, 2**31 - 1])
+def test_howell_of_tall_inputs_with_zero_and_repeated_rows(n):
+    # a tall input takes the same column steps as its nonzero rows, in the
+    # int32 tier up to 2^15 and in int64 above
+    rng = np.random.default_rng(n % 1000 + 3)
+    for M in _tall_inputs(n, rng):
+        H = howell_form(M, n)
+        assert np.array_equal(H, howell_form(M[M.any(axis=1)], n))
+        if n in (97, 2**31 - 1):
+            assert H.tolist() == rref_mod_prime(M.tolist(), n)
+        else:
+            _check_span_of(H, M, n)
 
 
 def test_solve_mod_frozen_z4():
