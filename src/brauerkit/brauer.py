@@ -396,9 +396,9 @@ class BicyclicFamily:
     first use and cached (``bogomolov_intersection`` returns it).  A form
     kills span(x, y) iff it kills (x, y), so an added basis contributes
     one constraint row, its minor row, and a member given by hand the
-    generator-pair rows of its canonical generators; a chart is cut by
-    the rows of its block heads alone, written down (``_heads``), with no
-    chart listed (``_intersection``).
+    generator-pair rows of its canonical generators; a chart's floor is
+    checked once over Z/r by the rows of its block heads alone, written
+    down (``_heads``), with no chart listed (``_intersection``).
     """
 
     def __init__(self, space: SymplecticSpace, members, provenance):
@@ -506,10 +506,9 @@ class BicyclicFamily:
         member that is not a subgroup of the space's module.  Part 2 is
         the chart's floor over Z/r: span(e) (``isotropic_bicyclics``) or
         {0} (``all_bicyclics``).  The floor kills every chart basis (an
-        isotropic one has e(x, y) = 0), and for each prime power q one cut
-        over ``SymplecticSpace(g, q)`` by the minor rows of the block
-        heads (``_heads``), the first basis ``_chart`` lists for each
-        pivot pair (c1, c2), the same at every q, reaches it:
+        isotropic one has e(x, y) = 0), and the minor rows of the block
+        heads (``_heads``), the first basis ``_chart`` lists for each pivot
+        pair (c1, c2), cut every form to it:
 
         * all: the head is (e_c1, e_c2), whose minor row is the unit
           vector at (c1, c2), so the heads cut to {0};
@@ -520,13 +519,15 @@ class BicyclicFamily:
           modulo the unit rows; (a_g, b_g) has no isotropic basis.
 
         So a form that kills the isotropic heads is 0 off the diagonal and
-        constant on it, a multiple of e.  A form mod r is in the floor iff
-        it is mod every q, so part 2 is the floor over Z/r once each q's
-        heads are verified to cut to it, by one Howell form of their rows
-        and one product, with no kernel solved (``_cut_to_floor``; a miss
-        builds the cut and names the family, g, q, the cut's order and a
-        generator outside the floor, or e if the cut lies below it).  The
-        heads go through ``_residues``, which refuses q > 2^31 first.
+        constant on it, a multiple of e.  That takes unit rows and +-1
+        combinations alone, so it holds over Z/r for any r, and one Howell
+        form of the rows and one product verify it, with no kernel solved
+        (``_cut_to_floor``; a miss names the family, g, r, the cut's order
+        and a generator outside the floor, or e if the cut lies below it).
+        That one check passes iff each prime power q of r would: |ker N|
+        and the floor's order over Z/r = prod Z/q are the products of their
+        values mod q, and containment mod r gives |ker_q N| >= |floor_q|.
+        The heads go through ``_residues``, which refuses r > 2^31 first.
         Part 3 is one cut by one minor row per added basis, since an added
         basis need not be isotropic.  A cut that cuts nothing costs one
         product.
@@ -541,15 +542,12 @@ class BicyclicFamily:
                     )
             sub = _cut(space, _generator_rows(space, self._given))
         elif self._count:
-            iso, g, d = self._tag == "isotropic-pair", space.g, space.dim
-            floor = FormSubmodule.weil_span if iso else FormSubmodule.trivial
-            heads, kind = [x + y for x, y in _heads(d, iso)], "isotropic" if iso else "all"
-            for _, q, _ in _prime_powers(r):
-                sq = space if q == r else SymplecticSpace(g, q)
-                rows = _basis_rows(_residues(heads, q, 2 * d).reshape(-1, 2, d), q)
-                where = f"the {kind} bicyclic heads at g = {g}, q = {q}"
-                _cut_to_floor(sq, rows, floor(sq), where)
-            sub = floor(space)
+            iso, d = self._tag == "isotropic-pair", space.dim
+            floor = (FormSubmodule.weil_span if iso else FormSubmodule.trivial)(space)
+            heads = _residues([x + y for x, y in _heads(d, iso)], r, 2 * d)
+            kind = "isotropic" if iso else "all"
+            where = f"the {kind} bicyclic heads at g = {space.g}, r = {r}"
+            sub = _cut_to_floor(space, _basis_rows(heads.reshape(-1, 2, d), r), floor, where)
         if self._added:
             sub = _cut(space, _basis_rows(np.array(self._added, dtype=np.int64), r), sub)
         return sub if sub is not None else FormSubmodule.full(space)
@@ -732,7 +730,7 @@ def _enumerate_bicyclics(
     """The family of the chart of each prime power q = p^k exactly
     dividing r, kept as part 2 of a ``BicyclicFamily``: its tag and its
     closed-form member count, which is its ``size``.  Nothing is listed:
-    the cut reads the written-down head of each of q's pivot blocks alone
+    the floor check reads the written-down head of each pivot block alone
     (``_heads``), and ``members`` lists the chart whole (``_chart``),
     checking its count there.
 
@@ -784,13 +782,13 @@ def bogomolov_intersection(
     With an explicit family, every form is cut by each part of the family
     in turn (an empty family leaves the whole form module): the stacked
     generator-pair rows of the members given by hand, or an enumerator's
-    chart, whose intersection is its floor, span(e) or {0}, verified for
-    each prime power q of r from the minor rows over Z/q of at most
-    form_rank block heads, written down in closed form: one Howell form
-    of those rows and one product, with no kernel solved
-    (``BicyclicFamily._intersection``); then one minor row per basis
-    ``with_pair`` added.  No chart is listed, so a family far past the
-    default cap, enumerated with a raised cap, costs one small check per q.
+    chart, whose intersection is its floor, span(e) or {0}, verified once
+    over Z/r from the minor rows of at most form_rank block heads, written
+    down in closed form: one Howell form of those rows and one product,
+    with no kernel solved (``BicyclicFamily._intersection``); then one
+    minor row per basis ``with_pair`` added.  No chart is listed, so a
+    family far past the default cap, enumerated with a raised cap, costs
+    one small check (``ModulusTooLargeError`` for r > 2^31).
     The intersection is computed on first use and cached on the family, so
     a second call costs nothing, and a family grown by ``with_pair`` after
     an intersection costs one small cut of the cached one by the new

@@ -25,7 +25,6 @@ from math import gcd
 from .finab import (
     GroupElement,
     Subgroup,
-    cartier_dual,
     count_solutions,
     element_order,
     subgroup_from_generators,
@@ -83,8 +82,8 @@ class CoverModel:
 
 
 def prym_component_count(model: CoverModel) -> int:
-    """Number of components indexed by the Cartier dual of the kernel: r."""
-    return cartier_dual(model.kernel_subgroup).order
+    """Components indexed by the Cartier dual of the kernel K: |K| = r."""
+    return model.kernel_subgroup.order
 
 
 def quotient_component_count(model: CoverModel) -> int:

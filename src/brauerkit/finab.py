@@ -149,13 +149,7 @@ class GroupElement:
             raise ValueError(
                 f"element has {len(coords)} coordinates, group has rank {len(facs)}"
             )
-        if facs and facs[0] == facs[-1]:
-            # homocyclic, as d_1 | ... | d_k: one exponent reduces every
-            # coordinate
-            d = facs[0]
-            coords = tuple([c % d for c in map(index, coords)])
-        else:
-            coords = tuple([index(c) % d for c, d in zip(coords, facs)])
+        coords = tuple([index(c) % d for c, d in zip(coords, facs)])
         object.__setattr__(self, "coords", coords)
 
     def _check_same_parent(self, other: GroupElement):

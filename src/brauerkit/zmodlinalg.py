@@ -29,8 +29,8 @@ residue) is below n^2, and a row combination by extended gcds below
 in [0, (n-1)^2] from the entries it leaves unreduced, so after j steps
 they lie in [-j(n-1)^2, n), and the whole matrix is reduced once j reaches
 ``_headroom(n)`` = (2^63 - 1 - n) // (n-1)^2, at least 2 for n <= 2^31.
-That is the package's one int64 limit: caller input enters
-every Z/n routine through one conversion, ``_residues``, which raises
+That is the package's one int64 limit: every Z/n routine reads n as an int
+(``_check_modulus``) and its input through ``_residues``, which raise
 ``ModulusTooLargeError`` for larger n rather than wrap around, and
 products of residue matrices go through ``_matmul_mod``, summed in chunks
 that stay below 2^63.  For n <= 2^15 the same bounds hold below 2^31, so
@@ -223,15 +223,17 @@ def det_int(M) -> int:
 # Z/n
 
 
-def _check_modulus(n: int):
-    """Reject moduli the int64 Howell routines cannot handle exactly: those
-    whose int64 headroom is below 2, that is n > 2^31."""
+def _check_modulus(n) -> int:
+    """n as an int, via ``operator.index`` (a float or a str: ``TypeError``);
+    ``ModulusTooLargeError`` past 2^31, where the int64 headroom is below 2."""
+    n = index(n)
     if n < 2:
         raise ValueError("modulus must be >= 2")
     if _headroom(n) < 2:
         raise ModulusTooLargeError(
             f"modulus {n} is too large for exact int64 arithmetic (n <= 2^31)"
         )
+    return n
 
 
 def _residues(A, n: int, width: int | None = None) -> np.ndarray:
@@ -242,7 +244,7 @@ def _residues(A, n: int, width: int | None = None) -> np.ndarray:
     ``DimensionMismatchError`` unless ``A`` is 2-d with ``width`` columns
     (any number when ``None``); an empty 1-d ``A`` is no rows of ``width``.
     """
-    _check_modulus(n)
+    n = _check_modulus(n)
     M = np.asarray(A)
     if M.dtype != np.int64:
         if M.dtype.kind == "u":
@@ -299,7 +301,7 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
     ``_headroom(n)`` terms, reduced mod n between chunks: one product at
     small n, two terms per step at n = 2^31.
     """
-    _check_modulus(n)
+    n = _check_modulus(n)
     step = _headroom(n)
     out = A[:, :step] @ B[:step] % n
     for i in range(step, A.shape[1], step):
@@ -358,6 +360,7 @@ def howell_form(A, n: int) -> np.ndarray:
     """
     # T is the working matrix transposed, C-contiguous: column c of the
     # matrix is the row T[c], and row i its column T[:, i]
+    n = _check_modulus(n)
     M = _residues(A, n)
     work = _work_dtype(n)
     T = np.ascontiguousarray(M.T, dtype=work)
@@ -452,6 +455,7 @@ def howell_span_order(H, n: int) -> int:
     library itself reads the order of a Howell form it just computed with
     ``_span_order``, which skips the conversion of caller input.
     """
+    n = _check_modulus(n)
     return _span_order(_residues(H, n), n)
 
 
@@ -472,6 +476,7 @@ def howell_span(H, n: int) -> list[tuple[int, ...]]:
     ``_pivots``, and each row's annihilator multiple (n / pivot) * h_i
     reduces to zero against the rows below it.
     """
+    n = _check_modulus(n)
     H = _residues(H, n)
     _, piv = _pivots(H, n)
     span = np.zeros((1, H.shape[1]), dtype=np.int64)
@@ -495,6 +500,7 @@ def howell_reduce(H, rows, n: int) -> np.ndarray:
     ``howell_reduce(H, rows, n).any(axis=1)`` marks the rows outside it.
     An empty basis leaves the rows unchanged.
     """
+    n = _check_modulus(n)
     H = _residues(H, n)
     R = _residues(rows, n, H.shape[1])
     if H.shape[0] == 0:
@@ -523,6 +529,7 @@ def howell_kernel(H, n: int) -> np.ndarray:
     Subtracting the e_f seeds, then the pivot seeds from the last pivot up,
     reduces any kernel vector to 0, so the seeds span the kernel.
     """
+    n = _check_modulus(n)
     H = _residues(H, n)
     k = H.shape[1]
     cols, piv = _pivots(H, n)
@@ -569,6 +576,7 @@ def solve_mod(A, c, n: int):
     own, (x, 1) with A x = c, is the only one nonzero there.  The others
     end in 0 and span the kernel of A.
     """
+    n = _check_modulus(n)
     A = _residues(A, n)
     m, k = A.shape
     cvec = _residues(np.reshape(c, (1, -1)), n)[0]

@@ -747,14 +747,13 @@ def _refuse_z_r_bases(*args, **kwargs):
     ],
 )
 def test_family_len_and_intersection_build_no_member(monkeypatch, g, r, families):
-    # len is the closed-form count, and the intersection checks each prime
-    # power q's chart on its own, over Z/q, once, by the minor rows of its
-    # block heads: no basis is offered twice for one q (a basis can repeat
-    # across q), no q more than its chart's bases (the closed form over
-    # Z/q), no check lists more rows than the form rank, and the checked
-    # floor is the intersection over every member; neither lists a chart whole
-    # (_chart), forms a chart basis over Z/r (_bases), goes through
-    # _members_of or builds a Subgroup
+    # len is the closed-form count, and the intersection checks the chart
+    # once, over Z/r, by the minor rows of its block heads: no basis is
+    # offered twice, each is its own chart basis and a member of the
+    # family, the one check lists no more rows than the form rank, and the
+    # checked floor is the intersection over every member; neither lists a
+    # chart whole (_chart), forms a chart basis over Z/r (_bases), goes
+    # through _members_of or builds a Subgroup
     sp = SymplecticSpace(g=g, r=r)
     check, basis_rows, offered, bases = brauer._cut_to_floor, brauer._basis_rows, [], []
 
@@ -782,10 +781,9 @@ def test_family_len_and_intersection_build_no_member(monkeypatch, g, r, families
         want = FormSubmodule.weil_span(sp) if isotropic else FormSubmodule.trivial(sp)
         assert inter == want
         assert len(set(bases)) == len(bases) == sum(offered)
-        for q, n in Counter(q for q, _ in bases).items():
-            assert n <= bicyclic_count(g, q, isotropic=isotropic)
-        assert len(offered) == len(brauer._prime_powers(r))
-        assert max(offered) <= sp.form_rank
+        for n, key in bases:
+            assert n == r and brauer._chart_key(sp, key) == key and fam._charted(key)
+        assert len(offered) == 1 and offered[0] <= sp.form_rank
         assert "members" not in fam.__dict__
         stopped.append((fam, inter))
     monkeypatch.undo()
@@ -798,18 +796,19 @@ def test_family_len_and_intersection_build_no_member(monkeypatch, g, r, families
     "enumerate_family, g, r, cuts",
     [
         (all_bicyclics, 3, 5, {5: 1}),
-        (all_bicyclics, 3, 6, {2: 1, 3: 1}),
+        (all_bicyclics, 3, 6, {6: 1}),
         (isotropic_bicyclics, 3, 7, {7: 1}),
-        (isotropic_bicyclics, 3, 6, {2: 1, 3: 1}),
+        (isotropic_bicyclics, 3, 6, {6: 1}),
     ],
     ids=["all-3-5", "all-3-6", "isotropic-3-7", "isotropic-3-6"],
 )
 def test_each_prime_power_stops_at_the_first_cut_of_its_floor(
     monkeypatch, enumerate_family, g, r, cuts
 ):
-    # each q is checked once, by its block heads, at the floor's order (q
-    # for span(e), 1 for {0}), where the chart read in member order took
-    # 814, 2 + 23 and 1,222 slices of 96 bases
+    # the chart is checked once over Z/r, composite r included, by its
+    # block heads, at the floor's order (r for span(e), 1 for {0}), where
+    # the chart read in member order took 814, 2 + 23 and 1,222 slices of
+    # 96 bases
     sp = SymplecticSpace(g=g, r=r)
     fam = enumerate_family(sp)
     check, orders = brauer._cut_to_floor, {}
@@ -822,8 +821,8 @@ def test_each_prime_power_stops_at_the_first_cut_of_its_floor(
     monkeypatch.setattr(brauer, "_cut_to_floor", recorded_check)
     bogomolov_intersection(sp, fam)
     assert {q: len(seen) for q, seen in orders.items()} == cuts
-    for q, seen in orders.items():
-        floor = q if enumerate_family is isotropic_bicyclics else 1
+    for n, seen in orders.items():
+        floor = n if enumerate_family is isotropic_bicyclics else 1
         assert seen[-1] == floor and all(order > floor for order in seen[:-1])
 
 
@@ -959,25 +958,61 @@ def test_an_added_basis_is_cut_after_the_chart_stops(monkeypatch, r):
 @pytest.mark.parametrize("r, short", [(6, 3), (12, 4), (15, 5)], ids=["6", "12", "15"])
 def test_a_chart_cut_short_at_one_prime_power_is_a_runtime_error(monkeypatch, r, short):
     # an enumerated chart's heads cut to its floor mod every q; with the
-    # floor check over Z/q given the first head's row alone at one q, that
-    # q's cut keeps every form with 0 at (a_1, b_1), and the error names
-    # that q, the cut's order and a generator outside {0}
+    # head rows times 1 - u, u the CRT unit of one q, they vanish mod that
+    # q and are unchanged mod the rest, so the one check over Z/r sees
+    # every form mod q and {0} elsewhere, and the error names r, the cut's
+    # order and a generator outside {0}
     check = brauer._cut_to_floor
+    unit = next(u for _, q, u in brauer._prime_powers(r) if q == short)
 
     def short_check(space, rows, floor, where):
-        return check(space, rows[:1] if space.r == short else rows, floor, where)
+        return check(space, rows * (1 - unit) % space.r, floor, where)
 
     monkeypatch.setattr(brauer, "_cut_to_floor", short_check)
     sp = SymplecticSpace(g=2, r=r)
     message = (
-        rf"^the all bicyclic heads at g = 2, q = {short} cut to {short**5} forms: "
+        rf"^the all bicyclic heads at g = 2, r = {r} cut to {short**6} forms: "
         r"generator \(.*\) is outside \{0\}$"
     )
     with pytest.raises(RuntimeError, match=message):
         bogomolov_intersection(sp, all_bicyclics(sp))
 
 
-_SCAN_POINTS = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4)]
+@pytest.mark.parametrize("g", [2, 3, 8])
+@pytest.mark.parametrize("r", [6, 12, 15, 30, 30030])
+def test_a_composite_r_reaches_its_floor_in_one_check_and_one_howell_form(
+    monkeypatch, g, r
+):
+    # the heads cut to the floor mod every prime power q of r, so both
+    # families, enumerated with the cap raised, are verified by one check
+    # over Z/r of one Howell form; where at most 10^4 members can be
+    # listed, that floor is also the intersection of the family built by
+    # hand from them
+    sp = SymplecticSpace(g=g, r=r)
+    calls = Counter()
+    for name in ("_cut_to_floor", "howell_form"):
+
+        def counted(*args, _name=name, _real=getattr(brauer, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(brauer, name, counted)
+    checked = []
+    for enumerate_family, isotropic in FAMILIES:
+        calls.clear()
+        fam = enumerate_family(sp, cap=10**200)
+        want = FormSubmodule.weil_span(sp) if isotropic else FormSubmodule.trivial(sp)
+        assert bogomolov_intersection(sp, fam) == want
+        assert calls == {"_cut_to_floor": 1, "howell_form": 1}
+        checked.append((fam, want))
+    monkeypatch.undo()
+    for fam, want in checked:
+        if fam.size <= 10**4:
+            stacked = BicyclicFamily(sp, fam.members, fam.provenance)
+            assert bogomolov_intersection(sp, stacked) == want
+
+
+_SCAN_POINTS =[(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4)]
 
 
 @pytest.mark.parametrize(
@@ -987,8 +1022,8 @@ def test_a_floor_that_passes_takes_one_howell_form_per_prime_power_and_no_kernel
     monkeypatch, enumerate_family, g, r
 ):
     # the seven scan points check G at r, the nine family points the chart
-    # floor at each prime power q: each check is one Howell form of its
-    # rows, and no kernel is solved
+    # floor at r: each check is one Howell form of its rows, and no kernel
+    # is solved
     calls = Counter()
     for name in ("howell_form", "howell_kernel"):
 
@@ -1000,13 +1035,11 @@ def test_a_floor_that_passes_takes_one_howell_form_per_prime_power_and_no_kernel
     sp = SymplecticSpace(g=g, r=r)
     if enumerate_family is None:
         assert compute_G(sp) == FormSubmodule.weil_span(sp)
-        checks = 1
     else:
         iso = enumerate_family is isotropic_bicyclics
         want = FormSubmodule.weil_span(sp) if iso else FormSubmodule.trivial(sp)
         assert bogomolov_intersection(sp, enumerate_family(sp)) == want
-        checks = len(brauer._prime_powers(r))
-    assert calls == {"howell_form": checks}
+    assert calls == {"howell_form": 1}
 
 
 def _head_rows(sp, isotropic: bool) -> np.ndarray:
@@ -1162,7 +1195,7 @@ def test_a_dropped_block_head_is_a_runtime_error(
     monkeypatch.setattr(brauer, "_heads", dropped)
     sp = SymplecticSpace(g=3, r=5)
     message = (
-        rf"^the {kind} bicyclic heads at g = 3, q = 5 cut to {5 * floor} forms: "
+        rf"^the {kind} bicyclic heads at g = 3, r = 5 cut to {5 * floor} forms: "
         rf"generator \(.*\) is outside {name}$"
     )
     with pytest.raises(RuntimeError, match=message) as raised:
@@ -1194,7 +1227,7 @@ def test_a_non_isotropic_head_is_a_runtime_error(monkeypatch, swapped, tail):
 
     monkeypatch.setattr(brauer, "_heads", swap)
     sp = SymplecticSpace(g=2, r=3)
-    message = rf"^the isotropic bicyclic heads at g = 2, q = 3 {tail}$"
+    message = rf"^the isotropic bicyclic heads at g = 2, r = 3 {tail}$"
     with pytest.raises(RuntimeError, match=message):
         bogomolov_intersection(sp, isotropic_bicyclics(sp))
 
@@ -2234,12 +2267,15 @@ def test_a_family_at_a_large_prime_is_refused_by_its_count_at_once(monkeypatch):
         isotropic_bicyclics(sp)
 
 
-@pytest.mark.parametrize("r", [2**31 + 11, 2**61 - 1, 10**30 + 57])
+# 2(2^31 - 1) is composite with every prime power below 2^31: the one check
+# over Z/r refuses it all the same
+@pytest.mark.parametrize("r", [2**31 + 11, 2**61 - 1, 10**30 + 57, 2 * (2**31 - 1)])
 def test_a_family_past_the_int64_limit_is_refused_by_its_cut(monkeypatch, r):
     # with a cap raised past its count, the block heads are read lazily and
-    # their conversion refuses the modulus, typed
+    # their conversion refuses the modulus, typed, in either family
     monkeypatch.setattr(brauer, "_chart", _refuse_to_chart)
     sp = SymplecticSpace(g=2, r=r)
-    fam = isotropic_bicyclics(sp, cap=10**200)
-    with pytest.raises(ModulusTooLargeError):
-        bogomolov_intersection(sp, fam)
+    for enumerate_family, _ in FAMILIES:
+        fam = enumerate_family(sp, cap=10**200)
+        with pytest.raises(ModulusTooLargeError, match=rf"modulus {r} "):
+            bogomolov_intersection(sp, fam)

@@ -59,6 +59,17 @@ def test_modulus_beyond_int64_limit_is_config_error(capsys):
         assert "too large" in captured.err
 
 
+def test_a_composite_modulus_past_the_limit_is_config_error(capsys):
+    # every prime power of 2(2^31 - 1) is below 2^31, r itself is not
+    r = 2 * (2**31 - 1)
+    for family in ("isotropic", "all"):
+        argv = ["bogomolov", "--family", family, "--g", "2", "--r", str(r)]
+        assert main(argv + ["--cap", str(10**43)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"modulus {r} is too large" in captured.err
+
+
 def test_verify_g_past_numpy_size_limit_lists_no_table(capsys):
     # (Z/65536)^4 has 2^64 elements, so its coordinate table cannot be
     # allocated, but G costs 5 witness pairs

@@ -8,7 +8,7 @@ building one would bring back a second ``len``, ``members`` and
 intersection to keep in step, a ``Subgroup`` built outside
 ``_members_of`` would be a second member builder, and a ``_bases`` call
 outside ``BicyclicFamily.members`` would form the chart's bases over Z/r
-somewhere else: the intersection cuts each prime power's chart over Z/q
+somewhere else: the intersection checks the chart's floor once over Z/r
 and never needs them.  A ``_chart`` call outside ``_bases`` would list a
 whole chart, where the intersection cuts by each pivot block's head
 alone, written down by ``_heads``, and a ``_heads`` call outside the

@@ -870,3 +870,42 @@ def test_moduli_below_two_are_refused(n):
     for call in (lambda: _check_modulus(n), lambda: howell_form([[1, 0]], n)):
         with pytest.raises(ValueError, match="modulus must be >= 2"):
             call()
+
+
+def _each_routine(n, H):
+    """Every public Z/n routine over Z/n, ``H`` a Howell form over Z/n."""
+    A = [[2, 3, 5], [4, 6, 1], [8, 0, 10]]
+    return {
+        "howell_form": lambda: howell_form(A, n),
+        "howell_reduce": lambda: howell_reduce(H, [[1, 2, 0], [5, 7, 11]], n),
+        "howell_span": lambda: howell_span(H, n),
+        "howell_span_order": lambda: howell_span_order(H, n),
+        "howell_kernel": lambda: howell_kernel(H, n),
+        "solve_mod": lambda: solve_mod(A, [1, 2, 3], n),
+    }
+
+
+_NUMPY_MODULI = [np.int32(97), np.int64(97), np.uint64(97), np.int32(12), np.uint64(12)]
+
+
+@pytest.mark.parametrize("routine", sorted(_each_routine(2, None)))
+@pytest.mark.parametrize("modulus", _NUMPY_MODULI, ids=repr)
+def test_a_numpy_integer_modulus_gives_the_python_int_result(routine, modulus):
+    # the modulus is read once as the int it is: the same values, dtypes
+    # and Python scalar types as with that int
+    n = int(modulus)
+    H = howell_form([[2, 3, 5], [4, 6, 1]], n)
+    want = _each_routine(n, H)[routine]()
+    assert repr(_each_routine(modulus, H)[routine]()) == repr(want)
+
+
+@pytest.mark.parametrize("routine", sorted(_each_routine(2, None)))
+def test_a_modulus_that_is_no_integer_or_too_large_is_refused(routine):
+    H = [[1, 0, 0]]
+    for modulus in (97.0, "97"):
+        with pytest.raises(TypeError):
+            _each_routine(modulus, H)[routine]()
+    # (n - 1)^2 wraps to 0 in int64 at 2^32 + 1: read as an int, it does not
+    for modulus in (np.int64(2**31 + 1), np.int64(2**32 + 1)):
+        with pytest.raises(ModulusTooLargeError):
+            _each_routine(modulus, H)[routine]()
